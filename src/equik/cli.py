@@ -38,22 +38,14 @@ from .joins import (
 )
 from .kmodules import ModelDescriptor, max_nonvanishing_power
 from .reports import (
-    INFINITY,
+    CONSTRUCTIONS,
     CollapseReport,
-    DimBound,
+    CommutativeDimension,
     ExistenceReport,
-    circle_ah_dimension,
-    circle_product_dimension,
-    commutative_dimension,
-    finite_af_bounds,
-    product_z2_bounds,
     render_bound,
     report_from_json_dict,
     report_to_json_dict,
-    rule_report,
     validate,
-    z2_af_bounds,
-    z6_collapse_report,
 )
 
 
@@ -64,16 +56,14 @@ def _matrix_lines(mat) -> list:
 def _ring_arg(text: str):
     """Resolve a ring argument: built-in tag, circle:n, or a fusion file."""
     if text.startswith("circle:"):
-        return circle_truncation(int(text.split(":", 1)[1]))
+        order = text.split(":", 1)[1]
+        try:
+            return circle_truncation(int(order))
+        except ValueError:
+            raise InputError(f"circle order must be an integer, got {order!r}") from None
     if text.endswith(".json") or "/" in text:
         return from_fusion_file(text)
     return ring_from_tag(text)
-
-
-def _upper_arg(text: str):
-    if text in ("infinity", "inf"):
-        return INFINITY
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +213,15 @@ def _cmd_join_mv_delta(args):
     return payload, lines, 0
 
 
-def _report_result(report):
+def _cmd_rokhlin(args):
+    construction = args.construction
+    report = construction.build(
+        **{a.name: getattr(args, a.name) for a in construction.arguments}
+    )
     payload = report_to_json_dict(report)
-    if isinstance(report, CollapseReport):
+    if isinstance(report, CommutativeDimension):
+        lines = [f"dim {report.dim}, ind {report.ind}"]
+    elif isinstance(report, CollapseReport):
         lines = []
         for i, factor in enumerate(report.factors, start=1):
             lines.append(f"factor {i}: {render_bound(factor.bound)}")
@@ -236,42 +232,6 @@ def _report_result(report):
     else:
         lines = [render_bound(report.bound)]
     return payload, lines, 0
-
-
-def _cmd_rokhlin_z2(args):
-    return _report_result(z2_af_bounds(args.m))
-
-
-def _cmd_rokhlin_circle(args):
-    return _report_result(circle_ah_dimension(args.d))
-
-
-def _cmd_rokhlin_product_z2(args):
-    return _report_result(product_z2_bounds(args.m, args.group))
-
-
-def _cmd_rokhlin_circle_product(args):
-    return _report_result(circle_product_dimension(args.d, args.group))
-
-
-def _cmd_rokhlin_z6_collapse(args):
-    return _report_result(z6_collapse_report(args.d))
-
-
-def _cmd_rokhlin_commutative(args):
-    result = commutative_dimension(args.group, args.k)
-    payload = report_to_json_dict(result)
-    return payload, [f"dim {result.dim}, ind {result.ind}"], 0
-
-
-def _cmd_rokhlin_finite(args):
-    return _report_result(finite_af_bounds(args.group, args.n))
-
-
-def _cmd_rokhlin_tensor_rule(args):
-    b1 = DimBound(args.l1, _upper_arg(args.u1))
-    b2 = DimBound(args.l2, _upper_arg(args.u2))
-    return _report_result(rule_report(args.rule, b1, b2))
 
 
 def _cmd_model(args):
@@ -298,7 +258,7 @@ def _cmd_validate(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InputError(f"cannot parse report file {args.file}: {exc}") from None
     report = report_from_json_dict(obj)
     ok = validate(report)
@@ -382,50 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     rok = top.add_parser("rokhlin", help="certified dimension bound reports")
     rok_sub = rok.add_subparsers(dest="rokhlin_op", required=True)
-    p = rok_sub.add_parser("z2", parents=[common], help="order-2 group, UHF model")
-    p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_rokhlin_z2)
-    p = rok_sub.add_parser("circle", parents=[common], help="circle, AH model")
-    p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_rokhlin_circle)
-    p = rok_sub.add_parser(
-        "product-z2", parents=[common], help="order-2 times an odd group"
-    )
-    p.add_argument("m", type=int)
-    p.add_argument("group", help="odd-order fusion ring tag, e.g. z3")
-    p.set_defaults(func=_cmd_rokhlin_product_z2)
-    p = rok_sub.add_parser(
-        "circle-product", parents=[common], help="circle times a finite group"
-    )
-    p.add_argument("d", type=int)
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_rokhlin_circle_product)
-    p = rok_sub.add_parser(
-        "z6-collapse", parents=[common], help="product collapse example"
-    )
-    p.add_argument("d", type=int, help="level both factors must exceed")
-    p.set_defaults(func=_cmd_rokhlin_z6_collapse)
-    p = rok_sub.add_parser(
-        "commutative", parents=[common], help="canonical join action dimension"
-    )
-    p.add_argument("group", help="z<n> or s1")
-    p.add_argument("k", type=int, help="join copies")
-    p.set_defaults(func=_cmd_rokhlin_commutative)
-    p = rok_sub.add_parser(
-        "finite", parents=[common], help="finite group, target above n"
-    )
-    p.add_argument("group", help="fusion ring tag")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_rokhlin_finite)
-    p = rok_sub.add_parser(
-        "tensor-rule", parents=[common], help="combine two bounds"
-    )
-    p.add_argument("rule", choices=("sum", "min", "absorb"))
-    p.add_argument("l1", type=int)
-    p.add_argument("u1", help="integer or infinity")
-    p.add_argument("l2", type=int)
-    p.add_argument("u2", help="integer or infinity")
-    p.set_defaults(func=_cmd_rokhlin_tensor_rule)
+    for construction in CONSTRUCTIONS.values():
+        p = rok_sub.add_parser(
+            construction.command, parents=[common], help=construction.help
+        )
+        for a in construction.arguments:
+            p.add_argument(
+                a.name, type=a.type, help=a.help, metavar=a.metavar, choices=a.choices
+            )
+        p.set_defaults(func=_cmd_rokhlin, construction=construction)
 
     p = top.add_parser("model", parents=[common], help="inspect a K-theory model")
     p.add_argument("descriptor", help="trunc-z2:l, circle:n, trunc:<ring>:n, tensor(a,b)")

@@ -4,19 +4,20 @@ Each report carries a bound interval plus certificates.  Lower
 certificates are recomputable algebra: an ideal-power image on a named
 K-theory model that comes out nonzero (optionally stable under the
 connecting multiplier).  Upper certificates are structural: a join
-factor count, a combination rule, or an index value.  validate()
-recomputes everything a report claims.
+factor count, a combination rule, or an index value.  CONSTRUCTIONS
+names every construction; validate() rebuilds a report from its name
+and parameters and accepts it only if the rebuild is identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup
-from .errors import InputError, UnsupportedError
+from .errors import EquikError, InputError, UnsupportedError
 from .fusion import (
     FusionRing,
-    circle_truncation,
     cyclic_ring,
     ideal_power,
     regular_dimension,
@@ -252,20 +253,8 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _model_ring_tag(model: ModelDescriptor) -> str:
-    if model.kind == "trunc-z2":
-        return "z2"
-    if model.kind == "circle":
-        return f"circle:{model.order}"
-    if model.kind == "trunc":
-        return model.ring
-    if model.kind == "tensor":
-        return f"prod({_model_ring_tag(model.left)},{_model_ring_tag(model.right)})"
-    raise InputError(f"unknown model kind {model.kind!r}")
-
-
-def _full_power_witness(model: ModelDescriptor, power: int, stability=None):
-    module = model.instantiate()
+def _full_power_witness(ring: str, model: ModelDescriptor, module, power: int, stability=None):
+    """Witness for the full power of ring's ideal on module, an instance of model."""
     image = ideal_image(ideal_power(module.ring, power), module)
     if image.is_trivial:
         raise InputError(
@@ -277,18 +266,13 @@ def _full_power_witness(model: ModelDescriptor, power: int, stability=None):
         )
         if not ok:
             raise InputError("stability check failed for the requested witness")
-    return AnnihilatorWitness(
-        _model_ring_tag(model), power, model, "full", image, stability
-    )
+    return AnnihilatorWitness(ring, power, model, "full", image, stability)
 
 
-def _factor_power_witness(left_tag: str, right_tag: str, power: int, multiplier: int):
-    """Witness for (I(left) x right)^power on trunc(left, power+1) x trunc(right, 1)."""
-    left_ring = ring_from_tag(left_tag)
-    right_ring = ring_from_tag(right_tag)
-    model = tensor_model(trunc_model(left_tag, power + 1), trunc_model(right_tag, 1))
+def _factor_power_witness(ring: str, model: ModelDescriptor, power: int, multiplier: int):
+    """Witness for (I(left) x right)^power on the tensor model left x right."""
     module = model.instantiate()
-    lattice = factor_ideal_power(left_ring, right_ring, power)
+    lattice = factor_ideal_power(model.left.ring_of(), model.right.ring_of(), power)
     image = ideal_image(lattice, module)
     if image.is_trivial:
         raise InputError("factor ideal power acts trivially; no witness")
@@ -296,16 +280,15 @@ def _factor_power_witness(left_tag: str, right_tag: str, power: int, multiplier:
     stability = Stability(multiplier, unit)
     if not element_stable_nonvanishing(module, unit, power, multiplier):
         raise InputError("stability check failed for the factor witness")
-    return AnnihilatorWitness(
-        f"{left_tag}x{right_tag}", power, model, "left-factor", image, stability
-    )
+    return AnnihilatorWitness(ring, power, model, "left-factor", image, stability)
 
 
 def z2_af_bounds(m: int) -> BoundReport:
     """Order-2 group on a UHF-model algebra: lower m, upper 2m + 2."""
     if m < 1:
         raise InputError("z2 construction needs m >= 1")
-    witness = _full_power_witness(trunc_z2_model(m + 1), m)
+    model = trunc_z2_model(m + 1)
+    witness = _full_power_witness("z2", model, model.instantiate(), m)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "z2-af",
@@ -323,7 +306,7 @@ def circle_ah_dimension(d: int) -> BoundReport:
     module = model.instantiate()
     unit = tuple(1 if i == 0 else 0 for i in range(module.generators))
     stability = Stability(2, unit)
-    witness = _full_power_witness(model, d, stability)
+    witness = _full_power_witness(f"circle:{d + 1}", model, module, d, stability)
     bound = DimBound(d, d, witness, JoinFactorWitness(d + 1))
     return BoundReport(
         "circle-ah",
@@ -353,7 +336,8 @@ def product_z2_bounds(m: int, group: str) -> BoundReport:
             "witness torsion must stay coprime to the connecting multiplier, "
             "so only odd-order factors are admitted"
         )
-    witness = _factor_power_witness("z2", group, m, order)
+    model = tensor_model(trunc_model("z2", m + 1), trunc_model(group, 1))
+    witness = _factor_power_witness(f"z2x{group}", model, m, order)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "product-z2",
@@ -376,21 +360,8 @@ def circle_product_dimension(d: int, group: str) -> BoundReport:
     ring = ring_from_tag(group)
     if not isinstance(ring, FusionRing):
         raise InputError("the finite factor must be a fusion ring")
-    circle_tag = f"circle:{d + 1}"
-    left_ring = circle_truncation(d + 1)
     model = tensor_model(circle_model(d + 1), trunc_model(group, 1))
-    module = model.instantiate()
-    lattice = factor_ideal_power(left_ring, ring, d)
-    image = ideal_image(lattice, module)
-    if image.is_trivial:
-        raise InputError("circle factor ideal acts trivially; no witness")
-    unit = tuple(1 if i == 0 else 0 for i in range(module.generators))
-    stability = Stability(2, unit)
-    if not element_stable_nonvanishing(module, unit, d, 2):
-        raise InputError("stability check failed for the circle product witness")
-    witness = AnnihilatorWitness(
-        f"prod({circle_tag},{group})", d, model, "left-factor", image, stability
-    )
+    witness = _factor_power_witness(f"prod(circle:{d + 1},{group})", model, d, 2)
     rule = RuleApplication("absorb", ((d, d), (0, 0)))
     bound = DimBound(d, d, witness, rule)
     return BoundReport(
@@ -464,7 +435,8 @@ def z6_collapse_report(d: int) -> CollapseReport:
     factor_one = product_z2_bounds(m, "z3")
     factor_one.construction = "z6-collapse-factor"
     factor_one.parameters = {"side": "z2", "m": str(m), "group": "z3"}
-    witness_two = _factor_power_witness("z3", "z2", m, 2)
+    model_two = tensor_model(trunc_model("z3", m + 1), trunc_model("z2", 1))
+    witness_two = _factor_power_witness("z3xz2", model_two, m, 2)
     factor_two = BoundReport(
         "z6-collapse-factor",
         {"side": "z3", "m": str(m), "group": "z2"},
@@ -583,6 +555,112 @@ def finite_af_bounds(group, n: int):
 
 
 # ---------------------------------------------------------------------------
+# Construction table
+# ---------------------------------------------------------------------------
+
+
+class Argument(NamedTuple):
+    """One construction argument, named as in the report's parameters.
+
+    type parses the argument's text (int, str or _upper_from_str) and
+    raises ValueError on malformed text; metavar names it on the command
+    line when that differs from the parameter name.
+    """
+
+    name: str
+    type: object = int
+    help: str | None = None
+    metavar: str | None = None
+    choices: tuple | None = None
+
+
+class Construction(NamedTuple):
+    """A named construction: its rokhlin subcommand, its arguments in
+    command-line order, and build(**arguments) returning its report."""
+
+    command: str
+    help: str
+    arguments: tuple
+    build: object
+
+
+def _stated_arguments(doc: dict) -> dict:
+    """Argument text that a canonical report states.
+
+    That is its parameters plus the two input bounds of a rule certificate
+    as l1, u1, l2 and u2, since tensor-rule's parameters hold only the rule.
+    """
+    stated = dict(doc["parameters"])
+    for cert in doc.get("certificates", ()):
+        if cert["kind"] == "rule" and len(cert["inputs"]) == 2:
+            first, second = cert["inputs"]
+            stated.update(
+                l1=first["lower"], u1=first["upper"],
+                l2=second["lower"], u2=second["upper"],
+            )
+    return stated
+
+
+# Each build looks its builder up by module-level name at call time, so a
+# wrapper bound over that name (a tracer, a test double) sees every call.
+CONSTRUCTIONS = {
+    "z2-af": Construction(
+        "z2", "order-2 group, UHF model", (Argument("m"),),
+        lambda m: z2_af_bounds(m),
+    ),
+    "circle-ah": Construction(
+        "circle", "circle, AH model", (Argument("d"),),
+        lambda d: circle_ah_dimension(d),
+    ),
+    "product-z2": Construction(
+        "product-z2",
+        "order-2 times an odd group",
+        (Argument("m"), Argument("group", str, "odd-order fusion ring tag, e.g. z3")),
+        lambda m, group: product_z2_bounds(m, group),
+    ),
+    "circle-product": Construction(
+        "circle-product",
+        "circle times a finite group",
+        (Argument("d"), Argument("group", str)),
+        lambda d, group: circle_product_dimension(d, group),
+    ),
+    "z6-collapse": Construction(
+        "z6-collapse",
+        "product collapse example",
+        (Argument("d", int, "level both factors must exceed"),),
+        lambda d: z6_collapse_report(d),
+    ),
+    "commutative": Construction(
+        "commutative",
+        "canonical join action dimension",
+        (
+            Argument("group", str, "z<n> or s1"),
+            Argument("copies", int, "join copies", metavar="k"),
+        ),
+        lambda group, copies: commutative_dimension(group, copies),
+    ),
+    "finite-af": Construction(
+        "finite",
+        "finite group, target above n",
+        (Argument("group", str, "fusion ring tag"), Argument("n")),
+        lambda group, n: finite_af_bounds(group, n),
+    ),
+    "tensor-rule": Construction(
+        "tensor-rule",
+        "combine two bounds",
+        (
+            Argument("rule", str, choices=("sum", "min", "absorb")),
+            Argument("l1"),
+            Argument("u1", _upper_from_str, "integer or infinity"),
+            Argument("l2"),
+            Argument("u2", _upper_from_str, "integer or infinity"),
+        ),
+        lambda rule, l1, u1, l2, u2: rule_report(rule, DimBound(l1, u1), DimBound(l2, u2)),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
@@ -677,49 +755,34 @@ def validate_bound(bound: DimBound) -> bool:
     return True
 
 
-def _parameters_coherent(report: BoundReport) -> bool:
-    """The construction's parameters must pin down its certificates."""
-    params = report.parameters
-    cert = report.bound.lower_certificate
-    name = report.construction
-    try:
-        if name in ("z2-af", "product-z2") and isinstance(cert, AnnihilatorWitness):
-            return cert.power == int(params["m"])
-        if name in ("circle-ah", "circle-product") and isinstance(
-            cert, AnnihilatorWitness
-        ):
-            return cert.power == int(params["d"])
-        if name == "finite-af" and isinstance(cert, AnnihilatorWitness):
-            return cert.power == int(params["n"]) + 1
-        if name == "commutative" and isinstance(cert, IndexWitness):
-            return cert.copies == int(params["copies"]) and cert.group == params.get(
-                "group"
-            )
-    except (KeyError, ValueError):
-        return False
-    return True
-
-
 def validate(report) -> bool:
-    """True when a report's claims all recompute successfully."""
+    """True when a report is exactly what its construction builds.
+
+    The named construction is rebuilt from the report's parameters and
+    the canonical JSON of both is compared, so an unknown name, a claim
+    the parameters do not produce, or a non-canonical report is invalid,
+    as is one whose builder rejects its parameters.  A missing parameter,
+    or one that is not well-formed text for its type, raises InputError.  A bare DimBound
+    has no parameters; its certificates are recomputed instead.
+    """
     if isinstance(report, DimBound):
         return validate_bound(report)
-    if isinstance(report, BoundReport):
-        return _parameters_coherent(report) and validate_bound(report.bound)
-    if isinstance(report, CommutativeDimension):
-        return validate_bound(report.report.bound)
-    if isinstance(report, CollapseReport):
-        if not all(validate_bound(f.bound) for f in report.factors):
-            return False
-        if not validate_bound(report.product.bound):
-            return False
-        d = int(report.parameters.get("d", "0"))
-        if not all(f.bound.lower > d for f in report.factors):
-            return False
-        return report.product.bound.lower == 0 and report.product.bound.upper == 0
-    if isinstance(report, ExistenceReport):
-        return True
-    raise InputError(f"cannot validate object of type {type(report).__name__}")
+    claimed = report_to_json_dict(report)
+    construction = CONSTRUCTIONS.get(claimed["construction"])
+    if construction is None:
+        return False
+    stated = _stated_arguments(claimed)
+    try:
+        arguments = {a.name: a.type(stated[a.name]) for a in construction.arguments}
+    except (KeyError, ValueError) as exc:
+        raise InputError(
+            f"malformed {claimed['construction']} parameters: {type(exc).__name__}: {exc}"
+        ) from None
+    try:
+        rebuilt = construction.build(**arguments)
+    except EquikError:
+        return False
+    return report_to_json_dict(rebuilt) == claimed
 
 
 # ---------------------------------------------------------------------------
@@ -874,23 +937,30 @@ def _citations_from_json(objs) -> tuple:
 
 
 def report_from_json_dict(obj):
+    """Decode a report; malformed fields raise InputError."""
     if not isinstance(obj, dict) or "construction" not in obj:
         raise InputError("report object needs a construction field")
-    construction = str(obj["construction"])
-    parameters = {str(k): str(v) for k, v in obj.get("parameters", {}).items()}
-    citations = _citations_from_json(obj.get("citations", ()))
-    if obj.get("outcome") == "existence-only":
-        return ExistenceReport(construction, parameters, str(obj.get("note", "")), citations)
-    bound = _bound_from_json(obj)
-    if "factors" in obj:
-        factors = tuple(report_from_json_dict(f) for f in obj["factors"])
-        product = BoundReport(
-            construction + "-product", dict(parameters), bound, citations
-        )
-        return CollapseReport(
-            construction, parameters, factors, product, str(obj.get("finding", "")), citations
-        )
-    return BoundReport(construction, parameters, bound, citations)
+    try:
+        construction = str(obj["construction"])
+        parameters = {str(k): str(v) for k, v in obj.get("parameters", {}).items()}
+        citations = _citations_from_json(obj.get("citations", ()))
+        if obj.get("outcome") == "existence-only":
+            return ExistenceReport(construction, parameters, str(obj.get("note", "")), citations)
+        bound = _bound_from_json(obj)
+        if "factors" in obj:
+            factors = tuple(report_from_json_dict(f) for f in obj["factors"])
+            product = BoundReport(
+                construction + "-product", dict(parameters), bound, citations
+            )
+            return CollapseReport(
+                construction, parameters, factors, product, str(obj.get("finding", "")), citations
+            )
+        report = BoundReport(construction, parameters, bound, citations)
+        if "ind" in obj:
+            return CommutativeDimension(bound.lower, int(obj["ind"]), report)
+        return report
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise InputError(f"malformed report object: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from equik.cli import main
-from equik.reports import report_from_json_dict, validate
+from equik.reports import CONSTRUCTIONS, report_from_json_dict, validate
 
 
 def run(capsys, *argv):
@@ -203,3 +203,116 @@ def test_mv_delta_text(capsys):
     code, out, _ = run(capsys, "join", "mv-delta", "3", "4")
     assert code == 0
     assert out == "map shape: 7 x 12\nkernel rank: 1\ncokernel: Z^6\n"
+
+
+SAMPLE_ARGUMENTS = {
+    "z2": ("1",),
+    "circle": ("2",),
+    "product-z2": ("1", "z3"),
+    "circle-product": ("1", "z2"),
+    "z6-collapse": ("0",),
+    "commutative": ("z3", "3"),
+    "finite": ("z5", "1"),
+    "tensor-rule": ("sum", "0", "infinity", "1", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_every_construction_built_by_the_cli_validates(name, tmp_path, capsys):
+    command = CONSTRUCTIONS[name].command
+    code, out, _ = run(capsys, "rokhlin", command, *SAMPLE_ARGUMENTS[command], "--json")
+    assert code == 0
+    assert json.loads(out)["construction"] == name
+    rfile = tmp_path / "report.json"
+    rfile.write_text(out)
+    code, out, _ = run(capsys, "validate", str(rfile))
+    assert (code, out) == (0, "valid\n")
+
+
+def _cut_upper(doc):
+    doc["upper"] = "2"
+    next(c for c in doc["certificates"] if c["role"] == "upper")["copies"] = "3"
+
+
+FORGED_FILES = {
+    "upper-cut-with-matching-join-copies": (("z2", "2"), _cut_upper),
+    "unknown-construction-name": (
+        ("z2", "2"),
+        lambda doc: doc.update(construction="z7-af"),
+    ),
+    "existence-only-with-rejected-parameters": (
+        ("finite", "z5", "2"),
+        lambda doc: doc.update(parameters={"group": "q9", "n": "-7"}),
+    ),
+    "collapse-factor-parameter-edited": (
+        ("z6-collapse", "1"),
+        lambda doc: doc["factors"][0]["parameters"].update(m="99"),
+    ),
+    "weakened-lower-bound-is-not-what-the-construction-builds": (
+        ("z2", "2"),
+        lambda doc: doc.update(lower="1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_FILES))
+def test_validate_rejects_report_its_construction_does_not_build(name, tmp_path, capsys):
+    argv, change = FORGED_FILES[name]
+    _, out, _ = run(capsys, "rokhlin", *argv, "--json")
+    doc = json.loads(out)
+    change(doc)
+    rfile = tmp_path / "forged.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+
+
+def _one_line_error(err):
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(lower="abc"),
+        lambda doc: next(
+            c for c in doc["certificates"] if c["role"] == "lower"
+        ).pop("power"),
+        lambda doc: doc.update(certificates=5),
+    ],
+    ids=["bad-integer", "lower-certificate-without-power", "certificates-not-a-list"],
+)
+def test_malformed_report_file_exits_2(change, tmp_path, capsys):
+    _, out, _ = run(capsys, "rokhlin", "z2", "2", "--json")
+    doc = json.loads(out)
+    change(doc)
+    rfile = tmp_path / "malformed.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert code == 2
+    assert out == ""
+    assert _one_line_error(err)
+
+
+def test_report_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    rfile = tmp_path / "latin1.json"
+    rfile.write_bytes(b'{"construction": "\xff"}')
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert code == 2
+    assert out == ""
+    assert _one_line_error(err)
+
+
+def test_non_decimal_upper_argument_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rokhlin", "tensor-rule", "sum", "0", "abc", "0", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument u1" in err and "Traceback" not in err
+
+
+def test_non_decimal_circle_ring_order_exits_2(capsys):
+    code, out, err = run(capsys, "rep", "ring", "circle:x")
+    assert code == 2
+    assert out == ""
+    assert _one_line_error(err)

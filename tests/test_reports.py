@@ -290,3 +290,96 @@ def test_validate_rejects_unknown_payload():
         validate({"not": "a report"})
     with pytest.raises(InputError):
         report_from_json_dict({"lower": "0"})
+
+
+def _edited(report, change):
+    doc = report_to_json_dict(report)
+    change(doc)
+    return report_from_json_dict(doc)
+
+
+def _cert(doc, role):
+    return next(c for c in doc["certificates"] if c["role"] == role)
+
+
+def _cut_upper(doc):
+    doc["upper"] = "2"
+    _cert(doc, "upper")["copies"] = "3"
+
+
+FORGED = {
+    "upper-cut-with-matching-join-copies": (lambda: z2_af_bounds(2), _cut_upper),
+    "unknown-construction-name": (
+        lambda: z2_af_bounds(2),
+        lambda doc: doc.update(construction="z7-af"),
+    ),
+    "existence-only-with-rejected-parameters": (
+        lambda: finite_af_bounds("z5", 2),
+        lambda doc: doc.update(parameters={"group": "q9", "n": "-7"}),
+    ),
+    "collapse-factor-parameter-edited": (
+        lambda: z6_collapse_report(1),
+        lambda doc: doc["factors"][0]["parameters"].update(m="99"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_report_not_rebuilt_by_its_construction_is_rejected(name):
+    build, change = FORGED[name]
+    assert not validate(_edited(build(), change))
+
+
+def test_weakened_lower_bound_is_rejected_because_a_report_must_be_exactly_its_construction():
+    # lower 1 still follows from the power-2 witness, but z2-af with m=2
+    # builds lower 2, so the report is not what its construction produces
+    forged = _edited(z2_af_bounds(2), lambda doc: doc.update(lower="1"))
+    assert not validate(forged)
+
+
+def test_non_decimal_parameter_is_input_error():
+    forged = _edited(z2_af_bounds(2), lambda doc: doc["parameters"].update(m="two"))
+    with pytest.raises(InputError):
+        validate(forged)
+
+
+def test_tensor_rule_rebuilds_from_its_rule_certificate():
+    report = rule_report("sum", DimBound(1, 3), DimBound(2, INFINITY))
+    assert report_to_json_dict(report)["parameters"] == {"rule": "sum"}
+    assert validate(roundtrip(report))
+
+    def edit_input_only(doc):
+        _cert(doc, "upper")["inputs"][1]["upper"] = "4"
+
+    assert not validate(_edited(report, edit_input_only))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(lower="abc"),
+        lambda doc: _cert(doc, "lower").pop("power"),
+        lambda doc: doc.update(certificates=5),
+    ],
+    ids=["bad-integer", "missing-power", "certificates-not-a-list"],
+)
+def test_malformed_report_object_is_input_error(change):
+    doc = report_to_json_dict(z2_af_bounds(2))
+    change(doc)
+    with pytest.raises(InputError):
+        report_from_json_dict(doc)
+
+
+def test_circle_dimension_instantiates_its_model_once(monkeypatch):
+    from equik.kmodules import ModelDescriptor
+
+    calls = []
+    original = ModelDescriptor.instantiate
+
+    def counting(self):
+        calls.append(self.kind)
+        return original(self)
+
+    monkeypatch.setattr(ModelDescriptor, "instantiate", counting)
+    circle_ah_dimension(3)
+    assert calls == ["circle"]
