@@ -685,6 +685,6 @@ def from_fusion_file(path) -> FusionRing:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InputError(f"cannot parse fusion file {path}: {exc}") from None
     return fusion_ring_from_json_dict(obj)

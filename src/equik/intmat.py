@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import InputError
 
@@ -445,12 +446,82 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(keep, cols=A.rows)
 
 
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Integer matrix kept as one {column: entry} map per row, zeros omitted."""
+
+    rows: int
+    cols: int
+    data: tuple
+
+
+def smith_invariants(sparse_rows):
+    """(rank, torsion chain) of the matrix with the given {column: entry} rows.
+
+    Pivots of absolute value 1 are eliminated first, on the shortest row
+    and, within it, the unit entry whose column is shortest, so the rows
+    stay sparse.  Each such pivot is an invariant factor 1 and takes its
+    row and column out.  Rows left with no unit entry form a small dense
+    block whose invariant factors come from snf.
+    """
+    rows = [{j: e for j, e in r.items() if e} for r in sparse_rows]
+    where = {}  # column -> indices of the live rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    stuck = set()  # rows that had no unit entry when last popped
+    rank = 0
+    while heap:
+        length, i = heappop(heap)
+        row = rows[i]
+        if row is None or length != len(row):
+            continue  # stale heap entry
+        units = [j for j, e in row.items() if e == 1 or e == -1]
+        if not units:
+            stuck.add(i)
+            continue
+        p = min(units, key=lambda j: (len(where[j]), j))
+        rank += 1
+        rows[i] = None
+        for j in row:
+            where[j].discard(i)
+        sign = row[p]
+        for t in list(where[p]):
+            other = rows[t]
+            q = other[p] * sign  # the pivot is +-1, so this is other[p] / sign
+            for j, e in row.items():
+                v = other.get(j, 0) - q * e
+                if v:
+                    if j not in other:
+                        where[j].add(t)
+                    other[j] = v
+                else:
+                    del other[j]
+                    where[j].discard(t)
+            stuck.discard(t)
+            if other:
+                heappush(heap, (len(other), t))
+            else:
+                rows[t] = None
+    left = sorted(stuck)
+    if not left:
+        return rank, ()
+    used = sorted({j for i in left for j in rows[i]})
+    block = IntMatrix.from_rows(
+        [[rows[i].get(j, 0) for j in used] for i in left], cols=len(used)
+    )
+    factors = snf(block).invariant_factors()
+    return rank + len(factors), tuple(d for d in factors if d > 1)
+
+
 def cokernel_invariants(A: IntMatrix):
     """Invariants of Z^cols / rowspan(A): (free_rank, torsion chain)."""
-    factors = snf(A).invariant_factors()
-    free_rank = A.cols - len(factors)
-    torsion = tuple(d for d in factors if d > 1)
-    return free_rank, torsion
+    rank, torsion = smith_invariants(
+        {j: e for j, e in enumerate(A.row(i)) if e} for i in range(A.rows)
+    )
+    return A.cols - rank, torsion
 
 
 def hermite_rows(vectors, width: int) -> tuple:
@@ -536,6 +607,6 @@ def load_matrix(path) -> IntMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InputError(f"cannot parse matrix file {path}: {exc}") from None
     return matrix_from_json_dict(obj)

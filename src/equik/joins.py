@@ -2,8 +2,11 @@
 
 The k-fold join of an N-point set is the complete k-partite simplicial
 complex on k blocks of N vertices.  Its K-theory ranks follow a closed
-one-step recursion; the simplicial homology computed here by Smith
-reduction serves as an independent oracle for those numbers.
+one-step recursion; the simplicial homology computed here serves as an
+independent oracle for those numbers.  Boundaries are kept as sparse
+rows, and homology comes from the rank and torsion of each boundary:
+unit pivots are eliminated over the sparse rows and only the leftover
+block goes through Smith reduction.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .abgroups import FgAbelianGroup, Presentation, TRIVIAL_GROUP, normalize
-from .errors import CapExceededError, InputError
-from .intmat import IntMatrix, cokernel_invariants, hermite_rows, hermite_solve, kernel_basis
+from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
+from .errors import CapExceededError, EquikError, InputError
+from .intmat import SparseMatrix, smith_invariants
 
-COMPLEX_CAP = 100_000
+# Bound on the boundary nonzeros of a join complex, augmentation included.
+COMPLEX_CAP = 500_000
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -66,10 +70,10 @@ class JoinComplex:
     def __post_init__(self):
         if self.parts < 1 or self.part_size < 1:
             raise InputError("join complex needs parts >= 1 and part_size >= 1")
-        if self.part_size ** self.parts > COMPLEX_CAP:
+        nonzeros = sum((d + 1) * c for d, c in enumerate(self.face_counts()))
+        if nonzeros > COMPLEX_CAP:
             raise CapExceededError(
-                f"cap exceeded: {self.part_size}^{self.parts} top cells is over "
-                f"{COMPLEX_CAP}"
+                f"cap exceeded: {nonzeros} boundary nonzeros is over {COMPLEX_CAP}"
             )
 
     @property
@@ -114,7 +118,7 @@ def build_join_complex(n: int, k: int) -> JoinComplex:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary matrices of a complex, rows = d-faces, cols = (d-1)-faces.
+    """Sparse boundaries of a complex, rows = d-faces, cols = (d-1)-faces.
 
     boundaries[d-1] is the degree-d boundary; chains are row vectors and
     the boundary acts on the right, so del(del(x)) = x . B_d . B_(d-1).
@@ -125,25 +129,39 @@ class ChainComplex:
 
 
 def boundary_matrices(jc: JoinComplex) -> ChainComplex:
-    counts = jc.face_counts()
     faces_by_dim = [jc.faces(d) for d in range(jc.parts)]
-    index = [
-        {face: i for i, face in enumerate(faces_by_dim[d])} for d in range(jc.parts)
-    ]
     mats = []
     for d in range(1, jc.parts):
-        rows = len(faces_by_dim[d])
-        cols = len(faces_by_dim[d - 1])
-        ent = [0] * (rows * cols)
-        for ri, face in enumerate(faces_by_dim[d]):
-            base = ri * cols
+        index = {face: i for i, face in enumerate(faces_by_dim[d - 1])}
+        rows = []
+        for face in faces_by_dim[d]:
+            row = {}
             sign = 1
             for drop in range(d + 1):
-                sub = face[:drop] + face[drop + 1 :]
-                ent[base + index[d - 1][sub]] = sign
+                row[index[face[:drop] + face[drop + 1 :]]] = sign
                 sign = -sign
-        mats.append(IntMatrix(rows, cols, tuple(ent)))
-    return ChainComplex(counts, tuple(mats))
+            rows.append(row)
+        mats.append(SparseMatrix(len(rows), len(index), tuple(rows)))
+    return ChainComplex(jc.face_counts(), tuple(mats))
+
+
+def check_boundaries(maps) -> None:
+    """Raise EquikError unless maps[d] followed by maps[d-1] is zero.
+
+    Each map is a sparse boundary whose rows are the faces of one degree
+    and whose columns are the faces one degree lower.
+    """
+    for d in range(1, len(maps)):
+        lower = maps[d - 1].data
+        for i, row in enumerate(maps[d].data):
+            acc = {}
+            for c, e in row.items():
+                for j, f in lower[c].items():
+                    acc[j] = acc.get(j, 0) + e * f
+            if any(acc.values()):
+                raise EquikError(
+                    f"boundary of a boundary is not zero: row {i} of map {d}"
+                )
 
 
 @dataclass(frozen=True)
@@ -165,41 +183,27 @@ class BettiTable:
 
 
 def reduced_homology(jc: JoinComplex) -> BettiTable:
-    """Reduced simplicial homology via kernel/image Smith reduction."""
+    """Reduced simplicial homology from the rank and torsion of each boundary.
+
+    With the augmentation as the degree-0 boundary, the reduced group in
+    degree d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion
+    of del_(d+1).
+    """
     chain = boundary_matrices(jc)
     n_vert = chain.face_counts[0]
-    aug = IntMatrix(n_vert, 1, (1,) * n_vert)
+    maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
+    check_boundaries(maps)
+    invariants = [smith_invariants(m.data) for m in maps] + [(0, ())]
     groups = []
-    top = jc.parts - 1
-    for d in range(top + 1):
-        bnd = aug if d == 0 else chain.boundaries[d - 1]
-        ker = kernel_basis(bnd)
-        ker_rows = [ker.row(i) for i in range(ker.rows)]
-        if d < top:
-            img_rows = hermite_rows(
-                [chain.boundaries[d].row(i) for i in range(chain.boundaries[d].rows)],
-                chain.face_counts[d],
-            )
-        else:
-            img_rows = ()
-        rel = []
-        for row in img_rows:
-            sol = hermite_solve(ker_rows, row)
-            # boundaries of boundaries vanish, so the image sits in the kernel
-            assert sol is not None, "image escaped the kernel"
-            rel.append(sol)
-        relmat = (
-            IntMatrix.from_rows(rel, cols=len(ker_rows))
-            if rel
-            else IntMatrix.zeros(0, len(ker_rows))
-        )
-        groups.append(normalize(Presentation(len(ker_rows), relmat)))
+    for d, n in enumerate(chain.face_counts):
+        (rank_d, _), (rank_up, torsion) = invariants[d], invariants[d + 1]
+        groups.append(FgAbelianGroup(n - rank_d - rank_up, torsion))
     return BettiTable(tuple(groups))
 
 
 @dataclass(frozen=True)
 class MvDeltaReport:
-    delta0: IntMatrix
+    delta0: SparseMatrix
     kernel_rank: int
     cokernel: FgAbelianGroup
 
@@ -212,19 +216,13 @@ def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
     """
     if l < 1 or n < 1:
         raise InputError("comparison map needs l >= 1 and n >= 1")
-    rows = l + n
-    cols = l * n
-    ent = [0] * (rows * cols)
-    for i in range(l):
-        for j in range(n):
-            ent[i * cols + (i * n + j)] = 1
-    for j in range(n):
-        for i in range(l):
-            ent[(l + j) * cols + (i * n + j)] = -1
-    delta = IntMatrix(rows, cols, tuple(ent))
-    ker = kernel_basis(delta)
-    free, torsion = cokernel_invariants(delta)
-    return MvDeltaReport(delta, ker.rows, FgAbelianGroup(free, torsion))
+    rows = [{i * n + j: 1 for j in range(n)} for i in range(l)]
+    rows += [{i * n + j: -1 for i in range(l)} for j in range(n)]
+    delta = SparseMatrix(l + n, l * n, tuple(rows))
+    rank, torsion = smith_invariants(delta.data)
+    return MvDeltaReport(
+        delta, delta.rows - rank, FgAbelianGroup(delta.cols - rank, torsion)
+    )
 
 
 @dataclass(frozen=True)

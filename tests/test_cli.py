@@ -316,3 +316,16 @@ def test_non_decimal_circle_ring_order_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert _one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "argv", [("linalg", "snf"), ("rep", "ring")], ids=["matrix", "fusion"]
+)
+def test_input_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert _one_line_error(err)
+    assert err.startswith("error: cannot parse")

@@ -23,6 +23,7 @@ from equik.intmat import (
     kernel_basis,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    smith_invariants,
     snf,
     xgcd,
 )
@@ -241,3 +242,44 @@ def test_kron_small_example():
     k = a.kron(b)
     assert k.rows == 2 and k.cols == 2
     assert k.to_rows() == [[3, 6], [4, 8]]
+
+
+ENTRY_POOLS = (
+    st.integers(-9, 9),
+    st.sampled_from([0, 2, -2, 3, -3, 4, 6, -6, 9]),  # no unit entries
+    st.sampled_from([0, 0, 1, -1, 1, -1, 2]),  # mostly units
+)
+
+
+@st.composite
+def pooled_matrices(draw, max_dim=7):
+    """Matrices of any shape, empty ones included, with some rows zeroed."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    rows = [draw(st.lists(pool, min_size=n, max_size=n)) for _ in range(m)]
+    zeroed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return IntMatrix.from_rows(
+        [[0] * n if z else r for r, z in zip(rows, zeroed)], cols=n
+    )
+
+
+def sparse_rows(a: IntMatrix) -> list:
+    return [{j: e for j, e in enumerate(a.row(i)) if e} for i in range(a.rows)]
+
+
+@given(pooled_matrices())
+@settings(max_examples=200)
+def test_smith_invariants_match_snf(a):
+    rank, torsion = smith_invariants(sparse_rows(a))
+    factors = snf(a).invariant_factors()
+    assert rank == len(factors)
+    assert torsion == tuple(d for d in factors if d > 1)
+
+
+def test_smith_invariants_frozen_examples():
+    assert smith_invariants([]) == (0, ())
+    assert smith_invariants([{}, {}]) == (0, ())
+    assert smith_invariants([{0: 2}, {1: 3}]) == (2, (6,))
+    # one unit pivot, then the leftover [[2, 4]] has invariant factor 2
+    assert smith_invariants([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}]) == (2, (2,))

@@ -3,23 +3,83 @@
 Frozen geometry: the 2-fold join of 3 points is K_3,3 (a wedge of four
 circles up to homotopy) and the 3-fold join of 2 points is the
 octahedron sphere.
+
+The independent oracle for homology is the dense kernel/image route:
+dense boundary matrices, a Hermite kernel basis, the image solved in
+that basis, and the Smith form of the resulting presentation.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP
-from equik.errors import CapExceededError, InputError
+from equik.abgroups import FgAbelianGroup, Presentation, TRIVIAL_GROUP, normalize
+from equik.errors import CapExceededError, EquikError, InputError
+from equik.intmat import (
+    IntMatrix,
+    SparseMatrix,
+    hermite_rows,
+    hermite_solve,
+    kernel_basis,
+    snf,
+)
+from equik import joins
 from equik.joins import (
+    ChainComplex,
+    JoinComplex,
     boundary_matrices,
     build_join_complex,
+    check_boundaries,
     join_k_theory_formula,
     join_step_formula,
     mayer_vietoris_delta,
     oracle_consistency,
     reduced_homology,
 )
+
+
+def densify(m: SparseMatrix) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[row.get(j, 0) for j in range(m.cols)] for row in m.data], cols=m.cols
+    )
+
+
+def dense_boundaries(jc: JoinComplex) -> list:
+    """Dense boundary matrices built straight from the face lists."""
+    faces_by_dim = [jc.faces(d) for d in range(jc.parts)]
+    index = [{face: i for i, face in enumerate(faces)} for faces in faces_by_dim]
+    mats = []
+    for d in range(1, jc.parts):
+        rows = len(faces_by_dim[d])
+        cols = len(faces_by_dim[d - 1])
+        ent = [0] * (rows * cols)
+        for ri, face in enumerate(faces_by_dim[d]):
+            sign = 1
+            for drop in range(d + 1):
+                ent[ri * cols + index[d - 1][face[:drop] + face[drop + 1 :]]] = sign
+                sign = -sign
+        mats.append(IntMatrix(rows, cols, tuple(ent)))
+    return mats
+
+
+def dense_reduced_homology(jc: JoinComplex) -> tuple:
+    """Reduced homology as kernel modulo image, presented and normalized."""
+    bnds = dense_boundaries(jc)
+    n_vert = jc.face_counts()[0]
+    maps = [IntMatrix(n_vert, 1, (1,) * n_vert)] + bnds
+    groups = []
+    for d in range(jc.parts):
+        ker = kernel_basis(maps[d])
+        ker_rows = [ker.row(i) for i in range(ker.rows)]
+        img_rows = ()
+        if d + 1 < len(maps):
+            upper = maps[d + 1]
+            img_rows = hermite_rows(upper.to_rows(), upper.cols)
+        rel = [hermite_solve(ker_rows, row) for row in img_rows]
+        assert all(sol is not None for sol in rel), "image escaped the kernel"
+        relmat = IntMatrix.from_rows(rel, cols=len(ker_rows))
+        groups.append(normalize(Presentation(len(ker_rows), relmat)))
+    return tuple(groups)
 
 
 def test_k33_complex():
@@ -57,7 +117,56 @@ def test_faces_are_sorted_and_cross_block():
 def test_boundary_of_boundary_vanishes(n, k):
     chain = boundary_matrices(build_join_complex(n, k))
     for upper, lower in zip(chain.boundaries[1:], chain.boundaries):
-        assert upper.mul(lower).is_zero()
+        assert densify(upper).mul(densify(lower)).is_zero()
+
+
+def test_boundary_check_rejects_a_corrupted_complex():
+    chain = boundary_matrices(build_join_complex(2, 3))
+    check_boundaries(chain.boundaries)
+    edges, triangles = chain.boundaries
+    bad = dict(triangles.data[0])
+    bad[next(iter(bad))] *= -1
+    corrupted = SparseMatrix(
+        triangles.rows, triangles.cols, (bad,) + triangles.data[1:]
+    )
+    with pytest.raises(EquikError, match="row 0 of map 1"):
+        check_boundaries((edges, corrupted))
+
+
+def test_homology_reads_torsion_from_the_boundary_above(monkeypatch):
+    # cellular chains of the projective plane: edges e1, e2 both run from
+    # a to b, and one 2-cell is attached along e1 - e2 twice, so H~1 = Z_2
+    rp2 = ChainComplex(
+        (2, 2, 1),
+        (
+            SparseMatrix(2, 2, ({0: -1, 1: 1}, {0: -1, 1: 1})),
+            SparseMatrix(1, 2, ({0: 2, 1: -2},)),
+        ),
+    )
+    monkeypatch.setattr(joins, "boundary_matrices", lambda jc: rp2)
+    betti = reduced_homology(build_join_complex(2, 3))
+    assert [g.render() for g in betti.groups] == ["0", "Z_2", "0"]
+
+
+def test_sparse_boundaries_match_dense_ones():
+    jc = build_join_complex(3, 3)
+    chain = boundary_matrices(jc)
+    assert [(m.rows, m.cols) for m in chain.boundaries] == [(27, 9), (27, 27)]
+    assert [densify(m) for m in chain.boundaries] == dense_boundaries(jc)
+
+
+# At most 500 faces; n stops at 12 because the dense oracle's kernel
+# transform for k = 2 has n^4 entries.
+SMALL_JOINS = [
+    (n, k) for n in range(1, 13) for k in range(1, 9) if (n + 1) ** k - 1 <= 500
+]
+
+
+@given(st.sampled_from(SMALL_JOINS))
+@settings(max_examples=15, deadline=None)
+def test_homology_matches_dense_oracle(nk):
+    jc = build_join_complex(*nk)
+    assert reduced_homology(jc).groups == dense_reduced_homology(jc)
 
 
 @given(st.integers(1, 6), st.integers(1, 8))
@@ -108,6 +217,35 @@ def test_mayer_vietoris_comparison_map(l, n):
     assert rep.cokernel == FgAbelianGroup(l * n - l - n + 1, ())
 
 
+@given(st.integers(1, 8), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_mayer_vietoris_matches_dense_kernel_and_smith(l, n):
+    rep = mayer_vietoris_delta(l, n)
+    dense = densify(rep.delta0)
+    assert rep.kernel_rank == kernel_basis(dense).rows
+    factors = snf(dense).invariant_factors()
+    assert rep.cokernel == FgAbelianGroup(
+        dense.cols - len(factors), tuple(d for d in factors if d > 1)
+    )
+
+
 def test_complex_cap():
     with pytest.raises(CapExceededError):
         build_join_complex(10, 6)
+
+
+def test_complex_cap_refuses_before_listing_faces(monkeypatch):
+    def no_listing(self, d):
+        raise AssertionError("faces listed before the cap check")
+
+    monkeypatch.setattr(JoinComplex, "faces", no_listing)
+    with pytest.raises(CapExceededError, match="boundary nonzeros"):
+        build_join_complex(10, 6)
+
+
+def test_complex_cap_counts_boundary_nonzeros():
+    # k * n * (n+1)^(k-1) nonzeros, augmentation included
+    build_join_complex(2, 7)
+    build_join_complex(9, 5)  # 450000
+    with pytest.raises(CapExceededError):
+        build_join_complex(10, 5)  # 732050, though only 10^5 top cells
