@@ -13,10 +13,11 @@ Run from the repository root:
 
 import argparse
 from dataclasses import dataclass
+from itertools import islice
 
 from equik.fusion import (
     cyclic_ring,
-    ideal_power,
+    ideal_powers,
     lambda_expansion,
     lattice_quotient,
     product_ring,
@@ -39,7 +40,7 @@ def ring_sweep(cfg: SurveyConfig):
 
 def survey_ring(label: str, ring, cfg: SurveyConfig) -> None:
     print(f"== {label} (rank {ring.rank})")
-    powers = [ideal_power(ring, m) for m in range(cfg.max_power + 2)]
+    powers = list(islice(ideal_powers(ring), cfg.max_power + 2))
     for m in range(cfg.max_power + 1):
         quot = lattice_quotient(ring, powers[m], powers[m + 1])
         content = powers[m].content()

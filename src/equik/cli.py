@@ -22,7 +22,7 @@ from .fusion import (
     augmentation_ideal,
     circle_truncation,
     from_fusion_file,
-    ideal_power,
+    ideal_powers,
     lambda_expansion,
     lattice_quotient,
     regular_class_check,
@@ -129,9 +129,10 @@ def _cmd_rep_ideal_powers(args):
         raise InputError("max power must be >= 1")
     quotients = []
     lines = []
-    outer = ideal_power(ring, 0)
+    powers = ideal_powers(ring)
+    outer = next(powers)
     for k in range(args.max_power):
-        inner = ideal_power(ring, k + 1)
+        inner = next(powers)
         q = lattice_quotient(ring, outer, inner)
         quotients.append({"power": str(k), "group": q.to_json_dict()})
         lines.append(f"I^{k}/I^{k + 1}: {q.render()}")
@@ -363,9 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser_cache = (None, None)  # (the build_parser it came from, the parser)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser from build_parser, built on first use and then reused.
+
+    It is built again only when build_parser has been rebound since (to a
+    wrapper, say), so it always comes from the current builder.
+    """
+    global _parser_cache
+    builder, parser = _parser_cache
+    if builder is not build_parser:
+        parser = build_parser()
+        _parser_cache = (build_parser, parser)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         payload, lines, code = args.func(args)

@@ -19,6 +19,7 @@ from math import gcd
 
 from .errors import (
     CapExceededError,
+    EquikError,
     FusionRingError,
     InputError,
     LatticeContainmentError,
@@ -158,27 +159,24 @@ def _validate_fusion(labels, dims, fusion):
                     (i, j),
                     f"sum N*dim = {total}, dims product = {dims[i] * dims[j]}",
                 )
+    # (e_i e_j) e_k = e_i (e_j e_k), summed over the nonzero constants only.
+    nonzero = [
+        [[(k, n) for k, n in enumerate(fusion[i][j]) if n] for j in range(r)]
+        for i in range(r)
+    ]
     for i in range(r):
+        nz_i = nonzero[i]
         for j in range(r):
-            row_ij = fusion[i][j]
+            nz_ij, nz_j = nz_i[j], nonzero[j]
             for k in range(r):
                 lhs = [0] * r
-                for m in range(r):
-                    c = row_ij[m]
-                    if c:
-                        fmk = fusion[m][k]
-                        for l in range(r):
-                            if fmk[l]:
-                                lhs[l] += c * fmk[l]
+                for m, c in nz_ij:
+                    for l, n in nonzero[m][k]:
+                        lhs[l] += c * n
                 rhs = [0] * r
-                row_jk = fusion[j][k]
-                for m in range(r):
-                    c = row_jk[m]
-                    if c:
-                        fim = fusion[i][m]
-                        for l in range(r):
-                            if fim[l]:
-                                rhs[l] += c * fim[l]
+                for m, c in nz_j[k]:
+                    for l, n in nz_i[m]:
+                        rhs[l] += c * n
                 if lhs != rhs:
                     l = next(x for x in range(r) if lhs[x] != rhs[x])
                     raise FusionRingError("associativity", (i, j, k, l))
@@ -306,9 +304,6 @@ class CircleRingTruncation:
     def one_vec(self) -> tuple:
         return tuple(1 if k == 0 else 0 for k in range(self.order))
 
-    def lam_vec(self) -> tuple:
-        return tuple(1 if k == 1 else 0 for k in range(self.order))
-
     def unit_class_vec(self) -> tuple:
         """t = 1 - lam, the invertible generator."""
         return tuple(
@@ -425,7 +420,11 @@ class IdealLattice:
 
     @classmethod
     def from_rows(cls, ring, vectors) -> "IdealLattice":
-        rows = hermite_rows(vectors, ring.rank)
+        return cls.from_hermite_rows(ring, hermite_rows(vectors, ring.rank))
+
+    @classmethod
+    def from_hermite_rows(cls, ring, rows) -> "IdealLattice":
+        """The lattice of rows already in Hermite form (still checked)."""
         basis = (
             IntMatrix.from_rows(rows, cols=ring.rank)
             if rows
@@ -469,24 +468,19 @@ def augmentation_ideal(ring) -> IdealLattice:
     return IdealLattice(ring, basis)
 
 
-def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
-    """n-th power of the augmentation ideal as a lattice.
+def _higher_power_rows(ring, gens, cap):
+    """Yield the Hermite rows of I^2, I^3, ... for I spanned by gens.
 
     Power k+1 is spanned by products of a Hermite basis of power k with
     the ideal generators; reducing after every level keeps the working
-    set small.  The number of products formed is capped.
+    set small.  The products formed over all levels so far count against
+    the cap.  The generator ends after the first zero power.
     """
-    if n < 0:
-        raise InputError("ideal power needs n >= 0")
-    if n == 0:
-        return IdealLattice.full(ring)
-    aug = augmentation_ideal(ring)
-    gens = aug.rows()
-    basis_rows = list(gens)
+    rows = gens
     produced = 0
-    for _ in range(n - 1):
+    while rows:
         products = []
-        for b in basis_rows:
+        for b in rows:
             for g in gens:
                 produced += 1
                 if produced > cap:
@@ -494,10 +488,43 @@ def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
                         f"ideal power product cap exceeded ({cap} vectors)"
                     )
                 products.append(ring.mul_vec(b, g))
-        basis_rows = list(hermite_rows(products, ring.rank))
-        if not basis_rows:
+        rows = hermite_rows(products, ring.rank)
+        yield rows
+
+
+def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP):
+    """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
+
+    Once a power is zero, every later one is the zero lattice.
+    """
+    yield IdealLattice.full(ring)
+    aug = augmentation_ideal(ring)
+    yield aug
+    for rows in _higher_power_rows(ring, aug.rows(), cap):
+        yield IdealLattice.from_hermite_rows(ring, rows)
+    zero = IdealLattice.zero(ring)
+    while True:
+        yield zero
+
+
+def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
+    """n-th power of the augmentation ideal as a lattice, as in ideal_powers.
+
+    Only I and I^n are built as lattices, and the walk stops at the first
+    zero power, so a large n on a nilpotent ideal returns at once.
+    """
+    if n < 0:
+        raise InputError("ideal power needs n >= 0")
+    if n == 0:
+        return IdealLattice.full(ring)
+    aug = augmentation_ideal(ring)
+    rows = aug.rows()
+    if n == 1 or not rows:
+        return aug
+    for k, rows in enumerate(_higher_power_rows(ring, rows, cap), start=2):
+        if k == n or not rows:
             break
-    return IdealLattice.from_rows(ring, basis_rows)
+    return IdealLattice.from_hermite_rows(ring, rows)
 
 
 def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
@@ -579,7 +606,8 @@ def lambda_expansion(p: int) -> tuple:
             pw = powers[j - 1]
             for k in range(p):
                 check[k] += nj * pw[k]
-    assert tuple(check) == powers[p - 1], "back-substitution must reproduce lam^p"
+    if tuple(check) != powers[p - 1]:
+        raise EquikError(f"back-substitution does not reproduce lam^{p}")
     return tuple(n)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress, count
 
 from .errors import InputError
 
@@ -228,56 +229,62 @@ class HnfResult:
         return sum(1 for i in range(self.H.rows) if any(self.H.row(i)))
 
 
-def hnf(A: IntMatrix) -> HnfResult:
-    """Row Hermite normal form with a tracked unimodular transform."""
-    m, n = A.rows, A.cols
-    h = A.to_rows()
-    t = IntMatrix.identity(m).to_rows()
+def _hermite_reduce(h, n: int) -> int:
+    """Bring the first n columns of the rows h to row Hermite form, in place.
 
-    def row_sub(i, k, q):
-        if q:
-            hi, hk = h[i], h[k]
-            for c in range(n):
-                hi[c] -= q * hk[c]
-            ti, tk = t[i], t[k]
-            for c in range(m):
-                ti[c] -= q * tk[c]
-
-    def row_swap(i, k):
-        h[i], h[k] = h[k], h[i]
-        t[i], t[k] = t[k], t[i]
-
-    def row_neg(i):
-        h[i] = [-e for e in h[i]]
-        t[i] = [-e for e in t[i]]
-
+    Every row operation acts on whole rows, so entries past column n (a
+    transform carried alongside) follow the reduction without steering
+    it.  Returns the rank.  The rows from the pivot row down are zero left
+    of the current column, so each row operation starts at that column.
+    """
+    m = len(h)
     r = 0
     for j in range(n):
         if r == m:
             break
         while True:
-            nz = [i for i in range(r, m) if h[i][j] != 0]
+            nz = [i for i in range(r, m) if h[i][j]]
             if not nz:
                 break
             if len(nz) == 1:
                 if nz[0] != r:
-                    row_swap(r, nz[0])
+                    h[r], h[nz[0]] = h[nz[0]], h[r]
                 break
             # Euclid down the column: reduce everything by the smallest entry.
             i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
+            p = h[i0]
             for i in nz:
                 if i != i0:
-                    row_sub(i, i0, h[i][j] // h[i0][j])
-        if h[r][j] == 0:
+                    hi = h[i]
+                    q = hi[j] // p[j]
+                    hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
+        p = h[r]
+        if p[j] == 0:
             continue
-        if h[r][j] < 0:
-            row_neg(r)
+        if p[j] < 0:
+            p[j:] = [-e for e in p[j:]]
         for i in range(r):
-            q = h[i][j] // h[r][j]
-            row_sub(i, r, q)
+            hi = h[i]
+            q = hi[j] // p[j]
+            if q:
+                hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
         r += 1
+    return r
 
-    return HnfResult(IntMatrix.from_rows(h, cols=n), IntMatrix.from_rows(t, cols=m))
+
+def hnf(A: IntMatrix) -> HnfResult:
+    """Row Hermite normal form with a tracked unimodular transform.
+
+    The reduction runs on the augmented rows [A | I]; their right-hand
+    block ends up as the transform.
+    """
+    m, n = A.rows, A.cols
+    h = [list(A.row(i)) + [1 if k == i else 0 for k in range(m)] for i in range(m)]
+    _hermite_reduce(h, n)
+    return HnfResult(
+        IntMatrix.from_rows([row[:n] for row in h], cols=n),
+        IntMatrix.from_rows([row[n:] for row in h], cols=m),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +532,20 @@ def cokernel_invariants(A: IntMatrix):
 
 
 def hermite_rows(vectors, width: int) -> tuple:
-    """Canonical Hermite basis rows for the span of the given vectors."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return ()
-    mat = IntMatrix.from_rows(vecs, cols=width)
-    res = hnf(mat)
-    return tuple(res.H.row(i) for i in range(res.rank))
+    """Canonical Hermite basis rows for the span of the given vectors.
+
+    The same reduction as hnf, with no transform: the basis is unique for
+    the lattice, so only the rows are kept.
+    """
+    rows = []
+    for v in vectors:
+        row = [int(e) for e in v]
+        if len(row) != width:
+            raise InputError("ragged rows")
+        if any(row):
+            rows.append(row)
+    rank = _hermite_reduce(rows, width)
+    return tuple(tuple(row) for row in rows[:rank])
 
 
 def hermite_solve(basis_rows, v):
@@ -543,7 +557,7 @@ def hermite_solve(basis_rows, v):
     rem = list(v)
     coeffs = []
     for row in basis_rows:
-        p = next((j for j, e in enumerate(row) if e != 0), None)
+        p = next(compress(count(), row), None)  # index of the first nonzero
         if p is None:
             coeffs.append(0)
             continue

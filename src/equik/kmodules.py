@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abgroups import FgAbelianGroup, Presentation, normalize, tor as group_tor
-from .errors import InputError
+from .errors import EquikError, InputError
 from .fusion import (
     CircleRingTruncation,
     IdealLattice,
     circle_truncation,
     cyclic_ring,
     ideal_power,
+    ideal_powers,
     ring_from_tag,
     ring_product,
 )
@@ -128,7 +129,8 @@ class RingModule:
         rel = []
         for row in self._rel_rows:
             sol = hermite_solve(outer, row)
-            assert sol is not None, "relations always sit inside the enlarged span"
+            if sol is None:
+                raise EquikError(f"relation {row} lies outside the span built from it")
             rel.append(sol)
         relmat = (
             IntMatrix.from_rows(rel, cols=len(outer))
@@ -367,9 +369,8 @@ def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
     """
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    for n in range(cap + 1):
-        img = ideal_image(ideal_power(module.ring, n), module)
-        if img.is_trivial:
+    for n, lattice in zip(range(cap + 1), ideal_powers(module.ring)):
+        if ideal_image(lattice, module).is_trivial:
             return n - 1
     return cap
 

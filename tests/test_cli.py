@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import equik.cli as cli
 from equik.cli import main
 from equik.reports import CONSTRUCTIONS, report_from_json_dict, validate
 
@@ -73,6 +74,15 @@ def test_model_inspection(capsys):
     assert code == 0
     assert "group: Z ⊕ Z_4" in out
     assert "max nonvanishing ideal power: 2" in out
+
+
+def test_model_with_huge_power_on_zero_ideal(capsys):
+    code, out, _ = run(capsys, "model", "trunc:z1:1000000000000")
+    assert code == 0
+    assert out == (
+        "model: trunc:z1:1000000000000\nring rank: 1\ngroup: Z\n"
+        "max nonvanishing ideal power: 0\n"
+    )
 
 
 def test_determinism_byte_identical(capsys):
@@ -329,3 +339,39 @@ def test_input_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
     assert out == ""
     assert _one_line_error(err)
     assert err.startswith("error: cannot parse")
+
+
+PARSER_REQUESTS = (
+    ("join", "homology", "2", "3"),
+    ("rep", "-h"),
+    ("join", "homology", "2"),  # argparse error: missing k
+)
+
+
+def _request(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h and argparse errors exit from parse_args
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
+    fresh = []
+    for argv in PARSER_REQUESTS:
+        monkeypatch.setattr(cli, "_parser_cache", (None, None))
+        fresh.append(_request(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2]
+    assert fresh[2][2].startswith("usage: equik join homology")
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    again = [_request(capsys, argv) for _ in range(3) for argv in PARSER_REQUESTS]
+    assert again == fresh * 3
+    assert len(builds) == 1

@@ -4,11 +4,13 @@ Frozen values: the canonical augmentation basis of the order-2 ring,
 ideal power contents, power quotients, and exterior power expansions.
 The product ring is checked against the order-6 ring by an exhaustive
 unit-fixing relabeling search, which is an isomorphism test that never
-looks at how product_ring orders its basis.
+looks at how product_ring orders its basis.  The one-pass filtration and
+the sparse axiom check are compared with the constructions they
+replaced, kept here as oracles.
 """
 
 import json
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,9 @@ from equik.errors import (
     UnsupportedError,
 )
 from equik.fusion import (
+    DEFAULT_PRODUCT_CAP,
     CircleRingTruncation,
+    FusionRing,
     IdealLattice,
     augmentation_ideal,
     circle_ideal_image,
@@ -33,6 +37,7 @@ from equik.fusion import (
     from_fusion_file,
     fusion_ring_from_json_dict,
     ideal_power,
+    ideal_powers,
     lambda_expansion,
     lattice_quotient,
     multiply,
@@ -42,7 +47,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix
+from equik.intmat import IntMatrix, hnf
 
 DATA = Path(__file__).parent / "data"
 
@@ -288,3 +293,194 @@ def test_mixed_product_ring_protocol():
     some = tuple(1 for _ in range(6))
     assert multiply(mixed, one, some).coefficients == some
     assert len(mixed.aug) == 6
+
+
+def per_power_oracle(ring, n, cap):
+    """I^n rebuilt on its own: products of generators, then hnf(...).H.
+
+    Raises CapExceededError when more than cap products would be formed.
+    """
+    if n == 0:
+        return [tuple(int(k == i) for k in range(ring.rank)) for i in range(ring.rank)]
+    gens = augmentation_ideal(ring).rows()
+    basis, produced = gens, 0
+    for _ in range(n - 1):
+        if not basis:
+            break
+        produced += len(basis) * len(gens)
+        if produced > cap:
+            raise CapExceededError("oracle product cap")
+        products = [ring.mul_vec(b, g) for b in basis for g in gens]
+        res = hnf(IntMatrix.from_rows(products, cols=ring.rank))
+        basis = [res.H.row(i) for i in range(res.rank)]
+    return basis
+
+
+FILTRATION_RINGS = {
+    **{f"z{n}": lambda n=n: cyclic_ring(n) for n in range(2, 13)},
+    "z2xz3": lambda: ring_from_tag("z2xz3"),
+    "z3xz3": lambda: ring_from_tag("z3xz3"),
+    **{f"circle:{n}": lambda n=n: circle_truncation(n) for n in range(1, 6)},
+    "circle:3 x z2": lambda: ring_product(circle_truncation(3), cyclic_ring(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILTRATION_RINGS))
+@given(cap=st.one_of(st.integers(0, 400), st.just(DEFAULT_PRODUCT_CAP)))
+@settings(max_examples=8, deadline=None)
+def test_ideal_powers_match_per_power_oracle(name, cap):
+    ring = FILTRATION_RINGS[name]()
+    powers = ideal_powers(ring, cap)
+    for n in range(7):
+        try:
+            want = per_power_oracle(ring, n, cap)
+        except CapExceededError:
+            with pytest.raises(CapExceededError):
+                next(powers)
+            with pytest.raises(CapExceededError):
+                ideal_power(ring, n, cap)
+            return
+        assert next(powers).rows() == want
+        assert ideal_power(ring, n, cap).rows() == want
+
+
+def test_ideal_powers_stay_zero_once_zero():
+    powers = list(islice(ideal_powers(circle_truncation(3)), 7))
+    assert [p.rank for p in powers] == [3, 2, 1, 0, 0, 0, 0]
+    assert all(p == IdealLattice.zero(circle_truncation(3)) for p in powers[3:])
+
+
+@pytest.mark.parametrize("ring", [cyclic_ring(1), circle_truncation(2)], ids=repr)
+def test_ideal_power_stops_at_first_zero_power(ring):
+    # z1's augmentation ideal is zero and circle:2's squares to zero, so a
+    # power of 10^12 must come back at once as the zero lattice.
+    assert ideal_power(ring, 10**12) == IdealLattice.zero(ring)
+
+
+def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
+    built = []
+    post_init = IdealLattice.__post_init__
+
+    def counting(self):
+        built.append(self.rank)
+        post_init(self)
+
+    monkeypatch.setattr(IdealLattice, "__post_init__", counting)
+    ring = cyclic_ring(5)
+    lat = ideal_power(ring, 4)
+    assert built == [4, 4]  # I, then I^4 (I^0 and I^2, I^3 stay rows)
+    assert lat.rows() == per_power_oracle(ring, 4, DEFAULT_PRODUCT_CAP)
+
+
+def dense_fusion_check(labels, dims, fusion):
+    """The axiom check with dense r-length loops, as it was before the
+    sparse one; raises FusionRingError at the first failed axiom."""
+    r = len(labels)
+    if r == 0:
+        raise FusionRingError("rank", ())
+    if len(dims) != r or len(fusion) != r:
+        raise FusionRingError("shape", ())
+    if dims[0] != 1:
+        raise FusionRingError("unit dimension", (0,))
+    for i, d in enumerate(dims):
+        if d < 1:
+            raise FusionRingError("positive dimensions", (i,))
+    for i in range(r):
+        if len(fusion[i]) != r:
+            raise FusionRingError("shape", (i,))
+        for j in range(r):
+            if len(fusion[i][j]) != r:
+                raise FusionRingError("shape", (i, j))
+            for k in range(r):
+                if fusion[i][j][k] < 0:
+                    raise FusionRingError("nonnegativity", (i, j, k))
+    for j in range(r):
+        ej = tuple(1 if k == j else 0 for k in range(r))
+        if fusion[0][j] != ej:
+            raise FusionRingError("unit law", (0, j))
+        if fusion[j][0] != ej:
+            raise FusionRingError("unit law", (j, 0))
+    for i in range(r):
+        for j in range(i, r):
+            if fusion[i][j] != fusion[j][i]:
+                raise FusionRingError("commutativity", (i, j))
+    for i in range(r):
+        for j in range(r):
+            if sum(fusion[i][j][k] * dims[k] for k in range(r)) != dims[i] * dims[j]:
+                raise FusionRingError("dimension homomorphism", (i, j))
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                lhs = [0] * r
+                rhs = [0] * r
+                for m in range(r):
+                    for l in range(r):
+                        lhs[l] += fusion[i][j][m] * fusion[m][k][l]
+                        rhs[l] += fusion[j][k][m] * fusion[i][m][l]
+                if lhs != rhs:
+                    l = next(x for x in range(r) if lhs[x] != rhs[x])
+                    raise FusionRingError("associativity", (i, j, k, l))
+
+
+@st.composite
+def perturbed_tables(draw):
+    """(labels, dims, fusion) of a small fusion ring with a few cells edited.
+
+    Moving one unit of multiplicity between two outputs of a symmetric
+    pair of cells keeps nonnegativity, the unit law (away from index 0),
+    commutativity and, when the two outputs have equal dimension, the
+    dimension map, so about a quarter of the tables reach the
+    associativity check and fail there.
+    """
+    name = draw(st.sampled_from(["z1", "z2", "z3", "z4", "z5", "z2xz2", "z2xz3", "s3"]))
+    ring = s3_ring() if name == "s3" else ring_from_tag(name)
+    r = ring.rank
+    dims = list(ring.dims)
+    fusion = [[list(cell) for cell in plane] for plane in ring.fusion]
+    index = st.integers(0, r - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["move", "move", "move", "bump", "dim"]))
+        if kind == "dim":
+            dims[draw(index)] += draw(st.integers(-1, 1))
+            continue
+        # edits mostly avoid the unit row, which the unit law pins down
+        low = min(1, r - 1) if draw(st.integers(0, 3)) else 0
+        i, j = draw(st.integers(low, r - 1)), draw(index)
+        cells = {(i, j), (j, i)} if draw(st.integers(0, 3)) else {(i, j)}
+        if kind == "move":
+            held = [k for k, n in enumerate(fusion[i][j]) if n > 0]
+            k, k2 = draw(st.sampled_from(held or [0])), draw(index)
+            for a, b in cells:
+                fusion[a][b][k] -= 1
+                fusion[a][b][k2] += 1
+        else:
+            k, delta = draw(index), draw(st.integers(-2, 2))
+            for a, b in cells:
+                fusion[a][b][k] += delta
+    table = tuple(tuple(tuple(cell) for cell in plane) for plane in fusion)
+    return ring.labels, tuple(dims), table
+
+
+def axiom_outcome(check, table):
+    try:
+        check(*table)
+    except FusionRingError as err:
+        return err.axiom, err.indices
+    return None
+
+
+@given(perturbed_tables())
+@settings(max_examples=300, deadline=None)
+def test_sparse_axiom_check_agrees_with_dense_check(table):
+    assert axiom_outcome(FusionRing, table) == axiom_outcome(dense_fusion_check, table)
+
+
+def test_sparse_axiom_check_names_the_same_associativity_witness():
+    r = cyclic_ring(5)
+    fusion = [[list(cell) for cell in plane] for plane in r.fusion]
+    for a, b in ((1, 2), (2, 1)):  # chi * chi^2 = chi^4 instead of chi^3
+        fusion[a][b] = [0, 0, 0, 0, 1]
+    table = r.labels, r.dims, tuple(tuple(tuple(c) for c in p) for p in fusion)
+    got = axiom_outcome(FusionRing, table)
+    assert got == axiom_outcome(dense_fusion_check, table)
+    assert got[0] == "associativity"

@@ -252,10 +252,10 @@ ENTRY_POOLS = (
 
 
 @st.composite
-def pooled_matrices(draw, max_dim=7):
+def pooled_matrices(draw, max_dim=7, max_cols=None):
     """Matrices of any shape, empty ones included, with some rows zeroed."""
     m = draw(st.integers(0, max_dim))
-    n = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim if max_cols is None else max_cols))
     pool = draw(st.sampled_from(ENTRY_POOLS))
     rows = [draw(st.lists(pool, min_size=n, max_size=n)) for _ in range(m)]
     zeroed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
@@ -283,3 +283,25 @@ def test_smith_invariants_frozen_examples():
     assert smith_invariants([{0: 2}, {1: 3}]) == (2, (6,))
     # one unit pivot, then the leftover [[2, 4]] has invariant factor 2
     assert smith_invariants([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}]) == (2, (2,))
+
+
+@given(
+    st.one_of(
+        pooled_matrices(),
+        pooled_matrices(max_dim=16, max_cols=3),  # tall
+        pooled_matrices(max_dim=3, max_cols=16),  # wide
+    )
+)
+@settings(max_examples=200)
+def test_hermite_rows_match_nonzero_rows_of_hnf(a):
+    rows = [a.row(i) for i in range(a.rows)]
+    res = hnf(a)
+    assert hermite_rows(rows, a.cols) == tuple(res.H.row(i) for i in range(res.rank))
+
+
+def test_hermite_rows_edge_cases():
+    assert hermite_rows([], 3) == ()
+    assert hermite_rows([(0, 0), (0, 0)], 2) == ()
+    assert hermite_rows([(0, -4), (0, 6)], 2) == ((0, 2),)
+    with pytest.raises(InputError):
+        hermite_rows([(1, 2), (3,)], 2)

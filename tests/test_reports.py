@@ -205,6 +205,15 @@ def test_forged_power_is_rejected():
     assert not validate(report_from_json_dict(d))
 
 
+def test_bare_bound_with_huge_power_is_rejected_at_once():
+    from equik.kmodules import ModelDescriptor
+
+    cert = AnnihilatorWitness(
+        "circle:2", 10**12, ModelDescriptor("circle", 2), "full", FgAbelianGroup(1, ())
+    )
+    assert not validate_bound(DimBound(10**12, INFINITY, cert))
+
+
 def test_forged_witness_group_is_rejected():
     report = z2_af_bounds(2)
     d = report_to_json_dict(report)
