@@ -20,8 +20,8 @@ from equik.fusion import (
     ideal_powers,
     lambda_expansion,
     lattice_quotient,
-    product_ring,
     regular_class_check,
+    ring_product,
 )
 
 
@@ -35,7 +35,7 @@ class SurveyConfig:
 def ring_sweep(cfg: SurveyConfig):
     for n in cfg.cyclic_orders:
         yield f"cyclic order {n}", cyclic_ring(n)
-    yield "product 2 x 3", product_ring(cyclic_ring(2), cyclic_ring(3))
+    yield "product 2 x 3", ring_product(cyclic_ring(2), cyclic_ring(3))
 
 
 def survey_ring(label: str, ring, cfg: SurveyConfig) -> None:

@@ -116,9 +116,9 @@ def _cmd_rep_ring(args):
         "aug_basis": matrix_to_json_dict(aug.basis),
     }
     lines = [f"rank {ring.rank}", "labels: " + " ".join(ring.labels)]
-    if hasattr(ring, "dims"):
-        payload["dims"] = [str(d) for d in ring.dims]
-        lines.append("dims: " + " ".join(str(d) for d in ring.dims))
+    if ring.is_fusion:
+        payload["dims"] = [str(d) for d in ring.aug]
+        lines.append("dims: " + " ".join(str(d) for d in ring.aug))
     lines.append(f"augmentation ideal rank: {aug.rank}")
     return payload, lines, 0
 
@@ -155,7 +155,7 @@ def _cmd_rep_lambda(args):
 
 def _cmd_rep_regular(args):
     ring = _ring_arg(args.ring)
-    if not hasattr(ring, "dims"):
+    if not ring.is_fusion:
         raise InputError("the regular class check needs a finite fusion ring")
     element, annihilated = regular_class_check(ring)
     dim = regular_dimension(ring)

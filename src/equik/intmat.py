@@ -590,7 +590,8 @@ def matrix_to_json_dict(A: IntMatrix) -> dict:
     }
 
 
-def _as_int(value, what="integer"):
+def as_int(value, what="integer"):
+    """Read a JSON integer: an int or a decimal string, never a boolean."""
     if isinstance(value, bool):
         raise InputError(f"expected {what}, got a boolean")
     if isinstance(value, int):
@@ -609,12 +610,12 @@ def matrix_from_json_dict(obj) -> IntMatrix:
     missing = {"rows", "cols", "entries"} - set(obj)
     if missing:
         raise InputError(f"matrix object missing fields: {sorted(missing)}")
-    rows = _as_int(obj["rows"], "row count")
-    cols = _as_int(obj["cols"], "column count")
+    rows = as_int(obj["rows"], "row count")
+    cols = as_int(obj["cols"], "column count")
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("matrix entries must be a list")
-    return IntMatrix(rows, cols, tuple(_as_int(e, "entry") for e in entries))
+    return IntMatrix(rows, cols, tuple(as_int(e, "entry") for e in entries))
 
 
 def load_matrix(path) -> IntMatrix:

@@ -1,4 +1,4 @@
-"""Modules over fusion rings used as equivariant K-theory models.
+"""Modules over based rings used as equivariant K-theory models.
 
 A RingModule is a finitely presented abelian group together with one
 integer action matrix per ring basis element.  Construction re-checks
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .abgroups import FgAbelianGroup, Presentation, normalize, tor as group_tor
 from .errors import EquikError, InputError
 from .fusion import (
-    CircleRingTruncation,
     IdealLattice,
     circle_truncation,
     cyclic_ring,
@@ -84,12 +84,10 @@ class RingModule:
                 if not self._matrix_vanishes(pij.sub(pji)):
                     raise ModuleInvariantError("actions commute", (i, j))
                 acc = [0] * (g * g)
-                for k, mult in enumerate(self.ring.basis_mul(i, j)):
-                    if mult:
-                        ak = self.action[k]
-                        for idx, e in enumerate(ak.entries):
-                            if e:
-                                acc[idx] += mult * e
+                for k, mult in self.ring.table[i][j]:
+                    for idx, e in enumerate(self.action[k].entries):
+                        if e:
+                            acc[idx] += mult * e
                 combo = IntMatrix(g, g, tuple(acc))
                 if not self._matrix_vanishes(pij.sub(combo)):
                     raise ModuleInvariantError("fusion compatibility", (i, j))
@@ -209,6 +207,31 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
 # ---------------------------------------------------------------------------
 
 
+class _LeafKind(NamedTuple):
+    """A model kind that truncates one ring: its tag fields (name, type)
+    in tag order, its ring, and the least order it instantiates at."""
+
+    fields: tuple
+    ring: Callable
+    least_order: int
+
+
+_LEAF_KINDS = {
+    "trunc-z2": _LeafKind((("order", int),), lambda d: cyclic_ring(2), 1),
+    "circle": _LeafKind((("order", int),), lambda d: circle_truncation(d.order), 1),
+    "trunc": _LeafKind(
+        (("ring", str), ("order", int)), lambda d: ring_from_tag(d.ring), 0
+    ),
+}
+
+
+def _leaf_kind(kind) -> _LeafKind:
+    leaf = _LEAF_KINDS.get(kind) if isinstance(kind, str) else None
+    if leaf is None:
+        raise InputError(f"unknown model kind {kind!r}")
+    return leaf
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     """Named K-theory model, addressable from the CLI and from reports.
@@ -217,6 +240,7 @@ class ModelDescriptor:
     'circle' (order-n circle truncation as a module over itself),
     'trunc' (any built-in ring tag modulo its n-th ideal power), and
     'tensor' (the tensor piece of two models over the product ring).
+    Every kind but 'tensor' is a row of _LEAF_KINDS.
     """
 
     kind: str
@@ -243,60 +267,41 @@ class ModelDescriptor:
                         right=cls.parse(inner[pos + 1 :]),
                     )
             raise InputError(f"tensor descriptor {text!r} needs two halves")
-        parts = text.split(":")
-        try:
-            if parts[0] == "trunc-z2" and len(parts) == 2:
-                return cls("trunc-z2", order=int(parts[1]))
-            if parts[0] == "circle" and len(parts) == 2:
-                return cls("circle", order=int(parts[1]))
-            if parts[0] == "trunc" and len(parts) == 3:
-                return cls("trunc", order=int(parts[2]), ring=parts[1])
-        except ValueError:
-            raise InputError(f"bad order in model descriptor {text!r}") from None
+        kind, *values = text.split(":")
+        leaf = _LEAF_KINDS.get(kind)
+        if leaf is not None and len(values) == len(leaf.fields):
+            try:
+                return cls(
+                    kind, **{name: typ(v) for (name, typ), v in zip(leaf.fields, values)}
+                )
+            except ValueError:
+                raise InputError(f"bad order in model descriptor {text!r}") from None
         raise InputError(
             f"cannot parse model descriptor {text!r}; expected trunc-z2:l, "
             "circle:n, trunc:<ring>:n, or tensor(a,b)"
         )
 
     def render(self) -> str:
-        if self.kind == "trunc-z2":
-            return f"trunc-z2:{self.order}"
-        if self.kind == "circle":
-            return f"circle:{self.order}"
-        if self.kind == "trunc":
-            return f"trunc:{self.ring}:{self.order}"
         if self.kind == "tensor":
             return f"tensor({self.left.render()},{self.right.render()})"
-        raise InputError(f"unknown model kind {self.kind!r}")
+        fields = _leaf_kind(self.kind).fields
+        return ":".join([self.kind] + [str(getattr(self, name)) for name, _ in fields])
 
     def ring_of(self):
-        if self.kind == "trunc-z2":
-            return cyclic_ring(2)
-        if self.kind == "circle":
-            return circle_truncation(self.order)
-        if self.kind == "trunc":
-            return ring_from_tag(self.ring)
         if self.kind == "tensor":
             return ring_product(self.left.ring_of(), self.right.ring_of())
-        raise InputError(f"unknown model kind {self.kind!r}")
+        return _leaf_kind(self.kind).ring(self)
 
     def instantiate(self) -> RingModule:
-        if self.kind == "trunc-z2":
-            if self.order < 1:
-                raise InputError("trunc-z2 needs order >= 1")
-            return truncated_ring_module(cyclic_ring(2), self.order)
-        if self.kind == "circle":
-            return truncated_ring_module(circle_truncation(self.order), self.order)
-        if self.kind == "trunc":
-            if self.order < 0:
-                raise InputError("trunc needs order >= 0")
-            return truncated_ring_module(ring_from_tag(self.ring), self.order)
         if self.kind == "tensor":
             left = self.left.instantiate()
             right = self.right.instantiate()
             mod, _ = kunneth_pieces(left, right)
             return mod
-        raise InputError(f"unknown model kind {self.kind!r}")
+        least = _leaf_kind(self.kind).least_order
+        if self.order < least:
+            raise InputError(f"{self.kind} needs order >= {least}")
+        return truncated_ring_module(self.ring_of(), self.order)
 
     def to_json_dict(self) -> dict:
         if self.kind == "tensor":
@@ -305,10 +310,9 @@ class ModelDescriptor:
                 "left": self.left.to_json_dict(),
                 "right": self.right.to_json_dict(),
             }
-        out = {"kind": self.kind, "order": str(self.order)}
-        if self.kind == "trunc":
-            out["ring"] = self.ring
-        return out
+        # kind first, then the fields by name (order before ring)
+        fields = sorted(name for name, _ in _leaf_kind(self.kind).fields)
+        return {"kind": self.kind, **{name: str(getattr(self, name)) for name in fields}}
 
     @classmethod
     def from_json_dict(cls, obj) -> "ModelDescriptor":
@@ -321,11 +325,8 @@ class ModelDescriptor:
                 left=cls.from_json_dict(obj["left"]),
                 right=cls.from_json_dict(obj["right"]),
             )
-        if kind in ("trunc-z2", "circle"):
-            return cls(kind, order=int(obj["order"]))
-        if kind == "trunc":
-            return cls(kind, order=int(obj["order"]), ring=str(obj["ring"]))
-        raise InputError(f"unknown model kind {kind!r}")
+        fields = _leaf_kind(kind).fields
+        return cls(kind, **{name: typ(obj[name]) for name, typ in fields})
 
 
 def trunc_z2_model(l: int) -> ModelDescriptor:

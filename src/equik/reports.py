@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .abgroups import FgAbelianGroup
 from .errors import EquikError, InputError, UnsupportedError
 from .fusion import (
-    FusionRing,
     cyclic_ring,
     ideal_power,
     regular_dimension,
@@ -326,10 +325,7 @@ def product_z2_bounds(m: int, group: str) -> BoundReport:
     """
     if m < 1:
         raise InputError("product construction needs m >= 1")
-    ring = ring_from_tag(group)
-    if not isinstance(ring, FusionRing):
-        raise InputError("the finite factor must be a fusion ring")
-    order = regular_dimension(ring)
+    order = regular_dimension(ring_from_tag(group))
     if order % 2 == 0:
         raise InputError(
             f"group {group!r} has even regular dimension {order}: the order-2 "
@@ -357,9 +353,7 @@ def circle_product_dimension(d: int, group: str) -> BoundReport:
     """
     if d < 0:
         raise InputError("circle product needs d >= 0")
-    ring = ring_from_tag(group)
-    if not isinstance(ring, FusionRing):
-        raise InputError("the finite factor must be a fusion ring")
+    ring_from_tag(group)  # rejects an unknown tag before any model is built
     model = tensor_model(circle_model(d + 1), trunc_model(group, 1))
     witness = _factor_power_witness(f"prod(circle:{d + 1},{group})", model, d, 2)
     rule = RuleApplication("absorb", ((d, d), (0, 0)))
@@ -532,7 +526,7 @@ def finite_af_bounds(group, n: int):
     if n < 1:
         raise InputError("finite construction needs n >= 1")
     ring = ring_from_tag(group) if isinstance(group, str) else group
-    if not isinstance(ring, FusionRing):
+    if not ring.is_fusion:
         raise InputError("finite construction needs a fusion ring")
     tag = group if isinstance(group, str) else "custom"
     if ring == cyclic_ring(2):

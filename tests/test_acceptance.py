@@ -26,9 +26,9 @@ from equik.fusion import (
     lambda_expansion,
     lattice_quotient,
     multiply,
-    product_ring,
     regular_class_check,
     ring_from_tag,
+    ring_product,
 )
 from equik.intmat import IntMatrix, snf
 from equik.joins import (
@@ -216,7 +216,7 @@ def test_criterion_06_lambda_expansion():
 def test_criterion_07_regular_annihilation():
     with criterion(7, "regular-annihilation"):
         rings = [cyclic_ring(n) for n in range(2, 8)]
-        rings.append(product_ring(cyclic_ring(2), cyclic_ring(3)))
+        rings.append(ring_product(cyclic_ring(2), cyclic_ring(3)))
         rings.append(from_fusion_file(DATA / "s3_fusion.json"))
         for r in rings:
             _, annihilated = regular_class_check(r)
@@ -276,7 +276,7 @@ def test_criterion_11_annihilation_ceiling():
     with criterion(11, "annihilation-ceiling"):
         for d in range(1, 7):
             rings = [cyclic_ring(n) for n in range(2, 8)]
-            rings.append(product_ring(cyclic_ring(2), cyclic_ring(3)))
+            rings.append(ring_product(cyclic_ring(2), cyclic_ring(3)))
             rings.append(circle_truncation(d))
             for r in rings:
                 module = truncated_ring_module(r, d)

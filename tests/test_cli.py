@@ -5,6 +5,7 @@ console entry point uses the same function.
 """
 
 import json
+import time
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_model_with_huge_power_on_zero_ideal(capsys):
         "model: trunc:z1:1000000000000\nring rank: 1\ngroup: Z\n"
         "max nonvanishing ideal power: 0\n"
     )
+
+
+def test_model_with_huge_power_on_nonzero_ideal_fails_fast(capsys):
+    # z2's ideal powers all have rank 1, so 10^12 of them need 10^12 - 1
+    # products; the cap refuses that at the first power instead of
+    # walking 200,000 levels of growing entries first.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "model", "trunc:z2:1000000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
 
 
 def test_determinism_byte_identical(capsys):

@@ -4,7 +4,7 @@ Frozen values: the canonical augmentation basis of the order-2 ring,
 ideal power contents, power quotients, and exterior power expansions.
 The product ring is checked against the order-6 ring by an exhaustive
 unit-fixing relabeling search, which is an isomorphism test that never
-looks at how product_ring orders its basis.  The one-pass filtration and
+looks at how ring_product orders its basis.  The one-pass filtration and
 the sparse axiom check are compared with the constructions they
 replaced, kept here as oracles.
 """
@@ -14,7 +14,7 @@ from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equik.abgroups import FgAbelianGroup
@@ -27,8 +27,7 @@ from equik.errors import (
 )
 from equik.fusion import (
     DEFAULT_PRODUCT_CAP,
-    CircleRingTruncation,
-    FusionRing,
+    BasedRing,
     IdealLattice,
     augmentation_ideal,
     circle_ideal_image,
@@ -41,7 +40,6 @@ from equik.fusion import (
     lambda_expansion,
     lattice_quotient,
     multiply,
-    product_ring,
     regular_class_check,
     regular_dimension,
     ring_from_tag,
@@ -56,11 +54,27 @@ def s3_ring():
     return from_fusion_file(DATA / "s3_fusion.json")
 
 
+def dense_table(ring):
+    """fusion[i][j][k]: the multiplicity of e_k in e_i * e_j, every cell dense."""
+    return tuple(
+        tuple(ring.basis_mul(i, j) for j in range(ring.rank)) for i in range(ring.rank)
+    )
+
+
+def fusion_from_dense(labels, dims, fusion):
+    """The fusion ring of a dense table, through the one sparse constructor."""
+    table = tuple(
+        tuple(tuple((k, n) for k, n in enumerate(cell) if n) for cell in plane)
+        for plane in fusion
+    )
+    return BasedRing(labels, dims, table, is_fusion=True)
+
+
 def test_cyclic_ring_shape():
     r = cyclic_ring(4)
     assert r.rank == 4
     assert r.labels == ("1", "chi", "chi^2", "chi^3")
-    assert r.dims == (1, 1, 1, 1)
+    assert r.aug == (1, 1, 1, 1)
     assert r.basis_mul(1, 3) == (1, 0, 0, 0)
     with pytest.raises(InputError):
         cyclic_ring(0)
@@ -70,29 +84,30 @@ def test_fusion_ring_rejects_broken_axioms():
     r = cyclic_ring(4)
     # break one cell: chi * chi = 1 keeps dims and symmetry but not
     # associativity, since (chi chi) chi^2 != chi (chi chi^2)
-    fusion = [list(map(list, plane)) for plane in r.fusion]
+    fusion = [list(map(list, plane)) for plane in dense_table(r)]
     fusion[1][1] = [1, 0, 0, 0]
     fusion[1][1] = tuple(fusion[1][1])
     broken = tuple(
         tuple(tuple(cell) for cell in plane) for plane in fusion
     )
     with pytest.raises(FusionRingError) as err:
-        type(r)(r.labels, r.dims, broken)
+        fusion_from_dense(r.labels, r.aug, broken)
     assert err.value.axiom == "associativity"
 
 
 def test_fusion_ring_rejects_bad_dimension_map():
     r = cyclic_ring(2)
-    fusion = ((r.fusion[0][0], r.fusion[0][1]), (r.fusion[1][0], (1, 1)))
+    dense = dense_table(r)
+    fusion = ((dense[0][0], dense[0][1]), (dense[1][0], (1, 1)))
     with pytest.raises(FusionRingError) as err:
-        type(r)(r.labels, r.dims, fusion)
+        fusion_from_dense(r.labels, r.aug, fusion)
     assert err.value.axiom == "dimension homomorphism"
 
 
 def test_s3_fixture_loads_and_multiplies():
     r = s3_ring()
     assert r.rank == 3
-    assert r.dims == (1, 1, 2)
+    assert r.aug == (1, 1, 2)
     v_squared = multiply(r, (0, 0, 1), (0, 0, 1))
     assert v_squared.coefficients == (1, 1, 1)
     assert r.render_element((1, 1, 1)) == "1 + sgn + V"
@@ -135,9 +150,9 @@ def relabelings_match(small, big):
 
 
 def test_product_of_z2_z3_is_z6():
-    prod = product_ring(cyclic_ring(2), cyclic_ring(3))
+    prod = ring_product(cyclic_ring(2), cyclic_ring(3))
     assert relabelings_match(prod, cyclic_ring(6))
-    assert not relabelings_match(product_ring(cyclic_ring(2), cyclic_ring(2)),
+    assert not relabelings_match(ring_product(cyclic_ring(2), cyclic_ring(2)),
                                  cyclic_ring(4))
 
 
@@ -254,18 +269,18 @@ def test_regular_class_annihilated_for_small_groups():
     for r in rings:
         element, annihilated = regular_class_check(r)
         assert annihilated, r.labels
-        assert element.coefficients == r.dims
+        assert element.coefficients == r.aug
     assert regular_dimension(s3_ring()) == 6
     assert regular_dimension(cyclic_ring(6)) == 6
 
 
 def test_circle_truncation_unit_class_inverse():
     c = circle_truncation(5)
-    t = c.unit_class_vec()
-    inv = c.unit_class_inverse_vec()
+    t = (1, -1, 0, 0, 0)  # t = 1 - lam, the invertible generator
+    inv = (1,) * 5  # (1 - lam)^-1 = 1 + lam + ... + lam^4
     product = multiply(c, t, inv)
     assert product.coefficients == c.one_vec()
-    assert isinstance(c, CircleRingTruncation)
+    assert not c.is_fusion
 
 
 def test_circle_ideal_image_matches_power():
@@ -293,6 +308,92 @@ def test_mixed_product_ring_protocol():
     some = tuple(1 for _ in range(6))
     assert multiply(mixed, one, some).coefficients == some
     assert len(mixed.aug) == 6
+
+
+def test_ring_equality_follows_the_constructor():
+    # circle:1 and z1 have the same table and augmentation; only the
+    # constructor's is_fusion tells them apart.
+    assert circle_truncation(1) != cyclic_ring(1)
+    assert cyclic_ring(1).is_fusion and not circle_truncation(1).is_fusion
+    assert ring_from_tag("z2xz3") == ring_product(cyclic_ring(2), cyclic_ring(3))
+    assert ring_from_tag("z2xz3").is_fusion
+    mixed = ring_product(circle_truncation(3), cyclic_ring(2))
+    assert mixed == ring_product(circle_truncation(3), cyclic_ring(2))
+    assert not mixed.is_fusion
+    assert ring_product(cyclic_ring(2), circle_truncation(1)) != ring_product(
+        cyclic_ring(2), cyclic_ring(1)
+    )
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [((3, 1),), ((-1, 1),), ((2, 1), (1, 1)), ((2, 1), (2, 1)), ((2, 0),)],
+    ids=["index past rank", "negative index", "unsorted", "repeated", "zero"],
+)
+def test_malformed_sparse_cell_is_a_shape_error(cell):
+    r = cyclic_ring(3)
+    table = [list(row) for row in r.table]
+    table[1][1] = cell
+    with pytest.raises(FusionRingError) as err:
+        BasedRing(r.labels, r.aug, tuple(map(tuple, table)), is_fusion=True)
+    assert (err.value.axiom, err.value.indices) == ("shape", (1, 1))
+
+
+def oracle_basis_mul(factors, i, j):
+    """Dense e_i * e_j from the factors' own dense rows (Kronecker order)."""
+    if len(factors) == 1:
+        return factors[0].basis_mul(i, j)
+    left, right = factors
+    (i1, i2), (j1, j2) = divmod(i, right.rank), divmod(j, right.rank)
+    return tuple(a * b for a in left.basis_mul(i1, j1) for b in right.basis_mul(i2, j2))
+
+
+def dense_mul_vec(factors, a, b):
+    """The product by a triple loop over dense basis_mul rows."""
+    r = len(a)
+    out = [0] * r
+    for i in range(r):
+        for j in range(r):
+            for k, n in enumerate(oracle_basis_mul(factors, i, j)):
+                out[k] += a[i] * b[j] * n
+    return tuple(out)
+
+
+def regular_class_ring():
+    """Span of 1 and the regular class x of the order-2 group: x * x = 2x."""
+    return fusion_ring_from_json_dict(
+        {
+            "labels": ["1", "x"],
+            "dims": ["1", "2"],
+            "fusion": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[1, 2]]]],
+        }
+    )
+
+
+MUL_RINGS = {
+    **{f"z{n}": lambda n=n: (cyclic_ring(n),) for n in (1, 2, 3, 5)},
+    "s3": lambda: (s3_ring(),),
+    **{f"circle:{n}": lambda n=n: (circle_truncation(n),) for n in (1, 2, 4)},
+    "z2 x z3": lambda: (cyclic_ring(2), cyclic_ring(3)),
+    "s3 x z2": lambda: (s3_ring(), cyclic_ring(2)),
+    "circle:3 x z2": lambda: (circle_truncation(3), cyclic_ring(2)),
+    "z3 x circle:2": lambda: (cyclic_ring(3), circle_truncation(2)),
+    "circle:2 x s3": lambda: (circle_truncation(2), s3_ring()),
+    # multiplicities above 1 on both sides of a product
+    "reg x reg": lambda: (regular_class_ring(), regular_class_ring()),
+    "circle:2 x reg": lambda: (circle_truncation(2), regular_class_ring()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_RINGS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_sparse_mul_vec_matches_dense_oracle(name, data):
+    factors = MUL_RINGS[name]()
+    ring = factors[0] if len(factors) == 1 else ring_product(*factors)
+    vector = st.lists(st.integers(-4, 4), min_size=ring.rank, max_size=ring.rank)
+    a, b = tuple(data.draw(vector)), tuple(data.draw(vector))
+    assert ring.mul_vec(a, b) == dense_mul_vec(factors, a, b)
 
 
 def per_power_oracle(ring, n, cap):
@@ -342,6 +443,29 @@ def test_ideal_powers_match_per_power_oracle(name, cap):
             return
         assert next(powers).rows() == want
         assert ideal_power(ring, n, cap).rows() == want
+
+
+@given(
+    name=st.sampled_from(sorted(FILTRATION_RINGS)),
+    n=st.integers(0, 12),
+    cap=st.integers(0, 60),
+)
+@example(name="z2", n=5, cap=4)  # exactly the products I^5 needs
+@example(name="z3", n=4, cap=12)  # exactly the products I^4 needs
+@example(name="z3", n=4, cap=11)  # one product short
+@settings(max_examples=200, deadline=None)
+def test_capped_ideal_power_matches_per_power_oracle(name, n, cap):
+    # Small caps and powers reach both the early refusal, once the ranks
+    # have stopped falling, and the refusal in the middle of a level.
+    ring = FILTRATION_RINGS[name]()
+    try:
+        want = per_power_oracle(ring, n, cap)
+    except CapExceededError:
+        message = rf"^ideal power product cap exceeded \({cap} vectors\)$"
+        with pytest.raises(CapExceededError, match=message):
+            ideal_power(ring, n, cap)
+        return
+    assert ideal_power(ring, n, cap).rows() == want
 
 
 def test_ideal_powers_stay_zero_once_zero():
@@ -435,8 +559,8 @@ def perturbed_tables(draw):
     name = draw(st.sampled_from(["z1", "z2", "z3", "z4", "z5", "z2xz2", "z2xz3", "s3"]))
     ring = s3_ring() if name == "s3" else ring_from_tag(name)
     r = ring.rank
-    dims = list(ring.dims)
-    fusion = [[list(cell) for cell in plane] for plane in ring.fusion]
+    dims = list(ring.aug)
+    fusion = [[list(cell) for cell in plane] for plane in dense_table(ring)]
     index = st.integers(0, r - 1)
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["move", "move", "move", "bump", "dim"]))
@@ -472,15 +596,15 @@ def axiom_outcome(check, table):
 @given(perturbed_tables())
 @settings(max_examples=300, deadline=None)
 def test_sparse_axiom_check_agrees_with_dense_check(table):
-    assert axiom_outcome(FusionRing, table) == axiom_outcome(dense_fusion_check, table)
+    assert axiom_outcome(fusion_from_dense, table) == axiom_outcome(dense_fusion_check, table)
 
 
 def test_sparse_axiom_check_names_the_same_associativity_witness():
     r = cyclic_ring(5)
-    fusion = [[list(cell) for cell in plane] for plane in r.fusion]
+    fusion = [[list(cell) for cell in plane] for plane in dense_table(r)]
     for a, b in ((1, 2), (2, 1)):  # chi * chi^2 = chi^4 instead of chi^3
         fusion[a][b] = [0, 0, 0, 0, 1]
-    table = r.labels, r.dims, tuple(tuple(tuple(c) for c in p) for p in fusion)
-    got = axiom_outcome(FusionRing, table)
+    table = r.labels, r.aug, tuple(tuple(tuple(c) for c in p) for p in fusion)
+    got = axiom_outcome(fusion_from_dense, table)
     assert got == axiom_outcome(dense_fusion_check, table)
     assert got[0] == "associativity"

@@ -222,6 +222,52 @@ def test_model_instantiation_matches_factories():
     assert tens.instantiate().underlying_group() == FgAbelianGroup(1, (4,))
 
 
+# Descriptor -> (ring rank, underlying group) of the instantiated module,
+# as computed before model kinds became one table.
+MODEL_INSTANCES = {
+    "trunc-z2:1": (2, FgAbelianGroup(1, ())),
+    "trunc-z2:4": (2, FgAbelianGroup(1, (8,))),
+    "circle:1": (1, FgAbelianGroup(1, ())),
+    "circle:4": (4, FgAbelianGroup(4, ())),
+    "trunc:z1:0": (1, FgAbelianGroup(0, ())),
+    "trunc:z3:2": (3, FgAbelianGroup(1, (3,))),
+    "trunc:z2xz3:2": (6, FgAbelianGroup(1, (6,))),
+    "tensor(circle:2,trunc:z3:1)": (6, FgAbelianGroup(2, ())),
+    "tensor(trunc-z2:2,circle:3)": (6, FgAbelianGroup(3, (2, 2, 2))),
+    "tensor(tensor(trunc-z2:1,trunc:z3:1),circle:2)": (12, FgAbelianGroup(2, ())),
+}
+
+
+@pytest.mark.parametrize("text", sorted(MODEL_INSTANCES))
+def test_every_model_kind_round_trips_and_instantiates(text):
+    model = ModelDescriptor.parse(text)
+    assert model.render() == text
+    assert ModelDescriptor.from_json_dict(model.to_json_dict()) == model
+    module = model.instantiate()
+    assert module.ring == model.ring_of()
+    assert (module.ring.rank, module.underlying_group()) == MODEL_INSTANCES[text]
+
+
+def test_model_json_keys_and_order_floors():
+    assert ModelDescriptor.parse("trunc:z3:2").to_json_dict() == {
+        "kind": "trunc",
+        "order": "2",
+        "ring": "z3",
+    }
+    assert list(ModelDescriptor.parse("trunc:z3:2").to_json_dict()) == [
+        "kind",
+        "order",
+        "ring",
+    ]
+    for bad in ("trunc-z2:0", "circle:0", "trunc:z2:-1"):
+        with pytest.raises(InputError):
+            ModelDescriptor.parse(bad).instantiate()
+    with pytest.raises(InputError):
+        ModelDescriptor.from_json_dict({"kind": "spline", "order": "3"})
+    with pytest.raises(InputError):
+        ModelDescriptor("spline", order=3).render()
+
+
 def test_act_runs_on_the_right():
     mod = truncated_ring_module(cyclic_ring(3), 2)
     chi = (0, 1, 0)
