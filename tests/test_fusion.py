@@ -474,7 +474,15 @@ def test_ideal_powers_stay_zero_once_zero():
     assert all(p == IdealLattice.zero(circle_truncation(3)) for p in powers[3:])
 
 
-@pytest.mark.parametrize("ring", [cyclic_ring(1), circle_truncation(2)], ids=repr)
+@pytest.mark.parametrize(
+    "ring",
+    [
+        pytest.param(
+            cyclic_ring(1), id="FusionRing(labels=('1',), dims=(1,), fusion=(((1,),),))"
+        ),
+        pytest.param(circle_truncation(2), id="CircleRingTruncation(order=2)"),
+    ],
+)
 def test_ideal_power_stops_at_first_zero_power(ring):
     # z1's augmentation ideal is zero and circle:2's squares to zero, so a
     # power of 10^12 must come back at once as the zero lattice.
