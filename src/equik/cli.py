@@ -129,7 +129,7 @@ def _cmd_rep_ideal_powers(args):
         raise InputError("max power must be >= 1")
     quotients = []
     lines = []
-    powers = ideal_powers(ring)
+    powers = ideal_powers(ring, last=args.max_power)
     outer = next(powers)
     for k in range(args.max_power):
         inner = next(powers)

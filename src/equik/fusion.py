@@ -17,7 +17,7 @@ fusion-table loader build every ring; downstream code reads ``rank``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (
@@ -28,14 +28,7 @@ from .errors import (
     LatticeContainmentError,
     UnsupportedError,
 )
-from .intmat import (
-    IntMatrix,
-    as_int,
-    hermite_rows,
-    hermite_solve,
-    hnf,
-    kernel_basis,
-)
+from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, kernel_basis
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -281,19 +274,21 @@ class IdealLattice:
 
     ring: object
     basis: IntMatrix
+    lattice: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis.cols != self.ring.rank:
             raise InputError("ideal basis width must equal the ring rank")
-        rows = [self.basis.row(i) for i in range(self.basis.rows)]
-        canon = hermite_rows(rows, self.ring.rank)
-        if tuple(rows) != canon:
+        rows = tuple(self.basis.row(i) for i in range(self.basis.rows))
+        if rows != hermite_rows(rows, self.ring.rank):
             raise InputError("ideal basis is not in Hermite form")
+        lattice = Lattice(rows)
+        object.__setattr__(self, "lattice", lattice)
         for i in range(self.ring.rank):
             ei = tuple(1 if k == i else 0 for k in range(self.ring.rank))
             for b in rows:
                 prod = self.ring.mul_vec(ei, b)
-                if hermite_solve(rows, prod) is None:
+                if not lattice.contains(prod):
                     raise LatticeContainmentError(prod)
 
     @classmethod
@@ -323,13 +318,13 @@ class IdealLattice:
         return self.basis.rows
 
     def rows(self) -> list:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return list(self.lattice.rows)
 
     def contains(self, vector) -> bool:
-        return hermite_solve(self.rows(), _coeffs(vector)) is not None
+        return self.lattice.contains(_coeffs(vector))
 
     def solve(self, vector):
-        return hermite_solve(self.rows(), _coeffs(vector))
+        return self.lattice.solve(_coeffs(vector))
 
     def content(self) -> int:
         """gcd of all basis entries (0 for the zero lattice)."""
@@ -384,15 +379,17 @@ def _higher_power_rows(ring, gens, cap, last=None):
         yield rows
 
 
-def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP):
+def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP, last=None):
     """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
 
-    Once a power is zero, every later one is the zero lattice.
+    Given the last power the caller will read, a walk that would pass the
+    cap before it is refused as early as in ideal_power.  Once a power is
+    zero, every later one is the zero lattice.
     """
     yield IdealLattice.full(ring)
     aug = augmentation_ideal(ring)
     yield aug
-    for rows in _higher_power_rows(ring, aug.rows(), cap):
+    for rows in _higher_power_rows(ring, aug.rows(), cap, last):
         yield IdealLattice.from_hermite_rows(ring, rows)
     zero = IdealLattice.zero(ring)
     while True:
@@ -427,10 +424,9 @@ def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
 
     if outer.ring != ring or inner.ring != ring:
         raise InputError("quotient lattices must live over the given ring")
-    outer_rows = outer.rows()
     rel = []
     for row in inner.rows():
-        sol = hermite_solve(outer_rows, row)
+        sol = outer.solve(row)
         if sol is None:
             raise LatticeContainmentError(row)
         rel.append(sol)
@@ -483,8 +479,7 @@ def lambda_expansion(p: int) -> tuple:
         powers.append(ring.mul_vec(powers[-1], lam))
     mat = IntMatrix.from_rows(powers[: p - 1], cols=p)
     res = hnf(mat)
-    hrows = [res.H.row(i) for i in range(res.rank)]
-    coords = hermite_solve(hrows, powers[p - 1])
+    coords = Lattice(tuple(res.H.row(i) for i in range(res.rank))).solve(powers[p - 1])
     if coords is None or len(coords) != p - 1:
         raise InputError(f"lam^{p} is not in the span of lower powers")
     # pull back through the transform: target = coords . H = (coords . T) . M

@@ -9,9 +9,8 @@ anywhere downstream) touches floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
 
 from .errors import InputError
 
@@ -548,33 +547,56 @@ def hermite_rows(vectors, width: int) -> tuple:
     return tuple(tuple(row) for row in rows[:rank])
 
 
-def hermite_solve(basis_rows, v):
-    """Integer coordinates of v in an echelon basis, or None.
+@dataclass(frozen=True)
+class Lattice:
+    """The span of rows in row Hermite form, with each row's pivot found once.
 
-    basis_rows must be in row Hermite form (pivot columns strictly
-    increasing); the solve is plain back-substitution down the pivots.
+    terms holds the nonzero (column, entry) pairs of each row, so the
+    pivot comes first.  Zero rows (the bottom of an hnf) may stay and
+    solve with coefficient 0.  solve is plain back-substitution down the
+    pivots.
     """
-    rem = list(v)
-    coeffs = []
-    for row in basis_rows:
-        p = next(compress(count(), row), None)  # index of the first nonzero
-        if p is None:
-            coeffs.append(0)
-            continue
-        c, r = divmod(rem[p], row[p])
-        if r != 0:
-            return None
-        coeffs.append(c)
-        if c:
-            for j in range(p, len(rem)):
-                rem[j] -= c * row[j]
-    if any(rem):
-        return None
-    return coeffs
+
+    rows: tuple
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.rows)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def span(cls, vectors, width: int) -> "Lattice":
+        return cls(hermite_rows(vectors, width))
+
+    def solve(self, v):
+        """Integer coordinates of v in the rows, or None outside the lattice."""
+        rem = list(v)
+        coeffs = []
+        for row in self.terms:
+            if not row:
+                coeffs.append(0)
+                continue
+            p, lead = row[0]
+            c, r = divmod(rem[p], lead)
+            if r:
+                return None
+            coeffs.append(c)
+            if c:
+                for j, e in row:
+                    rem[j] -= c * e
+        return None if any(rem) else coeffs
+
+    def contains(self, v) -> bool:
+        return self.solve(v) is not None
+
+
+def hermite_solve(basis_rows, v):
+    """Integer coordinates of v in rows in row Hermite form, or None."""
+    return Lattice(tuple(basis_rows)).solve(v)
 
 
 def in_lattice(basis_rows, v) -> bool:
-    return hermite_solve(basis_rows, v) is not None
+    return Lattice(tuple(basis_rows)).contains(v)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .fusion import (
     ring_from_tag,
     ring_product,
 )
-from .intmat import IntMatrix, hermite_rows, hermite_solve
+from .intmat import IntMatrix, Lattice
 
 
 class ModuleInvariantError(InputError):
@@ -38,64 +38,63 @@ class ModuleInvariantError(InputError):
 
 
 class RingModule:
-    """Module presentation: generators, relation rows, action matrices."""
+    """Module presentation: generators, relation rows, action matrices.
 
-    def __init__(self, ring, generators: int, relations: IntMatrix, action, validate=True):
+    Each action matrix is given as sparse rows, one {column: entry} map
+    per generator with zeros omitted, as in intmat.SparseMatrix; the
+    axioms are checked on those rows.
+    """
+
+    def __init__(self, ring, generators: int, relations: IntMatrix, action):
         if generators < 0:
             raise InputError("generator count must be nonnegative")
         if relations.cols != generators:
             raise InputError("relation width must equal the generator count")
-        action = tuple(action)
+        action = tuple(tuple(rows) for rows in action)
         if len(action) != ring.rank:
             raise InputError("need one action matrix per ring basis element")
-        for mat in action:
-            if mat.shape != (generators, generators):
+        for rows in action:
+            if len(rows) != generators or not all(
+                type(j) is int and 0 <= j < generators and type(e) is int
+                for row in rows
+                for j, e in row.items()
+            ):
                 raise InputError("action matrices must be generators x generators")
         self.ring = ring
         self.generators = generators
         self.relations = relations
         self.action = action
-        self._rel_rows = hermite_rows(
-            [relations.row(i) for i in range(relations.rows)], generators
+        self.lattice = Lattice.span(
+            (relations.row(i) for i in range(relations.rows)), generators
         )
-        if validate:
-            self._validate()
+        self._validate()
 
-    # -- relation-lattice membership ------------------------------------
-
-    def in_relations(self, vector) -> bool:
-        return hermite_solve(self._rel_rows, tuple(vector)) is not None
-
-    def _matrix_vanishes(self, mat: IntMatrix) -> bool:
-        return all(self.in_relations(mat.row(i)) for i in range(mat.rows))
+    def _vanishes(self, m, n) -> bool:
+        """Whether every row of m - n lies in the relations; equal rows are skipped."""
+        g = self.generators
+        for x, y in zip(m, n):
+            if x != y:
+                if not self.lattice.contains([x.get(j, 0) - y.get(j, 0) for j in range(g)]):
+                    return False
+        return True
 
     def _validate(self):
+        act = self.action
         g = self.generators
-        ident = IntMatrix.identity(g)
-        if not self._matrix_vanishes(self.action[0].sub(ident)):
+        if not self._vanishes(act[0], tuple({a: 1} for a in range(g))):
             raise ModuleInvariantError("unit acts as identity", (0,))
         r = self.ring.rank
         for i in range(r):
-            ai = self.action[i]
             for j in range(i, r):
-                aj = self.action[j]
-                pij = ai.mul(aj)
-                pji = aj.mul(ai)
-                if not self._matrix_vanishes(pij.sub(pji)):
+                pij = _mat_mul(act[i], act[j])
+                pji = pij if i == j else _mat_mul(act[j], act[i])
+                if not self._vanishes(pij, pji):
                     raise ModuleInvariantError("actions commute", (i, j))
-                acc = [0] * (g * g)
-                for k, mult in self.ring.table[i][j]:
-                    for idx, e in enumerate(self.action[k].entries):
-                        if e:
-                            acc[idx] += mult * e
-                combo = IntMatrix(g, g, tuple(acc))
-                if not self._matrix_vanishes(pij.sub(combo)):
+                if not self._vanishes(pij, _combine(self.ring.table[i][j], act, g)):
                     raise ModuleInvariantError("fusion compatibility", (i, j))
         for i in range(r):
-            ai = self.action[i]
-            for row in self._rel_rows:
-                moved = _vec_mat(row, ai)
-                if not self.in_relations(moved):
+            for row in self.lattice.rows:
+                if not self.lattice.contains(_vec_mat(row, act[i])):
                     raise ModuleInvariantError("relations are invariant", (i,))
 
     # -- queries ----------------------------------------------------------
@@ -122,58 +121,68 @@ class RingModule:
 
     def subgroup_class(self, vectors) -> FgAbelianGroup:
         """Class of the subgroup generated by the vectors inside the module."""
-        span_rows = [tuple(v) for v in vectors] + [tuple(r) for r in self._rel_rows]
-        outer = hermite_rows(span_rows, self.generators)
+        rel_rows = self.lattice.rows
+        outer = Lattice.span([tuple(v) for v in vectors] + list(rel_rows), self.generators)
         rel = []
-        for row in self._rel_rows:
-            sol = hermite_solve(outer, row)
+        for row in rel_rows:
+            sol = outer.solve(row)
             if sol is None:
                 raise EquikError(f"relation {row} lies outside the span built from it")
             rel.append(sol)
-        relmat = (
-            IntMatrix.from_rows(rel, cols=len(outer))
-            if rel
-            else IntMatrix.zeros(0, len(outer))
-        )
-        return normalize(Presentation(len(outer), relmat))
+        width = len(outer.rows)
+        relmat = IntMatrix.from_rows(rel, cols=width) if rel else IntMatrix.zeros(0, width)
+        return normalize(Presentation(width, relmat))
 
 
-def _vec_mat(vec, mat: IntMatrix) -> tuple:
-    out = [0] * mat.cols
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        base = i * mat.cols
-        for j in range(mat.cols):
-            e = mat.entries[base + j]
-            if e:
-                out[j] += c * e
+# Sparse matrices here are sequences of {column: entry} rows.  The rows
+# these helpers build omit zeros, so equal products compare equal as dicts.
+
+
+def _mat_mul(a, b) -> tuple:
+    out = []
+    for row in a:
+        acc = {}
+        for k, c in row.items():
+            for j, e in b[k].items():
+                acc[j] = acc.get(j, 0) + c * e
+        out.append({j: e for j, e in acc.items() if e})
     return tuple(out)
 
 
-def _mult_matrix(ring, i: int) -> IntMatrix:
-    """Matrix of right multiplication by basis element i on the ring."""
-    r = ring.rank
-    rows = [ring.basis_mul(j, i) for j in range(r)]
-    return IntMatrix.from_rows(rows, cols=r)
+def _combine(cell, mats, g: int) -> tuple:
+    """sum(n * mats[k]) over the (k, n) pairs of a structure-table cell."""
+    out = []
+    for a in range(g):
+        acc = {}
+        for k, n in cell:
+            for j, e in mats[k][a].items():
+                acc[j] = acc.get(j, 0) + n * e
+        out.append({j: e for j, e in acc.items() if e})
+    return tuple(out)
+
+
+def _vec_mat(vec, rows) -> list:
+    """Dense vec times the square matrix with the given sparse rows."""
+    (row,) = _mat_mul(({a: c for a, c in enumerate(vec) if c},), rows)
+    return [row.get(j, 0) for j in range(len(rows))]
 
 
 def truncated_ring_module(ring, n: int) -> RingModule:
-    """The ring modulo its n-th augmentation-ideal power, as a module."""
+    """The ring modulo its n-th augmentation-ideal power, as a module.
+
+    Basis element i acts by right multiplication: row j is e_j * e_i.
+    """
     if n < 0:
         raise InputError("truncation order must be nonnegative")
     relations = ideal_power(ring, n).basis
-    action = tuple(_mult_matrix(ring, i) for i in range(ring.rank))
+    action = tuple(
+        tuple(dict(ring.table[j][i]) for j in range(ring.rank)) for i in range(ring.rank)
+    )
     return RingModule(ring, ring.rank, relations, action)
 
 
 def zero_module(ring) -> RingModule:
-    return RingModule(
-        ring,
-        0,
-        IntMatrix.zeros(0, 0),
-        tuple(IntMatrix.zeros(0, 0) for _ in range(ring.rank)),
-    )
+    return RingModule(ring, 0, IntMatrix.zeros(0, 0), ((),) * ring.rank)
 
 
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
@@ -188,18 +197,12 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     relations = (
         IntMatrix.from_rows(rel_rows, cols=g) if rel_rows else IntMatrix.zeros(0, g)
     )
-    action = []
-    for am, bm in zip(a.action, b.action):
-        ent = [0] * (g * g)
-        for i in range(a.generators):
-            for j in range(a.generators):
-                ent[i * g + j] = am.entry(i, j)
-        off = a.generators
-        for i in range(b.generators):
-            for j in range(b.generators):
-                ent[(off + i) * g + (off + j)] = bm.entry(i, j)
-        action.append(IntMatrix(g, g, tuple(ent)))
-    return RingModule(a.ring, g, relations, tuple(action))
+    off = a.generators
+    action = tuple(
+        am + tuple({off + j: e for j, e in row.items()} for row in bm)
+        for am, bm in zip(a.action, b.action)
+    )
+    return RingModule(a.ring, g, relations, action)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +373,7 @@ def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
     """
     if cap < 0:
         raise InputError("cap must be nonnegative")
-    for n, lattice in zip(range(cap + 1), ideal_powers(module.ring)):
+    for n, lattice in zip(range(cap + 1), ideal_powers(module.ring, last=cap)):
         if ideal_image(lattice, module).is_trivial:
             return n - 1
     return cap
@@ -384,14 +387,21 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     bare abelian group; no extension data is computed.
     """
     ring = ring_product(mg.ring, mh.ring)
-    g = mg.generators * mh.generators
+    h = mh.generators
+    g = mg.generators * h
     ig = IntMatrix.identity(mg.generators)
-    ih = IntMatrix.identity(mh.generators)
+    ih = IntMatrix.identity(h)
     left = mg.relations.kron(ih)
     right = ig.kron(mh.relations)
     relations = left.vstack(right) if g else IntMatrix.zeros(0, 0)
     action = tuple(
-        am.kron(bm) for am in mg.action for bm in mh.action
+        tuple(
+            {c * h + d: x * y for c, x in arow.items() for d, y in brow.items()}
+            for arow in am
+            for brow in bm
+        )
+        for am in mg.action
+        for bm in mh.action
     )
     module = RingModule(ring, g, relations, action)
     torsion = group_tor(mg.underlying_group(), mh.underlying_group())
@@ -439,15 +449,14 @@ def graded_kunneth(pg: GradedModulePair, ph: GradedModulePair) -> GradedKunnethP
     return GradedKunnethPieces(even_tensor, odd_tensor, even_tor, odd_tor)
 
 
-def factor_ideal_power(left_ring, right_ring, m: int) -> IdealLattice:
-    """(I(left) x right)^m inside the product ring.
+def factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
+    """(I(left) x right)^m inside ring, the ring_product of left_ring and right.
 
     Because the right factor is the whole ring, the m-th power is the
     span of u x e_j over a basis u of I(left)^m and the right basis.
     """
     lat = ideal_power(left_ring, m)
-    prod = ring_product(left_ring, right_ring)
-    rr = right_ring.rank
+    rr = ring.rank // left_ring.rank
     rows = []
     for u in lat.rows():
         for j in range(rr):
@@ -456,7 +465,7 @@ def factor_ideal_power(left_ring, right_ring, m: int) -> IdealLattice:
                 if c:
                     row[i * rr + j] = c
             rows.append(tuple(row))
-    return IdealLattice.from_rows(prod, rows)
+    return IdealLattice.from_rows(ring, rows)
 
 
 def _strip_primes(d: int, n: int) -> int:

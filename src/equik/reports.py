@@ -271,7 +271,7 @@ def _full_power_witness(ring: str, model: ModelDescriptor, module, power: int, s
 def _factor_power_witness(ring: str, model: ModelDescriptor, power: int, multiplier: int):
     """Witness for (I(left) x right)^power on the tensor model left x right."""
     module = model.instantiate()
-    lattice = factor_ideal_power(model.left.ring_of(), model.right.ring_of(), power)
+    lattice = factor_ideal_power(module.ring, model.left.ring_of(), power)
     image = ideal_image(lattice, module)
     if image.is_trivial:
         raise InputError("factor ideal power acts trivially; no witness")
@@ -667,9 +667,7 @@ def _check_annihilator(cert: AnnihilatorWitness) -> bool:
         elif cert.scope == "left-factor":
             if cert.model.kind != "tensor":
                 return False
-            lattice = factor_ideal_power(
-                cert.model.left.ring_of(), cert.model.right.ring_of(), cert.power
-            )
+            lattice = factor_ideal_power(module.ring, cert.model.left.ring_of(), cert.power)
         else:
             return False
         image = ideal_image(lattice, module)

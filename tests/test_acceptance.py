@@ -261,7 +261,7 @@ def test_criterion_10_kunneth_product_certificate():
                     trunc_model("z2", m + 1), trunc_model(tag, 1)
                 )
                 module = desc.instantiate()
-                lat = factor_ideal_power(z2, right, m)
+                lat = factor_ideal_power(module.ring, z2, m)
                 image = ideal_image(lat, module)
                 assert image == FgAbelianGroup(0, (2,)), (
                     "image %s at (%s, %d)" % (image.render(), tag, m)

@@ -98,6 +98,17 @@ def test_model_with_huge_power_on_nonzero_ideal_fails_fast(capsys):
     assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
 
 
+def test_rep_ideal_powers_with_huge_max_power_fails_fast(capsys):
+    # The same refusal as for the model above: ideal_powers is told the
+    # last power the command reads.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "rep", "ideal-powers", "z2", "--max-power", "1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
+
+
 def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, "rokhlin", "z6-collapse", "1")
     _, second, _ = run(capsys, "rokhlin", "z6-collapse", "1")

@@ -468,6 +468,28 @@ def test_capped_ideal_power_matches_per_power_oracle(name, n, cap):
     assert ideal_power(ring, n, cap).rows() == want
 
 
+@given(
+    name=st.sampled_from(sorted(FILTRATION_RINGS)),
+    last=st.integers(0, 12),
+    cap=st.integers(0, 60),
+)
+@settings(max_examples=200, deadline=None)
+def test_ideal_powers_told_the_last_power_match_per_power_oracle(name, last, cap):
+    # Told the last power it will be read to, the walk may refuse early,
+    # but only when the oracle refuses some power up to that one.
+    ring = FILTRATION_RINGS[name]()
+    powers = ideal_powers(ring, cap, last=last)
+    try:
+        wants = [per_power_oracle(ring, n, cap) for n in range(last + 1)]
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            for _ in range(last + 1):
+                next(powers)
+        return
+    for want in wants:
+        assert next(powers).rows() == want
+
+
 def test_ideal_powers_stay_zero_once_zero():
     powers = list(islice(ideal_powers(circle_truncation(3)), 7))
     assert [p.rank for p in powers] == [3, 2, 1, 0, 0, 0, 0]

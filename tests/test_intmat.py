@@ -5,7 +5,7 @@ formula: the k-th determinantal divisor d_k is the gcd of all k x k
 minors, and the k-th invariant factor is d_k / d_(k-1).
 """
 
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import gcd
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from equik.errors import InputError
 from equik.intmat import (
     IntMatrix,
+    Lattice,
     cokernel_invariants,
     hermite_rows,
     hermite_solve,
@@ -211,6 +212,50 @@ def test_hermite_solve_outside_lattice():
     basis = hermite_rows([(2, 0), (0, 2)], 2)
     assert hermite_solve(list(basis), (1, 0)) is None
     assert not in_lattice(list(basis), (1, 1))
+
+
+def pivot_search_solve(basis_rows, v):
+    """hermite_solve as it was before Lattice: each call finds every pivot again."""
+    rem = list(v)
+    coeffs = []
+    for row in basis_rows:
+        p = next(compress(count(), row), None)  # index of the first nonzero
+        if p is None:
+            coeffs.append(0)
+            continue
+        c, r = divmod(rem[p], row[p])
+        if r != 0:
+            return None
+        coeffs.append(c)
+        if c:
+            for j in range(p, len(rem)):
+                rem[j] -= c * row[j]
+    if any(rem):
+        return None
+    return coeffs
+
+
+@given(
+    a=matrices(max_dim=5),
+    zero=st.booleans(),
+    zero_rows=st.integers(0, 2),
+    data=st.data(),
+)
+@settings(max_examples=150)
+def test_lattice_solve_matches_pivot_search(a, zero, zero_rows, data):
+    # Zero rows stand for the bottom of an hnf, which hermite_solve accepts.
+    basis = () if zero else hermite_rows([a.row(i) for i in range(a.rows)], a.cols)
+    rows = basis + ((0,) * a.cols,) * zero_rows
+    lat = Lattice(rows)
+    ints = st.integers(-6, 6)
+    coeffs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
+    inside = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(a.cols))
+    anywhere = tuple(data.draw(st.lists(ints, min_size=a.cols, max_size=a.cols)))
+    for v in (inside, anywhere):
+        want = pivot_search_solve(rows, v)
+        assert lat.solve(v) == want == hermite_solve(rows, v)
+        assert lat.contains(v) == (want is not None)
+    assert lat.solve(inside) == coeffs[: len(basis)] + [0] * zero_rows
 
 
 def test_matrix_json_roundtrip():

@@ -1,4 +1,11 @@
-"""Module layer tests: presentations, images, Kunneth pieces, stability."""
+"""Module layer tests: presentations, images, Kunneth pieces, stability.
+
+The dense module-axiom check that the sparse one replaced stays here as
+its oracle.
+"""
+
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +13,14 @@ from hypothesis import strategies as st
 
 from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, tensor, tor
 from equik.errors import InputError
-from equik.fusion import circle_truncation, cyclic_ring, ideal_power, ring_from_tag
-from equik.intmat import IntMatrix
+from equik.fusion import (
+    circle_truncation,
+    cyclic_ring,
+    from_fusion_file,
+    ideal_power,
+    ring_from_tag,
+)
+from equik.intmat import IntMatrix, hermite_rows, hermite_solve
 from equik.kmodules import (
     GradedModulePair,
     ModelDescriptor,
@@ -47,6 +60,64 @@ def test_circle_module_is_free():
         assert mod.underlying_group() == FgAbelianGroup(n, ())
 
 
+def sparse(mat: IntMatrix) -> tuple:
+    """An action matrix as the sparse rows RingModule takes."""
+    return tuple(
+        {j: e for j, e in enumerate(mat.row(i)) if e} for i in range(mat.rows)
+    )
+
+
+def dense(rows, g: int) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[row.get(j, 0) for j in range(g)] for row in rows], cols=g
+    )
+
+
+def dense_module_check(ring, g, relations, action):
+    """The dense module-axiom check, with one IntMatrix per basis element.
+
+    Returns None when every axiom holds, else the (axiom, indices) pair
+    of the first failure, in the order RingModule checks them.
+    """
+    rel_rows = hermite_rows([relations.row(i) for i in range(relations.rows)], g)
+
+    def vanishes(mat):
+        return all(hermite_solve(rel_rows, mat.row(i)) is not None for i in range(mat.rows))
+
+    if not vanishes(action[0].sub(IntMatrix.identity(g))):
+        return "unit acts as identity", (0,)
+    r = ring.rank
+    for i in range(r):
+        ai = action[i]
+        for j in range(i, r):
+            aj = action[j]
+            pij = ai.mul(aj)
+            pji = aj.mul(ai)
+            if not vanishes(pij.sub(pji)):
+                return "actions commute", (i, j)
+            acc = [0] * (g * g)
+            for k, mult in ring.table[i][j]:
+                for idx, e in enumerate(action[k].entries):
+                    if e:
+                        acc[idx] += mult * e
+            if not vanishes(pij.sub(IntMatrix(g, g, tuple(acc)))):
+                return "fusion compatibility", (i, j)
+    for i in range(r):
+        for row in rel_rows:
+            moved = IntMatrix.from_rows([row], cols=g).mul(action[i])
+            if not vanishes(moved):
+                return "relations are invariant", (i,)
+    return None
+
+
+def sparse_module_check(ring, g, relations, action):
+    try:
+        RingModule(ring, g, relations, tuple(sparse(m) for m in action))
+    except ModuleInvariantError as err:
+        return err.axiom, err.indices
+    return None
+
+
 def test_module_validation_catches_bad_action():
     r = cyclic_ring(2)
     rel = IntMatrix.zeros(0, 2)
@@ -58,7 +129,7 @@ def test_module_validation_catches_bad_action():
         IntMatrix.from_rows([(0, 1), (0, 0)], cols=2),
     )
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 2, rel, bad_action)
+        RingModule(r, 2, rel, tuple(sparse(m) for m in bad_action))
     assert err.value.axiom == "fusion compatibility"
 
 
@@ -66,7 +137,7 @@ def test_module_validation_catches_bad_unit():
     r = cyclic_ring(2)
     rel = IntMatrix.zeros(0, 1)
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 1, rel, (IntMatrix.from_rows([(2,)], cols=1),) * 2)
+        RingModule(r, 1, rel, (sparse(IntMatrix.from_rows([(2,)], cols=1)),) * 2)
     assert err.value.axiom == "unit acts as identity"
 
 
@@ -76,7 +147,7 @@ def test_module_validation_catches_moving_relations():
     rel = IntMatrix.from_rows([(2, 0)], cols=2)
     swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 2, rel, (IntMatrix.identity(2), swap))
+        RingModule(r, 2, rel, (sparse(IntMatrix.identity(2)), sparse(swap)))
     assert err.value.axiom == "relations are invariant"
 
 
@@ -159,7 +230,7 @@ def test_factor_ideal_image_is_order_two(group, order, m):
     mg = truncated_ring_module(cyclic_ring(2), m + 1)
     mh = truncated_ring_module(right, 1)
     mod, _ = kunneth_pieces(mg, mh)
-    lat = factor_ideal_power(cyclic_ring(2), right, m)
+    lat = factor_ideal_power(mod.ring, cyclic_ring(2), m)
     assert ideal_image(lat, mod) == FgAbelianGroup(0, (2,))
     unit = tuple(1 if i == 0 else 0 for i in range(mod.generators))
     assert element_stable_nonvanishing(mod, unit, m, order)
@@ -283,3 +354,72 @@ def test_truncation_relations_annihilate(n):
     mod = truncated_ring_module(cyclic_ring(3), n)
     img = ideal_image(ideal_power(cyclic_ring(3), n), mod)
     assert img.is_trivial
+
+
+# Models whose pairwise tensor pieces stay small enough for the dense oracle.
+TENSOR_FACTORS = ("trunc-z2:1", "trunc-z2:3", "circle:2", "trunc:z3:1", "trunc:z3:2")
+
+
+@lru_cache(maxsize=None)
+def oracle_modules() -> tuple:
+    """(name, module) for every model kind, tensor pieces of pairs of models,
+    and direct sums.
+
+    The S3 character ring has cells with several terms, so its modules
+    have action rows with several entries, unlike the cyclic and circle
+    ones.
+    """
+    def model(text):
+        return text, ModelDescriptor.parse(text).instantiate()
+
+    out = [model(text) for text in sorted(MODEL_INSTANCES)]
+    s3 = from_fusion_file(Path(__file__).parent / "data" / "s3_fusion.json")
+    s3_modules = [(f"s3 mod I^{n}", truncated_ring_module(s3, n)) for n in (1, 2, 3)]
+    out += s3_modules
+    factors = [model(text) for text in TENSOR_FACTORS] + s3_modules
+    for a, left in factors:
+        for b, right in factors:
+            out.append((f"{a} x {b}", kunneth_pieces(left, right)[0]))
+    z2, z3, c3 = cyclic_ring(2), cyclic_ring(3), circle_truncation(3)
+    sums = [
+        (truncated_ring_module(z2, 2), truncated_ring_module(z2, 3)),
+        (truncated_ring_module(z3, 2), zero_module(z3)),
+        (truncated_ring_module(c3, 2), truncated_ring_module(c3, 3)),
+    ]
+    out += [(f"sum {i}", module_direct_sum(a, b)) for i, (a, b) in enumerate(sums)]
+    return tuple(out)
+
+
+def test_dense_oracle_accepts_every_built_module():
+    # Building each module ran the sparse check.
+    for name, mod in oracle_modules():
+        action = tuple(dense(rows, mod.generators) for rows in mod.action)
+        verdict = dense_module_check(mod.ring, mod.generators, mod.relations, action)
+        assert verdict is None, name
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_module_check_matches_dense_oracle(data):
+    # One action entry or one relation entry is moved, so the two checks
+    # must agree on failures as well as on passes.
+    pool = oracle_modules()
+    _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
+    g, ring = mod.generators, mod.ring
+    action = [dense(rows, g) for rows in mod.action]
+    relations = mod.relations
+    delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
+    target = data.draw(st.sampled_from(("action", "relation")), label="target")
+    if g and target == "action":
+        k = data.draw(st.integers(0, ring.rank - 1), label="k")
+        idx = data.draw(st.integers(0, g * g - 1), label="entry")
+        ent = list(action[k].entries)
+        ent[idx] += delta
+        action[k] = IntMatrix(g, g, tuple(ent))
+    elif relations.rows:
+        idx = data.draw(st.integers(0, len(relations.entries) - 1), label="entry")
+        ent = list(relations.entries)
+        ent[idx] += delta
+        relations = IntMatrix(relations.rows, g, tuple(ent))
+    want = dense_module_check(ring, g, relations, action)
+    assert sparse_module_check(ring, g, relations, action) == want
