@@ -2,8 +2,8 @@
 
 A group is stored as (free_rank, torsion) where torsion is the chain
 d1 | d2 | ... with every d >= 2.  Presentations are row-relation
-matrices over the generators; normalize() sends them through the Smith
-normal form.
+matrices over the generators; normalize() reads the invariant
+factors of their Smith normal form.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .intmat import IntMatrix, snf
+from .intmat import IntMatrix, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class Presentation:
 
 def normalize(p: Presentation) -> FgAbelianGroup:
     """Canonical form of the cokernel of the relation matrix."""
-    factors = snf(p.relations).invariant_factors()
+    factors = invariant_factors(p.relations)
     free_rank = p.generators - len(factors)
     torsion = tuple(d for d in factors if d > 1)
     return FgAbelianGroup(free_rank, torsion)

@@ -16,9 +16,10 @@ import json
 import sys
 import time
 
-from .abgroups import parse_group_literal, tensor, tor
-from .errors import EquikError, InputError, UnsupportedError
+from .abgroups import TRIVIAL_GROUP, parse_group_literal, tensor, tor
+from .errors import CapExceededError, EquikError, InputError, UnsupportedError
 from .fusion import (
+    DEFAULT_PRODUCT_CAP,
     augmentation_ideal,
     circle_truncation,
     from_fusion_file,
@@ -132,11 +133,16 @@ def _cmd_rep_ideal_powers(args):
     powers = ideal_powers(ring, last=args.max_power)
     outer = next(powers)
     for k in range(args.max_power):
-        inner = next(powers)
-        q = lattice_quotient(ring, outer, inner)
+        if not outer.rank:
+            q = TRIVIAL_GROUP  # 0/0: every power from here on is zero
+        else:
+            inner = next(powers)
+            if not inner.rank and args.max_power > DEFAULT_PRODUCT_CAP:
+                raise CapExceededError(f"max power cap exceeded ({DEFAULT_PRODUCT_CAP} levels)")
+            q = lattice_quotient(ring, outer, inner)
+            outer = inner
         quotients.append({"power": str(k), "group": q.to_json_dict()})
         lines.append(f"I^{k}/I^{k + 1}: {q.render()}")
-        outer = inner
     return {"quotients": quotients}, lines, 0
 
 

@@ -28,7 +28,7 @@ from .errors import (
     LatticeContainmentError,
     UnsupportedError,
 )
-from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, kernel_basis
+from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, kernel_basis, xgcd
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -65,19 +65,22 @@ class BasedRing:
     of basis elements i and j, in increasing k; aug[k] is the
     augmentation of basis element k.  Construction checks the table's
     shape, nonnegative constants, the unit law at index 0,
-    commutativity, that aug is a ring map, and associativity
-    exhaustively.  A fusion ring must also have positive dimensions,
-    which the circle truncation fails; is_fusion is set by the
-    constructor that built the ring, never derived from aug.
+    commutativity, that aug is a ring map, and associativity by Light's
+    test on the basis generators it finds (kept as ``generators``).  A
+    fusion ring must also have positive dimensions, which the circle
+    truncation fails; is_fusion is set by the constructor that built the
+    ring, never derived from aug.
     """
 
     labels: tuple
     aug: tuple
     table: tuple
     is_fusion: bool
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_ring(self.labels, self.aug, self.table, self.is_fusion)
+        gens = _validate_ring(self.labels, self.aug, self.table, self.is_fusion)
+        object.__setattr__(self, "generators", gens)
 
     @property
     def rank(self) -> int:
@@ -175,10 +178,80 @@ def _validate_ring(labels, aug, table, is_fusion):
                     (i, j),
                     f"sum N*dim = {total}, dims product = {aug[i] * aug[j]}",
                 )
-    # (e_i e_j) e_k = e_i (e_j e_k), summed over the nonzero constants only.
+    gens = _basis_generators(table)
+    if _associativity_witness(table, gens):
+        raise FusionRingError("associativity", _associativity_witness(table, range(r)))
+    return gens
+
+
+def _lattice_insert(basis: dict, v) -> bool:
+    """Put v into the lattice of the echelon rows basis (pivot -> row);
+    True when the lattice grew, that is when v was outside it."""
+    grew = False
+    for p in range(len(v)):
+        a, row = v[p], basis.get(p)
+        if not a:
+            continue
+        if row is None:
+            basis[p] = v
+            return True
+        b = row[p]
+        q, rem = divmod(a, b)
+        if rem:  # replace the pivot by gcd(a, b), unimodularly
+            g, x, y = xgcd(b, a)
+            basis[p] = [x * c + y * e for c, e in zip(row, v)]
+            v = [b // g * e - a // g * c for c, e in zip(row, v)]
+            grew = True
+        else:
+            v = [e - q * c for c, e in zip(row, v)]
+    return grew
+
+
+def _basis_generators(table) -> tuple:
+    """Basis indices S whose left-normed products 1, s, (s s') ... span Z^r.
+
+    S is chosen greedily in index order: s joins when e_s lies outside
+    the span L of the products found so far.  Each product found is
+    multiplied on the right by each index in S and inserted into L's
+    Hermite basis when it falls outside, so by bilinearity L ends closed
+    under right multiplication by S: it is the span of those products.
+    """
+    r = len(table)
+    basis, found, gens, pending = {}, [], [], []
+    for s in range(r):
+        e_s = [int(k == s) for k in range(r)]
+        if not _lattice_insert(basis, e_s):
+            continue
+        if s:  # e_0, the unit, is the empty product
+            gens.append(s)
+            pending += [(v, s) for v in found]
+        found.append(e_s)
+        pending += [(e_s, g) for g in gens]
+        while pending:
+            v, g = pending.pop()
+            prod = [0] * r
+            for i, c in enumerate(v):
+                if c:
+                    for k, n in table[i][g]:
+                        prod[k] += c * n
+            if _lattice_insert(basis, prod):
+                found.append(prod)
+                pending += [(prod, h) for h in gens]
+    return tuple(gens)
+
+
+def _associativity_witness(table, middle):
+    """The first (i, j, k, l), j in middle, where (e_i e_j) e_k and
+    e_i (e_j e_k) differ at l, or None.
+
+    Light's test passes the generators as middle: the a with
+    (x a) y = x (a y) for all x, y form a subring, holding 1 by the unit
+    law, so it is the whole ring once it holds a generating set.
+    """
+    r = len(table)
     for i in range(r):
         row_i = table[i]
-        for j in range(r):
+        for j in middle:
             cell_ij, row_j = row_i[j], table[j]
             for k in range(r):
                 lhs = [0] * r
@@ -190,8 +263,8 @@ def _validate_ring(labels, aug, table, is_fusion):
                     for l, n in row_i[m]:
                         rhs[l] += c * n
                 if lhs != rhs:
-                    l = next(x for x in range(r) if lhs[x] != rhs[x])
-                    raise FusionRingError("associativity", (i, j, k, l))
+                    return i, j, k, next(x for x in range(r) if lhs[x] != rhs[x])
+    return None
 
 
 def multiply(ring, a, b) -> RingElement:
@@ -269,7 +342,10 @@ class IdealLattice:
 
     The basis matrix is kept in row Hermite form; construction verifies
     both the normal form and the ideal-closure property, so any instance
-    in flight is a genuine ideal presented canonically.
+    in flight is a genuine ideal presented canonically.  Closure is
+    checked on the ring's generators: the a with L a in L form a subring
+    of the associative ring, so they are all of it.  Only on failure does
+    every basis element run, to name the first product outside.
     """
 
     ring: object
@@ -284,12 +360,10 @@ class IdealLattice:
             raise InputError("ideal basis is not in Hermite form")
         lattice = Lattice(rows)
         object.__setattr__(self, "lattice", lattice)
-        for i in range(self.ring.rank):
-            ei = tuple(1 if k == i else 0 for k in range(self.ring.rank))
-            for b in rows:
-                prod = self.ring.mul_vec(ei, b)
-                if not lattice.contains(prod):
-                    raise LatticeContainmentError(prod)
+        if _product_outside(self.ring, lattice, self.ring.generators) is not None:
+            raise LatticeContainmentError(
+                _product_outside(self.ring, lattice, range(self.ring.rank))
+            )
 
     @classmethod
     def from_rows(cls, ring, vectors) -> "IdealLattice":
@@ -332,6 +406,17 @@ class IdealLattice:
         for e in self.basis.entries:
             g = gcd(g, e)
         return g
+
+
+def _product_outside(ring, lattice, indices):
+    """The first e_i b outside the lattice, i in indices, b a basis row."""
+    for i in indices:
+        ei = tuple(1 if k == i else 0 for k in range(ring.rank))
+        for b in lattice.rows:
+            prod = ring.mul_vec(ei, b)
+            if not lattice.contains(prod):
+                return prod
+    return None
 
 
 def augmentation_ideal(ring) -> IdealLattice:

@@ -271,19 +271,21 @@ def _hermite_reduce(h, n: int) -> int:
     return r
 
 
+def _hermite_step(d, carry, n):
+    """Row Hermite form of the n-column rows d, the rows carry following."""
+    h = [row + c for row, c in zip(d, carry)]
+    _hermite_reduce(h, n)
+    return [row[:n] for row in h], [row[n:] for row in h]
+
+
 def hnf(A: IntMatrix) -> HnfResult:
     """Row Hermite normal form with a tracked unimodular transform.
 
     The reduction runs on the augmented rows [A | I]; their right-hand
     block ends up as the transform.
     """
-    m, n = A.rows, A.cols
-    h = [list(A.row(i)) + [1 if k == i else 0 for k in range(m)] for i in range(m)]
-    _hermite_reduce(h, n)
-    return HnfResult(
-        IntMatrix.from_rows([row[:n] for row in h], cols=n),
-        IntMatrix.from_rows([row[n:] for row in h], cols=m),
-    )
+    h, t = _hermite_step(A.to_rows(), IntMatrix.identity(A.rows).to_rows(), A.cols)
+    return HnfResult(IntMatrix.from_rows(h, cols=A.cols), IntMatrix.from_rows(t, cols=A.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +299,10 @@ class SnfDecomposition:
 
     The diagonal is nonnegative and each entry divides the next, which
     makes D unique; U and V are deterministic for this implementation but
-    not canonical.
+    not canonical.  Their entries stay small: the rows of U (columns of
+    V) that face zero rows (columns) of D span the left (right) kernel of
+    A and are kept in Hermite form, and every other row (column) is
+    reduced against them.
     """
 
     U: IntMatrix
@@ -305,129 +310,92 @@ class SnfDecomposition:
     V: IntMatrix
 
     def invariant_factors(self) -> tuple:
-        out = []
-        for i in range(min(self.D.rows, self.D.cols)):
-            d = self.D.entry(i, i)
-            if d != 0:
-                out.append(d)
-        return tuple(out)
+        diag = (self.D.entry(i, i) for i in range(min(self.D.rows, self.D.cols)))
+        return tuple(d for d in diag if d)
+
+
+def _is_diagonal(d) -> bool:
+    return all(e == 0 for i, row in enumerate(d) for j, e in enumerate(row) if i != j)
+
+
+def _combine(x, a, y, b) -> list:
+    return [x * p + y * q for p, q in zip(a, b)]
+
+
+def _kernel_reduce(t, rank: int) -> None:
+    """Hermite-reduce the rows t[rank:] and size-reduce t[:rank] against them."""
+    kernel = t[rank:]
+    if not kernel or not kernel[0]:
+        return  # no kernel, or no transform carried
+    _hermite_reduce(kernel, len(kernel[0]))
+    t[rank:] = kernel
+    for row in kernel:
+        p = next(j for j, e in enumerate(row) if e)
+        for other in t[:rank]:
+            q = other[p] // row[p]
+            if q:
+                other[:] = [a - q * b for a, b in zip(other, row)]
+
+
+def _smith(d, n: int, u, vt):
+    """Smith diagonal of the n-column rows d; returns (diagonal, u, vt).
+
+    Row Hermite steps carrying u alternate with column Hermite steps
+    carrying vt (the transpose of V) until d is diagonal, which keeps
+    every entry of d reduced (Kannan and Bachem 1979).  Each step turns
+    the leading entry into a divisor of itself, and once it stops
+    changing its row and column are clear, so the loop ends.  A 2x2 step
+    then turns diag(a, b) into diag(g, ab/g) until each entry divides the
+    next.  Transform rows may be empty lists, and then nothing is carried.
+    """
+    m = len(d)
+    while True:
+        d, u = _hermite_step(d, u, n)
+        if _is_diagonal(d):
+            break
+        dt, vt = _hermite_step([list(col) for col in zip(*d)], vt, m)
+        d = [list(row) for row in zip(*dt)]
+        if _is_diagonal(d):
+            break
+    diag = [d[i][i] for i in range(min(m, n))]
+    rank = sum(1 for e in diag if e)  # Hermite steps leave the nonzeros first
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g, x, y = xgcd(a, b)
+                a1, b1 = a // g, b // g
+                diag[i], diag[j] = g, a1 * b
+                ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+                u[i], u[j] = _combine(x, ui, y, uj), _combine(-b1, ui, a1, uj)
+                vt[i], vt[j] = _combine(1, vi, 1, vj), _combine(-y * b1, vi, x * a1, vj)
+    _kernel_reduce(u, rank)
+    _kernel_reduce(vt, rank)
+    return diag, u, vt
 
 
 def snf(A: IntMatrix) -> SnfDecomposition:
-    """Smith normal form by classical pivoting.
+    """Smith normal form with small unimodular transforms (see _smith).
 
-    The pivot is always a smallest-magnitude nonzero entry of the working
-    submatrix (ties broken by position), which makes the output
-    deterministic.
+    The kernel rows of U and kernel columns of V, which U.A.V = D leaves
+    free, are Hermite-reduced and the other rows and columns reduced
+    against them.
     """
     m, n = A.rows, A.cols
-    d = A.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-
-    def row_swap(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_sub(i, k, q):
-        if q:
-            di, dk = d[i], d[k]
-            for c in range(n):
-                di[c] -= q * dk[c]
-            ui, uk = u[i], u[k]
-            for c in range(m):
-                ui[c] -= q * uk[c]
-
-    def row_add(i, k):
-        di, dk = d[i], d[k]
-        for c in range(n):
-            di[c] += dk[c]
-        ui, uk = u[i], u[k]
-        for c in range(m):
-            ui[c] += uk[c]
-
-    def col_swap(j, k):
-        for row in d:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def col_sub(j, k, q):
-        if q:
-            for row in d:
-                row[j] -= q * row[k]
-            for row in v:
-                row[j] -= q * row[k]
-
-    def select_pivot(t):
-        best = None
-        for i in range(t, m):
-            di = d[i]
-            for j in range(t, n):
-                e = di[j]
-                if e != 0:
-                    key = (abs(e), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    while t < m and t < n:
-        piv = select_pivot(t)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    row_sub(i, t, d[i][t] // d[t][t])
-                    if d[i][t]:
-                        # remainder is strictly smaller: promote it
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    col_sub(j, t, d[t][j] // d[t][t])
-                    if d[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot row and column are clear; enforce divisibility
-            wit = None
-            pt = d[t][t]
-            for i in range(t + 1, m):
-                di = d[i]
-                for j in range(t + 1, n):
-                    if di[j] % pt:
-                        wit = i
-                        break
-                if wit is not None:
-                    break
-            if wit is None:
-                break
-            row_add(t, wit)
-        t += 1
-
-    for i in range(min(m, n)):
-        if d[i][i] < 0:
-            for c in range(n):
-                d[i][c] = -d[i][c]
-            for c in range(m):
-                u[i][c] = -u[i][c]
-
+    diag, u, vt = _smith(
+        A.to_rows(), n, IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
+    )
     return SnfDecomposition(
         IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(d, cols=n),
-        IntMatrix.from_rows(v, cols=n),
+        IntMatrix.diagonal(diag, m, n),
+        IntMatrix.from_rows(vt, cols=n).transpose(),
     )
+
+
+def invariant_factors(A: IntMatrix) -> tuple:
+    """The nonzero diagonal of the Smith form of A, with no transform."""
+    diag = _smith(A.to_rows(), A.cols, [[]] * A.rows, [[]] * A.cols)[0]
+    return tuple(e for e in diag if e)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +436,7 @@ def smith_invariants(sparse_rows):
     and, within it, the unit entry whose column is shortest, so the rows
     stay sparse.  Each such pivot is an invariant factor 1 and takes its
     row and column out.  Rows left with no unit entry form a small dense
-    block whose invariant factors come from snf.
+    block whose invariant factors come from invariant_factors.
     """
     rows = [{j: e for j, e in r.items() if e} for r in sparse_rows]
     where = {}  # column -> indices of the live rows with an entry there
@@ -518,7 +486,7 @@ def smith_invariants(sparse_rows):
     block = IntMatrix.from_rows(
         [[rows[i].get(j, 0) for j in used] for i in left], cols=len(used)
     )
-    factors = snf(block).invariant_factors()
+    factors = invariant_factors(block)
     return rank + len(factors), tuple(d for d in factors if d > 1)
 
 

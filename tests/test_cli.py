@@ -6,12 +6,16 @@ console entry point uses the same function.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 import equik.cli as cli
 from equik.cli import main
+from equik.intmat import load_matrix, matrix_from_json_dict
 from equik.reports import CONSTRUCTIONS, report_from_json_dict, validate
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -107,6 +111,58 @@ def test_rep_ideal_powers_with_huge_max_power_fails_fast(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
+
+
+def test_rep_ideal_powers_on_a_zero_ideal_with_huge_max_power_fails_fast(capsys):
+    # z1's augmentation ideal is zero, so no product cap applies; the
+    # levels past the first zero power are capped on their own.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "rep", "ideal-powers", "z1", "--max-power", "1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: max power cap exceeded (200000 levels)\n"
+
+
+def test_rep_ideal_powers_zero_tail(capsys):
+    code, out, _ = run(capsys, "rep", "ideal-powers", "circle:2", "--max-power", "4")
+    assert code == 0
+    assert out == "I^0/I^1: Z\nI^1/I^2: Z\nI^2/I^3: 0\nI^3/I^4: 0\n"
+    code, out, _ = run(capsys, "rep", "ideal-powers", "z1", "--max-power", "3", "--json")
+    assert code == 0
+    groups = [q["group"] for q in json.loads(out)["quotients"]]
+    assert groups == [{"free_rank": "1", "torsion": []}] + [
+        {"free_rank": "0", "torsion": []}
+    ] * 2
+
+
+def test_snf_blowup_matrix_has_small_transforms(capsys):
+    # Classical pivoting gave this 11x9 matrix transform entries of about
+    # 24k bits, too long to print as decimal strings.
+    path = DATA / "snf_blowup.json"
+    a = load_matrix(path)
+    code, out, _ = run(capsys, "linalg", "snf", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    u, d, v = (matrix_from_json_dict(payload[key]) for key in ("U", "D", "V"))
+    assert u.mul(a).mul(v) == d
+    assert abs(u.det()) == abs(v.det()) == 1
+    assert d.to_rows() == [[int(i == j) for j in range(9)] for i in range(11)]
+    assert payload["invariant_factors"] == ["1"] * 9
+    assert max(abs(e).bit_length() for e in u.entries + v.entries) <= 64
+    code, out, _ = run(capsys, "linalg", "snf", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "invariant factors: " + " ".join(["1"] * 9)
+
+
+def test_snf_text_of_the_readme_matrix(tmp_path, capsys):
+    mfile = tmp_path / "matrix.json"
+    mfile.write_text(json.dumps(
+        {"rows": "2", "cols": "3", "entries": ["2", "4", "4", "6", "6", "12"]}
+    ))
+    code, out, _ = run(capsys, "linalg", "snf", str(mfile))
+    assert code == 0
+    assert out == "invariant factors: 2 6\nD:\n2 0 0\n0 6 0\n"
 
 
 def test_determinism_byte_identical(capsys):

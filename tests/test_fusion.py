@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import equik.fusion as fusion
 from equik.abgroups import FgAbelianGroup
 from equik.errors import (
     CapExceededError,
@@ -45,7 +46,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, hnf
+from equik.intmat import IntMatrix, hermite_rows, hnf
 
 DATA = Path(__file__).parent / "data"
 
@@ -638,3 +639,180 @@ def test_sparse_axiom_check_names_the_same_associativity_witness():
     got = axiom_outcome(fusion_from_dense, table)
     assert got == axiom_outcome(dense_fusion_check, table)
     assert got[0] == "associativity"
+
+
+def validation_outcome(labels, aug, table, is_fusion, exhaustive=False):
+    """(axiom, indices) of the first failed ring check, or None.
+
+    With exhaustive set, associativity is checked on every triple, as
+    before Light's test: every basis index is passed as a generator.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if exhaustive:
+            mp.setattr(fusion, "_basis_generators", lambda table: tuple(range(len(table))))
+        try:
+            BasedRing(labels, aug, table, is_fusion)
+        except FusionRingError as err:
+            return err.axiom, err.indices
+    return None
+
+
+@given(perturbed_tables())
+@settings(max_examples=300, deadline=None)
+def test_light_test_agrees_with_exhaustive_scan_on_perturbed_tables(table):
+    labels, dims, dense = table
+    sparse = tuple(
+        tuple(tuple((k, n) for k, n in enumerate(cell) if n) for cell in plane)
+        for plane in dense
+    )
+    fast = validation_outcome(labels, dims, sparse, True)
+    assert fast == validation_outcome(labels, dims, sparse, True, exhaustive=True)
+
+
+def product_rings_up_to_30():
+    """Circle truncations and products up to rank 30, built once, by name."""
+    c, z = circle_truncation, cyclic_ring
+    return {
+        **{f"circle:{n}": c(n) for n in (1, 2, 5, 12, 30)},
+        "circle:3 x z3": ring_product(c(3), z(3)),
+        "circle:5 x z5": ring_product(c(5), z(5)),
+        "circle:4 x z2xz3": ring_product(c(4), ring_from_tag("z2xz3")),
+        "circle:3 x z3xz3": ring_product(c(3), ring_from_tag("z3xz3")),
+        "s3 x z2 x circle:2": ring_product(s3_ring(), ring_product(z(2), c(2))),
+        "circle:3 x circle:3": ring_product(c(3), c(3)),
+        "z2xz3xz5": ring_from_tag("z2xz3xz5"),
+        "reg x circle:3 x z2": ring_product(
+            regular_class_ring(), ring_product(c(3), z(2))
+        ),
+    }
+
+
+PRODUCT_RINGS = product_rings_up_to_30()
+
+
+@st.composite
+def perturbed_sparse_rings(draw):
+    """(labels, aug, table, is_fusion) of a product ring with a few cells edited.
+
+    Each edit moves one unit of a cell (and, mostly, its mirror cell)
+    to an output of the same augmentation, which keeps every axiom but
+    associativity; a few edits move it anywhere.
+    """
+    ring = PRODUCT_RINGS[draw(st.sampled_from(sorted(PRODUCT_RINGS)))]
+    r = ring.rank
+    table = [[dict(cell) for cell in row] for row in ring.table]
+    for _ in range(draw(st.integers(0, 2)) if r > 1 else 0):
+        i, j = draw(st.integers(1, r - 1)), draw(st.integers(1, r - 1))
+        cell = table[i][j]
+        k = draw(st.sampled_from(sorted(cell) or [0]))
+        same = [x for x in range(r) if ring.aug[x] == ring.aug[k]]
+        k2 = draw(st.sampled_from(same) if draw(st.integers(0, 4)) else st.integers(0, r - 1))
+        for a, b in {(i, j), (j, i)} if draw(st.integers(0, 3)) else {(i, j)}:
+            table[a][b][k] = table[a][b].get(k, 0) - 1
+            table[a][b][k2] = table[a][b].get(k2, 0) + 1
+    sparse = tuple(
+        tuple(tuple((k, n) for k, n in sorted(cell.items()) if n) for cell in row)
+        for row in table
+    )
+    return ring.labels, ring.aug, sparse, ring.is_fusion
+
+
+@given(perturbed_sparse_rings())
+@settings(max_examples=80, deadline=None)
+def test_light_test_agrees_with_exhaustive_scan_on_products(ring):
+    assert validation_outcome(*ring) == validation_outcome(*ring, exhaustive=True)
+
+
+def left_normed_span(ring):
+    """Hermite rows of the span of 1, e_s, (e_s e_t), ... for s, t, ... in
+    ring.generators, grown one product length at a time until it stops."""
+    units = [tuple(1 if k == s else 0 for k in range(ring.rank)) for s in ring.generators]
+    frontier = {ring.one_vec()}
+    span = hermite_rows(frontier, ring.rank)
+    while True:
+        frontier = {ring.mul_vec(m, e) for m in frontier for e in units}
+        grown = hermite_rows(span + tuple(sorted(frontier)), ring.rank)
+        if grown == span:
+            return span
+        span = grown
+
+
+def divided_square_ring():
+    """Basis 1, a, b with a * a = 2b: the powers of a span only 2b."""
+    cells = (((0, 1),), ((1, 1),), ((2, 1),)), (((1, 1),), ((2, 2),), ()), (((2, 1),), (), ())
+    return BasedRing(("1", "a", "b"), (1, 0, 0), cells, is_fusion=False)
+
+
+SPAN_RINGS = {
+    "divided square": divided_square_ring(),
+    **{f"z{n}": cyclic_ring(n) for n in (1, 2, 6)},
+    "s3": s3_ring(),
+    "reg": regular_class_ring(),
+    "reg x reg": ring_product(regular_class_ring(), regular_class_ring()),
+    **PRODUCT_RINGS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_RINGS))
+def test_basis_generators_span_the_ring(name):
+    ring = SPAN_RINGS[name]
+    identity = tuple(ring.basis_mul(0, i) for i in range(ring.rank))
+    assert left_normed_span(ring) == identity
+
+
+def test_cyclic_rings_and_circle_truncations_are_generated_by_one_index():
+    for n in range(2, 9):
+        assert cyclic_ring(n).generators == (1,)
+        assert circle_truncation(n).generators == (1,)
+    assert cyclic_ring(1).generators == circle_truncation(1).generators == ()
+    assert ring_from_tag("z2xz3").generators == (1, 3)
+    # b is outside the span of 1, a and a * a = 2b, so it joins too
+    assert divided_square_ring().generators == (1, 2)
+
+
+IDEAL_RINGS = {
+    "divided square": divided_square_ring,
+    "z4": lambda: cyclic_ring(4),
+    "z6": lambda: cyclic_ring(6),
+    "s3": s3_ring,
+    "circle:5": lambda: circle_truncation(5),
+    "z2xz3": lambda: ring_from_tag("z2xz3"),
+    "s3 x z2": lambda: ring_product(s3_ring(), cyclic_ring(2)),
+    "circle:3 x z2": lambda: ring_product(circle_truncation(3), cyclic_ring(2)),
+    "reg x reg": lambda: ring_product(regular_class_ring(), regular_class_ring()),
+}
+
+
+def full_closure_outcome(ring, rows):
+    """The old check: every e_i b, in order, tested by one more reduction."""
+    for i in range(ring.rank):
+        ei = tuple(1 if k == i else 0 for k in range(ring.rank))
+        for b in rows:
+            prod = ring.mul_vec(ei, b)
+            if hermite_rows(rows + (prod,), ring.rank) != rows:
+                return prod
+    return None
+
+
+@given(
+    name=st.sampled_from(sorted(IDEAL_RINGS)),
+    close=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_generator_closure_agrees_with_full_closure(name, close, data):
+    ring = IDEAL_RINGS[name]()
+    vector = st.lists(st.integers(-3, 3), min_size=ring.rank, max_size=ring.rank)
+    vectors = data.draw(st.lists(vector, max_size=3))
+    if close:  # the ideal the vectors generate
+        vectors = [ring.mul_vec(ring.basis_mul(0, i), v) for i in range(ring.rank) for v in vectors]
+    rows = hermite_rows(vectors, ring.rank)
+    want = full_closure_outcome(ring, rows)
+    if want is None:
+        assert IdealLattice.from_hermite_rows(ring, rows).rows() == list(rows)
+    else:
+        with pytest.raises(LatticeContainmentError) as err:
+            IdealLattice.from_hermite_rows(ring, rows)
+        assert err.value.witness == want
+    if close:
+        assert want is None
