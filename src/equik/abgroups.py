@@ -142,9 +142,12 @@ def parse_group_literal(text: str) -> FgAbelianGroup:
                 raise InputError(f"bad free part {part!r}") from None
         elif part.startswith("Z_"):
             try:
-                tors.append(int(part[2:].strip("{}")))
+                order = int(part[2:].strip("{}"))
             except ValueError:
                 raise InputError(f"bad torsion part {part!r}") from None
+            if order < 1:
+                raise InputError(f"cyclic order must be >= 1 in {part!r}")
+            tors.append(order)
         else:
             raise InputError(f"cannot parse group summand {part!r}")
     return FgAbelianGroup(free, _chain(tors))

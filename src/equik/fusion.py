@@ -28,7 +28,7 @@ from .errors import (
     LatticeContainmentError,
     UnsupportedError,
 )
-from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, kernel_basis, xgcd
+from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, xgcd
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -420,10 +420,11 @@ def _product_outside(ring, lattice, indices):
 
 
 def augmentation_ideal(ring) -> IdealLattice:
-    """Kernel of the dimension functional, as a canonical ideal lattice."""
-    col = IntMatrix(ring.rank, 1, tuple(ring.aug))
-    basis = kernel_basis(col)
-    return IdealLattice(ring, basis)
+    """Kernel of the augmentation, as a canonical ideal lattice; since
+    aug[0] = 1, the e_k - aug[k] e_0 for k >= 1 are a basis of it."""
+    r = ring.rank
+    rows = [[-ring.aug[k] if i == 0 else int(i == k) for i in range(r)] for k in range(1, r)]
+    return IdealLattice.from_rows(ring, rows)
 
 
 def _higher_power_rows(ring, gens, cap, last=None):

@@ -506,7 +506,7 @@ def hermite_rows(vectors, width: int) -> tuple:
     """
     rows = []
     for v in vectors:
-        row = [int(e) for e in v]
+        row = list(map(int, v))
         if len(row) != width:
             raise InputError("ragged rows")
         if any(row):

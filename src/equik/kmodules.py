@@ -4,7 +4,8 @@ A RingModule is a finitely presented abelian group together with one
 integer action matrix per ring basis element.  Construction re-checks
 the module axioms (unit, commutation, compatibility with the structure
 constants, invariance of the relation lattice), so anything that exists
-is a genuine module presentation.
+is a genuine module presentation.  They are checked on the ring's
+generators; every index runs only on failure, to name the axiom.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class RingModule:
 
     Each action matrix is given as sparse rows, one {column: entry} map
     per generator with zeros omitted, as in intmat.SparseMatrix; the
-    axioms are checked on those rows.
+    axioms are checked on those rows for the ring's generators (all on failure).
     """
 
     def __init__(self, ring, generators: int, relations: IntMatrix, action):
@@ -69,33 +70,27 @@ class RingModule:
         )
         self._validate()
 
-    def _vanishes(self, m, n) -> bool:
-        """Whether every row of m - n lies in the relations; equal rows are skipped."""
-        g = self.generators
-        for x, y in zip(m, n):
-            if x != y:
-                if not self.lattice.contains([x.get(j, 0) - y.get(j, 0) for j in range(g)]):
-                    return False
-        return True
-
     def _validate(self):
-        act = self.action
-        g = self.generators
-        if not self._vanishes(act[0], tuple({a: 1} for a in range(g))):
+        act, lattice = self.action, self.lattice
+        if _axioms_hold_on_generators(self.ring, lattice, act):
+            return
+        g = self.generators  # a failure: scan every index for the first one
+        if not _vanishes(lattice, act[0], tuple({a: 1} for a in range(g))):
             raise ModuleInvariantError("unit acts as identity", (0,))
         r = self.ring.rank
         for i in range(r):
             for j in range(i, r):
                 pij = _mat_mul(act[i], act[j])
                 pji = pij if i == j else _mat_mul(act[j], act[i])
-                if not self._vanishes(pij, pji):
+                if not _vanishes(lattice, pij, pji):
                     raise ModuleInvariantError("actions commute", (i, j))
-                if not self._vanishes(pij, _combine(self.ring.table[i][j], act, g)):
+                if not _vanishes(lattice, pij, _combine(self.ring.table[i][j], act, g)):
                     raise ModuleInvariantError("fusion compatibility", (i, j))
         for i in range(r):
-            for row in self.lattice.rows:
-                if not self.lattice.contains(_vec_mat(row, act[i])):
+            for row in lattice.rows:
+                if not lattice.contains(_vec_mat(row, act[i])):
                     raise ModuleInvariantError("relations are invariant", (i,))
+        raise EquikError("module axioms fail on the generators but hold at every index")
 
     # -- queries ----------------------------------------------------------
 
@@ -136,6 +131,34 @@ class RingModule:
 
 # Sparse matrices here are sequences of {column: entry} rows.  The rows
 # these helpers build omit zeros, so equal products compare equal as dicts.
+
+
+def _vanishes(lattice, m, n) -> bool:
+    """Whether every row of m - n lies in the lattice; equal rows are skipped."""
+    g = len(m)
+    for x, y in zip(m, n):
+        if x != y and not lattice.contains([x.get(j, 0) - y.get(j, 0) for j in range(g)]):
+            return False
+    return True
+
+
+def _axioms_hold_on_generators(ring, lattice, act) -> bool:
+    """The unit law, L act[s] in L and act[s] act[j] = sum N_sj^k act[k] mod L
+    for s in the ring's generators S and every j, which imply every axiom:
+    with A(b) = sum b_k act[k], the b with L A(b) in L hold 1 and are closed
+    under each e_s, so they are all of Z^r; the a with A(a) A(b) = A(ab) mod L
+    for all b form a subring of the associative, commutative ring holding S."""
+    g = len(act[0])
+    if not _vanishes(lattice, act[0], tuple({a: 1} for a in range(g))):
+        return False
+    for s in ring.generators:
+        if not all(lattice.contains(_vec_mat(row, act[s])) for row in lattice.rows):
+            return False
+        for j in range(ring.rank):
+            product = _mat_mul(act[s], act[j])
+            if not _vanishes(lattice, product, _combine(ring.table[s][j], act, g)):
+                return False
+    return True
 
 
 def _mat_mul(a, b) -> tuple:

@@ -381,9 +381,13 @@ def tensor_rule(rule: str, b1, b2) -> DimBound:
 
     'sum' adds the uppers, 'min' takes the smaller, 'absorb' requires the
     second bound to be 0 and keeps the first upper.  The output lower is
-    always 0: lower bounds never propagate through tensor products.
+    always 0: lower bounds never propagate through tensor products.  Each
+    input needs 0 <= lower <= upper.
     """
     b1, b2 = _as_bound(b1), _as_bound(b2)
+    for b in (b1, b2):
+        if b.lower < 0 or not upper_le(b.lower, b.upper):
+            raise InputError(f"incoherent input bound: lower {b.lower}, upper {b.upper}")
     inputs = ((b1.lower, b1.upper), (b2.lower, b2.upper))
     if rule == "sum":
         upper = upper_add(b1.upper, b2.upper)

@@ -279,6 +279,54 @@ def test_tensor_rule_cli(capsys):
     assert code == 2
 
 
+# (rule, l1, u1, l2, u2, the upper these inputs used to give): an input
+# bound needs 0 <= lower <= upper.
+INCOHERENT_RULE_INPUTS = (
+    ("sum", "1", "3", "2", "-1", "2"),
+    ("sum", "-1", "3", "2", "5", "8"),
+    ("min", "4", "2", "0", "0", "0"),
+)
+
+
+@pytest.mark.parametrize("case", INCOHERENT_RULE_INPUTS, ids=" ".join)
+def test_tensor_rule_rejects_incoherent_input_bounds(case, capsys):
+    code, out, err = run(capsys, "rokhlin", "tensor-rule", *case[:5])
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("case", INCOHERENT_RULE_INPUTS, ids=" ".join)
+def test_validate_rejects_a_rule_report_with_incoherent_inputs(case, tmp_path, capsys):
+    rule, l1, u1, l2, u2, upper = case
+    # A coherent report edited into the one these inputs used to build.
+    code, out, _ = run(capsys, "rokhlin", "tensor-rule", rule, "0", "7", "0", "9", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["upper"] = upper
+    doc["certificates"][0]["inputs"] = [
+        {"lower": l1, "upper": u1},
+        {"lower": l2, "upper": u2},
+    ]
+    rfile = tmp_path / "report.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("tensor", "Z_0", "Z_4"), ("tor", "Z_-4", "Z_4"), ("tensor", "Z_4", "Z^2 + Z_0")]
+)
+def test_group_literal_with_cyclic_order_below_one_exits_2(argv, capsys):
+    code, out, err = run(capsys, "group", *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+def test_group_literal_of_order_one_is_trivial(capsys):
+    code, out, _ = run(capsys, "group", "tensor", "Z_1", "Z_4")
+    assert (code, out) == (0, "0\n")
+
+
 def test_z6_collapse_text(capsys):
     code, out, _ = run(capsys, "rokhlin", "z6-collapse", "1")
     assert code == 0

@@ -46,7 +46,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, hermite_rows, hnf
+from equik.intmat import IntMatrix, hermite_rows, hnf, kernel_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -397,14 +397,22 @@ def test_sparse_mul_vec_matches_dense_oracle(name, data):
     assert ring.mul_vec(a, b) == dense_mul_vec(factors, a, b)
 
 
+def kernel_augmentation_ideal(ring):
+    """The augmentation ideal as the kernel of the aug column, by
+    kernel_basis: the construction augmentation_ideal replaced."""
+    return IdealLattice(ring, kernel_basis(IntMatrix(ring.rank, 1, tuple(ring.aug))))
+
+
 def per_power_oracle(ring, n, cap):
     """I^n rebuilt on its own: products of generators, then hnf(...).H.
 
-    Raises CapExceededError when more than cap products would be formed.
+    The generators come from kernel_augmentation_ideal, so the oracle
+    shares no code with augmentation_ideal.  Raises CapExceededError when
+    more than cap products would be formed.
     """
     if n == 0:
         return [tuple(int(k == i) for k in range(ring.rank)) for i in range(ring.rank)]
-    gens = augmentation_ideal(ring).rows()
+    gens = kernel_augmentation_ideal(ring).rows()
     basis, produced = gens, 0
     for _ in range(n - 1):
         if not basis:
@@ -425,6 +433,23 @@ FILTRATION_RINGS = {
     **{f"circle:{n}": lambda n=n: circle_truncation(n) for n in range(1, 6)},
     "circle:3 x z2": lambda: ring_product(circle_truncation(3), cyclic_ring(2)),
 }
+
+
+AUGMENTATION_RINGS = {
+    **FILTRATION_RINGS,
+    "s3": s3_ring,
+    "reg": regular_class_ring,
+    "s3 x z3": lambda: ring_product(s3_ring(), cyclic_ring(3)),
+    "circle:9 x z3xz3": lambda: ring_product(circle_truncation(9), ring_from_tag("z3xz3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUGMENTATION_RINGS))
+def test_augmentation_ideal_matches_kernel_basis_oracle(name):
+    ring = AUGMENTATION_RINGS[name]()
+    got = augmentation_ideal(ring)
+    assert got.basis == kernel_augmentation_ideal(ring).basis
+    assert got.rank == ring.rank - 1
 
 
 @pytest.mark.parametrize("name", sorted(FILTRATION_RINGS))

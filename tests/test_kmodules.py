@@ -1,7 +1,8 @@
 """Module layer tests: presentations, images, Kunneth pieces, stability.
 
 The dense module-axiom check that the sparse one replaced stays here as
-its oracle.
+the oracle for both the check on the ring's generators and the full
+scan that names a failure.
 """
 
 from functools import lru_cache
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equik import kmodules
 from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, tensor, tor
-from equik.errors import InputError
+from equik.errors import EquikError, InputError
 from equik.fusion import (
     circle_truncation,
     cyclic_ring,
@@ -20,7 +22,7 @@ from equik.fusion import (
     ideal_power,
     ring_from_tag,
 )
-from equik.intmat import IntMatrix, hermite_rows, hermite_solve
+from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve
 from equik.kmodules import (
     GradedModulePair,
     ModelDescriptor,
@@ -108,6 +110,14 @@ def dense_module_check(ring, g, relations, action):
             if not vanishes(moved):
                 return "relations are invariant", (i,)
     return None
+
+
+def generator_check(ring, g, relations, action) -> bool:
+    """The check on the ring's generators alone, without the full scan."""
+    lattice = Lattice.span((relations.row(i) for i in range(relations.rows)), g)
+    return kmodules._axioms_hold_on_generators(
+        ring, lattice, tuple(sparse(m) for m in action)
+    )
 
 
 def sparse_module_check(ring, g, relations, action):
@@ -423,3 +433,104 @@ def test_sparse_module_check_matches_dense_oracle(data):
         relations = IntMatrix(relations.rows, g, tuple(ent))
     want = dense_module_check(ring, g, relations, action)
     assert sparse_module_check(ring, g, relations, action) == want
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_generator_check_matches_dense_oracle(data):
+    # The same perturbations as above: the generator check alone must pass
+    # exactly when every axiom holds, and the module must then raise the
+    # oracle's first failure.
+    pool = oracle_modules()
+    _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
+    g, ring = mod.generators, mod.ring
+    action = [dense(rows, g) for rows in mod.action]
+    relations = mod.relations
+    delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
+    if g and data.draw(st.booleans(), label="perturb action"):
+        k = data.draw(st.integers(0, ring.rank - 1), label="k")
+        idx = data.draw(st.integers(0, g * g - 1), label="entry")
+        ent = list(action[k].entries)
+        ent[idx] += delta
+        action[k] = IntMatrix(g, g, tuple(ent))
+    elif relations.rows:
+        idx = data.draw(st.integers(0, len(relations.entries) - 1), label="entry")
+        ent = list(relations.entries)
+        ent[idx] += delta
+        relations = IntMatrix(relations.rows, g, tuple(ent))
+    want = dense_module_check(ring, g, relations, action)
+    assert generator_check(ring, g, relations, action) == (want is None)
+    assert sparse_module_check(ring, g, relations, action) == want
+
+
+def outside_generators(mod):
+    """(k, action with one entry of act[k] moved) for each k not in S."""
+    g, ring = mod.generators, mod.ring
+    action = [dense(rows, g) for rows in mod.action]
+    for k in range(ring.rank):
+        if k in ring.generators:
+            continue
+        for idx in range(g * g):
+            for delta in (-1, 1):
+                ent = list(action[k].entries)
+                ent[idx] += delta
+                moved = list(action)
+                moved[k] = IntMatrix(g, g, tuple(ent))
+                yield k, moved
+
+
+@pytest.mark.parametrize(
+    "mod",
+    [
+        truncated_ring_module(cyclic_ring(3), 2),
+        truncated_ring_module(cyclic_ring(4), 3),
+        truncated_ring_module(circle_truncation(4), 4),
+        truncated_ring_module(ring_from_tag("z2xz3"), 2),
+    ],
+    ids=["z3 mod I^2", "z4 mod I^3", "circle:4", "z2xz3 mod I^2"],
+)
+def test_generator_check_sees_actions_outside_the_generators(mod):
+    # Only act[k] for a k outside S moves, so the fault shows only in the
+    # products act[s] act[k], never in act[s] alone.
+    g, ring, relations = mod.generators, mod.ring, mod.relations
+    assert ring.generators and ring.rank > len(ring.generators) + 1
+    cases = 0
+    for k, action in outside_generators(mod):
+        want = dense_module_check(ring, g, relations, action)
+        if want is None:  # the entry moved inside the relations
+            continue
+        cases += 1
+        assert not generator_check(ring, g, relations, action), (k, want)
+        assert sparse_module_check(ring, g, relations, action) == want
+    assert cases
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generator_check_reaches_the_last_index(n):
+    # act[k] = 2^k on Z: each act[1] act[j] matches the table except the
+    # last, 2^n, where the table asks for act[0] = 1.
+    ring = cyclic_ring(n)
+    action = tuple(IntMatrix.from_rows([(2**k,)], cols=1) for k in range(n))
+    rel = IntMatrix.zeros(0, 1)
+    assert dense_module_check(ring, 1, rel, action) == ("fusion compatibility", (1, n - 1))
+    assert not generator_check(ring, 1, rel, action)
+
+
+def test_generator_check_sees_relations_moved_by_a_generator():
+    # chi swaps the generators: every product axiom holds, and only the
+    # relations <(2, 0)> fail to be invariant under chi, a generator.
+    r = cyclic_ring(2)
+    rel = IntMatrix.from_rows([(2, 0)], cols=2)
+    swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
+    action = (IntMatrix.identity(2), swap)
+    assert dense_module_check(r, 2, rel, action) == ("relations are invariant", (1,))
+    assert not generator_check(r, 2, rel, action)
+
+
+def test_full_scan_that_finds_nothing_raises(monkeypatch):
+    # The scan runs only after the generator check failed, so a scan that
+    # passes is an internal fault, never a silent success.
+    monkeypatch.setattr(kmodules, "_axioms_hold_on_generators", lambda *args: False)
+    with pytest.raises(EquikError) as err:
+        truncated_ring_module(cyclic_ring(3), 2)
+    assert not isinstance(err.value, ModuleInvariantError)
