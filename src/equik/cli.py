@@ -35,6 +35,7 @@ from .joins import (
     build_join_complex,
     join_k_theory_formula,
     mayer_vietoris_delta,
+    oracle_feasible,
     reduced_homology,
 )
 from .kmodules import ModelDescriptor, max_nonvanishing_power
@@ -178,13 +179,10 @@ def _cmd_rep_regular(args):
     return payload, lines, 0
 
 
-_ORACLE_FACE_LIMIT = 2000
-
-
 def _cmd_join_ktheory(args):
     k0, k1 = join_k_theory_formula(args.n, args.k)
     payload = {"n": str(args.n), "k": str(args.k), "k0_rank": str(k0), "k1_rank": str(k1)}
-    if (args.n + 1) ** args.k - 1 <= _ORACLE_FACE_LIMIT:
+    if oracle_feasible(args.n, args.k):
         from .joins import oracle_consistency
 
         check = oracle_consistency(args.n, args.k)

@@ -110,6 +110,16 @@ class JoinComplex:
         )
 
 
+def oracle_feasible(n: int, k: int) -> bool:
+    """Is the k-fold join of n points, with (n+1)^k - 1 faces, at most 2000 faces?
+
+    This is the size up to which its homology is computed as an oracle.
+    For n >= 1 the count passes 2000 once k >= 11, so a larger k is
+    refused before the power is formed.
+    """
+    return k < 11 and (n + 1) ** k - 1 <= 2000
+
+
 def build_join_complex(n: int, k: int) -> JoinComplex:
     if n < 1 or k < 1:
         raise InputError("join complex needs n >= 1 and k >= 1")

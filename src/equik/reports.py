@@ -6,7 +6,9 @@ K-theory model that comes out nonzero (optionally stable under the
 connecting multiplier).  Upper certificates are structural: a join
 factor count, a combination rule, or an index value.  CONSTRUCTIONS
 names every construction; validate() rebuilds a report from its name
-and parameters and accepts it only if the rebuild is identical.
+and parameters and accepts it only if the rebuild is identical.  Each
+certificate kind has one check, called by its builder and by
+validate_bound alike: _annihilator_image, _index_dimension, _rule_upper.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .fusion import (
     regular_dimension,
     ring_from_tag,
 )
-from .joins import build_join_complex, reduced_homology
+from .joins import build_join_complex, oracle_feasible, reduced_homology
 from .kmodules import (
     ModelDescriptor,
     circle_model,
@@ -252,34 +254,43 @@ class ExistenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _full_power_witness(ring: str, model: ModelDescriptor, module, power: int, stability=None):
-    """Witness for the full power of ring's ideal on module, an instance of model."""
-    image = ideal_image(ideal_power(module.ring, power), module)
+def _annihilator_image(model: ModelDescriptor, scope: str, power: int, stability, module=None):
+    """The certified image of an ideal power on model: what an AnnihilatorWitness states.
+
+    scope 'full' acts by the power-th power of the augmentation ideal of
+    the model's ring; 'left-factor' acts by (I(left) x right)^power on a
+    tensor model left x right.  module is model's instance when the
+    caller already has one.  Raises InputError when the image is zero or
+    the stability check fails.
+    """
+    if module is None:
+        module = model.instantiate()
+    if scope == "full":
+        lattice = ideal_power(module.ring, power)
+    elif scope == "left-factor" and model.kind == "tensor":
+        lattice = factor_ideal_power(module.ring, model.left.ring_of(), power)
+    else:
+        raise InputError(f"no {scope!r} ideal power on {model.render()}")
+    image = ideal_image(lattice, module)
     if image.is_trivial:
         raise InputError(
             f"ideal power {power} acts trivially on {model.render()}; no witness"
         )
-    if stability is not None:
-        ok = element_stable_nonvanishing(
-            module, stability.element, power, stability.multiplier
-        )
-        if not ok:
-            raise InputError("stability check failed for the requested witness")
-    return AnnihilatorWitness(ring, power, model, "full", image, stability)
+    if stability is not None and not element_stable_nonvanishing(
+        module, stability.element, power, stability.multiplier
+    ):
+        raise InputError("stability check failed for the requested witness")
+    return image
 
 
-def _factor_power_witness(ring: str, model: ModelDescriptor, power: int, multiplier: int):
-    """Witness for (I(left) x right)^power on the tensor model left x right."""
+def _annihilator_witness(ring: str, model, scope: str, power: int, multiplier=None):
+    """Witness for an ideal power on model; a multiplier asks the unit class to be stable."""
     module = model.instantiate()
-    lattice = factor_ideal_power(module.ring, model.left.ring_of(), power)
-    image = ideal_image(lattice, module)
-    if image.is_trivial:
-        raise InputError("factor ideal power acts trivially; no witness")
-    unit = tuple(1 if i == 0 else 0 for i in range(module.generators))
-    stability = Stability(multiplier, unit)
-    if not element_stable_nonvanishing(module, unit, power, multiplier):
-        raise InputError("stability check failed for the factor witness")
-    return AnnihilatorWitness(ring, power, model, "left-factor", image, stability)
+    stability = None
+    if multiplier is not None:
+        stability = Stability(multiplier, tuple(int(i == 0) for i in range(module.generators)))
+    image = _annihilator_image(model, scope, power, stability, module)
+    return AnnihilatorWitness(ring, power, model, scope, image, stability)
 
 
 def z2_af_bounds(m: int) -> BoundReport:
@@ -287,7 +298,7 @@ def z2_af_bounds(m: int) -> BoundReport:
     if m < 1:
         raise InputError("z2 construction needs m >= 1")
     model = trunc_z2_model(m + 1)
-    witness = _full_power_witness("z2", model, model.instantiate(), m)
+    witness = _annihilator_witness("z2", model, "full", m)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "z2-af",
@@ -302,10 +313,7 @@ def circle_ah_dimension(d: int) -> BoundReport:
     if d < 0:
         raise InputError("circle construction needs d >= 0")
     model = circle_model(d + 1)
-    module = model.instantiate()
-    unit = tuple(1 if i == 0 else 0 for i in range(module.generators))
-    stability = Stability(2, unit)
-    witness = _full_power_witness(f"circle:{d + 1}", model, module, d, stability)
+    witness = _annihilator_witness(f"circle:{d + 1}", model, "full", d, 2)
     bound = DimBound(d, d, witness, JoinFactorWitness(d + 1))
     return BoundReport(
         "circle-ah",
@@ -333,7 +341,7 @@ def product_z2_bounds(m: int, group: str) -> BoundReport:
             "so only odd-order factors are admitted"
         )
     model = tensor_model(trunc_model("z2", m + 1), trunc_model(group, 1))
-    witness = _factor_power_witness(f"z2x{group}", model, m, order)
+    witness = _annihilator_witness(f"z2x{group}", model, "left-factor", m, order)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "product-z2",
@@ -355,7 +363,7 @@ def circle_product_dimension(d: int, group: str) -> BoundReport:
         raise InputError("circle product needs d >= 0")
     ring_from_tag(group)  # rejects an unknown tag before any model is built
     model = tensor_model(circle_model(d + 1), trunc_model(group, 1))
-    witness = _factor_power_witness(f"prod(circle:{d + 1},{group})", model, d, 2)
+    witness = _annihilator_witness(f"prod(circle:{d + 1},{group})", model, "left-factor", d, 2)
     rule = RuleApplication("absorb", ((d, d), (0, 0)))
     bound = DimBound(d, d, witness, rule)
     return BoundReport(
@@ -376,32 +384,39 @@ def _as_bound(b) -> DimBound:
     raise InputError("expected a DimBound or a report carrying one")
 
 
-def tensor_rule(rule: str, b1, b2) -> DimBound:
-    """Combine two bounds; only the upper bound propagates.
+def _rule_upper(rule: str, inputs):
+    """The upper bound a rule gives from two input (lower, upper) pairs.
 
     'sum' adds the uppers, 'min' takes the smaller, 'absorb' requires the
-    second bound to be 0 and keeps the first upper.  The output lower is
-    always 0: lower bounds never propagate through tensor products.  Each
-    input needs 0 <= lower <= upper.
+    second upper to be 0 and keeps the first.  Each input needs
+    0 <= lower <= upper.
+    """
+    if len(inputs) != 2:
+        raise InputError(f"a tensor rule combines two bounds, not {len(inputs)}")
+    for lower, upper in inputs:
+        if lower < 0 or not upper_le(lower, upper):
+            raise InputError(f"incoherent input bound: lower {lower}, upper {upper}")
+    (_, u1), (_, u2) = inputs
+    if rule == "sum":
+        return upper_add(u1, u2)
+    if rule == "min":
+        return upper_min(u1, u2)
+    if rule == "absorb":
+        if is_infinite(u2) or u2 != 0:
+            raise InputError("absorb needs the second factor to have upper bound 0")
+        return u1
+    raise InputError(f"unknown tensor rule {rule!r}")
+
+
+def tensor_rule(rule: str, b1, b2) -> DimBound:
+    """Combine two bounds by _rule_upper; only the upper bound propagates.
+
+    The output lower is always 0: lower bounds never propagate through
+    tensor products.
     """
     b1, b2 = _as_bound(b1), _as_bound(b2)
-    for b in (b1, b2):
-        if b.lower < 0 or not upper_le(b.lower, b.upper):
-            raise InputError(f"incoherent input bound: lower {b.lower}, upper {b.upper}")
     inputs = ((b1.lower, b1.upper), (b2.lower, b2.upper))
-    if rule == "sum":
-        upper = upper_add(b1.upper, b2.upper)
-    elif rule == "min":
-        upper = upper_min(b1.upper, b2.upper)
-    elif rule == "absorb":
-        if is_infinite(b2.upper) or b2.upper != 0:
-            raise InputError(
-                "absorb needs the second factor to have upper bound 0"
-            )
-        upper = b1.upper
-    else:
-        raise InputError(f"unknown tensor rule {rule!r}")
-    return DimBound(0, upper, None, RuleApplication(rule, inputs))
+    return DimBound(0, _rule_upper(rule, inputs), None, RuleApplication(rule, inputs))
 
 
 def rule_report(rule: str, b1, b2) -> BoundReport:
@@ -434,7 +449,7 @@ def z6_collapse_report(d: int) -> CollapseReport:
     factor_one.construction = "z6-collapse-factor"
     factor_one.parameters = {"side": "z2", "m": str(m), "group": "z3"}
     model_two = tensor_model(trunc_model("z3", m + 1), trunc_model("z2", 1))
-    witness_two = _factor_power_witness("z3xz2", model_two, m, 2)
+    witness_two = _annihilator_witness("z3xz2", model_two, "left-factor", m, 2)
     factor_two = BoundReport(
         "z6-collapse-factor",
         {"side": "z3", "m": str(m), "group": "z2"},
@@ -473,19 +488,24 @@ def _commutative_tag_ok(tag: str) -> bool:
     return False
 
 
-def _sphere_check_feasible(copies: int) -> bool:
-    """Total face count of the 2-point join is 3^k - 1; keep it small."""
-    return 3 ** copies <= 1000
+def _index_dimension(group: str, copies: int) -> int:
+    """Dimension k - 1 of the canonical action on the k-fold self-join.
 
-
-def _z2_join_is_sphere(k: int) -> bool:
-    """k-fold join of two points is the (k-1)-sphere; check its homology."""
-    betti = reduced_homology(build_join_complex(2, k))
-    for deg, group in enumerate(betti.groups):
-        expected = FgAbelianGroup(1, ()) if deg == k - 1 else FgAbelianGroup(0, ())
-        if group != expected:
-            return False
-    return True
+    For the order-2 group the join is the (k-1)-sphere, and its homology
+    is checked whenever the join is small enough for the oracle.
+    """
+    if copies < 1:
+        raise InputError("join copies must be >= 1")
+    if not _commutative_tag_ok(group):
+        raise UnsupportedError(
+            f"no commutative join model for group tag {group!r}; "
+            "supported: z<n> and s1"
+        )
+    if group == "z2" and oracle_feasible(2, copies):
+        sphere = tuple(FgAbelianGroup(int(d == copies - 1), ()) for d in range(copies))
+        if reduced_homology(build_join_complex(2, copies)).groups != sphere:
+            raise InputError("sphere cross-check failed for the order-2 join")
+    return copies - 1
 
 
 @dataclass(frozen=True)
@@ -497,17 +517,7 @@ class CommutativeDimension:
 
 def commutative_dimension(group: str, copies: int):
     """Canonical action on the k-fold self-join: dimension k - 1, index k."""
-    if copies < 1:
-        raise InputError("join copies must be >= 1")
-    if not _commutative_tag_ok(group):
-        raise UnsupportedError(
-            f"no commutative join model for group tag {group!r}; "
-            "supported: z<n> and s1"
-        )
-    if group == "z2" and _sphere_check_feasible(copies):
-        if not _z2_join_is_sphere(copies):
-            raise InputError("sphere cross-check failed for the order-2 join")
-    dim = copies - 1
+    dim = _index_dimension(group, copies)
     witness = IndexWitness(group, copies, copies)
     bound = DimBound(dim, dim, witness, witness)
     report = BoundReport(
@@ -529,11 +539,7 @@ def finite_af_bounds(group, n: int):
     """
     if n < 1:
         raise InputError("finite construction needs n >= 1")
-    ring = ring_from_tag(group) if isinstance(group, str) else group
-    if not ring.is_fusion:
-        raise InputError("finite construction needs a fusion ring")
-    tag = group if isinstance(group, str) else "custom"
-    if ring == cyclic_ring(2):
+    if ring_from_tag(group) == cyclic_ring(2):
         inner = z2_af_bounds(n + 1)
         return BoundReport(
             "finite-af",
@@ -543,10 +549,10 @@ def finite_af_bounds(group, n: int):
         )
     return ExistenceReport(
         "finite-af",
-        {"group": tag, "n": str(n)},
+        {"group": group, "n": str(n)},
         (
             f"dimension is finite and exceeds {n}, but no effective join model "
-            f"is built in for {tag!r}; only the order-2 group has one"
+            f"is built in for {group!r}; only the order-2 group has one"
         ),
         _cite("finiteness-only"),
     )
@@ -663,92 +669,46 @@ CONSTRUCTIONS = {
 # ---------------------------------------------------------------------------
 
 
-def _check_annihilator(cert: AnnihilatorWitness) -> bool:
-    try:
-        module = cert.model.instantiate()
-        if cert.scope == "full":
-            lattice = ideal_power(module.ring, cert.power)
-        elif cert.scope == "left-factor":
-            if cert.model.kind != "tensor":
-                return False
-            lattice = factor_ideal_power(module.ring, cert.model.left.ring_of(), cert.power)
-        else:
-            return False
-        image = ideal_image(lattice, module)
-    except InputError:
-        return False
-    if image != cert.nonzero_group or image.is_trivial:
-        return False
-    if cert.stability is not None:
-        try:
-            return element_stable_nonvanishing(
-                module, cert.stability.element, cert.power, cert.stability.multiplier
-            )
-        except InputError:
-            return False
-    return True
-
-
-def _check_index(cert: IndexWitness) -> bool:
-    if cert.copies < 1 or cert.ind != cert.copies:
-        return False
-    if not _commutative_tag_ok(cert.group):
-        return False
-    if cert.group == "z2" and _sphere_check_feasible(cert.copies):
-        return _z2_join_is_sphere(cert.copies)
-    return True
-
-
 def _check_lower(cert, lower: int) -> bool:
     if isinstance(cert, AnnihilatorWitness):
-        return cert.power >= lower and _check_annihilator(cert)
+        return cert.power >= lower and cert.nonzero_group == _annihilator_image(
+            cert.model, cert.scope, cert.power, cert.stability
+        )
     if isinstance(cert, IndexWitness):
-        return cert.ind - 1 >= lower and _check_index(cert)
+        return cert.ind == cert.copies and _index_dimension(cert.group, cert.copies) >= lower
     return False
 
 
-def _check_upper(cert, upper) -> bool:
-    if is_infinite(upper):
-        return True
+def _check_upper(cert, upper: int) -> bool:
     if isinstance(cert, JoinFactorWitness):
         return cert.copies >= 1 and cert.copies - 1 == upper
     if isinstance(cert, IndexWitness):
-        return cert.ind - 1 == upper and _check_index(cert)
+        return cert.ind == cert.copies and _index_dimension(cert.group, cert.copies) == upper
     if isinstance(cert, RuleApplication):
-        if len(cert.inputs) != 2:
-            return False
-        (l1, u1), (l2, u2) = cert.inputs
-        del l1, l2
-        if cert.rule == "sum":
-            return upper_add(u1, u2) == upper
-        if cert.rule == "min":
-            return upper_min(u1, u2) == upper
-        if cert.rule == "absorb":
-            return (not is_infinite(u2)) and u2 == 0 and u1 == upper
-        return False
+        return _rule_upper(cert.rule, cert.inputs) == upper
     return False
 
 
 def validate_bound(bound: DimBound) -> bool:
-    """Recompute every certificate; vacuous claims need no certificate."""
-    if bound.lower < 0:
+    """Recompute every certificate with the function its builder uses.
+
+    Vacuous claims need no certificate.  A certificate whose check raises
+    EquikError (a zero image, an unknown ring, an incoherent rule input)
+    is invalid.
+    """
+    if bound.lower < 0 or not upper_le(bound.lower, bound.upper):
         return False
-    if not upper_le(bound.lower, bound.upper):
+    lower_cert, upper_cert = bound.lower_certificate, bound.upper_certificate
+    if bound.lower > 0 and lower_cert is None:
         return False
-    if bound.lower > 0:
-        if bound.lower_certificate is None:
-            return False
-        if not _check_lower(bound.lower_certificate, bound.lower):
-            return False
-    elif bound.lower_certificate is not None:
-        if not _check_lower(bound.lower_certificate, 0):
-            return False
-    if not is_infinite(bound.upper):
-        if bound.upper_certificate is None:
-            return False
-        if not _check_upper(bound.upper_certificate, bound.upper):
-            return False
-    return True
+    if not is_infinite(bound.upper) and upper_cert is None:
+        return False
+    try:
+        return (lower_cert is None or _check_lower(lower_cert, bound.lower)) and (
+            is_infinite(bound.upper) or _check_upper(upper_cert, bound.upper)
+        )
+    except EquikError:
+        return False
 
 
 def validate(report) -> bool:
@@ -759,7 +719,7 @@ def validate(report) -> bool:
     the parameters do not produce, or a non-canonical report is invalid,
     as is one whose builder rejects its parameters.  A missing parameter,
     or one that is not well-formed text for its type, raises InputError.  A bare DimBound
-    has no parameters; its certificates are recomputed instead.
+    has no parameters; validate_bound checks its certificates instead.
     """
     if isinstance(report, DimBound):
         return validate_bound(report)

@@ -34,6 +34,7 @@ from equik.joins import (
     join_step_formula,
     mayer_vietoris_delta,
     oracle_consistency,
+    oracle_feasible,
     reduced_homology,
 )
 
@@ -249,3 +250,11 @@ def test_complex_cap_counts_boundary_nonzeros():
     build_join_complex(9, 5)  # 450000
     with pytest.raises(CapExceededError):
         build_join_complex(10, 5)  # 732050, though only 10^5 top cells
+
+
+def test_oracle_feasible_admits_joins_of_at_most_2000_faces():
+    # (n+1)^k - 1 faces: 728 and 2186 for two points, 2000 and 2001 for one copy
+    assert oracle_feasible(2, 6) and not oracle_feasible(2, 7)
+    assert oracle_feasible(2000, 1) and not oracle_feasible(2001, 1)
+    assert oracle_feasible(1, 10) and not oracle_feasible(1, 11)
+    assert not oracle_feasible(1, 10**18)  # refused without forming the power

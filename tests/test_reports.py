@@ -5,7 +5,10 @@ the same reports must not.  Serialization uses decimal strings for all
 integers and the string "infinity" for a missing upper bound.
 """
 
+import importlib.util
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +18,13 @@ from equik.reports import (
     AnnihilatorWitness,
     BoundReport,
     CollapseReport,
+    CommutativeDimension,
     DimBound,
     ExistenceReport,
     INFINITY,
     IndexWitness,
     JoinFactorWitness,
+    RuleApplication,
     circle_ah_dimension,
     circle_product_dimension,
     commutative_dimension,
@@ -392,3 +397,112 @@ def test_circle_dimension_instantiates_its_model_once(monkeypatch):
     monkeypatch.setattr(ModelDescriptor, "instantiate", counting)
     circle_ah_dimension(3)
     assert calls == ["circle"]
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        DimBound(0, 2, None, RuleApplication("sum", ((1, 3), (2, -1)))),
+        DimBound(0, 0, None, RuleApplication("min", ((4, 2), (0, 0)))),
+        DimBound(0, 3, None, RuleApplication("absorb", ((0, 3), (5, 0)))),
+    ],
+    ids=["sum", "min", "absorb"],
+)
+def test_bare_rule_certificate_with_an_incoherent_input_is_rejected(bound):
+    # the rule's arithmetic gives the claimed upper, but one input has
+    # lower above upper, which tensor_rule refuses to combine
+    assert not validate(bound)
+
+
+def test_bare_bound_whose_check_raises_is_invalid_not_an_error():
+    from equik.kmodules import ModelDescriptor
+
+    cert = AnnihilatorWitness(
+        "sl2", 1, ModelDescriptor("trunc", 1, "sl2"), "full", FgAbelianGroup(0, (2,))
+    )
+    with pytest.raises(UnsupportedError):
+        cert.model.instantiate()
+    assert validate(DimBound(1, INFINITY, cert)) is False
+
+
+@pytest.mark.parametrize("k,checks", [(6, 1), (7, 0)])
+def test_z2_sphere_check_runs_only_while_the_oracle_is_feasible(monkeypatch, k, checks):
+    import equik.reports
+
+    calls = []
+    original = equik.reports.reduced_homology
+
+    def counting(jc):
+        calls.append(jc.parts)
+        return original(jc)
+
+    monkeypatch.setattr(equik.reports, "reduced_homology", counting)
+    commutative_dimension("z2", k)
+    assert calls == [k] * checks
+
+
+def _gallery_bounds():
+    """(name, bound) for every report scripts/bounds_gallery.py yields."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bounds_gallery.py"
+    spec = importlib.util.spec_from_file_location("bounds_gallery", path)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    out = []
+    for name, report in gallery.gallery(gallery.GalleryConfig()):
+        if isinstance(report, CommutativeDimension):
+            report = report.report
+        if isinstance(report, CollapseReport):
+            out += [(f"{name}-{f.parameters['side']}", f.bound) for f in report.factors]
+            report = report.product
+        if isinstance(report, BoundReport):
+            out.append((name, report.bound))
+    return out
+
+
+@pytest.fixture(scope="module")
+def gallery_bounds():
+    return _gallery_bounds()
+
+
+def _annihilator_bounds(bounds):
+    return [
+        (name, bound)
+        for name, bound in bounds
+        if isinstance(bound.lower_certificate, AnnihilatorWitness)
+    ]
+
+
+def test_every_gallery_bound_validates_on_the_bare_path(gallery_bounds):
+    assert len(_annihilator_bounds(gallery_bounds)) >= 15
+    assert [name for name, bound in gallery_bounds if not validate_bound(bound)] == []
+
+
+def test_bare_path_rejects_a_changed_witness_group(gallery_bounds):
+    for name, bound in _annihilator_bounds(gallery_bounds):
+        cert = bound.lower_certificate
+        group = cert.nonzero_group
+        forged = replace(cert, nonzero_group=FgAbelianGroup(group.free_rank + 1, group.torsion))
+        assert not validate_bound(replace(bound, lower_certificate=forged)), name
+
+
+def test_bare_path_rejects_a_lower_bound_above_the_witness_power(gallery_bounds):
+    for name, bound in _annihilator_bounds(gallery_bounds):
+        power = bound.lower_certificate.power
+        # drop the upper claim so only the lower certificate decides
+        at_power = replace(bound, lower=power, upper=INFINITY, upper_certificate=None)
+        assert validate_bound(at_power), name
+        assert not validate_bound(replace(at_power, lower=power + 1)), name
+
+
+def test_bare_path_rejects_a_product_z2_witness_with_an_even_multiplier(gallery_bounds):
+    product_z2 = [
+        (name, bound)
+        for name, bound in _annihilator_bounds(gallery_bounds)
+        if name.startswith("product-z2-")
+    ]
+    assert len(product_z2) == 4
+    for name, bound in product_z2:
+        cert = bound.lower_certificate
+        assert cert.nonzero_group == FgAbelianGroup(0, (2,))
+        forged = replace(cert, stability=replace(cert.stability, multiplier=2))
+        assert not validate_bound(replace(bound, lower_certificate=forged)), name

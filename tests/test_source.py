@@ -40,3 +40,27 @@ def test_package_imports_only_the_standard_library():
             ]
     assert SOURCES
     assert found == []
+
+
+def test_every_private_module_level_name_is_used():
+    # a private function, class or constant that nothing in the package
+    # reads is a helper some refactor left behind
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+    private = [(f, n) for f, n in defined if n.startswith("_") and not n.startswith("__")]
+    assert private
+    assert [f"{f}:{n}" for f, n in private if n not in read] == []
