@@ -11,7 +11,8 @@ rings that are not fusion rings, since their augmentation kills lam.
 ``cyclic_ring``, ``circle_truncation``, ``ring_product`` and the
 fusion-table loader build every ring; downstream code reads ``rank``,
 ``labels``, ``aug``, ``is_fusion``, ``basis_mul(i, j)`` and
-``mul_vec(a, b)``.
+``mul_vec(a, b)``.  Tuples on hot paths are built from lists, not
+generators, for the reason given in intmat.hermite_rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class RingElement:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", tuple(int(c) for c in self.coefficients)
+            self, "coefficients", tuple([int(c) for c in self.coefficients])
         )
 
     def __len__(self):
@@ -54,7 +55,7 @@ class RingElement:
 def _coeffs(x):
     if isinstance(x, RingElement):
         return x.coefficients
-    return tuple(int(c) for c in x)
+    return tuple([int(c) for c in x])
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class BasedRing:
         return tuple(out)
 
     def one_vec(self) -> tuple:
-        return tuple(1 if i == 0 else 0 for i in range(self.rank))
+        return tuple([1 if i == 0 else 0 for i in range(self.rank)])
 
     def render_element(self, coeffs) -> str:
         terms = []
@@ -287,8 +288,8 @@ def cyclic_ring(n: int) -> BasedRing:
     """Character ring of the cyclic group of order n (all dims 1)."""
     if n < 1:
         raise InputError("cyclic ring needs order >= 1")
-    labels = tuple("1" if k == 0 else ("chi" if k == 1 else f"chi^{k}") for k in range(n))
-    table = tuple(tuple((((i + j) % n, 1),) for j in range(n)) for i in range(n))
+    labels = tuple(["1" if k == 0 else ("chi" if k == 1 else f"chi^{k}") for k in range(n)])
+    table = tuple([tuple([(((i + j) % n, 1),) for j in range(n)]) for i in range(n)])
     return BasedRing(labels, (1,) * n, table, is_fusion=True)
 
 
@@ -301,10 +302,10 @@ def circle_truncation(n: int) -> BasedRing:
     """
     if n < 1:
         raise InputError("circle truncation needs order >= 1")
-    labels = tuple("1" if k == 0 else ("lam" if k == 1 else f"lam^{k}") for k in range(n))
+    labels = tuple(["1" if k == 0 else ("lam" if k == 1 else f"lam^{k}") for k in range(n)])
     aug = (1,) + (0,) * (n - 1)
     table = tuple(
-        tuple(((i + j, 1),) if i + j < n else () for j in range(n)) for i in range(n)
+        [tuple([((i + j, 1),) if i + j < n else () for j in range(n)]) for i in range(n)]
     )
     return BasedRing(labels, aug, table, is_fusion=False)
 
@@ -317,16 +318,20 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
     when both factors are.
     """
     n2 = r2.rank
-    labels = tuple(f"({a},{b})" for a in r1.labels for b in r2.labels)
-    aug = tuple(x * y for x in r1.aug for y in r2.aug)
+    labels = tuple([f"({a},{b})" for a in r1.labels for b in r2.labels])
+    aug = tuple([x * y for x in r1.aug for y in r2.aug])
     table = tuple(
-        tuple(
-            tuple((k1 * n2 + k2, m1 * m2) for k1, m1 in c1 for k2, m2 in c2)
-            for c1 in row1
-            for c2 in row2
-        )
-        for row1 in r1.table
-        for row2 in r2.table
+        [
+            tuple(
+                [
+                    tuple([(k1 * n2 + k2, m1 * m2) for k1, m1 in c1 for k2, m2 in c2])
+                    for c1 in row1
+                    for c2 in row2
+                ]
+            )
+            for row1 in r1.table
+            for row2 in r2.table
+        ]
     )
     return BasedRing(labels, aug, table, r1.is_fusion and r2.is_fusion)
 
@@ -355,7 +360,7 @@ class IdealLattice:
     def __post_init__(self):
         if self.basis.cols != self.ring.rank:
             raise InputError("ideal basis width must equal the ring rank")
-        rows = tuple(self.basis.row(i) for i in range(self.basis.rows))
+        rows = tuple([self.basis.row(i) for i in range(self.basis.rows)])
         if rows != hermite_rows(rows, self.ring.rank):
             raise InputError("ideal basis is not in Hermite form")
         lattice = Lattice(rows)
@@ -411,7 +416,7 @@ class IdealLattice:
 def _product_outside(ring, lattice, indices):
     """The first e_i b outside the lattice, i in indices, b a basis row."""
     for i in indices:
-        ei = tuple(1 if k == i else 0 for k in range(ring.rank))
+        ei = tuple([1 if k == i else 0 for k in range(ring.rank)])
         for b in lattice.rows:
             prod = ring.mul_vec(ei, b)
             if not lattice.contains(prod):
@@ -419,46 +424,49 @@ def _product_outside(ring, lattice, indices):
     return None
 
 
+def _aug_generator(ring, k) -> tuple:
+    """e_k - aug[k] e_0, an element of the augmentation ideal."""
+    return tuple([-ring.aug[k] if i == 0 else int(i == k) for i in range(ring.rank)])
+
+
 def augmentation_ideal(ring) -> IdealLattice:
     """Kernel of the augmentation, as a canonical ideal lattice; since
     aug[0] = 1, the e_k - aug[k] e_0 for k >= 1 are a basis of it."""
-    r = ring.rank
-    rows = [[-ring.aug[k] if i == 0 else int(i == k) for i in range(r)] for k in range(1, r)]
+    rows = [_aug_generator(ring, k) for k in range(1, ring.rank)]
     return IdealLattice.from_rows(ring, rows)
 
 
-def _higher_power_rows(ring, gens, cap, last=None):
-    """Yield the Hermite rows of I^2, I^3, ... for I spanned by gens.
+def _higher_power_rows(ring, aug_rows, cap, last=None):
+    """Yield the Hermite rows of I^2, I^3, ... for the augmentation ideal I.
 
-    Power k+1 is spanned by products of a Hermite basis of power k with
-    the ideal generators; reducing after every level keeps the working
-    set small.  The products formed over all levels so far count against
-    the cap.  The generator ends after the first zero power.
+    Power k+1 is the span of b g_s for b a Hermite row of power k and
+    g_s = e_s - aug[s] e_0, s in ring.generators.  The g_s generate I as
+    an ideal, since m e_s - aug(m e_s) = m g_s + aug[s] (m - aug(m)) and
+    left-normed products of the e_s span Z^r; I^k is an ideal, so
+    I^k I = sum over s of I^k R g_s = sum over s of I^k g_s.  The Hermite
+    rows are canonical, so they match products with all of I's rows.
 
-    Given the last power wanted, a walk that would pass the cap before
-    reaching it is refused as soon as that is certain: once a power has
-    the rank of the one before, the two span the same space over Q, so
-    every later power keeps that rank and each remaining level forms
-    exactly rank * len(gens) products.
+    Each level is charged rank(I^k) * rank(I) products against the cap,
+    before it is formed, and the generator ends after the first zero
+    power.  Given the last power wanted, a walk that would pass the cap
+    before reaching it is refused as soon as that is certain: once a
+    power has the rank of the one before, the two span the same space
+    over Q, so every later power keeps that rank and costs the same.
     """
     too_many = f"ideal power product cap exceeded ({cap} vectors)"
-    rows = gens
-    produced = 0
-    level = 1
+    gens = [_aug_generator(ring, s) for s in ring.generators]
+    rows, produced, level = aug_rows, 0, 1
     while rows:
-        products = []
-        for b in rows:
-            for g in gens:
-                produced += 1
-                if produced > cap:
-                    raise CapExceededError(too_many)
-                products.append(ring.mul_vec(b, g))
+        produced += len(rows) * len(aug_rows)
+        if produced > cap:
+            raise CapExceededError(too_many)
+        products = [ring.mul_vec(b, g) for b in rows for g in gens]
         next_rows = hermite_rows(products, ring.rank)
         level += 1
         if (
             last is not None
             and len(next_rows) == len(rows)
-            and produced + (last - level) * len(next_rows) * len(gens) > cap
+            and produced + (last - level) * len(next_rows) * len(aug_rows) > cap
         ):
             raise CapExceededError(too_many)
         rows = next_rows
@@ -468,6 +476,9 @@ def _higher_power_rows(ring, gens, cap, last=None):
 def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP, last=None):
     """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
 
+    Each I^(k+1) is formed from I^k and the ideal generators
+    e_s - aug[s] e_0, s in ring.generators (see _higher_power_rows), and
+    each level is charged rank(I^k) * rank(I) products against the cap.
     Given the last power the caller will read, a walk that would pass the
     cap before it is refused as early as in ideal_power.  Once a power is
     zero, every later one is the zero lattice.
@@ -485,10 +496,13 @@ def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP, last=None):
 def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
     """n-th power of the augmentation ideal as a lattice, as in ideal_powers.
 
-    Only I and I^n are built as lattices, and the walk stops at the first
-    zero power, so a large n on a nilpotent ideal returns at once; a
-    large n on any other ideal fails on the cap as soon as the ranks of
-    the powers stop falling.
+    Each level multiplies the Hermite rows of I^k by the |S| ideal
+    generators e_s - aug[s] e_0, s in ring.generators, which span I^(k+1)
+    (proof in _higher_power_rows), and is charged rank(I^k) * rank(I)
+    products against the cap.  Only I and I^n are built as lattices, and
+    the walk stops at the first zero power, so a large n on a nilpotent
+    ideal returns at once; a large n on any other ideal fails on the cap
+    as soon as the ranks of the powers stop falling.
     """
     if n < 0:
         raise InputError("ideal power needs n >= 0")

@@ -512,7 +512,11 @@ def hermite_rows(vectors, width: int) -> tuple:
         if any(row):
             rows.append(row)
     rank = _hermite_reduce(rows, width)
-    return tuple(tuple(row) for row in rows[:rank])
+    # Tuples on hot paths are built from lists, not generators: CPython
+    # resizes a tuple built from a generator, and the resized tuple is
+    # freed onto the free list of its final size, which only a full
+    # collection empties, so memory creeps up between full collections.
+    return tuple([tuple(row) for row in rows[:rank]])
 
 
 @dataclass(frozen=True)
@@ -529,7 +533,7 @@ class Lattice:
     terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.rows)
+        terms = tuple([tuple([(j, e) for j, e in enumerate(row) if e]) for row in self.rows])
         object.__setattr__(self, "terms", terms)
 
     @classmethod
@@ -605,7 +609,7 @@ def matrix_from_json_dict(obj) -> IntMatrix:
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise InputError("matrix entries must be a list")
-    return IntMatrix(rows, cols, tuple(as_int(e, "entry") for e in entries))
+    return IntMatrix(rows, cols, tuple([as_int(e, "entry") for e in entries]))
 
 
 def load_matrix(path) -> IntMatrix:

@@ -20,6 +20,9 @@ from .intmat import SparseMatrix, smith_invariants
 
 # Bound on the boundary nonzeros of a join complex, augmentation included.
 COMPLEX_CAP = 500_000
+# Bound on the bits of (n-1)^k in the K-theory ranks: 2000 bits is under
+# 603 decimal digits, within Python's lowest int-to-str limit of 640.
+RANK_BITS_CAP = 2000
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -42,12 +45,18 @@ def join_k_theory_formula(n: int, k: int):
 
     Closed form: for odd k the ranks are ((n-1)^k + 1, 0); for even k
     they are (1, (n-1)^k).  Equivalently, iterate join_step_formula
-    starting from (n, 0).
+    starting from (n, 0).  Since (n-1)^k < 2^(k * bits(n-1)), n and k
+    with k * bits(n-1) > RANK_BITS_CAP are refused before the power is
+    formed; n <= 2 gives 0^k or 1^k and passes at every k.
     """
     if n < 1:
         raise InputError("set size must be >= 1")
     if k < 1:
         raise InputError("join copies must be >= 1")
+    if n > 2 and k * (n - 1).bit_length() > RANK_BITS_CAP:
+        raise CapExceededError(
+            f"join rank cap exceeded: (n-1)^k may pass {RANK_BITS_CAP} bits"
+        )
     step = (n - 1) ** k
     if k % 2:
         return step + 1, 0

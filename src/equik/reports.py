@@ -13,6 +13,7 @@ validate_bound alike: _annihilator_image, _index_dimension, _rule_upper.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -477,29 +478,25 @@ def z6_collapse_report(d: int) -> CollapseReport:
     )
 
 
-def _commutative_tag_ok(tag: str) -> bool:
-    if tag == "s1":
-        return True
-    if tag.startswith("z"):
-        try:
-            return int(tag[1:]) >= 1
-        except ValueError:
-            return False
-    return False
-
-
 def _index_dimension(group: str, copies: int) -> int:
     """Dimension k - 1 of the canonical action on the k-fold self-join.
 
-    For the order-2 group the join is the (k-1)-sphere, and its homology
-    is checked whenever the join is small enough for the oracle.
+    The group is s1 or z<d>, d >= 1 in decimal with no sign, space,
+    underscore or leading zero.  For the order-2 group the join is the
+    (k-1)-sphere, and its homology is checked whenever the join is small
+    enough for the oracle.
     """
     if copies < 1:
         raise InputError("join copies must be >= 1")
-    if not _commutative_tag_ok(group):
+    if group != "s1" and not group.startswith("z"):
         raise UnsupportedError(
             f"no commutative join model for group tag {group!r}; "
             "supported: z<n> and s1"
+        )
+    if group != "s1" and not re.fullmatch("z[1-9][0-9]*", group):
+        raise InputError(
+            f"malformed cyclic group tag {group!r}: expected z<n>, "
+            "n >= 1 in decimal with no sign or leading zero"
         )
     if group == "z2" and oracle_feasible(2, copies):
         sphere = tuple(FgAbelianGroup(int(d == copies - 1), ()) for d in range(copies))

@@ -322,6 +322,56 @@ def test_group_literal_with_cyclic_order_below_one_exits_2(argv, capsys):
     assert _one_line_error(err)
 
 
+def test_join_ktheory_with_huge_k_exits_2(capsys):
+    # 3^10000 has 4772 digits: refused before the power is formed.
+    code, out, err = run(capsys, "join", "ktheory", "4", "10000")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "n,expected", [("2", "K0 rank 1, K1 rank 1"), ("1", "K0 rank 1, K1 rank 0")]
+)
+def test_join_ktheory_on_at_most_two_points_admits_any_k(n, expected, capsys):
+    code, out, _ = run(capsys, "join", "ktheory", n, "1000000")
+    assert (code, out) == (0, f"{expected}; oracle: skipped\n")
+
+
+# A cyclic group tag is z<d> with d >= 1 in decimal, with no sign,
+# space, underscore or leading zero.
+NON_CANONICAL_CYCLIC_TAGS = ("z+3", "z 3", "z3_0", "z03")
+
+
+@pytest.mark.parametrize("tag", NON_CANONICAL_CYCLIC_TAGS)
+def test_commutative_with_a_non_canonical_cyclic_tag_exits_2(tag, capsys):
+    code, out, err = run(capsys, "rokhlin", "commutative", tag, "2")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("tag", NON_CANONICAL_CYCLIC_TAGS)
+def test_validate_rejects_a_commutative_report_with_a_non_canonical_tag(
+    tag, tmp_path, capsys
+):
+    code, out, _ = run(capsys, "rokhlin", "commutative", "z3", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["parameters"]["group"] = tag
+    for cert in doc["certificates"]:
+        cert["group"] = tag
+    rfile = tmp_path / "report.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+
+
+def test_circle_product_8_on_z3xz3_text(capsys):
+    # The bytes printed when each ideal power was formed from products
+    # with every Z-basis row of the augmentation ideal.
+    code, out, err = run(capsys, "rokhlin", "circle-product", "8", "z3xz3")
+    assert (code, out, err) == (0, "lower 8 (witness Z), upper 8 (rule absorb)\n", "")
+
+
 def test_group_literal_of_order_one_is_trivial(capsys):
     code, out, _ = run(capsys, "group", "tensor", "Z_1", "Z_4")
     assert (code, out) == (0, "0\n")

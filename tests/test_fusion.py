@@ -552,6 +552,79 @@ def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
     assert lat.rows() == per_power_oracle(ring, 4, DEFAULT_PRODUCT_CAP)
 
 
+# Rings whose generating set S has more than one index, with the highest
+# power checked against the oracle: at rank 36 the oracle's hnf of
+# rank(I)^2 products takes over a second per level.
+MULTI_GENERATOR_RINGS = {
+    "s3": (s3_ring, 6),
+    "s3 x z3": (lambda: ring_product(s3_ring(), cyclic_ring(3)), 6),
+    "circle:4 x z3xz3": (
+        lambda: ring_product(circle_truncation(4), ring_from_tag("z3xz3")),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_GENERATOR_RINGS))
+def test_ideal_powers_on_rings_with_several_generators_match_per_power_oracle(name):
+    build, top = MULTI_GENERATOR_RINGS[name]
+    ring = build()
+    assert len(ring.generators) > 1
+    wants = [per_power_oracle(ring, n, DEFAULT_PRODUCT_CAP) for n in range(top + 1)]
+    assert [p.rows() for p in islice(ideal_powers(ring), top + 1)] == wants
+    assert ideal_power(ring, top).rows() == wants[top]
+
+
+@given(
+    name=st.sampled_from(sorted(MULTI_GENERATOR_RINGS)),
+    n=st.integers(0, 6),
+    cap=st.integers(0, 400),
+)
+@example(name="s3 x z3", n=3, cap=128)  # exactly the charge up to I^3
+@example(name="s3 x z3", n=3, cap=127)  # one product short
+@settings(max_examples=60, deadline=None)
+def test_capped_ideal_power_on_rings_with_several_generators(name, n, cap):
+    # Each level is still charged rank(I^k) * rank(I), as the oracle does.
+    ring = MULTI_GENERATOR_RINGS[name][0]()
+    try:
+        want = per_power_oracle(ring, n, cap)
+    except CapExceededError:
+        message = rf"^ideal power product cap exceeded \({cap} vectors\)$"
+        with pytest.raises(CapExceededError, match=message):
+            ideal_power(ring, n, cap)
+        return
+    assert ideal_power(ring, n, cap).rows() == want
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        pytest.param(cyclic_ring(5), id="z5"),
+        pytest.param(ring_from_tag("z2xz3xz5"), id="z2xz3xz5"),
+        pytest.param(ring_product(s3_ring(), cyclic_ring(3)), id="s3 x z3"),
+        pytest.param(
+            ring_product(circle_truncation(4), ring_from_tag("z3xz3")),
+            id="circle:4 x z3xz3",
+        ),
+    ],
+)
+def test_each_power_level_forms_rank_times_generators_products(ring, monkeypatch):
+    # Products with every row of I would form rank(I^k) * rank(I), which
+    # is more on these rings, since |S| < rank(I).
+    assert len(ring.generators) < ring.rank - 1
+    rows = augmentation_ideal(ring).rows()
+    calls = []
+    mul_vec = BasedRing.mul_vec
+    monkeypatch.setattr(
+        BasedRing, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b)
+    )
+    walk = fusion._higher_power_rows(ring, rows, DEFAULT_PRODUCT_CAP)
+    for level, next_rows in zip(range(4), walk):
+        assert len(calls) == len(rows) * len(ring.generators), level
+        calls.clear()
+        rows = next_rows
+
+
 def dense_fusion_check(labels, dims, fusion):
     """The axiom check with dense r-length loops, as it was before the
     sparse one; raises FusionRingError at the first failed axiom."""

@@ -179,6 +179,17 @@ def test_formula_matches_iterated_steps(n, k):
     assert (l, r) == join_k_theory_formula(n, k)
 
 
+def test_k_theory_rank_cap_is_checked_before_the_power():
+    assert join_k_theory_formula(3, 1000) == (1, 2**1000)  # 1000 * 2 bits
+    with pytest.raises(CapExceededError):
+        join_k_theory_formula(3, 1001)
+    assert join_k_theory_formula(2**2000, 1) == (2**2000, 0)  # 2000 bits
+    with pytest.raises(CapExceededError):
+        join_k_theory_formula(2**2000 + 1, 1)
+    assert join_k_theory_formula(2, 10**100) == (1, 1)
+    assert join_k_theory_formula(1, 10**100 + 1) == (1, 0)
+
+
 def test_join_step_input_validation():
     with pytest.raises(InputError):
         join_step_formula(0, 1, 2)
