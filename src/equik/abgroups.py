@@ -1,9 +1,9 @@
 """Finitely generated abelian groups in invariant-factor form.
 
 A group is stored as (free_rank, torsion) where torsion is the chain
-d1 | d2 | ... with every d >= 2.  Presentations are row-relation
-matrices over the generators; normalize() reads the invariant
-factors of their Smith normal form.
+d1 | d2 | ... with every d >= 2.  cokernel() gives the group Z^width
+modulo the span of integer rows; a Presentation holds its relations as
+an IntMatrix, and normalize() reads it through cokernel().
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .intmat import IntMatrix, invariant_factors
+from .intmat import IntMatrix, smith_invariants
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,24 @@ class Presentation:
             )
 
 
+def cokernel(rows, width: int) -> FgAbelianGroup:
+    """Z^width modulo the span of the rows, each a sequence of width ints.
+
+    The rank and torsion come from intmat.smith_invariants, which
+    eliminates unit pivots over sparse rows.
+    """
+    rank, torsion = smith_invariants({j: e for j, e in enumerate(row) if e} for row in rows)
+    return FgAbelianGroup(width - rank, torsion)
+
+
 def normalize(p: Presentation) -> FgAbelianGroup:
     """Canonical form of the cokernel of the relation matrix."""
-    factors = invariant_factors(p.relations)
-    free_rank = p.generators - len(factors)
-    torsion = tuple(d for d in factors if d > 1)
-    return FgAbelianGroup(free_rank, torsion)
+    return cokernel(p.relations.to_rows(), p.generators)
 
 
 def _chain(torsion_multiset) -> tuple:
     ds = [int(d) for d in torsion_multiset if int(d) > 1]
-    if not ds:
-        return ()
-    group = normalize(Presentation(len(ds), IntMatrix.diagonal(ds)))
-    return group.torsion
+    return smith_invariants([{i: d} for i, d in enumerate(ds)])[1]
 
 
 def direct_sum(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:

@@ -29,8 +29,9 @@ from .fusion import (
     regular_class_check,
     regular_dimension,
     ring_from_tag,
+    tag_order,
 )
-from .intmat import hnf, load_matrix, matrix_to_json_dict, snf
+from .intmat import IntMatrix, hnf, load_matrix, matrix_to_json_dict, snf
 from .joins import (
     build_join_complex,
     join_k_theory_formula,
@@ -58,11 +59,7 @@ def _matrix_lines(mat) -> list:
 def _ring_arg(text: str):
     """Resolve a ring argument: built-in tag, circle:n, or a fusion file."""
     if text.startswith("circle:"):
-        order = text.split(":", 1)[1]
-        try:
-            return circle_truncation(int(order))
-        except ValueError:
-            raise InputError(f"circle order must be an integer, got {order!r}") from None
+        return circle_truncation(tag_order(text, "circle:"))
     if text.endswith(".json") or "/" in text:
         return from_fusion_file(text)
     return ring_from_tag(text)
@@ -115,7 +112,7 @@ def _cmd_rep_ring(args):
         "rank": str(ring.rank),
         "labels": list(ring.labels),
         "aug_ideal_rank": str(aug.rank),
-        "aug_basis": matrix_to_json_dict(aug.basis),
+        "aug_basis": matrix_to_json_dict(IntMatrix.from_rows(aug.basis, cols=ring.rank)),
     }
     lines = [f"rank {ring.rank}", "labels: " + " ".join(ring.labels)]
     if ring.is_fusion:

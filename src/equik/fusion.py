@@ -18,8 +18,9 @@ generators, for the reason given in intmat.hermite_rows.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     CapExceededError,
@@ -29,7 +30,8 @@ from .errors import (
     LatticeContainmentError,
     UnsupportedError,
 )
-from .intmat import IntMatrix, Lattice, as_int, hermite_rows, hnf, xgcd
+from .abgroups import cokernel
+from .intmat import Lattice, as_int, hermite_rows, xgcd
 
 DEFAULT_PRODUCT_CAP = 200_000
 
@@ -345,25 +347,27 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
 class IdealLattice:
     """A sublattice of a ring, closed under multiplication by the basis.
 
-    The basis matrix is kept in row Hermite form; construction verifies
-    both the normal form and the ideal-closure property, so any instance
-    in flight is a genuine ideal presented canonically.  Closure is
-    checked on the ring's generators: the a with L a in L form a subring
-    of the associative ring, so they are all of it.  Only on failure does
-    every basis element run, to name the first product outside.
+    basis holds the rows of the lattice in row Hermite form, as a tuple
+    of int tuples of the ring's rank; construction verifies both the
+    normal form and the ideal-closure property, so any instance in
+    flight is a genuine ideal presented canonically.  Closure is checked
+    on the ring's generators: the a with L a in L form a subring of the
+    associative ring, so they are all of it.  Only on failure does every
+    basis element run, to name the first product outside.
     """
 
     ring: object
-    basis: IntMatrix
+    basis: tuple
     lattice: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.basis.cols != self.ring.rank:
+        rows = tuple([tuple(row) for row in self.basis])
+        if any(len(row) != self.ring.rank for row in rows):
             raise InputError("ideal basis width must equal the ring rank")
-        rows = tuple([self.basis.row(i) for i in range(self.basis.rows)])
         if rows != hermite_rows(rows, self.ring.rank):
             raise InputError("ideal basis is not in Hermite form")
         lattice = Lattice(rows)
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "lattice", lattice)
         if _product_outside(self.ring, lattice, self.ring.generators) is not None:
             raise LatticeContainmentError(
@@ -372,32 +376,22 @@ class IdealLattice:
 
     @classmethod
     def from_rows(cls, ring, vectors) -> "IdealLattice":
-        return cls.from_hermite_rows(ring, hermite_rows(vectors, ring.rank))
-
-    @classmethod
-    def from_hermite_rows(cls, ring, rows) -> "IdealLattice":
-        """The lattice of rows already in Hermite form (still checked)."""
-        basis = (
-            IntMatrix.from_rows(rows, cols=ring.rank)
-            if rows
-            else IntMatrix.zeros(0, ring.rank)
-        )
-        return cls(ring, basis)
+        return cls(ring, hermite_rows(vectors, ring.rank))
 
     @classmethod
     def zero(cls, ring) -> "IdealLattice":
-        return cls(ring, IntMatrix.zeros(0, ring.rank))
+        return cls(ring, ())
 
     @classmethod
     def full(cls, ring) -> "IdealLattice":
-        return cls(ring, IntMatrix.identity(ring.rank))
+        return cls(ring, _unit_rows(ring.rank, range(ring.rank)))
 
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     def rows(self) -> list:
-        return list(self.lattice.rows)
+        return list(self.basis)
 
     def contains(self, vector) -> bool:
         return self.lattice.contains(_coeffs(vector))
@@ -408,9 +402,15 @@ class IdealLattice:
     def content(self) -> int:
         """gcd of all basis entries (0 for the zero lattice)."""
         g = 0
-        for e in self.basis.entries:
-            g = gcd(g, e)
+        for row in self.basis:
+            for e in row:
+                g = gcd(g, e)
         return g
+
+
+def _unit_rows(width: int, indices) -> tuple:
+    """The unit vectors e_i of the given width, i in indices."""
+    return tuple([tuple([int(k == i) for k in range(width)]) for i in indices])
 
 
 def _product_outside(ring, lattice, indices):
@@ -487,7 +487,7 @@ def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP, last=None):
     aug = augmentation_ideal(ring)
     yield aug
     for rows in _higher_power_rows(ring, aug.rows(), cap, last):
-        yield IdealLattice.from_hermite_rows(ring, rows)
+        yield IdealLattice(ring, rows)
     zero = IdealLattice.zero(ring)
     while True:
         yield zero
@@ -515,27 +515,20 @@ def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
     for k, rows in enumerate(_higher_power_rows(ring, rows, cap, n), start=2):
         if k == n or not rows:
             break
-    return IdealLattice.from_hermite_rows(ring, rows)
+    return IdealLattice(ring, rows)
 
 
 def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
     """Isomorphism class of outer/inner; inner must sit inside outer."""
-    from .abgroups import Presentation, normalize
-
     if outer.ring != ring or inner.ring != ring:
         raise InputError("quotient lattices must live over the given ring")
     rel = []
-    for row in inner.rows():
+    for row in inner.basis:
         sol = outer.solve(row)
         if sol is None:
             raise LatticeContainmentError(row)
         rel.append(sol)
-    relmat = (
-        IntMatrix.from_rows(rel, cols=outer.rank)
-        if rel
-        else IntMatrix.zeros(0, outer.rank)
-    )
-    return normalize(Presentation(outer.rank, relmat))
+    return cokernel(rel, outer.rank)
 
 
 def regular_class_check(ring: BasedRing):
@@ -562,8 +555,11 @@ def lambda_expansion(p: int) -> tuple:
 
     Worked in the cyclic ring of odd order p >= 3 with lam = 1 - chi.
     The powers lam, ..., lam^(p-1) are a basis of the augmentation
-    ideal, so the expansion exists and is unique; n_1 always comes out
-    as -p.  Even p has no expansion of this shape and is rejected.
+    ideal, so the expansion exists and is unique.  It is binomial:
+    (1 - lam)^p = chi^p = 1 gives sum over j of (-1)^j C(p, j) lam^j = 0,
+    so for odd p, n_j = (-1)^j C(p, j), and n_1 = -p.  The sum is checked
+    against lam^p in the ring.  Even p has no expansion of this shape and
+    is rejected.
     """
     if p % 2 == 0:
         raise UnsupportedError(
@@ -577,27 +573,14 @@ def lambda_expansion(p: int) -> tuple:
     powers = [lam]
     for _ in range(p - 1):
         powers.append(ring.mul_vec(powers[-1], lam))
-    mat = IntMatrix.from_rows(powers[: p - 1], cols=p)
-    res = hnf(mat)
-    coords = Lattice(tuple(res.H.row(i) for i in range(res.rank))).solve(powers[p - 1])
-    if coords is None or len(coords) != p - 1:
-        raise InputError(f"lam^{p} is not in the span of lower powers")
-    # pull back through the transform: target = coords . H = (coords . T) . M
-    t = res.transform
-    n = [0] * (p - 1)
-    for i, c in enumerate(coords):
-        if c:
-            for j in range(p - 1):
-                n[j] += c * t.entry(i, j)
+    n = tuple([(-1) ** j * comb(p, j) for j in range(1, p)])
     check = [0] * p
-    for j, nj in enumerate(n, start=1):
-        if nj:
-            pw = powers[j - 1]
-            for k in range(p):
-                check[k] += nj * pw[k]
+    for nj, pw in zip(n, powers):
+        for k in range(p):
+            check[k] += nj * pw[k]
     if tuple(check) != powers[p - 1]:
-        raise EquikError(f"back-substitution does not reproduce lam^{p}")
-    return tuple(n)
+        raise EquikError(f"the binomial expansion does not reproduce lam^{p}")
+    return n
 
 
 def circle_ideal_image(n: int, j: int) -> IdealLattice:
@@ -612,10 +595,7 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
     ring = circle_truncation(n)
     if j >= n:
         return IdealLattice.zero(ring)
-    rows = [
-        tuple(1 if k == d else 0 for k in range(n)) for d in range(j, n)
-    ]
-    return IdealLattice(ring, IntMatrix.from_rows(rows, cols=n))
+    return IdealLattice(ring, _unit_rows(n, range(j, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,23 +603,33 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
 # ---------------------------------------------------------------------------
 
 
+def tag_order(tag: str, prefix: str) -> int:
+    """The order n of a tag written prefix + n.
+
+    n >= 1 is written in decimal with no sign, space, underscore or
+    leading zero, so each ring has one tag; anything else is an
+    InputError.
+    """
+    digits = tag[len(prefix) :]
+    if not re.fullmatch("[1-9][0-9]*", digits):
+        raise InputError(
+            f"malformed tag {tag!r}: expected {prefix}<n>, n >= 1 in decimal "
+            "with no sign or leading zero"
+        )
+    return int(digits)
+
+
 def ring_from_tag(tag: str):
-    """Resolve a built-in ring name: 'z<n>', products like 'z2xz3'."""
-    t = tag.strip().lower()
-    if "x" in t:
-        parts = t.split("x")
-        rings = [ring_from_tag(p) for p in parts]
-        out = rings[0]
-        for r in rings[1:]:
-            out = ring_product(out, r)
-        return out
-    if t.startswith("z"):
-        try:
-            order = int(t[1:])
-        except ValueError:
-            raise UnsupportedError(f"unknown ring tag {tag!r}") from None
-        return cyclic_ring(order)
-    raise UnsupportedError(f"unknown ring tag {tag!r}")
+    """Resolve a built-in ring name: z<n> (see tag_order), or such names
+    joined by x for their product, as in z2xz3.  A part that does not
+    start with z is unsupported."""
+    out = None
+    for part in tag.split("x"):
+        if not part.startswith("z"):
+            raise UnsupportedError(f"unknown ring tag {tag!r}")
+        ring = cyclic_ring(tag_order(part, "z"))
+        out = ring if out is None else ring_product(out, ring)
+    return out
 
 
 def fusion_ring_from_json_dict(obj) -> BasedRing:

@@ -131,34 +131,6 @@ class IntMatrix:
                         out[obase + j] += a * b
         return IntMatrix(n, p, tuple(out))
 
-    __matmul__ = mul
-
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product, blocks indexed row-major by self's entries."""
-        n = self.rows * other.rows
-        m = self.cols * other.cols
-        out = [0] * (n * m)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entry(i, j)
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    rbase = (i * other.rows + k) * m + j * other.cols
-                    for l in range(other.cols):
-                        b = other.entry(k, l)
-                        if b:
-                            out[rbase + l] = a * b
-        return IntMatrix(n, m, tuple(out))
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise InputError("vstack needs equal column counts")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise InputError("shape mismatch in subtraction")
@@ -436,7 +408,8 @@ def smith_invariants(sparse_rows):
     and, within it, the unit entry whose column is shortest, so the rows
     stay sparse.  Each such pivot is an invariant factor 1 and takes its
     row and column out.  Rows left with no unit entry form a small dense
-    block whose invariant factors come from invariant_factors.
+    block whose Smith diagonal comes from _smith, with no transform
+    carried, as in invariant_factors.
     """
     rows = [{j: e for j, e in r.items() if e} for r in sparse_rows]
     where = {}  # column -> indices of the live rows with an entry there
@@ -483,19 +456,10 @@ def smith_invariants(sparse_rows):
     if not left:
         return rank, ()
     used = sorted({j for i in left for j in rows[i]})
-    block = IntMatrix.from_rows(
-        [[rows[i].get(j, 0) for j in used] for i in left], cols=len(used)
-    )
-    factors = invariant_factors(block)
-    return rank + len(factors), tuple(d for d in factors if d > 1)
-
-
-def cokernel_invariants(A: IntMatrix):
-    """Invariants of Z^cols / rowspan(A): (free_rank, torsion chain)."""
-    rank, torsion = smith_invariants(
-        {j: e for j, e in enumerate(A.row(i)) if e} for i in range(A.rows)
-    )
-    return A.cols - rank, torsion
+    block = [[rows[i].get(j, 0) for j in used] for i in left]
+    diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
+    factors = [d for d in diag if d]
+    return rank + len(factors), tuple([d for d in factors if d > 1])
 
 
 def hermite_rows(vectors, width: int) -> tuple:

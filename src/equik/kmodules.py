@@ -1,10 +1,11 @@
 """Modules over based rings used as equivariant K-theory models.
 
-A RingModule is a finitely presented abelian group together with one
-integer action matrix per ring basis element.  Construction re-checks
-the module axioms (unit, commutation, compatibility with the structure
-constants, invariance of the relation lattice), so anything that exists
-is a genuine module presentation.  They are checked on the ring's
+A RingModule is a finitely presented abelian group, its relations held
+as the Hermite rows of their lattice, together with one integer action
+matrix per ring basis element.  Construction re-checks the module
+axioms (unit, commutation, compatibility with the structure constants,
+invariance of the relation lattice), so anything that exists is a
+genuine module presentation.  They are checked on the ring's
 generators; every index runs only on failure, to name the axiom.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .abgroups import FgAbelianGroup, Presentation, normalize, tor as group_tor
+from .abgroups import FgAbelianGroup, cokernel, tor as group_tor
 from .errors import EquikError, InputError
 from .fusion import (
     IdealLattice,
@@ -25,7 +26,7 @@ from .fusion import (
     ring_from_tag,
     ring_product,
 )
-from .intmat import IntMatrix, Lattice
+from .intmat import Lattice
 
 
 class ModuleInvariantError(InputError):
@@ -41,16 +42,20 @@ class ModuleInvariantError(InputError):
 class RingModule:
     """Module presentation: generators, relation rows, action matrices.
 
-    Each action matrix is given as sparse rows, one {column: entry} map
-    per generator with zeros omitted, as in intmat.SparseMatrix; the
-    axioms are checked on those rows for the ring's generators (all on failure).
+    The relation rows are sequences of one int per generator; only their
+    lattice is kept, as Hermite rows.  Each action matrix is given as
+    sparse rows, one {column: entry} map per generator with zeros
+    omitted, as in intmat.SparseMatrix; the axioms are checked on those
+    rows for the ring's generators (all on failure).
     """
 
-    def __init__(self, ring, generators: int, relations: IntMatrix, action):
+    def __init__(self, ring, generators: int, relation_rows, action):
         if generators < 0:
             raise InputError("generator count must be nonnegative")
-        if relations.cols != generators:
-            raise InputError("relation width must equal the generator count")
+        relation_rows = tuple(relation_rows)
+        for row in relation_rows:
+            if len(row) != generators or not all(type(e) is int for e in row):
+                raise InputError("relation rows must hold one int per generator")
         action = tuple(tuple(rows) for rows in action)
         if len(action) != ring.rank:
             raise InputError("need one action matrix per ring basis element")
@@ -63,11 +68,8 @@ class RingModule:
                 raise InputError("action matrices must be generators x generators")
         self.ring = ring
         self.generators = generators
-        self.relations = relations
         self.action = action
-        self.lattice = Lattice.span(
-            (relations.row(i) for i in range(relations.rows)), generators
-        )
+        self.lattice = Lattice.span(relation_rows, generators)
         self._validate()
 
     def _validate(self):
@@ -95,7 +97,7 @@ class RingModule:
     # -- queries ----------------------------------------------------------
 
     def underlying_group(self) -> FgAbelianGroup:
-        return normalize(Presentation(self.generators, self.relations))
+        return cokernel(self.lattice.rows, self.generators)
 
     def act(self, ring_vec, module_vec) -> tuple:
         """Image of a module vector under a ring element, as a raw vector."""
@@ -124,9 +126,7 @@ class RingModule:
             if sol is None:
                 raise EquikError(f"relation {row} lies outside the span built from it")
             rel.append(sol)
-        width = len(outer.rows)
-        relmat = IntMatrix.from_rows(rel, cols=width) if rel else IntMatrix.zeros(0, width)
-        return normalize(Presentation(width, relmat))
+        return cokernel(rel, len(outer.rows))
 
 
 # Sparse matrices here are sequences of {column: entry} rows.  The rows
@@ -205,21 +205,16 @@ def truncated_ring_module(ring, n: int) -> RingModule:
 
 
 def zero_module(ring) -> RingModule:
-    return RingModule(ring, 0, IntMatrix.zeros(0, 0), ((),) * ring.rank)
+    return RingModule(ring, 0, (), ((),) * ring.rank)
 
 
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     if a.ring != b.ring:
         raise InputError("direct sum needs modules over the same ring")
     g = a.generators + b.generators
-    rel_rows = []
-    for i in range(a.relations.rows):
-        rel_rows.append(list(a.relations.row(i)) + [0] * b.generators)
-    for i in range(b.relations.rows):
-        rel_rows.append([0] * a.generators + list(b.relations.row(i)))
-    relations = (
-        IntMatrix.from_rows(rel_rows, cols=g) if rel_rows else IntMatrix.zeros(0, g)
-    )
+    pad_a, pad_b = (0,) * a.generators, (0,) * b.generators
+    relations = [row + pad_b for row in a.lattice.rows]
+    relations += [pad_a + row for row in b.lattice.rows]
     off = a.generators
     action = tuple(
         am + tuple({off + j: e for j, e in row.items()} for row in bm)
@@ -406,17 +401,27 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     """(tensor module over the product ring, Tor of the underlying groups).
 
     The tensor presentation is the Kronecker one: relations R x I and
-    I x S, action matrices A_i x B_j.  The Tor piece is reported as a
-    bare abelian group; no extension data is computed.
+    I x S, action matrices A_i x B_j, on the generators (c, d) ->
+    c * h + d.  R x I has the row r x e_d for each relation row r and
+    each d, and I x S the row e_c x s for each c and each relation row s.
+    The Tor piece is reported as a bare abelian group; no extension data
+    is computed.
     """
     ring = ring_product(mg.ring, mh.ring)
     h = mh.generators
     g = mg.generators * h
-    ig = IntMatrix.identity(mg.generators)
-    ih = IntMatrix.identity(h)
-    left = mg.relations.kron(ih)
-    right = ig.kron(mh.relations)
-    relations = left.vstack(right) if g else IntMatrix.zeros(0, 0)
+    relations = []
+    for terms in mg.lattice.terms:
+        for d in range(h):
+            row = [0] * g
+            for c, e in terms:
+                row[c * h + d] = e
+            relations.append(row)
+    for c in range(mg.generators):
+        for s in mh.lattice.rows:
+            row = [0] * g
+            row[c * h : (c + 1) * h] = s
+            relations.append(row)
     action = tuple(
         tuple(
             {c * h + d: x * y for c, x in arow.items() for d, y in brow.items()}

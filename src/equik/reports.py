@@ -13,7 +13,6 @@ validate_bound alike: _annihilator_image, _index_dimension, _rule_upper.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from .fusion import (
     ideal_power,
     regular_dimension,
     ring_from_tag,
+    tag_order,
 )
 from .joins import build_join_complex, oracle_feasible, reduced_homology
 from .kmodules import (
@@ -284,14 +284,31 @@ def _annihilator_image(model: ModelDescriptor, scope: str, power: int, stability
     return image
 
 
-def _annihilator_witness(ring: str, model, scope: str, power: int, multiplier=None):
+def _witness_ring(model: ModelDescriptor) -> str:
+    """The ring label an annihilator witness on model states.
+
+    trunc-z2 gives z2, trunc its ring tag and circle circle:n.  A tensor
+    of two ring tags joins them with x, the product's own tag; a tensor
+    with a circle factor (whose label holds a colon) gives prod(l,r).
+    """
+    if model.kind == "tensor":
+        left, right = _witness_ring(model.left), _witness_ring(model.right)
+        if ":" in left + right:
+            return f"prod({left},{right})"
+        return f"{left}x{right}"
+    if model.kind == "circle":
+        return f"circle:{model.order}"
+    return "z2" if model.kind == "trunc-z2" else model.ring
+
+
+def _annihilator_witness(model, scope: str, power: int, multiplier=None):
     """Witness for an ideal power on model; a multiplier asks the unit class to be stable."""
     module = model.instantiate()
     stability = None
     if multiplier is not None:
         stability = Stability(multiplier, tuple(int(i == 0) for i in range(module.generators)))
     image = _annihilator_image(model, scope, power, stability, module)
-    return AnnihilatorWitness(ring, power, model, scope, image, stability)
+    return AnnihilatorWitness(_witness_ring(model), power, model, scope, image, stability)
 
 
 def z2_af_bounds(m: int) -> BoundReport:
@@ -299,7 +316,7 @@ def z2_af_bounds(m: int) -> BoundReport:
     if m < 1:
         raise InputError("z2 construction needs m >= 1")
     model = trunc_z2_model(m + 1)
-    witness = _annihilator_witness("z2", model, "full", m)
+    witness = _annihilator_witness(model, "full", m)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "z2-af",
@@ -314,7 +331,7 @@ def circle_ah_dimension(d: int) -> BoundReport:
     if d < 0:
         raise InputError("circle construction needs d >= 0")
     model = circle_model(d + 1)
-    witness = _annihilator_witness(f"circle:{d + 1}", model, "full", d, 2)
+    witness = _annihilator_witness(model, "full", d, 2)
     bound = DimBound(d, d, witness, JoinFactorWitness(d + 1))
     return BoundReport(
         "circle-ah",
@@ -342,7 +359,7 @@ def product_z2_bounds(m: int, group: str) -> BoundReport:
             "so only odd-order factors are admitted"
         )
     model = tensor_model(trunc_model("z2", m + 1), trunc_model(group, 1))
-    witness = _annihilator_witness(f"z2x{group}", model, "left-factor", m, order)
+    witness = _annihilator_witness(model, "left-factor", m, order)
     bound = DimBound(m, 2 * m + 2, witness, JoinFactorWitness(2 * m + 3))
     return BoundReport(
         "product-z2",
@@ -364,7 +381,7 @@ def circle_product_dimension(d: int, group: str) -> BoundReport:
         raise InputError("circle product needs d >= 0")
     ring_from_tag(group)  # rejects an unknown tag before any model is built
     model = tensor_model(circle_model(d + 1), trunc_model(group, 1))
-    witness = _annihilator_witness(f"prod(circle:{d + 1},{group})", model, "left-factor", d, 2)
+    witness = _annihilator_witness(model, "left-factor", d, 2)
     rule = RuleApplication("absorb", ((d, d), (0, 0)))
     bound = DimBound(d, d, witness, rule)
     return BoundReport(
@@ -450,7 +467,7 @@ def z6_collapse_report(d: int) -> CollapseReport:
     factor_one.construction = "z6-collapse-factor"
     factor_one.parameters = {"side": "z2", "m": str(m), "group": "z3"}
     model_two = tensor_model(trunc_model("z3", m + 1), trunc_model("z2", 1))
-    witness_two = _annihilator_witness("z3xz2", model_two, "left-factor", m, 2)
+    witness_two = _annihilator_witness(model_two, "left-factor", m, 2)
     factor_two = BoundReport(
         "z6-collapse-factor",
         {"side": "z3", "m": str(m), "group": "z2"},
@@ -481,10 +498,9 @@ def z6_collapse_report(d: int) -> CollapseReport:
 def _index_dimension(group: str, copies: int) -> int:
     """Dimension k - 1 of the canonical action on the k-fold self-join.
 
-    The group is s1 or z<d>, d >= 1 in decimal with no sign, space,
-    underscore or leading zero.  For the order-2 group the join is the
-    (k-1)-sphere, and its homology is checked whenever the join is small
-    enough for the oracle.
+    The group is s1 or z<d>, with d as fusion.tag_order reads it.  For
+    the order-2 group the join is the (k-1)-sphere, and its homology is
+    checked whenever the join is small enough for the oracle.
     """
     if copies < 1:
         raise InputError("join copies must be >= 1")
@@ -493,11 +509,8 @@ def _index_dimension(group: str, copies: int) -> int:
             f"no commutative join model for group tag {group!r}; "
             "supported: z<n> and s1"
         )
-    if group != "s1" and not re.fullmatch("z[1-9][0-9]*", group):
-        raise InputError(
-            f"malformed cyclic group tag {group!r}: expected z<n>, "
-            "n >= 1 in decimal with no sign or leading zero"
-        )
+    if group != "s1":
+        tag_order(group, "z")
     if group == "z2" and oracle_feasible(2, copies):
         sphere = tuple(FgAbelianGroup(int(d == copies - 1), ()) for d in range(copies))
         if reduced_homology(build_join_complex(2, copies)).groups != sphere:
@@ -668,8 +681,11 @@ CONSTRUCTIONS = {
 
 def _check_lower(cert, lower: int) -> bool:
     if isinstance(cert, AnnihilatorWitness):
-        return cert.power >= lower and cert.nonzero_group == _annihilator_image(
-            cert.model, cert.scope, cert.power, cert.stability
+        return (
+            cert.power >= lower
+            and cert.ring == _witness_ring(cert.model)
+            and cert.nonzero_group
+            == _annihilator_image(cert.model, cert.scope, cert.power, cert.stability)
         )
     if isinstance(cert, IndexWitness):
         return cert.ind == cert.copies and _index_dimension(cert.group, cert.copies) >= lower

@@ -4,6 +4,8 @@ The closed-form tensor and Tor are checked against presentation-level
 oracles built only on the matrix layer: the tensor product of two
 presentations is the Kronecker presentation, and the d-torsion subgroup
 B[d] comes from the kernel of the stacked lattice condition d*x in rel.
+kron and vstack, the matrix operations these oracles need, live here.
+The sparse cokernel is checked against the dense Smith diagonal.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from equik.abgroups import (
     FgAbelianGroup,
     Presentation,
     TRIVIAL_GROUP,
+    cokernel,
     direct_sum,
     normalize,
     parse_group_literal,
@@ -21,7 +24,23 @@ from equik.abgroups import (
     tor,
 )
 from equik.errors import InputError
-from equik.intmat import IntMatrix, hermite_rows, kernel_basis
+from equik.intmat import IntMatrix, hermite_rows, invariant_factors, kernel_basis
+
+
+def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product, blocks indexed row-major by a's entries."""
+    rows = [
+        [a.entry(i, j) * b.entry(k, l) for j in range(a.cols) for l in range(b.cols)]
+        for i in range(a.rows)
+        for k in range(b.rows)
+    ]
+    return IntMatrix.from_rows(rows, cols=a.cols * b.cols)
+
+
+def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.cols:
+        raise InputError("vstack needs equal column counts")
+    return IntMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
 @st.composite
@@ -57,18 +76,7 @@ def tensor_presentation(a: Presentation, b: Presentation) -> Presentation:
     gens = a.generators * b.generators
     ia = IntMatrix.identity(a.generators)
     ib = IntMatrix.identity(b.generators)
-    blocks = []
-    if a.relations.rows:
-        blocks.append(a.relations.kron(ib))
-    if b.relations.rows:
-        blocks.append(ia.kron(b.relations))
-    if blocks:
-        rel = blocks[0]
-        for extra in blocks[1:]:
-            rel = rel.vstack(extra)
-    else:
-        rel = IntMatrix.zeros(0, gens)
-    return Presentation(gens, rel)
+    return Presentation(gens, vstack(kron(a.relations, ib), kron(ia, b.relations)))
 
 
 def d_torsion_subgroup(d: int, b: FgAbelianGroup) -> FgAbelianGroup:
@@ -76,7 +84,7 @@ def d_torsion_subgroup(d: int, b: FgAbelianGroup) -> FgAbelianGroup:
     p = presentation_of(b)
     g = p.generators
     scaled = IntMatrix.diagonal([d] * g)
-    stacked = scaled.vstack(p.relations)
+    stacked = vstack(scaled, p.relations)
     ker = kernel_basis(stacked)
     # x-parts of the kernel span {x : d*x in rel}; quotient by rel
     cover = [ker.row(i)[:g] for i in range(ker.rows)]
@@ -178,6 +186,39 @@ def test_tor_is_symmetric_and_kills_free(a, b):
     assert tor(a, b) == tor(b, a)
     free = FgAbelianGroup(a.free_rank, ())
     assert tor(free, b) == TRIVIAL_GROUP
+
+
+def test_kron_small_example():
+    a = IntMatrix.from_rows([(1, 2)], cols=2)
+    b = IntMatrix.from_rows([(3,), (4,)], cols=1)
+    k = kron(a, b)
+    assert k.rows == 2 and k.cols == 2
+    assert k.to_rows() == [[3, 6], [4, 8]]
+
+
+@st.composite
+def relation_rows(draw, max_dim=6):
+    """(rows, width): any shape, empty included, from a pool with or without units."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    pools = (
+        st.integers(-9, 9),
+        st.sampled_from([0, 2, -2, 3, 4, -6, 9]),  # no unit entries
+        st.sampled_from([0, 1, -1, 2]),  # mostly units
+    )
+    pool = draw(st.sampled_from(pools))
+    return [tuple(draw(st.lists(pool, min_size=n, max_size=n))) for _ in range(m)], n
+
+
+@given(relation_rows())
+@settings(max_examples=200)
+def test_cokernel_matches_dense_invariant_factors(case):
+    rows, width = case
+    dense = IntMatrix.from_rows(rows, cols=width)
+    factors = invariant_factors(dense)
+    want = FgAbelianGroup(width - len(factors), tuple(d for d in factors if d > 1))
+    assert cokernel(rows, width) == want
+    assert normalize(Presentation(width, dense)) == want
 
 
 def test_json_roundtrip():

@@ -5,6 +5,7 @@ console entry point uses the same function.
 """
 
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from equik.intmat import load_matrix, matrix_from_json_dict
 from equik.reports import CONSTRUCTIONS, report_from_json_dict, validate
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -365,6 +367,59 @@ def test_validate_rejects_a_commutative_report_with_a_non_canonical_tag(
     assert (code, out) == (1, "invalid\n")
 
 
+RING_TAG_REQUESTS = {
+    "rep ideal-powers": ("rep", "ideal-powers", "{}"),
+    "rokhlin finite": ("rokhlin", "finite", "{}", "1"),
+    "product-z2": ("rokhlin", "product-z2", "1", "{}"),
+    "circle-product": ("rokhlin", "circle-product", "1", "{}"),
+}
+
+
+@pytest.mark.parametrize("tag", NON_CANONICAL_CYCLIC_TAGS + ("z3xz03",))
+@pytest.mark.parametrize("request_name", sorted(RING_TAG_REQUESTS))
+def test_ring_tag_with_a_non_canonical_cyclic_part_exits_2(request_name, tag, capsys):
+    argv = [a.format(tag) for a in RING_TAG_REQUESTS[request_name]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+# Tags are read exactly as written: an upper-case or space-padded tag no
+# longer resolves to z3 but is an unknown ring, as any tag that does not
+# start with z is.
+@pytest.mark.parametrize("tag", ["Z3", " z3", "z3xZ3"])
+@pytest.mark.parametrize("request_name", sorted(RING_TAG_REQUESTS))
+def test_ring_tag_not_starting_with_z_exits_3(request_name, tag, capsys):
+    argv = [a.format(tag) for a in RING_TAG_REQUESTS[request_name]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("unsupported:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", ["+3", " 3", "03", "0", "3_0", "x", ""])
+def test_non_canonical_circle_order_exits_2(order, capsys):
+    code, out, err = run(capsys, "rep", "ring", f"circle:{order}")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("tag", NON_CANONICAL_CYCLIC_TAGS)
+def test_validate_rejects_a_product_z2_report_with_a_non_canonical_tag(
+    tag, tmp_path, capsys
+):
+    code, out, _ = run(capsys, "rokhlin", "product-z2", "1", "z3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["parameters"]["group"] = tag
+    (cert,) = [c for c in doc["certificates"] if c["kind"] == "annihilator"]
+    cert["ring"] = f"z2x{tag}"
+    cert["model"]["right"]["ring"] = tag
+    rfile = tmp_path / "report.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+
+
 def test_circle_product_8_on_z3xz3_text(capsys):
     # The bytes printed when each ideal power was formed from products
     # with every Z-basis row of the augmentation ideal.
@@ -553,3 +608,44 @@ def test_reused_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
     again = [_request(capsys, argv) for _ in range(3) for argv in PARSER_REQUESTS]
     assert again == fresh * 3
     assert len(builds) == 1
+
+
+def readme_transcripts():
+    """(command, expected lines) for each "$ equik" line of the README;
+    the expected lines run up to the next blank line or fence."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ equik "):
+            expected = []
+            for follow in lines[i + 1 :]:
+                if not follow or follow.startswith("```"):
+                    break
+                expected.append(follow)
+            out.append((line[len("$ equik ") :], expected))
+    return out
+
+
+TRANSCRIPTS = readme_transcripts()
+
+
+def test_readme_transcripts_are_found():
+    assert len(TRANSCRIPTS) >= 12
+
+
+@pytest.mark.parametrize("command,expected", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])
+def test_readme_transcript(command, expected, tmp_path, monkeypatch, capsys):
+    # matrix.json is the example of the README's File formats section;
+    # report.json is what rokhlin z2 2 --json writes.
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text(encoding="utf-8")
+    example = text.split("Integer matrices are JSON", 1)[1].split("```json\n", 1)[1]
+    Path("matrix.json").write_text(example.split("```", 1)[0], encoding="utf-8")
+    assert main(["rokhlin", "z2", "2", "--json"]) == 0
+    Path("report.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    code, out, err = run(capsys, *shlex.split(command))
+    if expected[0].startswith("error:"):
+        # the lines after the message are the README's note on it
+        assert (code, out, err) == (2, "", expected[0] + "\n")
+    else:
+        assert (code, out, err) == (0, "\n".join(expected) + "\n", "")

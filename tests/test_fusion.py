@@ -46,7 +46,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, hermite_rows, hnf, kernel_basis
+from equik.intmat import IntMatrix, hermite_rows, hermite_solve, hnf, kernel_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,14 +159,14 @@ def test_product_of_z2_z3_is_z6():
 
 def test_augmentation_basis_of_z2_is_canonical():
     aug = augmentation_ideal(cyclic_ring(2))
-    assert aug.basis.to_rows() == [[1, -1]]
+    assert aug.basis == ((1, -1),)
 
 
 def test_ideal_power_contents_for_z2():
     r = cyclic_ring(2)
     for m in range(1, 7):
         lat = ideal_power(r, m)
-        assert lat.basis.to_rows() == [[2 ** (m - 1), -(2 ** (m - 1))]]
+        assert lat.basis == ((2 ** (m - 1), -(2 ** (m - 1))),)
         assert lat.content() == 2 ** (m - 1)
 
 
@@ -174,7 +174,7 @@ def test_ideal_power_zero_is_full_ring():
     r = cyclic_ring(5)
     lat = ideal_power(r, 0)
     assert lat.rank == 5
-    assert lat.basis.to_rows() == IntMatrix.identity(5).to_rows()
+    assert lat.basis == tuple(tuple(IntMatrix.identity(5).row(i)) for i in range(5))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -221,6 +221,16 @@ def test_ideal_lattice_rejects_non_ideal():
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [((1, -1, 0),), ((0, 1), (1, 0)), ((2, -2), (0, 0)), ((1, 3), (0, 2)), ((-1, 1),)],
+    ids=["wide", "unordered", "zero row", "unreduced", "negative pivot"],
+)
+def test_ideal_lattice_rejects_rows_not_in_hermite_form(rows):
+    with pytest.raises(InputError):
+        IdealLattice(cyclic_ring(2), rows)
+
+
 def test_lattice_quotient_requires_containment():
     r = cyclic_ring(3)
     with pytest.raises(LatticeContainmentError):
@@ -256,6 +266,26 @@ def test_lambda_expansion_back_substitutes(p):
     assert acc == powers[p]
 
 
+def hnf_lambda_expansion(p):
+    """lam^p in the basis lam, ..., lam^(p-1), by an HNF solve: Hermite
+    form with its transform, back-substitution, then the transform."""
+    ring = cyclic_ring(p)
+    lam = tuple(1 if k == 0 else (-1 if k == 1 else 0) for k in range(p))
+    powers = [lam]
+    for _ in range(p - 1):
+        powers.append(ring.mul_vec(powers[-1], lam))
+    res = hnf(IntMatrix.from_rows(powers[: p - 1], cols=p))
+    coords = hermite_solve([res.H.row(i) for i in range(res.rank)], powers[p - 1])
+    assert coords is not None and len(coords) == p - 1
+    t = res.transform
+    return tuple(sum(c * t.entry(i, j) for i, c in enumerate(coords)) for j in range(p - 1))
+
+
+@pytest.mark.parametrize("p", range(3, 32, 2))
+def test_lambda_expansion_matches_hnf_solve(p):
+    assert lambda_expansion(p) == hnf_lambda_expansion(p)
+
+
 def test_lambda_expansion_rejects_bad_orders():
     with pytest.raises(UnsupportedError):
         lambda_expansion(4)
@@ -288,9 +318,7 @@ def test_circle_ideal_image_matches_power():
     for n in (1, 3, 5):
         c = circle_truncation(n)
         for j in range(n + 2):
-            assert circle_ideal_image(n, j).basis.entries == ideal_power(
-                c, j
-            ).basis.entries
+            assert circle_ideal_image(n, j).basis == ideal_power(c, j).basis
 
 
 def test_ring_from_tag():
@@ -299,6 +327,23 @@ def test_ring_from_tag():
     assert ring_from_tag("z2xz2xz2").rank == 8
     with pytest.raises(UnsupportedError):
         ring_from_tag("d8")
+
+
+# One tag per ring: z<d>, d >= 1 in decimal, parts joined by x.  A
+# malformed z... part is bad input; a part not starting with z, which
+# now includes Z3 and " z3", is an unknown ring.
+@pytest.mark.parametrize(
+    "tag", ["z+3", "z 3", "z3_0", "z03", "z0", "z3 ", "z", "z2xz03", "z3xz+2", "z٣"]
+)
+def test_ring_from_tag_rejects_non_canonical_cyclic_parts(tag):
+    with pytest.raises(InputError):
+        ring_from_tag(tag)
+
+
+@pytest.mark.parametrize("tag", ["Z3", " z3", "q9", "z2xZ3", "z2x", "", "x"])
+def test_ring_from_tag_leaves_other_tags_unsupported(tag):
+    with pytest.raises(UnsupportedError):
+        ring_from_tag(tag)
 
 
 def test_mixed_product_ring_protocol():
@@ -400,7 +445,8 @@ def test_sparse_mul_vec_matches_dense_oracle(name, data):
 def kernel_augmentation_ideal(ring):
     """The augmentation ideal as the kernel of the aug column, by
     kernel_basis: the construction augmentation_ideal replaced."""
-    return IdealLattice(ring, kernel_basis(IntMatrix(ring.rank, 1, tuple(ring.aug))))
+    kernel = kernel_basis(IntMatrix(ring.rank, 1, tuple(ring.aug)))
+    return IdealLattice(ring, tuple(kernel.row(i) for i in range(kernel.rows)))
 
 
 def per_power_oracle(ring, n, cap):
@@ -907,10 +953,10 @@ def test_generator_closure_agrees_with_full_closure(name, close, data):
     rows = hermite_rows(vectors, ring.rank)
     want = full_closure_outcome(ring, rows)
     if want is None:
-        assert IdealLattice.from_hermite_rows(ring, rows).rows() == list(rows)
+        assert IdealLattice(ring, rows).rows() == list(rows)
     else:
         with pytest.raises(LatticeContainmentError) as err:
-            IdealLattice.from_hermite_rows(ring, rows)
+            IdealLattice(ring, rows)
         assert err.value.witness == want
     if close:
         assert want is None

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equik.abgroups import FgAbelianGroup, cokernel
 from equik.errors import InputError
 from equik.intmat import (
     IntMatrix,
     Lattice,
-    cokernel_invariants,
     hermite_rows,
     hermite_solve,
     hnf,
@@ -83,8 +83,8 @@ def test_hnf_frozen_examples():
 
 
 def test_cokernel_frozen_example():
-    a = IntMatrix.from_rows([(1, 0, 0, 0), (0, 4, 0, 0), (0, 0, 6, 0)], cols=4)
-    assert cokernel_invariants(a) == (1, (2, 12))
+    rows = [(1, 0, 0, 0), (0, 4, 0, 0), (0, 0, 6, 0)]
+    assert cokernel(rows, 4) == FgAbelianGroup(1, (2, 12))
 
 
 def test_kernel_frozen_example():
@@ -187,10 +187,10 @@ def test_kernel_is_saturated_and_complete(a):
 @given(matrices())
 @settings(max_examples=60)
 def test_cokernel_matches_snf_diagonal(a):
-    free, torsion = cokernel_invariants(a)
+    group = cokernel(a.to_rows(), a.cols)
     diag = snf(a).invariant_factors()
-    assert free == a.cols - len(diag)
-    assert torsion == tuple(d for d in diag if d > 1)
+    assert group.free_rank == a.cols - len(diag)
+    assert group.torsion == tuple(d for d in diag if d > 1)
 
 
 @given(matrices(max_dim=3))
@@ -280,14 +280,6 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(InputError):
         IntMatrix(-1, 2, ())
-
-
-def test_kron_small_example():
-    a = IntMatrix.from_rows([(1, 2)], cols=2)
-    b = IntMatrix.from_rows([(3,), (4,)], cols=1)
-    k = a.kron(b)
-    assert k.rows == 2 and k.cols == 2
-    assert k.to_rows() == [[3, 6], [4, 8]]
 
 
 ENTRY_POOLS = (

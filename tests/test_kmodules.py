@@ -2,7 +2,9 @@
 
 The dense module-axiom check that the sparse one replaced stays here as
 the oracle for both the check on the ring's generators and the full
-scan that names a failure.
+scan that names a failure.  Relations are tuples of row tuples, as
+RingModule takes them; the Kunneth relations are checked against the
+Kronecker presentation built with the matrix oracle of test_abgroups.
 """
 
 from functools import lru_cache
@@ -42,6 +44,7 @@ from equik.kmodules import (
     truncated_ring_module,
     zero_module,
 )
+from test_abgroups import kron, vstack
 
 
 def test_truncated_z2_groups():
@@ -81,7 +84,7 @@ def dense_module_check(ring, g, relations, action):
     Returns None when every axiom holds, else the (axiom, indices) pair
     of the first failure, in the order RingModule checks them.
     """
-    rel_rows = hermite_rows([relations.row(i) for i in range(relations.rows)], g)
+    rel_rows = hermite_rows(relations, g)
 
     def vanishes(mat):
         return all(hermite_solve(rel_rows, mat.row(i)) is not None for i in range(mat.rows))
@@ -114,10 +117,18 @@ def dense_module_check(ring, g, relations, action):
 
 def generator_check(ring, g, relations, action) -> bool:
     """The check on the ring's generators alone, without the full scan."""
-    lattice = Lattice.span((relations.row(i) for i in range(relations.rows)), g)
+    lattice = Lattice.span(relations, g)
     return kmodules._axioms_hold_on_generators(
         ring, lattice, tuple(sparse(m) for m in action)
     )
+
+
+def moved_relation(relations, g, idx, delta):
+    """The relation rows with entry idx, counted row-major, moved by delta."""
+    i, j = divmod(idx, g)
+    row = list(relations[i])
+    row[j] += delta
+    return relations[:i] + (tuple(row),) + relations[i + 1 :]
 
 
 def sparse_module_check(ring, g, relations, action):
@@ -130,7 +141,7 @@ def sparse_module_check(ring, g, relations, action):
 
 def test_module_validation_catches_bad_action():
     r = cyclic_ring(2)
-    rel = IntMatrix.zeros(0, 2)
+    rel = ()
     good = truncated_ring_module(r, 2)
     assert good.generators == 2
     # chi acting as a nilpotent matrix breaks chi * chi = 1
@@ -145,7 +156,7 @@ def test_module_validation_catches_bad_action():
 
 def test_module_validation_catches_bad_unit():
     r = cyclic_ring(2)
-    rel = IntMatrix.zeros(0, 1)
+    rel = ()
     with pytest.raises(ModuleInvariantError) as err:
         RingModule(r, 1, rel, (sparse(IntMatrix.from_rows([(2,)], cols=1)),) * 2)
     assert err.value.axiom == "unit acts as identity"
@@ -154,11 +165,21 @@ def test_module_validation_catches_bad_unit():
 def test_module_validation_catches_moving_relations():
     r = cyclic_ring(2)
     # relations <(2, 0)> are not preserved by the swap action of chi
-    rel = IntMatrix.from_rows([(2, 0)], cols=2)
+    rel = ((2, 0),)
     swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
     with pytest.raises(ModuleInvariantError) as err:
         RingModule(r, 2, rel, (sparse(IntMatrix.identity(2)), sparse(swap)))
     assert err.value.axiom == "relations are invariant"
+
+
+@pytest.mark.parametrize(
+    "rel", [((2,),), ((2, 0, 0),), ((2, 0.0),), ((True, 0),)],
+    ids=["short", "long", "float", "bool"],
+)
+def test_module_rejects_malformed_relation_rows(rel):
+    identity = ({0: 1}, {1: 1})
+    with pytest.raises(InputError):
+        RingModule(cyclic_ring(2), 2, rel, (identity, identity))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -400,11 +421,28 @@ def oracle_modules() -> tuple:
     return tuple(out)
 
 
+def kronecker_relations(left, right):
+    """R x I and I x S stacked, by kron and vstack on IntMatrix."""
+    r = IntMatrix.from_rows(left.lattice.rows, cols=left.generators)
+    s = IntMatrix.from_rows(right.lattice.rows, cols=right.generators)
+    ig, ih = IntMatrix.identity(left.generators), IntMatrix.identity(right.generators)
+    stacked = vstack(kron(r, ih), kron(ig, s))
+    return [stacked.row(i) for i in range(stacked.rows)]
+
+
+@pytest.mark.parametrize("a", TENSOR_FACTORS)
+@pytest.mark.parametrize("b", TENSOR_FACTORS)
+def test_kunneth_relations_span_the_kronecker_lattice(a, b):
+    left, right = (ModelDescriptor.parse(text).instantiate() for text in (a, b))
+    mod, _ = kunneth_pieces(left, right)
+    assert mod.lattice.rows == hermite_rows(kronecker_relations(left, right), mod.generators)
+
+
 def test_dense_oracle_accepts_every_built_module():
     # Building each module ran the sparse check.
     for name, mod in oracle_modules():
         action = tuple(dense(rows, mod.generators) for rows in mod.action)
-        verdict = dense_module_check(mod.ring, mod.generators, mod.relations, action)
+        verdict = dense_module_check(mod.ring, mod.generators, mod.lattice.rows, action)
         assert verdict is None, name
 
 
@@ -417,7 +455,7 @@ def test_sparse_module_check_matches_dense_oracle(data):
     _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
     g, ring = mod.generators, mod.ring
     action = [dense(rows, g) for rows in mod.action]
-    relations = mod.relations
+    relations = mod.lattice.rows
     delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
     target = data.draw(st.sampled_from(("action", "relation")), label="target")
     if g and target == "action":
@@ -426,11 +464,9 @@ def test_sparse_module_check_matches_dense_oracle(data):
         ent = list(action[k].entries)
         ent[idx] += delta
         action[k] = IntMatrix(g, g, tuple(ent))
-    elif relations.rows:
-        idx = data.draw(st.integers(0, len(relations.entries) - 1), label="entry")
-        ent = list(relations.entries)
-        ent[idx] += delta
-        relations = IntMatrix(relations.rows, g, tuple(ent))
+    elif relations:
+        idx = data.draw(st.integers(0, len(relations) * g - 1), label="entry")
+        relations = moved_relation(relations, g, idx, delta)
     want = dense_module_check(ring, g, relations, action)
     assert sparse_module_check(ring, g, relations, action) == want
 
@@ -445,7 +481,7 @@ def test_generator_check_matches_dense_oracle(data):
     _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
     g, ring = mod.generators, mod.ring
     action = [dense(rows, g) for rows in mod.action]
-    relations = mod.relations
+    relations = mod.lattice.rows
     delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
     if g and data.draw(st.booleans(), label="perturb action"):
         k = data.draw(st.integers(0, ring.rank - 1), label="k")
@@ -453,11 +489,9 @@ def test_generator_check_matches_dense_oracle(data):
         ent = list(action[k].entries)
         ent[idx] += delta
         action[k] = IntMatrix(g, g, tuple(ent))
-    elif relations.rows:
-        idx = data.draw(st.integers(0, len(relations.entries) - 1), label="entry")
-        ent = list(relations.entries)
-        ent[idx] += delta
-        relations = IntMatrix(relations.rows, g, tuple(ent))
+    elif relations:
+        idx = data.draw(st.integers(0, len(relations) * g - 1), label="entry")
+        relations = moved_relation(relations, g, idx, delta)
     want = dense_module_check(ring, g, relations, action)
     assert generator_check(ring, g, relations, action) == (want is None)
     assert sparse_module_check(ring, g, relations, action) == want
@@ -492,7 +526,7 @@ def outside_generators(mod):
 def test_generator_check_sees_actions_outside_the_generators(mod):
     # Only act[k] for a k outside S moves, so the fault shows only in the
     # products act[s] act[k], never in act[s] alone.
-    g, ring, relations = mod.generators, mod.ring, mod.relations
+    g, ring, relations = mod.generators, mod.ring, mod.lattice.rows
     assert ring.generators and ring.rank > len(ring.generators) + 1
     cases = 0
     for k, action in outside_generators(mod):
@@ -511,7 +545,7 @@ def test_generator_check_reaches_the_last_index(n):
     # last, 2^n, where the table asks for act[0] = 1.
     ring = cyclic_ring(n)
     action = tuple(IntMatrix.from_rows([(2**k,)], cols=1) for k in range(n))
-    rel = IntMatrix.zeros(0, 1)
+    rel = ()
     assert dense_module_check(ring, 1, rel, action) == ("fusion compatibility", (1, n - 1))
     assert not generator_check(ring, 1, rel, action)
 
@@ -520,7 +554,7 @@ def test_generator_check_sees_relations_moved_by_a_generator():
     # chi swaps the generators: every product axiom holds, and only the
     # relations <(2, 0)> fail to be invariant under chi, a generator.
     r = cyclic_ring(2)
-    rel = IntMatrix.from_rows([(2, 0)], cols=2)
+    rel = ((2, 0),)
     swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
     action = (IntMatrix.identity(2), swap)
     assert dense_module_check(r, 2, rel, action) == ("relations are invariant", (1,))

@@ -506,3 +506,15 @@ def test_bare_path_rejects_a_product_z2_witness_with_an_even_multiplier(gallery_
         assert cert.nonzero_group == FgAbelianGroup(0, (2,))
         forged = replace(cert, stability=replace(cert.stability, multiplier=2))
         assert not validate_bound(replace(bound, lower_certificate=forged)), name
+
+
+def test_bare_path_rejects_a_witness_ring_other_than_its_models(gallery_bounds):
+    bound = z2_af_bounds(2).bound
+    forged = replace(bound.lower_certificate, ring="q9")
+    assert validate_bound(bound)
+    assert not validate_bound(replace(bound, lower_certificate=forged))
+    for name, bound in _annihilator_bounds(gallery_bounds):
+        cert = bound.lower_certificate
+        for ring in ("q9", cert.ring + "x", cert.ring.upper()):
+            forged = replace(cert, ring=ring)
+            assert not validate_bound(replace(bound, lower_certificate=forged)), (name, ring)

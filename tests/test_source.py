@@ -1,10 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import equik
+from equik.cli import main
+from equik.intmat import IntMatrix
 
 SOURCES = sorted(Path(equik.__file__).parent.glob("*.py"))
 
@@ -64,3 +67,48 @@ def test_every_private_module_level_name_is_used():
     private = [(f, n) for f, n in defined if n.startswith("_") and not n.startswith("__")]
     assert private
     assert [f"{f}:{n}" for f, n in private if n not in read] == []
+
+
+def test_intmatrix_is_named_only_at_the_boundary():
+    # Inside the library, integer rows are tuples.  IntMatrix belongs to
+    # intmat itself, to Presentation in abgroups, to the CLI's matrix input
+    # and output, and to the package exports.
+    named = [
+        path.name
+        for path in SOURCES
+        if re.search(r"\bIntMatrix\b", path.read_text(encoding="utf-8"))
+    ]
+    assert named == ["__init__.py", "abgroups.py", "cli.py", "intmat.py"]
+
+
+# Lattice and certify requests: ideal powers, a lambda expansion, the
+# regular class, a model, and a Kunneth report built and validated.
+BOUNDARY_FREE_REQUESTS = (
+    ("rep", "ideal-powers", "z2xz3xz5", "--max-power", "2"),
+    ("rep", "lambda", "7"),
+    ("rep", "regular", "z24"),
+    ("model", "trunc-z2:3"),
+)
+
+
+def test_lattice_and_certify_requests_build_no_intmatrix(monkeypatch, tmp_path, capsys):
+    built = []
+    real_init = IntMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    IntMatrix.identity(2)
+    assert len(built) == 1  # the count sees construction through a classmethod
+    built.clear()
+    for argv in BOUNDARY_FREE_REQUESTS:
+        assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    assert main(["rokhlin", "product-z2", "1", "z3xz3", "--json"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["validate", str(report)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert built == []
