@@ -54,14 +54,6 @@ class FgAbelianGroup:
             "torsion": [str(d) for d in self.torsion],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj) -> "FgAbelianGroup":
-        if not isinstance(obj, dict) or "free_rank" not in obj or "torsion" not in obj:
-            raise InputError("group object needs free_rank and torsion fields")
-        free = int(obj["free_rank"])
-        torsion = tuple(int(d) for d in obj["torsion"])
-        return cls(free, torsion)
-
 
 TRIVIAL_GROUP = FgAbelianGroup(0, ())
 

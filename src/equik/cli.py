@@ -6,7 +6,8 @@ an absent upper bound is the string "infinity".  --meta writes timing to
 stderr so the stdout payload stays byte-identical run to run.
 
 Exit codes: 0 success, 2 bad input, 3 unsupported request.  validate
-exits 1 when the file parses but its claims fail recomputation.
+exits 1 when the file is well formed but differs from the rebuild of its
+construction, and then names the first difference on stderr.
 """
 
 from __future__ import annotations
@@ -262,8 +263,10 @@ def _cmd_validate(args):
             obj = json.load(fh)
         except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InputError(f"cannot parse report file {args.file}: {exc}") from None
-    report = report_from_json_dict(obj)
-    ok = validate(report)
+    reasons = []
+    ok = validate(report_from_json_dict(obj), reasons)
+    if reasons:
+        print(f"invalid: {reasons[0]}", file=sys.stderr)
     payload = {"valid": ok}
     return payload, ["valid" if ok else "invalid"], 0 if ok else 1
 

@@ -11,6 +11,7 @@ generators; every index runs only on failure, to name the axiom.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, NamedTuple
@@ -228,8 +229,16 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
 # ---------------------------------------------------------------------------
 
 
+def _order(text: str) -> int:
+    """A model order: 0 or digits with no leading zero, sign, space or
+    underscore.  instantiate checks each kind's least order."""
+    if not re.fullmatch("0|[1-9][0-9]*", text):
+        raise ValueError(f"non-canonical order {text!r}")
+    return int(text)
+
+
 class _LeafKind(NamedTuple):
-    """A model kind that truncates one ring: its tag fields (name, type)
+    """A model kind that truncates one ring: its tag fields (name, parser)
     in tag order, its ring, and the least order it instantiates at."""
 
     fields: tuple
@@ -238,10 +247,10 @@ class _LeafKind(NamedTuple):
 
 
 _LEAF_KINDS = {
-    "trunc-z2": _LeafKind((("order", int),), lambda d: cyclic_ring(2), 1),
-    "circle": _LeafKind((("order", int),), lambda d: circle_truncation(d.order), 1),
+    "trunc-z2": _LeafKind((("order", _order),), lambda d: cyclic_ring(2), 1),
+    "circle": _LeafKind((("order", _order),), lambda d: circle_truncation(d.order), 1),
     "trunc": _LeafKind(
-        (("ring", str), ("order", int)), lambda d: ring_from_tag(d.ring), 0
+        (("ring", str), ("order", _order)), lambda d: ring_from_tag(d.ring), 0
     ),
 }
 
@@ -334,20 +343,6 @@ class ModelDescriptor:
         # kind first, then the fields by name (order before ring)
         fields = sorted(name for name, _ in _leaf_kind(self.kind).fields)
         return {"kind": self.kind, **{name: str(getattr(self, name)) for name in fields}}
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "ModelDescriptor":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise InputError("model descriptor object needs a kind")
-        kind = obj["kind"]
-        if kind == "tensor":
-            return cls(
-                "tensor",
-                left=cls.from_json_dict(obj["left"]),
-                right=cls.from_json_dict(obj["right"]),
-            )
-        fields = _leaf_kind(kind).fields
-        return cls(kind, **{name: typ(obj[name]) for name, typ in fields})
 
 
 def trunc_z2_model(l: int) -> ModelDescriptor:

