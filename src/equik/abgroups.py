@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InputError
+from .errors import RANK_BITS_CAP, CapExceededError, InputError, charge
 from .intmat import IntMatrix, smith_invariants
 
 
@@ -27,6 +27,11 @@ class FgAbelianGroup:
         for d in tor:
             if d < 2:
                 raise InputError("torsion invariants must be >= 2")
+            if d.bit_length() > RANK_BITS_CAP:
+                raise CapExceededError(
+                    f"output bound exceeded: a torsion invariant of {d.bit_length()} "
+                    f"bits, over {RANK_BITS_CAP}"
+                )
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise InputError(f"torsion chain broken: {a} does not divide {b}")
@@ -105,6 +110,8 @@ def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     Z^a x Z^b contributes Z^(ab); Z_d x Z^b contributes b copies of Z_d;
     Z_d x Z_e collapses to Z_gcd(d, e).
     """
+    count = len(b.torsion) * a.free_rank + len(a.torsion) * (b.free_rank + len(b.torsion))
+    charge(16 * count**2, f"{count} torsion summands")  # _chain reduces count^2 cells
     tors = []
     tors.extend(e for e in b.torsion for _ in range(a.free_rank))
     tors.extend(d for d in a.torsion for _ in range(b.free_rank))
@@ -114,6 +121,8 @@ def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 
 def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tor_1 over Z: free parts die, Tor(Z_d, Z_e) = Z_gcd(d, e)."""
+    count = len(a.torsion) * len(b.torsion)
+    charge(16 * count**2, f"{count} torsion summands")
     tors = [gcd(d, e) for d in a.torsion for e in b.torsion]
     return FgAbelianGroup(0, _chain(tors))
 

@@ -19,8 +19,8 @@ import time
 
 from .abgroups import TRIVIAL_GROUP, parse_group_literal, tensor, tor
 from .errors import CapExceededError, EquikError, InputError, UnsupportedError
+from .errors import charge, read_json
 from .fusion import (
-    DEFAULT_PRODUCT_CAP,
     augmentation_ideal,
     circle_truncation,
     from_fusion_file,
@@ -37,7 +37,7 @@ from .joins import (
     build_join_complex,
     join_k_theory_formula,
     mayer_vietoris_delta,
-    oracle_feasible,
+    oracle_consistency,
     reduced_homology,
 )
 from .kmodules import ModelDescriptor, max_nonvanishing_power
@@ -127,6 +127,7 @@ def _cmd_rep_ideal_powers(args):
     ring = _ring_arg(args.ring)
     if args.max_power < 1:
         raise InputError("max power must be >= 1")
+    charge(500 * args.max_power, f"{args.max_power} printed levels")  # 500 per level
     quotients = []
     lines = []
     powers = ideal_powers(ring, last=args.max_power)
@@ -136,8 +137,6 @@ def _cmd_rep_ideal_powers(args):
             q = TRIVIAL_GROUP  # 0/0: every power from here on is zero
         else:
             inner = next(powers)
-            if not inner.rank and args.max_power > DEFAULT_PRODUCT_CAP:
-                raise CapExceededError(f"max power cap exceeded ({DEFAULT_PRODUCT_CAP} levels)")
             q = lattice_quotient(ring, outer, inner)
             outer = inner
         quotients.append({"power": str(k), "group": q.to_json_dict()})
@@ -180,14 +179,13 @@ def _cmd_rep_regular(args):
 def _cmd_join_ktheory(args):
     k0, k1 = join_k_theory_formula(args.n, args.k)
     payload = {"n": str(args.n), "k": str(args.k), "k0_rank": str(k0), "k1_rank": str(k1)}
-    if oracle_feasible(args.n, args.k):
-        from .joins import oracle_consistency
-
+    try:
         check = oracle_consistency(args.n, args.k)
+    except CapExceededError:  # the complex does not fit the work budget
+        oracle = "skipped"
+    else:
         oracle = "consistent" if check.consistent else "inconsistent"
         payload["betti"] = [g.to_json_dict() for g in check.betti.groups]
-    else:
-        oracle = "skipped"
     payload["oracle"] = oracle
     line = f"K0 rank {k0}, K1 rank {k1}; oracle: {oracle}"
     return payload, [line], 0
@@ -258,13 +256,8 @@ def _cmd_model(args):
 
 
 def _cmd_validate(args):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise InputError(f"cannot parse report file {args.file}: {exc}") from None
     reasons = []
-    ok = validate(report_from_json_dict(obj), reasons)
+    ok = validate(report_from_json_dict(read_json(args.file, "report")), reasons)
     if reasons:
         print(f"invalid: {reasons[0]}", file=sys.stderr)
     payload = {"valid": ok}

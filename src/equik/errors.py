@@ -1,8 +1,16 @@
-"""Exception taxonomy shared by all equik modules.
+"""Exception taxonomy, work budget and JSON reader shared by all modules.
 
 The CLI maps InputError to exit code 2 (bad or rejected input) and
 UnsupportedError to exit code 3 (a model the tool does not provide).
 """
+
+import json
+
+# A unit is about one inner-loop step, some 20 ns of CPython on a 2-vCPU VM.
+WORK_BUDGET = 200_000_000
+# Output integers (join ranks, torsion invariants) have at most 2000 bits,
+# 603 decimal digits, within Python's lowest int-to-str limit of 640.
+RANK_BITS_CAP = 2000
 
 
 class EquikError(Exception):
@@ -38,4 +46,23 @@ class LatticeContainmentError(InputError):
 
 
 class CapExceededError(InputError):
-    """A configured work cap was exceeded."""
+    """A request needs more than WORK_BUDGET or RANK_BITS_CAP allows."""
+
+
+def charge(units: int, what: str) -> None:
+    """Refuse work predicted, before it starts, to need over WORK_BUDGET
+    units; units over 64 bits (maybe a lower bound) show as a power of 2."""
+    if units > WORK_BUDGET:
+        shown = units if units.bit_length() <= 64 else f"more than 2^{units.bit_length() - 1}"
+        raise CapExceededError(
+            f"work budget exceeded: {what} needs {shown} units, over {WORK_BUDGET}"
+        )
+
+
+def read_json(path, what: str):
+    """The JSON in the file at path; bad JSON, non-UTF-8 bytes or deep nesting is InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"cannot parse {what} file {path}: {exc}") from None

@@ -8,7 +8,8 @@ constants and positive dimensions.  The truncated polynomial ring that
 models the circle, and its products with character rings, are based
 rings that are not fusion rings, since their augmentation kills lam.
 
-``cyclic_ring``, ``circle_truncation``, ``ring_product`` and the
+``cyclic_ring``, ``circle_truncation``, ``ring_product`` (each charging
+the r^3 work units of the least axiom check before its table) and the
 fusion-table loader build every ring; downstream code reads ``rank``,
 ``labels``, ``aug``, ``is_fusion``, ``basis_mul(i, j)`` and
 ``mul_vec(a, b)``.  Tuples on hot paths are built from lists, not
@@ -17,23 +18,14 @@ generators, for the reason given in intmat.hermite_rows.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .errors import (
-    CapExceededError,
-    EquikError,
-    FusionRingError,
-    InputError,
-    LatticeContainmentError,
-    UnsupportedError,
-)
+from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
+from .errors import UnsupportedError, charge, read_json
 from .abgroups import cokernel
 from .intmat import Lattice, as_int, hermite_rows, xgcd
-
-DEFAULT_PRODUCT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -182,6 +174,7 @@ def _validate_ring(labels, aug, table, is_fusion):
                     f"sum N*dim = {total}, dims product = {aug[i] * aug[j]}",
                 )
     gens = _basis_generators(table)
+    charge(r**3 * len(gens), f"a rank-{r} ring")  # Light's test: r^2 |S| r-wide sums
     if _associativity_witness(table, gens):
         raise FusionRingError("associativity", _associativity_witness(table, range(r)))
     return gens
@@ -290,6 +283,7 @@ def cyclic_ring(n: int) -> BasedRing:
     """Character ring of the cyclic group of order n (all dims 1)."""
     if n < 1:
         raise InputError("cyclic ring needs order >= 1")
+    charge(n**3, f"a rank-{n} ring")
     labels = tuple(["1" if k == 0 else ("chi" if k == 1 else f"chi^{k}") for k in range(n)])
     table = tuple([tuple([(((i + j) % n, 1),) for j in range(n)]) for i in range(n)])
     return BasedRing(labels, (1,) * n, table, is_fusion=True)
@@ -304,6 +298,7 @@ def circle_truncation(n: int) -> BasedRing:
     """
     if n < 1:
         raise InputError("circle truncation needs order >= 1")
+    charge(n**3, f"a rank-{n} ring")
     labels = tuple(["1" if k == 0 else ("lam" if k == 1 else f"lam^{k}") for k in range(n)])
     aug = (1,) + (0,) * (n - 1)
     table = tuple(
@@ -320,6 +315,7 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
     when both factors are.
     """
     n2 = r2.rank
+    charge((r1.rank * n2) ** 3, f"a rank-{r1.rank * n2} ring")
     labels = tuple([f"({a},{b})" for a in r1.labels for b in r2.labels])
     aug = tuple([x * y for x in r1.aug for y in r2.aug])
     table = tuple(
@@ -436,7 +432,18 @@ def augmentation_ideal(ring) -> IdealLattice:
     return IdealLattice.from_rows(ring, rows)
 
 
-def _higher_power_rows(ring, aug_rows, cap, last=None):
+def _level_units(ring, rows) -> int:
+    """Units to form the next power from these Hermite rows: 16 per entry
+    of the rank * |S| products, times the words of the pivot product."""
+    pivots, col = 1, 0
+    for row in rows:  # Hermite pivots sit in increasing columns
+        while not row[col]:
+            col += 1
+        pivots *= row[col]
+    return 16 * len(rows) * len(ring.generators) * ring.rank * (1 + pivots.bit_length() // 64)
+
+
+def _higher_power_rows(ring, aug_rows, last=None):
     """Yield the Hermite rows of I^2, I^3, ... for the augmentation ideal I.
 
     Power k+1 is the span of b g_s for b a Hermite row of power k and
@@ -446,63 +453,56 @@ def _higher_power_rows(ring, aug_rows, cap, last=None):
     I^k I = sum over s of I^k R g_s = sum over s of I^k g_s.  The Hermite
     rows are canonical, so they match products with all of I's rows.
 
-    Each level is charged rank(I^k) * rank(I) products against the cap,
-    before it is formed, and the generator ends after the first zero
-    power.  Given the last power wanted, a walk that would pass the cap
-    before reaching it is refused as soon as that is certain: once a
-    power has the rank of the one before, the two span the same space
-    over Q, so every later power keeps that rank and costs the same.
+    Each level is charged, with those before it, before it is formed;
+    the generator ends after the first zero power.  Given the last power
+    wanted, a walk whose remaining levels cannot fit is refused once
+    that is certain: once a power has the rank of the one before, the
+    two span the same space over Q, so every later power keeps that rank
+    and those pivot columns, and the pivot product, the index of a
+    power's projection onto them, never falls: no later level costs less.
     """
-    too_many = f"ideal power product cap exceeded ({cap} vectors)"
     gens = [_aug_generator(ring, s) for s in ring.generators]
-    rows, produced, level = aug_rows, 0, 1
+    rows, spent, level = aug_rows, 0, 1
+    what = f"the ideal power walk of a rank-{ring.rank} ring"
     while rows:
-        produced += len(rows) * len(aug_rows)
-        if produced > cap:
-            raise CapExceededError(too_many)
+        spent += _level_units(ring, rows)
+        charge(spent, what)
         products = [ring.mul_vec(b, g) for b in rows for g in gens]
         next_rows = hermite_rows(products, ring.rank)
         level += 1
-        if (
-            last is not None
-            and len(next_rows) == len(rows)
-            and produced + (last - level) * len(next_rows) * len(aug_rows) > cap
-        ):
-            raise CapExceededError(too_many)
+        if last is not None and len(next_rows) == len(rows):
+            charge(spent + (last - level) * _level_units(ring, next_rows), what)
         rows = next_rows
         yield rows
 
 
-def ideal_powers(ring, cap: int = DEFAULT_PRODUCT_CAP, last=None):
+def ideal_powers(ring, last=None):
     """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
 
     Each I^(k+1) is formed from I^k and the ideal generators
-    e_s - aug[s] e_0, s in ring.generators (see _higher_power_rows), and
-    each level is charged rank(I^k) * rank(I) products against the cap.
-    Given the last power the caller will read, a walk that would pass the
-    cap before it is refused as early as in ideal_power.  Once a power is
-    zero, every later one is the zero lattice.
+    e_s - aug[s] e_0, s in ring.generators, and charged against the work
+    budget (see _higher_power_rows).  Given the last power the caller
+    will read, a walk that cannot reach it within the budget is refused
+    as early as in ideal_power.  Once a power is zero, every later one
+    is the zero lattice.
     """
     yield IdealLattice.full(ring)
     aug = augmentation_ideal(ring)
     yield aug
-    for rows in _higher_power_rows(ring, aug.rows(), cap, last):
+    for rows in _higher_power_rows(ring, aug.rows(), last):
         yield IdealLattice(ring, rows)
     zero = IdealLattice.zero(ring)
     while True:
         yield zero
 
 
-def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
+def ideal_power(ring, n: int) -> IdealLattice:
     """n-th power of the augmentation ideal as a lattice, as in ideal_powers.
 
-    Each level multiplies the Hermite rows of I^k by the |S| ideal
-    generators e_s - aug[s] e_0, s in ring.generators, which span I^(k+1)
-    (proof in _higher_power_rows), and is charged rank(I^k) * rank(I)
-    products against the cap.  Only I and I^n are built as lattices, and
-    the walk stops at the first zero power, so a large n on a nilpotent
-    ideal returns at once; a large n on any other ideal fails on the cap
-    as soon as the ranks of the powers stop falling.
+    Only I and I^n are built as lattices, and the walk stops at the
+    first zero power, so a large n on a nilpotent ideal returns at once;
+    a large n on any other ideal is refused as soon as the ranks of the
+    powers stop falling and the remaining levels cannot fit the budget.
     """
     if n < 0:
         raise InputError("ideal power needs n >= 0")
@@ -512,7 +512,7 @@ def ideal_power(ring, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> IdealLattice:
     rows = aug.rows()
     if n == 1 or not rows:
         return aug
-    for k, rows in enumerate(_higher_power_rows(ring, rows, cap, n), start=2):
+    for k, rows in enumerate(_higher_power_rows(ring, rows, n), start=2):
         if k == n or not rows:
             break
     return IdealLattice(ring, rows)
@@ -642,15 +642,15 @@ def fusion_ring_from_json_dict(obj) -> BasedRing:
     if not isinstance(obj, dict):
         raise InputError("fusion table must be a mapping")
     for field in ("labels", "dims", "fusion"):
-        if field not in obj:
-            raise InputError(f"fusion table missing field {field!r}")
+        if not isinstance(obj.get(field), list):
+            raise InputError(f"fusion table field {field!r} must be a list")
     labels = tuple(str(s) for s in obj["labels"])
     r = len(labels)
     dims = tuple(as_int(d) for d in obj["dims"])
     if len(dims) != r:
         raise InputError("dims length must match labels")
     raw = obj["fusion"]
-    if not isinstance(raw, list) or len(raw) != r:
+    if len(raw) != r:
         raise InputError("fusion must be an r x r table")
     table = []
     for i in range(r):
@@ -677,9 +677,4 @@ def fusion_ring_from_json_dict(obj) -> BasedRing:
 
 
 def from_fusion_file(path) -> BasedRing:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise InputError(f"cannot parse fusion file {path}: {exc}") from None
-    return fusion_ring_from_json_dict(obj)
+    return fusion_ring_from_json_dict(read_json(path, "fusion"))

@@ -8,11 +8,10 @@ anywhere downstream) touches floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .errors import InputError
+from .errors import InputError, read_json
 
 
 def xgcd(a: int, b: int):
@@ -577,9 +576,4 @@ def matrix_from_json_dict(obj) -> IntMatrix:
 
 
 def load_matrix(path) -> IntMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise InputError(f"cannot parse matrix file {path}: {exc}") from None
-    return matrix_from_json_dict(obj)
+    return matrix_from_json_dict(read_json(path, "matrix"))

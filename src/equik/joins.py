@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
-from .errors import CapExceededError, EquikError, InputError
+from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, charge
 from .intmat import SparseMatrix, smith_invariants
-
-# Bound on the boundary nonzeros of a join complex, augmentation included.
-COMPLEX_CAP = 500_000
-# Bound on the bits of (n-1)^k in the K-theory ranks: 2000 bits is under
-# 603 decimal digits, within Python's lowest int-to-str limit of 640.
-RANK_BITS_CAP = 2000
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -55,7 +49,7 @@ def join_k_theory_formula(n: int, k: int):
         raise InputError("join copies must be >= 1")
     if n > 2 and k * (n - 1).bit_length() > RANK_BITS_CAP:
         raise CapExceededError(
-            f"join rank cap exceeded: (n-1)^k may pass {RANK_BITS_CAP} bits"
+            f"output bound exceeded: (n-1)^k may pass {RANK_BITS_CAP} bits"
         )
     step = (n - 1) ** k
     if k % 2:
@@ -79,11 +73,10 @@ class JoinComplex:
     def __post_init__(self):
         if self.parts < 1 or self.part_size < 1:
             raise InputError("join complex needs parts >= 1 and part_size >= 1")
-        nonzeros = sum((d + 1) * c for d, c in enumerate(self.face_counts()))
-        if nonzeros > COMPLEX_CAP:
-            raise CapExceededError(
-                f"cap exceeded: {nonzeros} boundary nonzeros is over {COMPLEX_CAP}"
-            )
+        # 400 units per boundary nonzero, augmentation included: k n (n+1)^(k-1)
+        # of them.  Past k = 65 the power is cut at 64, already over the budget.
+        k, n = self.parts, self.part_size
+        charge(400 * k * n * (n + 1) ** min(k - 1, 64), f"the {k}-fold join of {n} points")
 
     @property
     def vertex_count(self) -> int:
@@ -117,16 +110,6 @@ class JoinComplex:
             comb(self.parts, d + 1) * self.part_size ** (d + 1)
             for d in range(self.parts)
         )
-
-
-def oracle_feasible(n: int, k: int) -> bool:
-    """Is the k-fold join of n points, with (n+1)^k - 1 faces, at most 2000 faces?
-
-    This is the size up to which its homology is computed as an oracle.
-    For n >= 1 the count passes 2000 once k >= 11, so a larger k is
-    refused before the power is formed.
-    """
-    return k < 11 and (n + 1) ** k - 1 <= 2000
 
 
 def build_join_complex(n: int, k: int) -> JoinComplex:
@@ -235,6 +218,7 @@ def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
     """
     if l < 1 or n < 1:
         raise InputError("comparison map needs l >= 1 and n >= 1")
+    charge(250 * l * n, f"a {l + n} x {l * n} comparison map")  # 250 per entry
     rows = [{i * n + j: 1 for j in range(n)} for i in range(l)]
     rows += [{i * n + j: -1 for i in range(l)} for j in range(n)]
     delta = SparseMatrix(l + n, l * n, tuple(rows))
@@ -262,7 +246,8 @@ def oracle_consistency(n: int, k: int) -> OracleCheck:
     """Check k0 = 1 + sum of even Betti numbers, k1 = sum of odd ones.
 
     Torsion anywhere in the homology would break the comparison and is
-    reported as an inconsistency.
+    reported as an inconsistency.  A complex over the work budget raises
+    CapExceededError before any homology; callers skip the oracle then.
     """
     k0, k1 = join_k_theory_formula(n, k)
     betti = reduced_homology(build_join_complex(n, k))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup
-from .errors import EquikError, InputError, UnsupportedError
+from .errors import CapExceededError, EquikError, InputError, UnsupportedError
 from .fusion import (
     cyclic_ring,
     ideal_power,
@@ -27,7 +27,7 @@ from .fusion import (
     ring_from_tag,
     tag_order,
 )
-from .joins import build_join_complex, oracle_feasible, reduced_homology
+from .joins import build_join_complex, reduced_homology
 from .kmodules import (
     ModelDescriptor,
     circle_model,
@@ -502,7 +502,7 @@ def _index_dimension(group: str, copies: int) -> int:
 
     The group is s1 or z<d>, with d as fusion.tag_order reads it.  For
     the order-2 group the join is the (k-1)-sphere, and its homology is
-    checked whenever the join is small enough for the oracle.
+    checked whenever the join fits the work budget.
     """
     if copies < 1:
         raise InputError("join copies must be >= 1")
@@ -513,9 +513,13 @@ def _index_dimension(group: str, copies: int) -> int:
         )
     if group != "s1":
         tag_order(group, "z")
-    if group == "z2" and oracle_feasible(2, copies):
+    if group == "z2":
+        try:
+            join = build_join_complex(2, copies)
+        except CapExceededError:  # over the work budget: no cross-check
+            return copies - 1
         sphere = tuple(FgAbelianGroup(int(d == copies - 1), ()) for d in range(copies))
-        if reduced_homology(build_join_complex(2, copies)).groups != sphere:
+        if reduced_homology(join).groups != sphere:
             raise InputError("sphere cross-check failed for the order-2 join")
     return copies - 1
 
@@ -797,6 +801,8 @@ def validate(report, reasons: list | None = None) -> bool:
             raise InputError(f"malformed {name} parameters: {type(exc).__name__}: {exc}") from None
         try:
             rebuilt = construction.build(**arguments)
+        except CapExceededError:
+            raise  # too large to rebuild: no verdict
         except EquikError as exc:
             reason = f"report.parameters: {name} rejects them: {exc}"
         else:

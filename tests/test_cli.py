@@ -100,37 +100,46 @@ def test_model_with_huge_power_on_zero_ideal(capsys):
 
 
 def test_model_with_huge_power_on_nonzero_ideal_fails_fast(capsys):
-    # z2's ideal powers all have rank 1, so 10^12 of them need 10^12 - 1
-    # products; the cap refuses that at the first power instead of
-    # walking 200,000 levels of growing entries first.
+    # z2's ideal powers all have rank 1, so after I^2 every one of the
+    # 10^12 - 2 levels left costs at least the 32 units of that level;
+    # the walk refuses there instead of walking levels of growing entries.
     started = time.perf_counter()
     code, out, err = run(capsys, "model", "trunc:z2:1000000000000")
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
+    assert err == (
+        "error: work budget exceeded: the ideal power walk of a rank-2 ring needs "
+        "31999999999968 units, over 200000000\n"
+    )
 
 
 def test_rep_ideal_powers_with_huge_max_power_fails_fast(capsys):
-    # The same refusal as for the model above: ideal_powers is told the
-    # last power the command reads.
+    # The command charges the levels it prints, 500 units each, before
+    # any ideal power is formed.
     started = time.perf_counter()
     code, out, err = run(capsys, "rep", "ideal-powers", "z2", "--max-power", "1000000000")
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert err == "error: ideal power product cap exceeded (200000 vectors)\n"
+    assert err == (
+        "error: work budget exceeded: 1000000000 printed levels needs 500000000000 "
+        "units, over 200000000\n"
+    )
 
 
 def test_rep_ideal_powers_on_a_zero_ideal_with_huge_max_power_fails_fast(capsys):
-    # z1's augmentation ideal is zero, so no product cap applies; the
-    # levels past the first zero power are capped on their own.
+    # z1's augmentation ideal is zero, so the walk charges nothing; the
+    # printed levels past the first zero power are charged on their own.
     started = time.perf_counter()
     code, out, err = run(capsys, "rep", "ideal-powers", "z1", "--max-power", "1000000000")
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert err == "error: max power cap exceeded (200000 levels)\n"
+    assert err == (
+        "error: work budget exceeded: 1000000000 printed levels needs 500000000000 "
+        "units, over 200000000\n"
+    )
 
 
 def test_rep_ideal_powers_zero_tail(capsys):

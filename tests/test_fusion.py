@@ -11,12 +11,15 @@ replaced, kept here as oracles.
 
 import json
 from itertools import islice, permutations
+from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import equik.errors as errors
 import equik.fusion as fusion
 from equik.abgroups import FgAbelianGroup
 from equik.errors import (
@@ -27,7 +30,6 @@ from equik.errors import (
     UnsupportedError,
 )
 from equik.fusion import (
-    DEFAULT_PRODUCT_CAP,
     BasedRing,
     IdealLattice,
     augmentation_ideal,
@@ -209,9 +211,17 @@ def test_ideal_powers_are_nested(n, m):
         assert outer.contains(row)
 
 
+def budget(units):
+    """errors.WORK_BUDGET set to units inside the with block."""
+    return mock.patch.object(errors, "WORK_BUDGET", units)
+
+
 def test_ideal_power_cap():
-    with pytest.raises(CapExceededError):
-        ideal_power(cyclic_ring(7), 7, cap=10)
+    ring = cyclic_ring(7)  # 16 * 6 * 1 * 7 = 672 units a level
+    with budget(3 * 672):
+        ideal_power(ring, 4)
+        with pytest.raises(CapExceededError):
+            ideal_power(ring, 5)
 
 
 def test_ideal_lattice_rejects_non_ideal():
@@ -449,23 +459,36 @@ def kernel_augmentation_ideal(ring):
     return IdealLattice(ring, tuple(kernel.row(i) for i in range(kernel.rows)))
 
 
-def per_power_oracle(ring, n, cap):
+def pivot_product(rows):
+    """The product of the pivots, the first nonzero entries, of Hermite rows."""
+    return prod(next(e for e in row if e) for row in rows)
+
+
+def walk_units(ring, rows):
+    """The work budget's charge for forming the next ideal power from the
+    Hermite rows of one: 16 per entry of the rank * |S| products, times
+    the 64-bit words of the product of the pivots."""
+    words = 1 + pivot_product(rows).bit_length() // 64
+    return 16 * len(rows) * len(ring.generators) * ring.rank * words
+
+
+def per_power_oracle(ring, n, budget=None):
     """I^n rebuilt on its own: products of generators, then hnf(...).H.
 
     The generators come from kernel_augmentation_ideal, so the oracle
     shares no code with augmentation_ideal.  Raises CapExceededError when
-    more than cap products would be formed.
+    the walk_units of the levels up to I^n pass the budget.
     """
     if n == 0:
         return [tuple(int(k == i) for k in range(ring.rank)) for i in range(ring.rank)]
     gens = kernel_augmentation_ideal(ring).rows()
-    basis, produced = gens, 0
+    basis, spent = gens, 0
     for _ in range(n - 1):
         if not basis:
             break
-        produced += len(basis) * len(gens)
-        if produced > cap:
-            raise CapExceededError("oracle product cap")
+        spent += walk_units(ring, basis)
+        if budget is not None and spent > budget:
+            raise CapExceededError("oracle over the budget")
         products = [ring.mul_vec(b, g) for b in basis for g in gens]
         res = hnf(IntMatrix.from_rows(products, cols=ring.rank))
         basis = [res.H.row(i) for i in range(res.rank)]
@@ -498,68 +521,92 @@ def test_augmentation_ideal_matches_kernel_basis_oracle(name):
     assert got.rank == ring.rank - 1
 
 
+def walk_refusal(ring):
+    """The message of a refused ideal power walk on ring, as a pattern."""
+    return (
+        rf"^work budget exceeded: the ideal power walk of a rank-{ring.rank} ring "
+        rf"needs \d+ units, over \d+$"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(AUGMENTATION_RINGS))
+def test_walk_costs_never_fall_once_ranks_stop_falling(name):
+    # The early refusal rests on this: from the first power whose rank
+    # equals the one before, ranks stay and the pivot product never falls.
+    ring = AUGMENTATION_RINGS[name]()
+    top = 4 if ring.rank > 30 else 8
+    powers = [p.rows() for p in islice(ideal_powers(ring), 1, top + 1)]
+    stable = next((k for k in range(1, top) if len(powers[k]) == len(powers[k - 1])), top)
+    for before, after in zip(powers[stable - 1 :], powers[stable:]):
+        assert len(after) == len(before)
+        assert pivot_product(after) >= pivot_product(before)
+
+
 @pytest.mark.parametrize("name", sorted(FILTRATION_RINGS))
-@given(cap=st.one_of(st.integers(0, 400), st.just(DEFAULT_PRODUCT_CAP)))
+@given(units=st.one_of(st.integers(0, 20000), st.just(errors.WORK_BUDGET)))
 @settings(max_examples=8, deadline=None)
-def test_ideal_powers_match_per_power_oracle(name, cap):
+def test_ideal_powers_match_per_power_oracle(name, units):
     ring = FILTRATION_RINGS[name]()
-    powers = ideal_powers(ring, cap)
-    for n in range(7):
-        try:
-            want = per_power_oracle(ring, n, cap)
-        except CapExceededError:
-            with pytest.raises(CapExceededError):
-                next(powers)
-            with pytest.raises(CapExceededError):
-                ideal_power(ring, n, cap)
-            return
-        assert next(powers).rows() == want
-        assert ideal_power(ring, n, cap).rows() == want
+    with budget(units):
+        powers = ideal_powers(ring)
+        for n in range(7):
+            try:
+                want = per_power_oracle(ring, n, units)
+            except CapExceededError:
+                with pytest.raises(CapExceededError):
+                    next(powers)
+                with pytest.raises(CapExceededError):
+                    ideal_power(ring, n)
+                return
+            assert next(powers).rows() == want
+            assert ideal_power(ring, n).rows() == want
 
 
 @given(
     name=st.sampled_from(sorted(FILTRATION_RINGS)),
     n=st.integers(0, 12),
-    cap=st.integers(0, 60),
+    units=st.integers(0, 20000),
 )
-@example(name="z2", n=5, cap=4)  # exactly the products I^5 needs
-@example(name="z3", n=4, cap=12)  # exactly the products I^4 needs
-@example(name="z3", n=4, cap=11)  # one product short
+@example(name="z2", n=5, units=128)  # exactly the 4 levels of 32 units I^5 needs
+@example(name="z2", n=5, units=127)  # one unit short
+@example(name="z3", n=4, units=288)  # exactly the 3 levels of 96 units I^4 needs
+@example(name="z3", n=4, units=287)  # one unit short
 @settings(max_examples=200, deadline=None)
-def test_capped_ideal_power_matches_per_power_oracle(name, n, cap):
-    # Small caps and powers reach both the early refusal, once the ranks
-    # have stopped falling, and the refusal in the middle of a level.
+def test_capped_ideal_power_matches_per_power_oracle(name, n, units):
+    # Small budgets and powers reach both the early refusal, once the
+    # ranks have stopped falling, and the refusal in the middle of a walk.
     ring = FILTRATION_RINGS[name]()
-    try:
-        want = per_power_oracle(ring, n, cap)
-    except CapExceededError:
-        message = rf"^ideal power product cap exceeded \({cap} vectors\)$"
-        with pytest.raises(CapExceededError, match=message):
-            ideal_power(ring, n, cap)
-        return
-    assert ideal_power(ring, n, cap).rows() == want
+    with budget(units):
+        try:
+            want = per_power_oracle(ring, n, units)
+        except CapExceededError:
+            with pytest.raises(CapExceededError, match=walk_refusal(ring)):
+                ideal_power(ring, n)
+            return
+        assert ideal_power(ring, n).rows() == want
 
 
 @given(
     name=st.sampled_from(sorted(FILTRATION_RINGS)),
     last=st.integers(0, 12),
-    cap=st.integers(0, 60),
+    units=st.integers(0, 20000),
 )
 @settings(max_examples=200, deadline=None)
-def test_ideal_powers_told_the_last_power_match_per_power_oracle(name, last, cap):
+def test_ideal_powers_told_the_last_power_match_per_power_oracle(name, last, units):
     # Told the last power it will be read to, the walk may refuse early,
     # but only when the oracle refuses some power up to that one.
     ring = FILTRATION_RINGS[name]()
-    powers = ideal_powers(ring, cap, last=last)
-    try:
-        wants = [per_power_oracle(ring, n, cap) for n in range(last + 1)]
-    except CapExceededError:
-        with pytest.raises(CapExceededError):
-            for _ in range(last + 1):
-                next(powers)
-        return
-    for want in wants:
-        assert next(powers).rows() == want
+    with budget(units):
+        powers = ideal_powers(ring, last=last)
+        try:
+            wants = [per_power_oracle(ring, n, units) for n in range(last + 1)]
+        except CapExceededError:
+            with pytest.raises(CapExceededError, match=walk_refusal(ring)):
+                for _ in range(last + 1):
+                    next(powers)
+            return
+        for want in wants:
+            assert next(powers).rows() == want
 
 
 def test_ideal_powers_stay_zero_once_zero():
@@ -595,7 +642,7 @@ def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
     ring = cyclic_ring(5)
     lat = ideal_power(ring, 4)
     assert built == [4, 4]  # I, then I^4 (I^0 and I^2, I^3 stay rows)
-    assert lat.rows() == per_power_oracle(ring, 4, DEFAULT_PRODUCT_CAP)
+    assert lat.rows() == per_power_oracle(ring, 4)
 
 
 # Rings whose generating set S has more than one index, with the highest
@@ -616,7 +663,7 @@ def test_ideal_powers_on_rings_with_several_generators_match_per_power_oracle(na
     build, top = MULTI_GENERATOR_RINGS[name]
     ring = build()
     assert len(ring.generators) > 1
-    wants = [per_power_oracle(ring, n, DEFAULT_PRODUCT_CAP) for n in range(top + 1)]
+    wants = [per_power_oracle(ring, n) for n in range(top + 1)]
     assert [p.rows() for p in islice(ideal_powers(ring), top + 1)] == wants
     assert ideal_power(ring, top).rows() == wants[top]
 
@@ -624,22 +671,22 @@ def test_ideal_powers_on_rings_with_several_generators_match_per_power_oracle(na
 @given(
     name=st.sampled_from(sorted(MULTI_GENERATOR_RINGS)),
     n=st.integers(0, 6),
-    cap=st.integers(0, 400),
+    units=st.integers(0, 100000),
 )
-@example(name="s3 x z3", n=3, cap=128)  # exactly the charge up to I^3
-@example(name="s3 x z3", n=3, cap=127)  # one product short
+@example(name="s3 x z3", n=3, units=6912)  # exactly the 2 levels of 3456 units
+@example(name="s3 x z3", n=3, units=6911)  # one unit short
 @settings(max_examples=60, deadline=None)
-def test_capped_ideal_power_on_rings_with_several_generators(name, n, cap):
-    # Each level is still charged rank(I^k) * rank(I), as the oracle does.
+def test_capped_ideal_power_on_rings_with_several_generators(name, n, units):
+    # Each level is charged for its rank(I^k) * |S| products, as the oracle does.
     ring = MULTI_GENERATOR_RINGS[name][0]()
-    try:
-        want = per_power_oracle(ring, n, cap)
-    except CapExceededError:
-        message = rf"^ideal power product cap exceeded \({cap} vectors\)$"
-        with pytest.raises(CapExceededError, match=message):
-            ideal_power(ring, n, cap)
-        return
-    assert ideal_power(ring, n, cap).rows() == want
+    with budget(units):
+        try:
+            want = per_power_oracle(ring, n, units)
+        except CapExceededError:
+            with pytest.raises(CapExceededError, match=walk_refusal(ring)):
+                ideal_power(ring, n)
+            return
+        assert ideal_power(ring, n).rows() == want
 
 
 @pytest.mark.parametrize(
@@ -664,7 +711,7 @@ def test_each_power_level_forms_rank_times_generators_products(ring, monkeypatch
     monkeypatch.setattr(
         BasedRing, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b)
     )
-    walk = fusion._higher_power_rows(ring, rows, DEFAULT_PRODUCT_CAP)
+    walk = fusion._higher_power_rows(ring, rows)
     for level, next_rows in zip(range(4), walk):
         assert len(calls) == len(rows) * len(ring.generators), level
         calls.clear()

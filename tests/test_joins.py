@@ -9,9 +9,14 @@ dense boundary matrices, a Hermite kernel basis, the image solved in
 that basis, and the Smith form of the resulting presentation.
 """
 
+import time
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import equik.errors as errors
 
 from equik.abgroups import FgAbelianGroup, Presentation, TRIVIAL_GROUP, normalize
 from equik.errors import CapExceededError, EquikError, InputError
@@ -34,7 +39,6 @@ from equik.joins import (
     join_step_formula,
     mayer_vietoris_delta,
     oracle_consistency,
-    oracle_feasible,
     reduced_homology,
 )
 
@@ -251,7 +255,11 @@ def test_complex_cap_refuses_before_listing_faces(monkeypatch):
         raise AssertionError("faces listed before the cap check")
 
     monkeypatch.setattr(JoinComplex, "faces", no_listing)
-    with pytest.raises(CapExceededError, match="boundary nonzeros"):
+    message = (  # 400 units for each of 6 * 10 * 11^5 = 9663060 nonzeros
+        "^work budget exceeded: the 6-fold join of 10 points needs 3865224000 units, "
+        "over 200000000$"
+    )
+    with pytest.raises(CapExceededError, match=message):
         build_join_complex(10, 6)
 
 
@@ -263,9 +271,30 @@ def test_complex_cap_counts_boundary_nonzeros():
         build_join_complex(10, 5)  # 732050, though only 10^5 top cells
 
 
-def test_oracle_feasible_admits_joins_of_at_most_2000_faces():
-    # (n+1)^k - 1 faces: 728 and 2186 for two points, 2000 and 2001 for one copy
-    assert oracle_feasible(2, 6) and not oracle_feasible(2, 7)
-    assert oracle_feasible(2000, 1) and not oracle_feasible(2001, 1)
-    assert oracle_feasible(1, 10) and not oracle_feasible(1, 11)
-    assert not oracle_feasible(1, 10**18)  # refused without forming the power
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2), (6, 2)])
+def test_oracle_runs_exactly_when_its_complex_fits_the_budget(n, k):
+    # k n (n+1)^(k-1) boundary nonzeros at 400 units each
+    units = 400 * k * n * (n + 1) ** (k - 1)
+    with mock.patch.object(errors, "WORK_BUDGET", units):
+        assert oracle_consistency(n, k).consistent
+    with mock.patch.object(errors, "WORK_BUDGET", units - 1):
+        with pytest.raises(CapExceededError, match="^work budget exceeded: "):
+            oracle_consistency(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(1, 10**18), (2, 30_000_000), (10**9, 10**6)])
+def test_huge_join_is_refused_without_forming_the_power(n, k):
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError, match=r"needs more than 2\^\d+ units"):
+        build_join_complex(n, k)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_mv_delta_charges_its_entries_before_the_map(monkeypatch):
+    monkeypatch.setattr(joins, "SparseMatrix", None)  # building the map would fail
+    message = (  # 250 units for each of the 10^10 entries
+        "^work budget exceeded: a 200000 x 10000000000 comparison map needs "
+        "2500000000000 units, over 200000000$"
+    )
+    with pytest.raises(CapExceededError, match=message):
+        mayer_vietoris_delta(100000, 100000)

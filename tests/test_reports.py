@@ -427,8 +427,12 @@ def test_bare_bound_whose_check_raises_is_invalid_not_an_error():
 
 @pytest.mark.parametrize("k,checks", [(6, 1), (7, 0)])
 def test_z2_sphere_check_runs_only_while_the_oracle_is_feasible(monkeypatch, k, checks):
+    # The check runs when its join fits the work budget, here set to the
+    # 400 units for each of the 6 * 2 * 3^5 boundary nonzeros at k = 6.
+    import equik.errors
     import equik.reports
 
+    monkeypatch.setattr(equik.errors, "WORK_BUDGET", 400 * 6 * 2 * 3**5)
     calls = []
     original = equik.reports.reduced_homology
 
