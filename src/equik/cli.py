@@ -73,6 +73,8 @@ def _ring_arg(text: str):
 
 def _cmd_linalg_snf(args):
     mat = load_matrix(args.matrix)
+    m, n = mat.rows, mat.cols  # one unit per cell of the matrix and of U and V
+    charge(m * (m + n) + n * n, f"the Smith form of a {m}x{n} matrix")
     dec = snf(mat)
     factors = dec.invariant_factors()
     payload = {
@@ -88,6 +90,8 @@ def _cmd_linalg_snf(args):
 
 def _cmd_linalg_hnf(args):
     mat = load_matrix(args.matrix)
+    m, n = mat.rows, mat.cols  # one unit per cell of the matrix and its transform
+    charge(m * (m + n), f"the Hermite form of a {m}x{n} matrix")
     res = hnf(mat)
     payload = {
         "H": matrix_to_json_dict(res.H),

@@ -12,8 +12,15 @@ rings that are not fusion rings, since their augmentation kills lam.
 the r^3 work units of the least axiom check before its table) and the
 fusion-table loader build every ring; downstream code reads ``rank``,
 ``labels``, ``aug``, ``is_fusion``, ``basis_mul(i, j)`` and
-``mul_vec(a, b)``.  Tuples on hot paths are built from lists, not
-generators, for the reason given in intmat.hermite_rows.
+``mul_vec(a, b)``.
+
+Ideal lattices and the ideal-power walk carry their rows as term rows:
+the nonzero (column, entry) pairs of a row in increasing column, pivot
+first, as in intmat.Lattice.terms.  Products with a generator visit only
+a row's nonzeros, intmat.hermite_terms reduces them, and a row becomes
+an int tuple of the ring's rank only where a caller reads
+``IdealLattice.basis``.  Tuples on hot paths are built from lists, not
+generators, for the reason given in intmat.Lattice.rows.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from math import comb, gcd
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
 from .errors import UnsupportedError, charge, read_json
 from .abgroups import cokernel
-from .intmat import Lattice, as_int, hermite_rows, xgcd
+from .intmat import Lattice, as_int, hermite_terms, xgcd
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,8 @@ def _associativity_witness(table, middle):
 
     Light's test passes the generators as middle: the a with
     (x a) y = x (a y) for all x, y form a subring, holding 1 by the unit
-    law, so it is the whole ring once it holds a generating set.
+    law, so it is the whole ring once it holds a generating set.  Each
+    side is summed as a {l: coefficient} map over the table's cells.
     """
     r = len(table)
     for i in range(r):
@@ -250,16 +258,18 @@ def _associativity_witness(table, middle):
         for j in middle:
             cell_ij, row_j = row_i[j], table[j]
             for k in range(r):
-                lhs = [0] * r
+                lhs = {}
                 for m, c in cell_ij:
                     for l, n in table[m][k]:
-                        lhs[l] += c * n
-                rhs = [0] * r
+                        lhs[l] = lhs.get(l, 0) + c * n
+                rhs = {}
                 for m, c in row_j[k]:
                     for l, n in row_i[m]:
-                        rhs[l] += c * n
+                        rhs[l] = rhs.get(l, 0) + c * n
                 if lhs != rhs:
-                    return i, j, k, next(x for x in range(r) if lhs[x] != rhs[x])
+                    diff = [l for l in lhs.keys() | rhs.keys() if lhs.get(l, 0) != rhs.get(l, 0)]
+                    if diff:
+                        return i, j, k, min(diff)
     return None
 
 
@@ -339,12 +349,16 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IdealLattice:
     """A sublattice of a ring, closed under multiplication by the basis.
 
-    basis holds the rows of the lattice in row Hermite form, as a tuple
-    of int tuples of the ring's rank; construction verifies both the
+    The lattice is held by its rows in row Hermite form as term rows, the
+    nonzero (column, entry) pairs of each row with the pivot first, as in
+    intmat.Lattice; basis gives them as a tuple of int tuples of the
+    ring's rank, built when first read.  IdealLattice(ring, rows) takes
+    those int rows, IdealLattice(ring, terms=...) term rows as
+    intmat.hermite_terms returns them.  Construction verifies both the
     normal form and the ideal-closure property, so any instance in
     flight is a genuine ideal presented canonically.  Closure is checked
     on the ring's generators: the a with L a in L form a subring of the
@@ -353,38 +367,45 @@ class IdealLattice:
     """
 
     ring: object
-    basis: tuple
-    lattice: Lattice = field(init=False, repr=False, compare=False)
+    lattice: Lattice
 
-    def __post_init__(self):
-        rows = tuple([tuple(row) for row in self.basis])
-        if any(len(row) != self.ring.rank for row in rows):
-            raise InputError("ideal basis width must equal the ring rank")
-        if rows != hermite_rows(rows, self.ring.rank):
+    def __init__(self, ring, basis=(), terms=None):
+        if terms is None:
+            rows = [tuple(row) for row in basis]
+            if any(len(row) != ring.rank for row in rows):
+                raise InputError("ideal basis width must equal the ring rank")
+            terms = Lattice.from_rows(rows, ring.rank).terms
+        if not _is_hermite(terms):
             raise InputError("ideal basis is not in Hermite form")
-        lattice = Lattice(rows)
-        object.__setattr__(self, "basis", rows)
+        lattice = Lattice(tuple(terms), ring.rank)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "lattice", lattice)
-        if _product_outside(self.ring, lattice, self.ring.generators) is not None:
-            raise LatticeContainmentError(
-                _product_outside(self.ring, lattice, range(self.ring.rank))
-            )
+        if _product_outside(ring, lattice, ring.generators) is not None:
+            raise LatticeContainmentError(_product_outside(ring, lattice, range(ring.rank)))
 
     @classmethod
     def from_rows(cls, ring, vectors) -> "IdealLattice":
-        return cls(ring, hermite_rows(vectors, ring.rank))
+        return cls(ring, terms=Lattice.span(vectors, ring.rank).terms)
 
     @classmethod
     def zero(cls, ring) -> "IdealLattice":
-        return cls(ring, ())
+        return cls(ring, terms=())
 
     @classmethod
     def full(cls, ring) -> "IdealLattice":
-        return cls(ring, _unit_rows(ring.rank, range(ring.rank)))
+        return cls(ring, terms=_unit_terms(range(ring.rank)))
+
+    @property
+    def basis(self) -> tuple:
+        return self.lattice.rows
+
+    @property
+    def terms(self) -> tuple:
+        return self.lattice.terms
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.lattice.terms)
 
     def rows(self) -> list:
         return list(self.basis)
@@ -398,53 +419,89 @@ class IdealLattice:
     def content(self) -> int:
         """gcd of all basis entries (0 for the zero lattice)."""
         g = 0
-        for row in self.basis:
-            for e in row:
+        for row in self.lattice.terms:
+            for _, e in row:
                 g = gcd(g, e)
         return g
 
 
-def _unit_rows(width: int, indices) -> tuple:
-    """The unit vectors e_i of the given width, i in indices."""
-    return tuple([tuple([int(k == i) for k in range(width)]) for i in indices])
+def _is_hermite(terms) -> bool:
+    """Whether term rows are in row Hermite form: no zero row, positive
+    pivots in strictly increasing columns, and every entry above a pivot
+    in [0, pivot).  The Hermite basis of a lattice is unique, so these
+    are exactly the rows that hermite_terms leaves unchanged."""
+    pivots, last = {}, -1
+    for row in terms:
+        if not row:
+            return False
+        col, lead = row[0]
+        if col <= last or lead <= 0:
+            return False
+        pivots[col], last = lead, col
+    for row in terms:
+        for col, e in row[1:]:
+            lead = pivots.get(col)
+            if lead is not None and not 0 <= e < lead:
+                return False
+    return True
+
+
+def _unit_terms(indices) -> tuple:
+    """The term rows of the unit vectors e_i, i in indices."""
+    return tuple([((i, 1),) for i in indices])
+
+
+def _row_times(ring, b, s, d=0) -> dict:
+    """b (e_s - d e_0) for the term row b, as a {column: entry} map with
+    no zeros; only b's nonzeros and the cells table[j][s] are visited."""
+    table = ring.table
+    out = {}
+    for j, c in b:
+        if d:
+            out[j] = out.get(j, 0) - d * c
+        for k, n in table[j][s]:
+            out[k] = out.get(k, 0) + c * n
+    return {k: e for k, e in out.items() if e}
 
 
 def _product_outside(ring, lattice, indices):
-    """The first e_i b outside the lattice, i in indices, b a basis row."""
+    """The first e_i b outside the lattice, i in indices, b a basis row,
+    as an int tuple; None when there is none."""
     for i in indices:
-        ei = tuple([1 if k == i else 0 for k in range(ring.rank)])
-        for b in lattice.rows:
-            prod = ring.mul_vec(ei, b)
-            if not lattice.contains(prod):
-                return prod
+        for b in lattice.terms:
+            prod = _row_times(ring, b, i)
+            if lattice.solve_map(dict(prod)) is None:
+                return tuple([prod.get(k, 0) for k in range(ring.rank)])
     return None
 
 
 def _aug_generator(ring, k) -> tuple:
-    """e_k - aug[k] e_0, an element of the augmentation ideal."""
-    return tuple([-ring.aug[k] if i == 0 else int(i == k) for i in range(ring.rank)])
+    """The term row of e_k - aug[k] e_0, k >= 1, an element of the
+    augmentation ideal."""
+    d = ring.aug[k]
+    return ((0, -d), (k, 1)) if d else ((k, 1),)
 
 
 def augmentation_ideal(ring) -> IdealLattice:
     """Kernel of the augmentation, as a canonical ideal lattice; since
     aug[0] = 1, the e_k - aug[k] e_0 for k >= 1 are a basis of it."""
-    rows = [_aug_generator(ring, k) for k in range(1, ring.rank)]
-    return IdealLattice.from_rows(ring, rows)
+    rows = [dict(_aug_generator(ring, k)) for k in range(1, ring.rank)]
+    return IdealLattice(ring, terms=hermite_terms(rows))
 
 
 def _level_units(ring, rows) -> int:
-    """Units to form the next power from these Hermite rows: 16 per entry
-    of the rank * |S| products, times the words of the pivot product."""
-    pivots, col = 1, 0
-    for row in rows:  # Hermite pivots sit in increasing columns
-        while not row[col]:
-            col += 1
-        pivots *= row[col]
+    """Units to form the next power from these Hermite term rows: 16 per
+    entry of the rank * |S| products, at the ring's full rank, times the
+    words of the pivot product."""
+    pivots = 1
+    for row in rows:
+        pivots *= row[0][1]
     return 16 * len(rows) * len(ring.generators) * ring.rank * (1 + pivots.bit_length() // 64)
 
 
 def _higher_power_rows(ring, aug_rows, last=None):
-    """Yield the Hermite rows of I^2, I^3, ... for the augmentation ideal I.
+    """Yield the Hermite term rows of I^2, I^3, ... for the augmentation
+    ideal I, given I's term rows.
 
     Power k+1 is the span of b g_s for b a Hermite row of power k and
     g_s = e_s - aug[s] e_0, s in ring.generators.  The g_s generate I as
@@ -452,6 +509,8 @@ def _higher_power_rows(ring, aug_rows, last=None):
     left-normed products of the e_s span Z^r; I^k is an ideal, so
     I^k I = sum over s of I^k R g_s = sum over s of I^k g_s.  The Hermite
     rows are canonical, so they match products with all of I's rows.
+    Rows stay sparse throughout: each product visits only b's nonzeros
+    (_row_times), and intmat.hermite_terms reduces the products.
 
     Each level is charged, with those before it, before it is formed;
     the generator ends after the first zero power.  Given the last power
@@ -461,14 +520,13 @@ def _higher_power_rows(ring, aug_rows, last=None):
     and those pivot columns, and the pivot product, the index of a
     power's projection onto them, never falls: no later level costs less.
     """
-    gens = [_aug_generator(ring, s) for s in ring.generators]
+    gens = [(s, ring.aug[s]) for s in ring.generators]
     rows, spent, level = aug_rows, 0, 1
     what = f"the ideal power walk of a rank-{ring.rank} ring"
     while rows:
         spent += _level_units(ring, rows)
         charge(spent, what)
-        products = [ring.mul_vec(b, g) for b in rows for g in gens]
-        next_rows = hermite_rows(products, ring.rank)
+        next_rows = hermite_terms([_row_times(ring, b, s, d) for b in rows for s, d in gens])
         level += 1
         if last is not None and len(next_rows) == len(rows):
             charge(spent + (last - level) * _level_units(ring, next_rows), what)
@@ -489,8 +547,8 @@ def ideal_powers(ring, last=None):
     yield IdealLattice.full(ring)
     aug = augmentation_ideal(ring)
     yield aug
-    for rows in _higher_power_rows(ring, aug.rows(), last):
-        yield IdealLattice(ring, rows)
+    for rows in _higher_power_rows(ring, aug.terms, last):
+        yield IdealLattice(ring, terms=rows)
     zero = IdealLattice.zero(ring)
     while True:
         yield zero
@@ -509,13 +567,13 @@ def ideal_power(ring, n: int) -> IdealLattice:
     if n == 0:
         return IdealLattice.full(ring)
     aug = augmentation_ideal(ring)
-    rows = aug.rows()
+    rows = aug.terms
     if n == 1 or not rows:
         return aug
     for k, rows in enumerate(_higher_power_rows(ring, rows, n), start=2):
         if k == n or not rows:
             break
-    return IdealLattice(ring, rows)
+    return IdealLattice(ring, terms=rows)
 
 
 def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
@@ -523,10 +581,10 @@ def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
     if outer.ring != ring or inner.ring != ring:
         raise InputError("quotient lattices must live over the given ring")
     rel = []
-    for row in inner.basis:
-        sol = outer.solve(row)
+    for i, row in enumerate(inner.terms):
+        sol = outer.lattice.solve_map(dict(row))
         if sol is None:
-            raise LatticeContainmentError(row)
+            raise LatticeContainmentError(inner.basis[i])
         rel.append(sol)
     return cokernel(rel, outer.rank)
 
@@ -593,9 +651,7 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
     if j < 0:
         raise InputError("ideal power needs j >= 0")
     ring = circle_truncation(n)
-    if j >= n:
-        return IdealLattice.zero(ring)
-    return IdealLattice(ring, _unit_rows(n, range(j, n)))
+    return IdealLattice(ring, terms=_unit_terms(range(j, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ anywhere downstream) touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, read_json
@@ -461,65 +462,165 @@ def smith_invariants(sparse_rows):
     return rank + len(factors), tuple([d for d in factors if d > 1])
 
 
-def hermite_rows(vectors, width: int) -> tuple:
-    """Canonical Hermite basis rows for the span of the given vectors.
+def hermite_terms(maps) -> tuple:
+    """Canonical Hermite basis of the span of sparse rows, as term rows.
 
-    The same reduction as hnf, with no transform: the basis is unique for
-    the lattice, so only the rows are kept.
+    Each row is a {column: entry} map with no zero entries, and the maps
+    are reduced in place.  The elimination is _hermite_reduce's, column
+    by column, reducing by the smallest entry, with no transform: rows
+    wait in a bucket under their leading column, so each row operation
+    touches only the nonzeros of the row it subtracts (Dumas, Saunders
+    and Villard 2001).  The entries above the pivots are reduced last,
+    bottom row first, each row visiting only its own pivot-column
+    entries.  Each basis row comes back as its (column, entry) terms in
+    increasing column, pivot first, as in Lattice.terms.
     """
-    rows = []
+    buckets = {}  # leading column -> the rows waiting there
+    for row in maps:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    columns = list(buckets)
+    heapify(columns)
+    basis = {}  # pivot column -> pivot row, filled in increasing column
+    while columns:
+        j = heappop(columns)
+        nz = buckets.pop(j)
+        while len(nz) > 1:
+            # Euclid down the column: reduce everything by the smallest entry.
+            p = min(nz, key=lambda row: abs(row[j]))
+            lead, left = p[j], [p]
+            for row in nz:
+                if row is p:
+                    continue
+                _subtract(row, row[j] // lead, p.items())
+                if j in row:
+                    left.append(row)
+                elif row:
+                    k = min(row)
+                    if k not in buckets:
+                        buckets[k] = []
+                        heappush(columns, k)
+                    buckets[k].append(row)
+            nz = left
+        p = nz[0]
+        if p[j] < 0:
+            for k in p:
+                p[k] = -p[k]
+        basis[j] = p
+    for j0, row in reversed(basis.items()):
+        # Bring the entries of row at later pivot columns into [0, pivot),
+        # in increasing column: subtracting a pivot row changes only
+        # columns from its pivot on.
+        todo = [k for k in row if k != j0 and k in basis]
+        heapify(todo)
+        done = j0
+        while todo:
+            j = heappop(todo)
+            if j <= done:
+                continue  # pushed twice
+            done = j
+            p = basis[j]
+            q = row.get(j, 0) // p[j]
+            if q:
+                _subtract(row, q, p.items())
+                todo += [k for k in p if k > j and k in basis]
+                heapify(todo)
+    return tuple([tuple(sorted(row.items())) for row in basis.values()])
+
+
+def _subtract(row: dict, q: int, terms) -> None:
+    """row -= q t for the (column, entry) terms of t, on the {column: entry}
+    map row, dropping the zeros made; q != 0."""
+    for k, e in terms:
+        v = row.get(k, 0) - q * e
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _sparse_rows(vectors, width: int) -> list:
+    """The {column: entry} maps of dense vectors of the given width."""
+    maps = []
     for v in vectors:
         row = list(map(int, v))
         if len(row) != width:
             raise InputError("ragged rows")
-        if any(row):
-            rows.append(row)
-    rank = _hermite_reduce(rows, width)
-    # Tuples on hot paths are built from lists, not generators: CPython
-    # resizes a tuple built from a generator, and the resized tuple is
-    # freed onto the free list of its final size, which only a full
-    # collection empties, so memory creeps up between full collections.
-    return tuple([tuple(row) for row in rows[:rank]])
+        maps.append({j: e for j, e in enumerate(row) if e})
+    return maps
+
+
+def _dense(terms, width: int) -> tuple:
+    row = [0] * width
+    for j, e in terms:
+        row[j] = e
+    return tuple(row)
+
+
+def hermite_rows(vectors, width: int) -> tuple:
+    """Canonical Hermite basis rows for the span of the given vectors.
+
+    The rows of hermite_terms, as int tuples of the given width.
+    """
+    return tuple([_dense(row, width) for row in hermite_terms(_sparse_rows(vectors, width))])
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """The span of rows in row Hermite form, with each row's pivot found once.
+    """The span of rows in row Hermite form, held as term rows.
 
-    terms holds the nonzero (column, entry) pairs of each row, so the
-    pivot comes first.  Zero rows (the bottom of an hnf) may stay and
-    solve with coefficient 0.  solve is plain back-substitution down the
-    pivots.
+    terms holds the nonzero (column, entry) pairs of each row in
+    increasing column, so the pivot comes first, and width the length of
+    the rows; rows gives them as int tuples, built when first read.  Zero
+    rows (the bottom of an hnf) may stay and solve with coefficient 0.
+    solve is plain back-substitution down the pivots.
     """
 
-    rows: tuple
-    terms: tuple = field(init=False, repr=False, compare=False)
+    terms: tuple
+    width: int
 
-    def __post_init__(self):
-        terms = tuple([tuple([(j, e) for j, e in enumerate(row) if e]) for row in self.rows])
-        object.__setattr__(self, "terms", terms)
+    @classmethod
+    def from_rows(cls, rows, width: int) -> "Lattice":
+        return cls(tuple([tuple([(j, e) for j, e in enumerate(row) if e]) for row in rows]), width)
 
     @classmethod
     def span(cls, vectors, width: int) -> "Lattice":
-        return cls(hermite_rows(vectors, width))
+        return cls(hermite_terms(_sparse_rows(vectors, width)), width)
+
+    @cached_property
+    def rows(self) -> tuple:
+        # Tuples on hot paths are built from lists, not generators: CPython
+        # resizes a tuple built from a generator, and the resized tuple is
+        # freed onto the free list of its final size, which only a full
+        # collection empties, so memory creeps up between full collections.
+        return tuple([_dense(row, self.width) for row in self.terms])
+
+    @cached_property
+    def _pivots(self) -> dict:
+        return {row[0][0]: (i, row) for i, row in enumerate(self.terms) if row}
 
     def solve(self, v):
         """Integer coordinates of v in the rows, or None outside the lattice."""
-        rem = list(v)
-        coeffs = []
-        for row in self.terms:
-            if not row:
-                coeffs.append(0)
-                continue
-            p, lead = row[0]
-            c, r = divmod(rem[p], lead)
+        return self.solve_map({j: e for j, e in enumerate(v) if e})
+
+    def solve_map(self, rem: dict):
+        """solve for the vector with the nonzero entries {column: entry} of
+        rem, which is reduced in place: its leftmost entry must sit at a
+        pivot, and is cleared by the row of that pivot."""
+        coeffs = [0] * len(self.terms)
+        pivots = self._pivots
+        while rem:
+            hit = pivots.get(min(rem))
+            if hit is None:
+                return None
+            i, row = hit
+            col, lead = row[0]
+            c, r = divmod(rem[col], lead)
             if r:
                 return None
-            coeffs.append(c)
-            if c:
-                for j, e in row:
-                    rem[j] -= c * e
-        return None if any(rem) else coeffs
+            coeffs[i] = c
+            _subtract(rem, c, row)
+        return coeffs
 
     def contains(self, v) -> bool:
         return self.solve(v) is not None
@@ -527,11 +628,11 @@ class Lattice:
 
 def hermite_solve(basis_rows, v):
     """Integer coordinates of v in rows in row Hermite form, or None."""
-    return Lattice(tuple(basis_rows)).solve(v)
+    return Lattice.from_rows(basis_rows, len(v)).solve(v)
 
 
 def in_lattice(basis_rows, v) -> bool:
-    return Lattice(tuple(basis_rows)).contains(v)
+    return Lattice.from_rows(basis_rows, len(v)).contains(v)
 
 
 # ---------------------------------------------------------------------------

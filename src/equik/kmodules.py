@@ -109,12 +109,14 @@ class RingModule:
         if len(module_vec) != self.generators:
             raise InputError("module element length must equal the generators")
         out = [0] * self.generators
+        vec = [(a, m) for a, m in enumerate(module_vec) if m]
         for i, c in enumerate(ring_vec):
-            if c == 0:
-                continue
-            moved = _vec_mat(module_vec, self.action[i])
-            for a in range(self.generators):
-                out[a] += c * moved[a]
+            if c:
+                rows = self.action[i]
+                for a, m in vec:
+                    cm = c * m
+                    for j, e in rows[a].items():
+                        out[j] += cm * e
         return tuple(out)
 
     def subgroup_class(self, vectors) -> FgAbelianGroup:
@@ -187,8 +189,12 @@ def _combine(cell, mats, g: int) -> tuple:
 
 def _vec_mat(vec, rows) -> list:
     """Dense vec times the square matrix with the given sparse rows."""
-    (row,) = _mat_mul(({a: c for a, c in enumerate(vec) if c},), rows)
-    return [row.get(j, 0) for j in range(len(rows))]
+    out = [0] * len(rows)
+    for a, c in enumerate(vec):
+        if c:
+            for j, e in rows[a].items():
+                out[j] += c * e
+    return out
 
 
 def truncated_ring_module(ring, n: int) -> RingModule:
@@ -503,19 +509,21 @@ def _strip_primes(d: int, n: int) -> int:
             d //= g
 
 
-def element_stable_nonvanishing(module: RingModule, x, n: int, mult: int) -> bool:
+def element_stable_nonvanishing(module: RingModule, x, n: int, mult: int, lattice=None) -> bool:
     """Does I^n keep hitting x after arbitrarily many multiplications by mult?
 
     True exactly when the subgroup I^n . x contains an element of
     infinite order, or one of finite order coprime to mult.  With
-    mult = 1 this is just I^n . x != 0.
+    mult = 1 this is just I^n . x != 0.  lattice is I^n when the caller
+    already has it; otherwise it is formed here.
     """
     if mult < 1:
         raise InputError("multiplier must be >= 1")
     xv = tuple(int(c) for c in x)
     if len(xv) != module.generators:
         raise InputError("element length must match the module generators")
-    lattice = ideal_power(module.ring, n)
+    if lattice is None:
+        lattice = ideal_power(module.ring, n)
     images = [module.act(b, xv) for b in lattice.rows()]
     sub = module.subgroup_class(images)
     if sub.free_rank > 0:

@@ -280,7 +280,11 @@ def _annihilator_image(model: ModelDescriptor, scope: str, power: int, stability
             f"ideal power {power} acts trivially on {model.render()}; no witness"
         )
     if stability is not None and not element_stable_nonvanishing(
-        module, stability.element, power, stability.multiplier
+        module,
+        stability.element,
+        power,
+        stability.multiplier,
+        lattice if scope == "full" else None,
     ):
         raise InputError("stability check failed for the requested witness")
     return image

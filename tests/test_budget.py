@@ -20,6 +20,7 @@ import pytest
 
 import equik.abgroups as abgroups
 import equik.fusion as fusion
+import equik.intmat as intmat
 import equik.joins as joins
 from equik.abgroups import FgAbelianGroup
 from equik.cli import main
@@ -99,6 +100,20 @@ def test_request_is_refused_before_its_work(request_text, work, stderr, monkeypa
     code, out, err = run(*request_text.split())
     assert time.perf_counter() - started < 1.0
     assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("op,form", [("snf", "Smith"), ("hnf", "Hermite")])
+def test_linalg_refuses_transforms_over_the_budget(op, form, tmp_path, monkeypatch):
+    # 10^12 rows and no columns pass the entry count, and the m x m
+    # transform alone would exhaust memory.
+    path = tmp_path / "matrix.json"
+    path.write_text('{"rows": "1000000000000", "cols": "0", "entries": []}', encoding="utf-8")
+    monkeypatch.setattr(intmat.IntMatrix, "identity", unreachable)
+    started = time.perf_counter()
+    code, out, err = run("linalg", op, str(path))
+    assert time.perf_counter() - started < 1.0
+    what = f"the {form} form of a 1000000000000x0 matrix"
+    assert (code, out, err) == (2, "", refused(what, "more than 2^79"))
 
 
 def test_refusals_hold_in_a_fresh_process_under_2_gb():

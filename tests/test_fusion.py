@@ -48,7 +48,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, hermite_rows, hermite_solve, hnf, kernel_basis
+from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hnf, kernel_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -609,6 +609,17 @@ def test_ideal_powers_told_the_last_power_match_per_power_oracle(name, last, uni
             assert next(powers).rows() == want
 
 
+@given(a=st.integers(1, 4), b=st.integers(1, 3), n=st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_sparse_walk_matches_per_power_oracle_on_circle_products(a, b, n):
+    # Products of a circle truncation and a cyclic ring have Hermite rows
+    # with few nonzeros and two index generators.
+    ring = ring_product(circle_truncation(a), cyclic_ring(b))
+    want = per_power_oracle(ring, n)
+    assert ideal_power(ring, n).rows() == want
+    assert next(islice(ideal_powers(ring), n, None)).rows() == want
+
+
 def test_ideal_powers_stay_zero_once_zero():
     powers = list(islice(ideal_powers(circle_truncation(3)), 7))
     assert [p.rank for p in powers] == [3, 2, 1, 0, 0, 0, 0]
@@ -632,13 +643,13 @@ def test_ideal_power_stops_at_first_zero_power(ring):
 
 def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
     built = []
-    post_init = IdealLattice.__post_init__
+    init = IdealLattice.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self.rank)
-        post_init(self)
 
-    monkeypatch.setattr(IdealLattice, "__post_init__", counting)
+    monkeypatch.setattr(IdealLattice, "__init__", counting)
     ring = cyclic_ring(5)
     lat = ideal_power(ring, 4)
     assert built == [4, 4]  # I, then I^4 (I^0 and I^2, I^3 stay rows)
@@ -703,13 +714,14 @@ def test_capped_ideal_power_on_rings_with_several_generators(name, n, units):
 )
 def test_each_power_level_forms_rank_times_generators_products(ring, monkeypatch):
     # Products with every row of I would form rank(I^k) * rank(I), which
-    # is more on these rings, since |S| < rank(I).
+    # is more on these rings, since |S| < rank(I).  The walk forms each
+    # product of a row with a generator by one _row_times call.
     assert len(ring.generators) < ring.rank - 1
-    rows = augmentation_ideal(ring).rows()
+    rows = augmentation_ideal(ring).terms
     calls = []
-    mul_vec = BasedRing.mul_vec
+    row_times = fusion._row_times
     monkeypatch.setattr(
-        BasedRing, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b)
+        fusion, "_row_times", lambda *args: calls.append(1) or row_times(*args)
     )
     walk = fusion._higher_power_rows(ring, rows)
     for level, next_rows in zip(range(4), walk):
@@ -914,6 +926,51 @@ def test_light_test_agrees_with_exhaustive_scan_on_products(ring):
     assert validation_outcome(*ring) == validation_outcome(*ring, exhaustive=True)
 
 
+def dense_associativity_witness(table, middle):
+    """Light's test as it was before the sparse sums: two r-wide lists
+    per triple, compared whole."""
+    r = len(table)
+    for i in range(r):
+        for j in middle:
+            for k in range(r):
+                lhs = [0] * r
+                for m, c in table[i][j]:
+                    for l, n in table[m][k]:
+                        lhs[l] += c * n
+                rhs = [0] * r
+                for m, c in table[j][k]:
+                    for l, n in table[i][m]:
+                        rhs[l] += c * n
+                if lhs != rhs:
+                    return i, j, k, next(x for x in range(r) if lhs[x] != rhs[x])
+    return None
+
+
+def sparse_cells(dense):
+    return tuple(
+        tuple(tuple((k, n) for k, n in enumerate(cell) if n) for cell in plane)
+        for plane in dense
+    )
+
+
+@given(
+    st.one_of(
+        perturbed_tables().map(lambda t: sparse_cells(t[2])),
+        perturbed_sparse_rings().map(lambda t: t[2]),
+    ),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_sparse_light_test_names_the_dense_witness(table, data):
+    # Corrupted tables, with no other axiom checked first: the first
+    # witness must agree for every middle index and for a drawn subset.
+    middle = data.draw(st.lists(st.integers(0, len(table) - 1), unique=True))
+    for mid in (range(len(table)), middle):
+        assert fusion._associativity_witness(table, mid) == dense_associativity_witness(
+            table, mid
+        )
+
+
 def left_normed_span(ring):
     """Hermite rows of the span of 1, e_s, (e_s e_t), ... for s, t, ... in
     ring.generators, grown one product length at a time until it stops."""
@@ -972,6 +1029,44 @@ IDEAL_RINGS = {
     "circle:3 x z2": lambda: ring_product(circle_truncation(3), cyclic_ring(2)),
     "reg x reg": lambda: ring_product(regular_class_ring(), regular_class_ring()),
 }
+
+
+@st.composite
+def near_miss_bases(draw):
+    """(width, rows): a Hermite basis, mostly with one edit that may break
+    the form: a negated row, an entry above a pivot moved, a repeated
+    pivot column, a zero row, or two rows swapped."""
+    width = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(-6, 6), min_size=width, max_size=width)
+    rows = [list(row) for row in hermite_rows(draw(st.lists(vector, max_size=6)), width)]
+    edit = draw(st.sampled_from(["none", "negate", "above", "repeat", "zero", "swap"]))
+    pick = st.integers(0, max(len(rows) - 1, 0))
+    if edit == "zero" or not rows:
+        rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+    elif edit == "negate":
+        i = draw(pick)
+        rows[i] = [-e for e in rows[i]]
+    elif edit == "above" and len(rows) > 1:
+        i = draw(st.integers(1, len(rows) - 1))
+        col = next(j for j, e in enumerate(rows[i]) if e)
+        rows[draw(st.integers(0, i - 1))][col] += draw(st.integers(-2, 2)) * rows[i][col]
+    elif edit == "repeat":
+        i = draw(pick)
+        twin = list(rows[i])
+        twin[-1] += draw(st.integers(-3, 3))
+        rows.insert(i + 1, twin)
+    elif edit == "swap" and len(rows) > 1:
+        i, k = draw(pick), draw(pick)
+        rows[i], rows[k] = rows[k], rows[i]
+    return width, tuple(tuple(row) for row in rows)
+
+
+@given(near_miss_bases())
+@settings(max_examples=300, deadline=None)
+def test_hermite_predicate_accepts_exactly_the_reduced_bases(basis):
+    width, rows = basis
+    terms = Lattice.from_rows(rows, width).terms
+    assert fusion._is_hermite(terms) == (rows == hermite_rows(rows, width))
 
 
 def full_closure_outcome(ring, rows):

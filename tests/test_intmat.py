@@ -19,6 +19,7 @@ from equik.intmat import (
     Lattice,
     hermite_rows,
     hermite_solve,
+    hermite_terms,
     hnf,
     in_lattice,
     invariant_factors,
@@ -247,7 +248,7 @@ def test_lattice_solve_matches_pivot_search(a, zero, zero_rows, data):
     # Zero rows stand for the bottom of an hnf, which hermite_solve accepts.
     basis = () if zero else hermite_rows([a.row(i) for i in range(a.rows)], a.cols)
     rows = basis + ((0,) * a.cols,) * zero_rows
-    lat = Lattice(rows)
+    lat = Lattice.from_rows(rows, a.cols)
     ints = st.integers(-6, 6)
     coeffs = data.draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
     inside = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(a.cols))
@@ -335,6 +336,39 @@ def test_hermite_rows_match_nonzero_rows_of_hnf(a):
     rows = [a.row(i) for i in range(a.rows)]
     res = hnf(a)
     assert hermite_rows(rows, a.cols) == tuple(res.H.row(i) for i in range(res.rank))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=24):
+    """Matrices whose rows are each zero, sparse (one to three nonzeros,
+    entries up to 40) or dense, as the ideal-power walk and module checks
+    feed them to hermite_rows."""
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "sparse", "sparse", "dense"]))
+        row = [0] * n
+        if kind == "sparse":
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                row[j] = draw(st.integers(-40, 40))
+        elif kind == "dense":
+            row = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+@given(sparse_matrices())
+@settings(max_examples=120, deadline=None)
+def test_sparse_hermite_rows_match_nonzero_rows_of_dense_hnf(a):
+    # hnf runs the dense _hermite_reduce with a transform carried; the
+    # sparse elimination must reach the same unique basis.
+    rows = [a.row(i) for i in range(a.rows)]
+    res = hnf(a)
+    want = tuple(res.H.row(i) for i in range(res.rank))
+    assert hermite_rows(rows, a.cols) == want
+    maps = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    assert hermite_terms(maps) == Lattice.from_rows(want, a.cols).terms
 
 
 def test_hermite_rows_edge_cases():

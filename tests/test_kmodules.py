@@ -393,6 +393,39 @@ def test_act_runs_on_the_right():
     assert moved == (0, 1, 0)
 
 
+def dense_act(mod, ring_vec, module_vec):
+    """sum over i of ring_vec[i] (module_vec . A_i), each A_i a dense matrix."""
+    g = mod.generators
+    out = [0] * g
+    for c, rows in zip(ring_vec, mod.action):
+        a = dense(rows, g)
+        for i in range(g):
+            for j in range(g):
+                out[j] += c * module_vec[i] * a.entry(i, j)
+    return tuple(out)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_act_matches_dense_oracle(data):
+    _, mod = data.draw(st.sampled_from(oracle_modules()))
+    ints = st.integers(-4, 4)
+    ring_vec = data.draw(st.lists(ints, min_size=mod.ring.rank, max_size=mod.ring.rank))
+    module_vec = data.draw(st.lists(ints, min_size=mod.generators, max_size=mod.generators))
+    assert mod.act(ring_vec, module_vec) == dense_act(mod, ring_vec, module_vec)
+
+
+def test_stability_on_a_given_power_matches_the_walk():
+    mod = truncated_ring_module(cyclic_ring(2), 3)
+    unit = (1, 0)
+    for n in (1, 2, 3):
+        power = ideal_power(mod.ring, n)
+        for mult in (1, 2, 3):
+            assert element_stable_nonvanishing(
+                mod, unit, n, mult, power
+            ) == element_stable_nonvanishing(mod, unit, n, mult)
+
+
 @given(st.integers(1, 5))
 @settings(max_examples=20, deadline=None)
 def test_truncation_relations_annihilate(n):

@@ -83,6 +83,21 @@ def test_circle_dimension(d):
     assert validate(report)
 
 
+def test_circle_witness_walks_each_ideal_power_once(monkeypatch):
+    # The module is the ring modulo I^(d+1); the witness's image and its
+    # stability check share one walk to I^d.
+    from equik import kmodules, reports
+
+    walks = []
+    for namespace in (kmodules, reports):
+        real = namespace.ideal_power
+        monkeypatch.setattr(
+            namespace, "ideal_power", lambda ring, n, real=real: walks.append(n) or real(ring, n)
+        )
+    circle_ah_dimension(5)
+    assert sorted(walks) == [5, 6]
+
+
 @pytest.mark.parametrize("group", ["z3", "z5", "z3xz3"])
 def test_product_z2_bounds(group):
     report = product_z2_bounds(2, group)

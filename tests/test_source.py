@@ -112,3 +112,25 @@ def test_lattice_and_certify_requests_build_no_intmatrix(monkeypatch, tmp_path, 
     assert main(["validate", str(report)]) == 0
     assert capsys.readouterr().out == "valid\n"
     assert built == []
+
+
+def test_dense_hermite_reduce_serves_only_the_transform_paths():
+    # intmat.hermite_terms is the one transform-free Hermite routine.  The
+    # dense _hermite_reduce runs only where a transform is carried: in hnf
+    # and _smith, through _hermite_step, and in _kernel_reduce.
+    dense = ("_hermite_reduce", "_hermite_step")
+    users = {name: set() for name in dense}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in dense:
+                        users[alias.name].add(f"{path.name}:import")
+            elif isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Name) and inner.id in dense:
+                        users[inner.id].add(f"{path.name}:{node.name}")
+    assert users == {
+        "_hermite_reduce": {"intmat.py:_hermite_step", "intmat.py:_kernel_reduce"},
+        "_hermite_step": {"intmat.py:hnf", "intmat.py:_smith"},
+    }
