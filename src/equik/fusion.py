@@ -42,9 +42,7 @@ class RingElement:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple([int(c) for c in self.coefficients])
-        )
+        object.__setattr__(self, "coefficients", _coeffs(self.coefficients))
 
     def __len__(self):
         return len(self.coefficients)
@@ -53,10 +51,15 @@ class RingElement:
         return all(c == 0 for c in self.coefficients)
 
 
-def _coeffs(x):
+def _coeffs(x) -> tuple:
+    """The coefficients of a RingElement, or x's entries as a tuple; those
+    must be ints (not bools), as module relations are."""
     if isinstance(x, RingElement):
         return x.coefficients
-    return tuple([int(c) for c in x])
+    out = tuple(x)
+    if not all(type(c) is int for c in out):
+        raise InputError("ring element coefficients must be ints")
+    return out
 
 
 @dataclass(frozen=True)

@@ -539,6 +539,17 @@ def _subtract(row: dict, q: int, terms) -> None:
             del row[k]
 
 
+def term_product(terms, rows) -> dict:
+    """sum of c rows[a] over the (a, c) terms, each rows[a] a {column:
+    entry} map, as a {column: entry} map with no zeros: the term row
+    times the matrix with those sparse rows.  rows may be any mapping
+    or sequence that holds every a."""
+    out = {}
+    for a, c in terms:
+        _subtract(out, -c, rows[a].items())
+    return out
+
+
 def _sparse_rows(vectors, width: int) -> list:
     """The {column: entry} maps of dense vectors of the given width."""
     maps = []

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
 from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, charge
-from .intmat import SparseMatrix, smith_invariants
+from .intmat import SparseMatrix, smith_invariants, term_product
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -156,11 +156,7 @@ def check_boundaries(maps) -> None:
     for d in range(1, len(maps)):
         lower = maps[d - 1].data
         for i, row in enumerate(maps[d].data):
-            acc = {}
-            for c, e in row.items():
-                for j, f in lower[c].items():
-                    acc[j] = acc.get(j, 0) + e * f
-            if any(acc.values()):
+            if term_product(row.items(), lower):
                 raise EquikError(
                     f"boundary of a boundary is not zero: row {i} of map {d}"
                 )

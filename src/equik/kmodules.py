@@ -1,22 +1,27 @@
 """Modules over based rings used as equivariant K-theory models.
 
 A RingModule is a finitely presented abelian group, its relations held
-as the Hermite rows of their lattice, together with one integer action
-matrix per ring basis element.  Construction re-checks the module
+as the Hermite term rows of their lattice, together with one integer
+action matrix per ring basis element.  Construction re-checks the module
 axioms (unit, commutation, compatibility with the structure constants,
 invariance of the relation lattice), so anything that exists is a
 genuine module presentation.  They are checked on the ring's
 generators; every index runs only on failure, to name the axiom.
+
+Rows stay sparse from the ideal power to the module image: relations,
+action rows and the vectors of an image are {column: entry} maps, and
+ideal rows, relation lattices and module elements are term rows, as in
+intmat.Lattice.terms.  A row is dense only where a caller reads it:
+the result of RingModule.act, Lattice.rows and IdealLattice.basis.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, NamedTuple
 
-from .abgroups import FgAbelianGroup, cokernel, tor as group_tor
+from .abgroups import FgAbelianGroup, cokernel, direct_sum, tor as group_tor
 from .errors import EquikError, InputError
 from .fusion import (
     IdealLattice,
@@ -27,7 +32,7 @@ from .fusion import (
     ring_from_tag,
     ring_product,
 )
-from .intmat import Lattice
+from .intmat import Lattice, hermite_terms, term_product
 
 
 class ModuleInvariantError(InputError):
@@ -43,34 +48,27 @@ class ModuleInvariantError(InputError):
 class RingModule:
     """Module presentation: generators, relation rows, action matrices.
 
-    The relation rows are sequences of one int per generator; only their
-    lattice is kept, as Hermite rows.  Each action matrix is given as
-    sparse rows, one {column: entry} map per generator with zeros
-    omitted, as in intmat.SparseMatrix; the axioms are checked on those
-    rows for the ring's generators (all on failure).
+    Relations and action rows are sparse rows, {column: entry} maps on
+    the generators as in intmat.SparseMatrix, with int columns and int
+    entries; zeros are dropped.  Only the relations' lattice is kept, as
+    Hermite term rows.  There is one action matrix per ring basis
+    element, one row per generator; the axioms are checked on those rows
+    for the ring's generators (all on failure).
     """
 
-    def __init__(self, ring, generators: int, relation_rows, action):
+    def __init__(self, ring, generators: int, relations, action):
         if generators < 0:
             raise InputError("generator count must be nonnegative")
-        relation_rows = tuple(relation_rows)
-        for row in relation_rows:
-            if len(row) != generators or not all(type(e) is int for e in row):
-                raise InputError("relation rows must hold one int per generator")
-        action = tuple(tuple(rows) for rows in action)
+        relations = _checked_rows(relations, generators, "relations")
+        action = tuple(_checked_rows(rows, generators, "action rows") for rows in action)
         if len(action) != ring.rank:
             raise InputError("need one action matrix per ring basis element")
-        for rows in action:
-            if len(rows) != generators or not all(
-                type(j) is int and 0 <= j < generators and type(e) is int
-                for row in rows
-                for j, e in row.items()
-            ):
-                raise InputError("action matrices must be generators x generators")
+        if any(len(rows) != generators for rows in action):
+            raise InputError("action matrices must be generators x generators")
         self.ring = ring
         self.generators = generators
         self.action = action
-        self.lattice = Lattice.span(relation_rows, generators)
+        self.lattice = Lattice(hermite_terms([dict(row) for row in relations]), generators)
         self._validate()
 
     def _validate(self):
@@ -90,9 +88,8 @@ class RingModule:
                 if not _vanishes(lattice, pij, _combine(self.ring.table[i][j], act, g)):
                     raise ModuleInvariantError("fusion compatibility", (i, j))
         for i in range(r):
-            for row in lattice.rows:
-                if not lattice.contains(_vec_mat(row, act[i])):
-                    raise ModuleInvariantError("relations are invariant", (i,))
+            if not _relations_move_inside(lattice, act[i]):
+                raise ModuleInvariantError("relations are invariant", (i,))
         raise EquikError("module axioms fail on the generators but hold at every index")
 
     # -- queries ----------------------------------------------------------
@@ -102,47 +99,76 @@ class RingModule:
 
     def act(self, ring_vec, module_vec) -> tuple:
         """Image of a module vector under a ring element, as a raw vector."""
-        ring_vec = tuple(ring_vec)
-        if len(ring_vec) != self.ring.rank:
-            raise InputError("ring element length must equal the ring rank")
-        module_vec = tuple(module_vec)
-        if len(module_vec) != self.generators:
-            raise InputError("module element length must equal the generators")
+        b = _int_terms(ring_vec, self.ring.rank, "ring element")
+        x = _int_terms(module_vec, self.generators, "module element")
         out = [0] * self.generators
-        vec = [(a, m) for a, m in enumerate(module_vec) if m]
-        for i, c in enumerate(ring_vec):
-            if c:
-                rows = self.action[i]
-                for a, m in vec:
-                    cm = c * m
-                    for j, e in rows[a].items():
-                        out[j] += cm * e
+        for j, e in _act(self.action, b, x).items():
+            out[j] = e
         return tuple(out)
 
     def subgroup_class(self, vectors) -> FgAbelianGroup:
-        """Class of the subgroup generated by the vectors inside the module."""
-        rel_rows = self.lattice.rows
-        outer = Lattice.span([tuple(v) for v in vectors] + list(rel_rows), self.generators)
+        """Class of the subgroup generated by the vectors inside the module,
+        each vector a {column: entry} map on the generators."""
+        rel_terms = self.lattice.terms
+        outer = Lattice(
+            hermite_terms([dict(v) for v in vectors] + [dict(row) for row in rel_terms]),
+            self.generators,
+        )
         rel = []
-        for row in rel_rows:
-            sol = outer.solve(row)
+        for row in rel_terms:
+            sol = outer.solve_map(dict(row))
             if sol is None:
                 raise EquikError(f"relation {row} lies outside the span built from it")
             rel.append(sol)
-        return cokernel(rel, len(outer.rows))
+        return cokernel(rel, len(outer.terms))
 
 
-# Sparse matrices here are sequences of {column: entry} rows.  The rows
-# these helpers build omit zeros, so equal products compare equal as dicts.
+def _checked_rows(rows, g: int, what: str) -> tuple:
+    """The {column: entry} maps rows with zeros dropped; InputError unless
+    each column is an int in [0, g) and each entry an int (not a bool)."""
+    rows = tuple(rows)
+    if not all(type(row) is dict for row in rows) or not all(
+        type(j) is int and 0 <= j < g and type(e) is int for row in rows for j, e in row.items()
+    ):
+        raise InputError(f"{what} must be {{column: int}} maps with columns in [0, {g})")
+    return tuple(
+        [{j: e for j, e in row.items() if e} if 0 in row.values() else row for row in rows]
+    )
+
+
+def _int_terms(vec, width: int, what: str) -> list:
+    """The nonzero (index, entry) terms of a vector; InputError unless it
+    holds width entries, each an int (not a bool), as relations do."""
+    vec = tuple(vec)
+    if len(vec) != width or not all(type(e) is int for e in vec):
+        raise InputError(f"{what} must hold {width} ints")
+    return [(a, e) for a, e in enumerate(vec) if e]
+
+
+# Sparse matrices here are sequences of {column: entry} rows, and vectors
+# are term rows or such maps; intmat.term_product forms every product and
+# difference.  Its rows omit zeros, so equal products compare equal as
+# dicts.
+
+
+def _act(action, b, x) -> dict:
+    """x A(b) for the ring term row b and the module term row x, where
+    A(b) = sum b_i action[i]: the image of x under b."""
+    return term_product(b, {i: term_product(x, action[i]) for i, _ in b})
 
 
 def _vanishes(lattice, m, n) -> bool:
-    """Whether every row of m - n lies in the lattice; equal rows are skipped."""
-    g = len(m)
+    """Whether every row of m - n, 1 x - 1 y for rows x of m and y of n,
+    lies in the lattice; equal rows are skipped."""
     for x, y in zip(m, n):
-        if x != y and not lattice.contains([x.get(j, 0) - y.get(j, 0) for j in range(g)]):
+        if x != y and lattice.solve_map(term_product(((0, 1), (1, -1)), (x, y))) is None:
             return False
     return True
+
+
+def _relations_move_inside(lattice, rows) -> bool:
+    """Whether each relation moved by the matrix with these rows stays in the lattice."""
+    return all(lattice.solve_map(term_product(r, rows)) is not None for r in lattice.terms)
 
 
 def _axioms_hold_on_generators(ring, lattice, act) -> bool:
@@ -155,7 +181,7 @@ def _axioms_hold_on_generators(ring, lattice, act) -> bool:
     if not _vanishes(lattice, act[0], tuple({a: 1} for a in range(g))):
         return False
     for s in ring.generators:
-        if not all(lattice.contains(_vec_mat(row, act[s])) for row in lattice.rows):
+        if not _relations_move_inside(lattice, act[s]):
             return False
         for j in range(ring.rank):
             product = _mat_mul(act[s], act[j])
@@ -165,36 +191,12 @@ def _axioms_hold_on_generators(ring, lattice, act) -> bool:
 
 
 def _mat_mul(a, b) -> tuple:
-    out = []
-    for row in a:
-        acc = {}
-        for k, c in row.items():
-            for j, e in b[k].items():
-                acc[j] = acc.get(j, 0) + c * e
-        out.append({j: e for j, e in acc.items() if e})
-    return tuple(out)
+    return tuple([term_product(row.items(), b) for row in a])
 
 
 def _combine(cell, mats, g: int) -> tuple:
     """sum(n * mats[k]) over the (k, n) pairs of a structure-table cell."""
-    out = []
-    for a in range(g):
-        acc = {}
-        for k, n in cell:
-            for j, e in mats[k][a].items():
-                acc[j] = acc.get(j, 0) + n * e
-        out.append({j: e for j, e in acc.items() if e})
-    return tuple(out)
-
-
-def _vec_mat(vec, rows) -> list:
-    """Dense vec times the square matrix with the given sparse rows."""
-    out = [0] * len(rows)
-    for a, c in enumerate(vec):
-        if c:
-            for j, e in rows[a].items():
-                out[j] += c * e
-    return out
+    return tuple([term_product(cell, {k: mats[k][a] for k, _ in cell}) for a in range(g)])
 
 
 def truncated_ring_module(ring, n: int) -> RingModule:
@@ -204,7 +206,7 @@ def truncated_ring_module(ring, n: int) -> RingModule:
     """
     if n < 0:
         raise InputError("truncation order must be nonnegative")
-    relations = ideal_power(ring, n).basis
+    relations = [dict(row) for row in ideal_power(ring, n).terms]
     action = tuple(
         tuple(dict(ring.table[j][i]) for j in range(ring.rank)) for i in range(ring.rank)
     )
@@ -218,16 +220,14 @@ def zero_module(ring) -> RingModule:
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     if a.ring != b.ring:
         raise InputError("direct sum needs modules over the same ring")
-    g = a.generators + b.generators
-    pad_a, pad_b = (0,) * a.generators, (0,) * b.generators
-    relations = [row + pad_b for row in a.lattice.rows]
-    relations += [pad_a + row for row in b.lattice.rows]
     off = a.generators
+    relations = [dict(row) for row in a.lattice.terms]
+    relations += [{off + j: e for j, e in row} for row in b.lattice.terms]
     action = tuple(
         am + tuple({off + j: e for j, e in row.items()} for row in bm)
         for am, bm in zip(a.action, b.action)
     )
-    return RingModule(a.ring, g, relations, action)
+    return RingModule(a.ring, off + b.generators, relations, action)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,6 @@ class ModelDescriptor:
 
     @classmethod
     def parse(cls, text: str) -> "ModelDescriptor":
-        text = text.strip()
         if text.startswith("tensor(") and text.endswith(")"):
             inner = text[len("tensor(") : -1]
             depth = 0
@@ -376,12 +375,10 @@ def ideal_image(lattice: IdealLattice, module: RingModule) -> FgAbelianGroup:
     """Class of the subgroup of the module generated by the ideal's action."""
     if lattice.ring != module.ring:
         raise InputError("ideal and module live over different rings")
-    vectors = []
-    for b in lattice.rows():
-        for a in range(module.generators):
-            gen = tuple(1 if x == a else 0 for x in range(module.generators))
-            vectors.append(module.act(b, gen))
-    return module.subgroup_class(vectors)
+    act = module.action
+    return module.subgroup_class(
+        [_act(act, b, ((a, 1),)) for b in lattice.terms for a in range(module.generators)]
+    )
 
 
 def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
@@ -411,18 +408,10 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     ring = ring_product(mg.ring, mh.ring)
     h = mh.generators
     g = mg.generators * h
-    relations = []
-    for terms in mg.lattice.terms:
-        for d in range(h):
-            row = [0] * g
-            for c, e in terms:
-                row[c * h + d] = e
-            relations.append(row)
-    for c in range(mg.generators):
-        for s in mh.lattice.rows:
-            row = [0] * g
-            row[c * h : (c + 1) * h] = s
-            relations.append(row)
+    relations = [{c * h + d: e for c, e in r} for r in mg.lattice.terms for d in range(h)]
+    relations += [
+        {c * h + d: e for d, e in s} for c in range(mg.generators) for s in mh.lattice.terms
+    ]
     action = tuple(
         tuple(
             {c * h + d: x * y for c, x in arow.items() for d, y in brow.items()}
@@ -471,8 +460,6 @@ def graded_kunneth(pg: GradedModulePair, ph: GradedModulePair) -> GradedKunnethP
     odd_tensor = module_direct_sum(eo, oe)
     ge, go = pg.even.underlying_group(), pg.odd.underlying_group()
     he, ho = ph.even.underlying_group(), ph.odd.underlying_group()
-    from .abgroups import direct_sum
-
     even_tor = direct_sum(group_tor(ge, ho), group_tor(go, he))
     odd_tor = direct_sum(group_tor(ge, he), group_tor(go, ho))
     return GradedKunnethPieces(even_tensor, odd_tensor, even_tor, odd_tor)
@@ -484,29 +471,11 @@ def factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
     Because the right factor is the whole ring, the m-th power is the
     span of u x e_j over a basis u of I(left)^m and the right basis.
     """
-    lat = ideal_power(left_ring, m)
     rr = ring.rank // left_ring.rank
-    rows = []
-    for u in lat.rows():
-        for j in range(rr):
-            row = [0] * (len(u) * rr)
-            for i, c in enumerate(u):
-                if c:
-                    row[i * rr + j] = c
-            rows.append(tuple(row))
-    return IdealLattice.from_rows(ring, rows)
-
-
-def _strip_primes(d: int, n: int) -> int:
-    """Remove every prime factor of n from d."""
-    if d == 0:
-        return 0
-    while True:
-        g = gcd(d, n)
-        if g == 1:
-            return d
-        while d % g == 0:
-            d //= g
+    rows = [
+        {i * rr + j: c for i, c in u} for u in ideal_power(left_ring, m).terms for j in range(rr)
+    ]
+    return IdealLattice(ring, terms=hermite_terms(rows))
 
 
 def element_stable_nonvanishing(module: RingModule, x, n: int, mult: int, lattice=None) -> bool:
@@ -519,13 +488,10 @@ def element_stable_nonvanishing(module: RingModule, x, n: int, mult: int, lattic
     """
     if mult < 1:
         raise InputError("multiplier must be >= 1")
-    xv = tuple(int(c) for c in x)
-    if len(xv) != module.generators:
-        raise InputError("element length must match the module generators")
+    xt = _int_terms(x, module.generators, "module element")
     if lattice is None:
         lattice = ideal_power(module.ring, n)
-    images = [module.act(b, xv) for b in lattice.rows()]
-    sub = module.subgroup_class(images)
-    if sub.free_rank > 0:
-        return True
-    return any(_strip_primes(d, mult) > 1 for d in sub.torsion)
+    sub = module.subgroup_class([_act(module.action, b, xt) for b in lattice.terms])
+    # A cyclic factor d > 1 has a prime that mult lacks exactly when d does
+    # not divide mult^d: each prime of d divides it fewer than d times.
+    return sub.free_rank > 0 or any(pow(mult, d, d) for d in sub.torsion)

@@ -32,6 +32,7 @@ from equik.errors import (
 from equik.fusion import (
     BasedRing,
     IdealLattice,
+    RingElement,
     augmentation_ideal,
     circle_ideal_image,
     circle_truncation,
@@ -313,6 +314,64 @@ def test_regular_class_annihilated_for_small_groups():
         assert element.coefficients == r.aug
     assert regular_dimension(s3_ring()) == 6
     assert regular_dimension(cyclic_ring(6)) == 6
+
+
+# Character rings of finite groups: every tag family the suite builds, the
+# cyclic rings of the filtration tests, and S3 alone and with z3.
+GROUP_RING_TAGS = (
+    "z2", "z3", "z4", "z6", "z8", "z24", "z2xz2", "z2xz3", "z3xz3", "z2xz2xz2", "z2xz3xz5",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    GROUP_RING_TAGS + ("z5", "z7", "z9", "z10", "z11", "z12", "s3", "s3 x z3"),
+)
+def test_regular_dimension_kills_each_power_quotient(name):
+    # For x in I^n, with m = sum d_i^2 and reg the regular class,
+    # m x = (m - reg) x + reg x, and reg x = aug(x) reg = 0 while
+    # m - reg lies in I: so m I^n lies in I^(n+1).  Over Q, I is a sum of
+    # the factors of the semisimple ring R (x) Q, so I^n has rank r - 1.
+    if name == "s3":
+        ring = s3_ring()
+    elif name == "s3 x z3":
+        ring = ring_product(s3_ring(), cyclic_ring(3))
+    else:
+        ring = ring_from_tag(name)
+    m = regular_dimension(ring)
+    powers = list(islice(ideal_powers(ring, last=6), 7))
+    for n in range(1, 6):
+        power, above = powers[n], powers[n + 1]
+        assert power.rank == ring.rank - 1, n
+        for row in power.basis:
+            assert above.contains(tuple(m * e for e in row)), n
+    # A fusion ring that is no group's character ring may fail: in the
+    # span of 1 and the regular class x of the order-2 group, m = 5 and
+    # I^n / I^(n+1) is Z_2.
+    reg = regular_class_ring()
+    quotient = lattice_quotient(reg, ideal_power(reg, 2), ideal_power(reg, 3))
+    assert quotient == FgAbelianGroup(0, (2,))
+
+
+def test_ring_vector_inputs_must_be_ints():
+    ring = cyclic_ring(2)
+    for a in ((1.5, 0), (True, 0), ("1", 0)):
+        with pytest.raises(InputError):
+            multiply(ring, a, (0, 1))
+        with pytest.raises(InputError):
+            multiply(ring, (0, 1), a)
+        with pytest.raises(InputError):
+            RingElement(a)
+
+
+def test_ideal_lattice_membership_takes_only_int_vectors():
+    aug = augmentation_ideal(cyclic_ring(2))
+    for v in ((-1.7, 1), (-1, 1.0), (True, 0), ("-1", 1)):
+        with pytest.raises(InputError):
+            aug.contains(v)
+        with pytest.raises(InputError):
+            aug.solve(v)
+    assert aug.contains((-1, 1)) and aug.solve((-2, 2)) == [-2]
 
 
 def test_circle_truncation_unit_class_inverse():

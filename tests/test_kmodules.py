@@ -2,12 +2,16 @@
 
 The dense module-axiom check that the sparse one replaced stays here as
 the oracle for both the check on the ring's generators and the full
-scan that names a failure.  Relations are tuples of row tuples, as
-RingModule takes them; the Kunneth relations are checked against the
-Kronecker presentation built with the matrix oracle of test_abgroups.
+scan that names a failure.  The oracles keep relations as dense int row
+tuples and hand RingModule their {column: entry} maps; the Kunneth
+relations are checked against the Kronecker presentation built with the
+matrix oracle of test_abgroups.  The dense ideal image, subgroup class,
+factor ideal power and stability check that the term-row ones replaced
+stay here as their oracles.
 """
 
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,14 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equik import kmodules
-from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, tensor, tor
+from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, cokernel, tensor, tor
+from equik.cli import main
 from equik.errors import EquikError, InputError
 from equik.fusion import (
+    IdealLattice,
     circle_truncation,
     cyclic_ring,
     from_fusion_file,
     ideal_power,
     ring_from_tag,
+    ring_product,
 )
 from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve
 from equik.kmodules import (
@@ -132,9 +139,14 @@ def moved_relation(relations, g, idx, delta):
     return relations[:i] + (tuple(row),) + relations[i + 1 :]
 
 
+def relation_maps(relations) -> list:
+    """Dense relation rows as the {column: entry} maps RingModule takes."""
+    return [{j: e for j, e in enumerate(row) if e} for row in relations]
+
+
 def sparse_module_check(ring, g, relations, action):
     try:
-        RingModule(ring, g, relations, tuple(sparse(m) for m in action))
+        RingModule(ring, g, relation_maps(relations), tuple(sparse(m) for m in action))
     except ModuleInvariantError as err:
         return err.axiom, err.indices
     return None
@@ -166,7 +178,7 @@ def test_module_validation_catches_bad_unit():
 def test_module_validation_catches_moving_relations():
     r = cyclic_ring(2)
     # relations <(2, 0)> are not preserved by the swap action of chi
-    rel = ((2, 0),)
+    rel = ({0: 2},)
     swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
     with pytest.raises(ModuleInvariantError) as err:
         RingModule(r, 2, rel, (sparse(IntMatrix.identity(2)), sparse(swap)))
@@ -174,13 +186,15 @@ def test_module_validation_catches_moving_relations():
 
 
 @pytest.mark.parametrize(
-    "rel", [((2,),), ((2, 0, 0),), ((2, 0.0),), ((True, 0),)],
-    ids=["short", "long", "float", "bool"],
+    "rel",
+    [({2: 2},), ({-1: 2},), ({0: 2, 1: 0.0},), ({0: True},), ((2, 0),)],
+    ids=["column-out-of-range", "negative-column", "float", "bool", "dense-row"],
 )
 def test_module_rejects_malformed_relation_rows(rel):
     identity = ({0: 1}, {1: 1})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         RingModule(cyclic_ring(2), 2, rel, (identity, identity))
+    assert not isinstance(err.value, ModuleInvariantError)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -276,6 +290,16 @@ def test_stability_false_for_matching_multiplier():
     assert element_stable_nonvanishing(mod, (1, 0), 1, 1)
 
 
+def test_stability_on_prime_power_torsion():
+    # I . 1 is Z_4 on Z[Z_2] / I^3 and Z_8 on Z[Z_2] / I^4: multiplying by
+    # 2 or 6 kills it however often, multiplying by 3 never does.
+    for n, order in ((3, 4), (4, 8)):
+        mod = truncated_ring_module(cyclic_ring(2), n)
+        assert ideal_image(ideal_power(mod.ring, 1), mod) == FgAbelianGroup(0, (order,))
+        for mult, stable in ((1, True), (2, False), (3, True), (4, False), (6, False)):
+            assert element_stable_nonvanishing(mod, (1, 0), 1, mult) == stable, (n, mult)
+
+
 def test_stability_true_for_free_image():
     mod = truncated_ring_module(circle_truncation(3), 3)
     x = (1, 0, 0)
@@ -312,12 +336,16 @@ def test_model_descriptor_parse_render_roundtrip():
         assert _descriptor_text(model.to_json_dict()) == text
 
 
-def test_model_descriptor_parse_errors():
-    # the last four orders are not canonical decimals
+def test_model_descriptor_parse_errors(capsys):
+    # entries 5-8 have orders that are not canonical decimals, and the
+    # last three have a space around the descriptor or its tensor halves
     for bad in ("trunc-z2", "circle:x", "tensor(a)", "spline:3",
-                "circle:+3", "circle: 3", "trunc-z2:0_3", "circle:03"):
+                "circle:+3", "circle: 3", "trunc-z2:0_3", "circle:03",
+                " circle:3", "circle:3 ", "tensor( circle:2 , trunc-z2:1 )"):
         with pytest.raises(InputError):
             ModelDescriptor.parse(bad)
+        assert main(["model", bad]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_model_instantiation_matches_factories():
@@ -393,15 +421,20 @@ def test_act_runs_on_the_right():
     assert moved == (0, 1, 0)
 
 
+@lru_cache(maxsize=None)
+def dense_action(mod) -> tuple:
+    return tuple(dense(rows, mod.generators) for rows in mod.action)
+
+
 def dense_act(mod, ring_vec, module_vec):
     """sum over i of ring_vec[i] (module_vec . A_i), each A_i a dense matrix."""
     g = mod.generators
     out = [0] * g
-    for c, rows in zip(ring_vec, mod.action):
-        a = dense(rows, g)
-        for i in range(g):
-            for j in range(g):
-                out[j] += c * module_vec[i] * a.entry(i, j)
+    for c, a in zip(ring_vec, dense_action(mod)):
+        for i, m in enumerate(module_vec):
+            if c and m:
+                for j in range(g):
+                    out[j] += c * m * a.entry(i, j)
     return tuple(out)
 
 
@@ -615,3 +648,134 @@ def test_full_scan_that_finds_nothing_raises(monkeypatch):
     with pytest.raises(EquikError) as err:
         truncated_ring_module(cyclic_ring(3), 2)
     assert not isinstance(err.value, ModuleInvariantError)
+
+
+def test_act_takes_only_int_vectors():
+    mod = truncated_ring_module(cyclic_ring(2), 2)
+    for ring_vec, module_vec in (
+        ((0, 1.5), (1, 0)),
+        ((0, 1), (1.0, 0)),
+        ((0, True), (1, 0)),
+        ((0, 1), ("1", 0)),
+    ):
+        with pytest.raises(InputError):
+            mod.act(ring_vec, module_vec)
+
+
+def test_stability_takes_only_int_elements():
+    mod = truncated_ring_module(cyclic_ring(2), 2)
+    for x in ((1.9, 0), ("1", 0), (True, 0)):
+        with pytest.raises(InputError):
+            element_stable_nonvanishing(mod, x, 1, 1)
+
+
+# The dense image, subgroup class, factor power and stability check that
+# the term-row ones replaced, with dense_act for the action.
+
+
+def dense_subgroup_class(mod, vectors) -> FgAbelianGroup:
+    rel_rows = mod.lattice.rows
+    outer = Lattice.span([tuple(v) for v in vectors] + list(rel_rows), mod.generators)
+    rel = [outer.solve(row) for row in rel_rows]
+    assert None not in rel
+    return cokernel(rel, len(outer.rows))
+
+
+def dense_ideal_image(lattice, mod) -> FgAbelianGroup:
+    g = mod.generators
+    vectors = []
+    for b in lattice.basis:
+        for a in range(g):
+            gen = tuple(1 if x == a else 0 for x in range(g))
+            vectors.append(dense_act(mod, b, gen))
+    return dense_subgroup_class(mod, vectors)
+
+
+def dense_factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
+    lat = ideal_power(left_ring, m)
+    rr = ring.rank // left_ring.rank
+    rows = []
+    for u in lat.basis:
+        for j in range(rr):
+            row = [0] * (len(u) * rr)
+            for i, c in enumerate(u):
+                row[i * rr + j] = c
+            rows.append(tuple(row))
+    return IdealLattice.from_rows(ring, rows)
+
+
+def strip_primes(d: int, n: int) -> int:
+    """Remove every prime factor of n from d."""
+    while True:
+        g = gcd(d, n)
+        if g == 1:
+            return d
+        while d % g == 0:
+            d //= g
+
+
+def dense_stable(mod, x, n: int, mult: int) -> bool:
+    """Whether I^n . x has an element of infinite order or of finite order
+    coprime to mult."""
+    images = [dense_act(mod, b, x) for b in ideal_power(mod.ring, n).basis]
+    sub = dense_subgroup_class(mod, images)
+    return sub.free_rank > 0 or any(strip_primes(d, mult) > 1 for d in sub.torsion)
+
+
+CIRCLE_Z3 = "tensor(circle:5,trunc:z3:3)"
+FACTOR_MODELS = TENSOR_FACTORS + ("circle:5", "trunc:z3:3")
+
+
+@lru_cache(maxsize=None)
+def model_module(text: str) -> RingModule:
+    return ModelDescriptor.parse(text).instantiate()
+
+
+def image_modules() -> tuple:
+    """The oracle modules and a circle x z3 tensor piece."""
+    return oracle_modules() + ((CIRCLE_Z3, model_module(CIRCLE_Z3)),)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_subgroup_class_matches_dense_oracle(data):
+    _, mod = data.draw(st.sampled_from(image_modules()), label="module")
+    g = mod.generators
+    vectors = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=g, max_size=g), max_size=4),
+        label="vectors",
+    )
+    maps = [{j: e for j, e in enumerate(v) if e} for v in vectors]
+    assert mod.subgroup_class(maps) == dense_subgroup_class(mod, vectors)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_ideal_image_matches_dense_oracle(data):
+    _, mod = data.draw(st.sampled_from(image_modules()), label="module")
+    lattice = ideal_power(mod.ring, data.draw(st.integers(0, 4), label="n"))
+    assert ideal_image(lattice, mod) == dense_ideal_image(lattice, mod)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_factor_ideal_power_and_its_image_match_dense_oracles(data):
+    left = model_module(data.draw(st.sampled_from(FACTOR_MODELS), label="left"))
+    right = model_module(data.draw(st.sampled_from(FACTOR_MODELS), label="right"))
+    m = data.draw(st.integers(0, 4), label="m")
+    mod, _ = kunneth_pieces(left, right)
+    lattice = factor_ideal_power(mod.ring, left.ring, m)
+    want = dense_factor_ideal_power(mod.ring, left.ring, m)
+    assert lattice.terms == want.terms
+    assert ideal_image(lattice, mod) == dense_ideal_image(want, mod)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stability_matches_dense_oracle(data):
+    _, mod = data.draw(st.sampled_from(image_modules()), label="module")
+    g = mod.generators
+    x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g), label="x"))
+    n = data.draw(st.integers(0, 3), label="n")
+    mult = data.draw(st.integers(1, 6), label="mult")
+    assert element_stable_nonvanishing(mod, x, n, mult) == dense_stable(mod, x, n, mult)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import equik
 from equik.cli import main
+from equik.fusion import IdealLattice
 from equik.intmat import IntMatrix
 
 SOURCES = sorted(Path(equik.__file__).parent.glob("*.py"))
@@ -134,3 +135,20 @@ def test_dense_hermite_reduce_serves_only_the_transform_paths():
         "_hermite_reduce": {"intmat.py:_hermite_step", "intmat.py:_kernel_reduce"},
         "_hermite_step": {"intmat.py:hnf", "intmat.py:_smith"},
     }
+
+
+def test_module_requests_read_no_dense_ideal_basis(monkeypatch, tmp_path, capsys):
+    # Ideal and module rows stay term rows from the ideal power to the
+    # module image; a dense IdealLattice.basis is built only where a
+    # caller prints it.
+    def refuse(self):
+        raise AssertionError("IdealLattice.basis read")
+
+    monkeypatch.setattr(IdealLattice, "basis", property(refuse))
+    assert main(["model", "tensor(circle:3,trunc:z3:2)"]) == 0
+    capsys.readouterr()
+    assert main(["rokhlin", "product-z2", "1", "z3xz3", "--json"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["validate", str(report)]) == 0
+    assert capsys.readouterr().out == "valid\n"
