@@ -46,7 +46,7 @@ class IntMatrix:
             raise InputError(
                 f"expected {self.rows * self.cols} entries, got {len(ent)}"
             )
-        if any(not isinstance(e, int) or isinstance(e, bool) for e in ent):
+        if not all(type(e) is int for e in ent):
             raise InputError("matrix entries must be ints")
         object.__setattr__(self, "entries", ent)
 
@@ -64,7 +64,7 @@ class IntMatrix:
         for r in rows_data:
             if len(r) != cols:
                 raise InputError("ragged rows")
-            flat.extend(int(e) for e in r)
+            flat.extend(r)
         return cls(len(rows_data), cols, tuple(flat))
 
     @classmethod
@@ -77,7 +77,7 @@ class IntMatrix:
 
     @classmethod
     def diagonal(cls, diag, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        diag = [int(d) for d in diag]
+        diag = list(diag)
         n = len(diag)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
@@ -402,7 +402,13 @@ class SparseMatrix:
 
 
 def smith_invariants(sparse_rows):
-    """(rank, torsion chain) of the matrix with the given {column: entry} rows.
+    """(rank, torsion chain) of the matrix with the given {column: entry} rows."""
+    return smith_pivots(sparse_rows)[:2]
+
+
+def smith_pivots(sparse_rows):
+    """(rank, torsion chain, unit columns): smith_invariants, and the set
+    of the columns where a pivot of absolute value 1 was taken.
 
     Pivots of absolute value 1 are eliminated first, on the shortest row
     and, within it, the unit entry whose column is shortest, so the rows
@@ -419,18 +425,22 @@ def smith_invariants(sparse_rows):
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(heap)
     stuck = set()  # rows that had no unit entry when last popped
-    rank = 0
+    units = set()
     while heap:
         length, i = heappop(heap)
         row = rows[i]
         if row is None or length != len(row):
             continue  # stale heap entry
-        units = [j for j, e in row.items() if e == 1 or e == -1]
-        if not units:
+        p = best = None  # the unit entry whose column is shortest, then leftmost
+        for j, e in row.items():
+            if e == 1 or e == -1:
+                n = len(where[j])
+                if p is None or n < best or n == best and j < p:
+                    p, best = j, n
+        if p is None:
             stuck.add(i)
             continue
-        p = min(units, key=lambda j: (len(where[j]), j))
-        rank += 1
+        units.add(p)
         rows[i] = None
         for j in row:
             where[j].discard(i)
@@ -454,12 +464,12 @@ def smith_invariants(sparse_rows):
                 rows[t] = None
     left = sorted(stuck)
     if not left:
-        return rank, ()
+        return len(units), (), units
     used = sorted({j for i in left for j in rows[i]})
     block = [[rows[i].get(j, 0) for j in used] for i in left]
     diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
     factors = [d for d in diag if d]
-    return rank + len(factors), tuple([d for d in factors if d > 1])
+    return len(units) + len(factors), tuple([d for d in factors if d > 1]), units
 
 
 def hermite_terms(maps) -> tuple:
@@ -551,12 +561,14 @@ def term_product(terms, rows) -> dict:
 
 
 def _sparse_rows(vectors, width: int) -> list:
-    """The {column: entry} maps of dense vectors of the given width."""
+    """The {column: entry} maps of dense int vectors of the given width."""
     maps = []
     for v in vectors:
-        row = list(map(int, v))
+        row = tuple(v)
         if len(row) != width:
             raise InputError("ragged rows")
+        if not all(type(e) is int for e in row):
+            raise InputError("vector entries must be ints")
         maps.append({j: e for j, e in enumerate(row) if e})
     return maps
 
@@ -592,7 +604,7 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, rows, width: int) -> "Lattice":
-        return cls(tuple([tuple([(j, e) for j, e in enumerate(row) if e]) for row in rows]), width)
+        return cls(tuple([tuple(row.items()) for row in _sparse_rows(rows, width)]), width)
 
     @classmethod
     def span(cls, vectors, width: int) -> "Lattice":
@@ -611,7 +623,9 @@ class Lattice:
         return {row[0][0]: (i, row) for i, row in enumerate(self.terms) if row}
 
     def solve(self, v):
-        """Integer coordinates of v in the rows, or None outside the lattice."""
+        """Integer coordinates of the int vector v in the rows, or None."""
+        if not all(type(e) is int for e in v):
+            raise InputError("vector entries must be ints")
         return self.solve_map({j: e for j, e in enumerate(v) if e})
 
     def solve_map(self, rem: dict):

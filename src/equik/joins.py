@@ -6,7 +6,8 @@ one-step recursion; the simplicial homology computed here serves as an
 independent oracle for those numbers.  Boundaries are kept as sparse
 rows, and homology comes from the rank and torsion of each boundary:
 unit pivots are eliminated over the sparse rows and only the leftover
-block goes through Smith reduction.
+block goes through Smith reduction.  The boundaries are reduced top first,
+skipping the rows that face a unit pivot of the boundary above.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
 from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, charge
-from .intmat import SparseMatrix, smith_invariants, term_product
+from .intmat import SparseMatrix, smith_invariants, smith_pivots, term_product
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -185,17 +186,21 @@ def reduced_homology(jc: JoinComplex) -> BettiTable:
 
     With the augmentation as the degree-0 boundary, the reduced group in
     degree d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion
-    of del_(d+1).
+    of del_(d+1).  Top first, del_d skips its rows at the unit-pivot
+    columns of del_(d+1) (clearing, Chen and Kerber 2011): the reduced
+    pivot rows of del_(d+1) are boundaries and unitriangular on those
+    columns, so the kept rows span the same row lattice.
     """
     chain = boundary_matrices(jc)
     n_vert = chain.face_counts[0]
     maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
     check_boundaries(maps)
-    invariants = [smith_invariants(m.data) for m in maps] + [(0, ())]
-    groups = []
-    for d, n in enumerate(chain.face_counts):
-        (rank_d, _), (rank_up, torsion) = invariants[d], invariants[d + 1]
-        groups.append(FgAbelianGroup(n - rank_d - rank_up, torsion))
+    groups, rank_up, torsion, cleared = [], 0, (), ()
+    for m in reversed(maps):
+        rows = [row for i, row in enumerate(m.data) if i not in cleared]
+        rank, torsion_d, cleared = smith_pivots(rows)
+        groups.insert(0, FgAbelianGroup(m.rows - rank - rank_up, torsion))
+        rank_up, torsion = rank, torsion_d
     return BettiTable(tuple(groups))
 
 

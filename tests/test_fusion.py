@@ -374,6 +374,14 @@ def test_ideal_lattice_membership_takes_only_int_vectors():
     assert aug.contains((-1, 1)) and aug.solve((-2, 2)) == [-2]
 
 
+def test_ideal_lattice_from_rows_takes_only_int_vectors():
+    ring = cyclic_ring(2)
+    for v in ((-1.7, 1), (-1, 1.0), (True, 1), ("-1", 1)):
+        with pytest.raises(InputError, match="must be ints"):
+            IdealLattice.from_rows(ring, [v])
+    assert IdealLattice.from_rows(ring, [(-1, 1)]) == augmentation_ideal(ring)
+
+
 def test_circle_truncation_unit_class_inverse():
     c = circle_truncation(5)
     t = (1, -1, 0, 0, 0)  # t = 1 - lam, the invertible generator

@@ -379,6 +379,41 @@ def test_hermite_rows_edge_cases():
         hermite_rows([(1, 2), (3,)], 2)
 
 
+NON_INTS = (1.5, -1.7, 4.0, True, "1")
+
+
+def test_dense_vectors_to_sparse_rows_take_only_ints():
+    # hermite_rows and Lattice.span read their vectors through _sparse_rows.
+    for bad in NON_INTS:
+        with pytest.raises(InputError, match="must be ints"):
+            hermite_rows([(bad, 0)], 2)
+        with pytest.raises(InputError, match="must be ints"):
+            Lattice.span([(1, 0), (0, bad)], 2)
+    assert hermite_rows([(2, 0)], 2) == ((2, 0),)
+
+
+def test_matrix_from_rows_takes_only_ints():
+    for bad in NON_INTS:
+        with pytest.raises(InputError, match="must be ints"):
+            IntMatrix.from_rows([[2, bad]])
+        with pytest.raises(InputError, match="must be ints"):
+            IntMatrix(1, 1, (bad,))
+        with pytest.raises(InputError, match="must be ints"):
+            IntMatrix.diagonal([2, bad])
+    assert IntMatrix.from_rows([[2, 1]]).entries == (2, 1)
+
+
+def test_lattice_rows_and_solve_take_only_ints():
+    for bad in NON_INTS:
+        with pytest.raises(InputError, match="must be ints"):
+            hermite_solve([(1, 0), (0, 2)], (3, bad))
+        with pytest.raises(InputError, match="must be ints"):
+            in_lattice([(1, 0), (0, 2)], (bad, 4))
+        with pytest.raises(InputError, match="must be ints"):
+            hermite_solve([(1, 0), (0, bad)], (3, 4))  # the basis rows too
+    assert hermite_solve([(1, 0), (0, 2)], (3, 4)) == [3, 2]
+
+
 def classical_snf(a: IntMatrix):
     """(U, D, V) by classical pivoting: the Smith form before Hermite steps.
 

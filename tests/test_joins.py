@@ -6,14 +6,17 @@ octahedron sphere.
 
 The independent oracle for homology is the dense kernel/image route:
 dense boundary matrices, a Hermite kernel basis, the image solved in
-that basis, and the Smith form of the resulting presentation.
+that basis, and the Smith form of the resulting presentation.  The
+per-map route, smith_invariants on each whole boundary with no rows
+cleared, is kept here as a second oracle for the top-down sweep.
 """
 
 import time
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equik.errors as errors
@@ -26,6 +29,7 @@ from equik.intmat import (
     hermite_rows,
     hermite_solve,
     kernel_basis,
+    smith_invariants,
     snf,
 )
 from equik import joins
@@ -68,12 +72,14 @@ def dense_boundaries(jc: JoinComplex) -> list:
 
 
 def dense_reduced_homology(jc: JoinComplex) -> tuple:
+    return dense_chain_homology(jc.face_counts()[0], dense_boundaries(jc))
+
+
+def dense_chain_homology(n_vert: int, bnds) -> tuple:
     """Reduced homology as kernel modulo image, presented and normalized."""
-    bnds = dense_boundaries(jc)
-    n_vert = jc.face_counts()[0]
-    maps = [IntMatrix(n_vert, 1, (1,) * n_vert)] + bnds
+    maps = [IntMatrix(n_vert, 1, (1,) * n_vert)] + list(bnds)
     groups = []
-    for d in range(jc.parts):
+    for d in range(len(maps)):
         ker = kernel_basis(maps[d])
         ker_rows = [ker.row(i) for i in range(ker.rows)]
         img_rows = ()
@@ -85,6 +91,47 @@ def dense_reduced_homology(jc: JoinComplex) -> tuple:
         relmat = IntMatrix.from_rows(rel, cols=len(ker_rows))
         groups.append(normalize(Presentation(len(ker_rows), relmat)))
     return tuple(groups)
+
+
+def per_map_homology(chain: ChainComplex) -> tuple:
+    """Reduced homology from smith_invariants on each whole boundary."""
+    n_vert = chain.face_counts[0]
+    maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
+    invariants = [smith_invariants(m.data) for m in maps] + [(0, ())]
+    return tuple(
+        FgAbelianGroup(n - invariants[d][0] - invariants[d + 1][0], invariants[d + 1][1])
+        for d, n in enumerate(chain.face_counts)
+    )
+
+
+def simplicial_chain(facets) -> ChainComplex:
+    """Sparse boundaries of the downward closure of the given facets,
+    faces in lexicographic order, with boundary_matrices' signs."""
+    faces = {
+        f for facet in facets for r in range(1, len(facet) + 1)
+        for f in combinations(sorted(facet), r)
+    }
+    by_dim = [
+        sorted(f for f in faces if len(f) == d + 1) for d in range(max(map(len, faces)))
+    ]
+    mats = []
+    for d in range(1, len(by_dim)):
+        index = {face: i for i, face in enumerate(by_dim[d - 1])}
+        rows = tuple(
+            {index[face[:k] + face[k + 1 :]]: (-1) ** k for k in range(d + 1)}
+            for face in by_dim[d]
+        )
+        mats.append(SparseMatrix(len(rows), len(index), rows))
+    return ChainComplex(tuple(map(len, by_dim)), tuple(mats))
+
+
+# The 6-vertex projective plane (the hemi-icosahedron): H~1 = Z_2.  Its
+# top boundary has nine unit pivots and one row left with no unit entry,
+# so the edges facing those pivots are cleared beside a stuck row.
+RP2_FACETS = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+)
 
 
 def test_k33_complex():
@@ -151,6 +198,49 @@ def test_homology_reads_torsion_from_the_boundary_above(monkeypatch):
     monkeypatch.setattr(joins, "boundary_matrices", lambda jc: rp2)
     betti = reduced_homology(build_join_complex(2, 3))
     assert [g.render() for g in betti.groups] == ["0", "Z_2", "0"]
+
+
+facet_lists = st.lists(
+    st.sets(st.integers(0, 6), min_size=1, max_size=7), min_size=1, max_size=5
+)
+
+
+@given(facet_lists)
+@example(RP2_FACETS)
+@settings(max_examples=40, deadline=None)
+def test_cleared_homology_matches_per_map_and_dense_oracles(facets):
+    chain = simplicial_chain(facets)
+    dense = dense_chain_homology(
+        chain.face_counts[0], [densify(m) for m in chain.boundaries]
+    )
+    with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
+        groups = reduced_homology(build_join_complex(1, 1)).groups
+    assert groups == per_map_homology(chain) == dense
+
+
+def test_projective_plane_clears_beside_a_stuck_row():
+    chain = simplicial_chain(RP2_FACETS)
+    assert chain.face_counts == (6, 15, 10)
+    rank, torsion, units = joins.smith_pivots(chain.boundaries[1].data)
+    assert (rank, torsion, len(units)) == (10, (2,), 9)
+    with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
+        betti = reduced_homology(build_join_complex(1, 1))
+    assert [g.render() for g in betti.groups] == ["0", "Z_2", "0"]
+
+
+def test_homology_skips_the_rows_facing_unit_pivots_above():
+    passed, inner = [], joins.smith_pivots
+
+    def counting(rows):
+        passed.append(len(rows))
+        return inner(rows)
+
+    jc = build_join_complex(2, 6)
+    with mock.patch.object(joins, "smith_pivots", counting):
+        betti = reduced_homology(jc)
+    assert betti.ranks() == (0, 0, 0, 0, 0, 1)
+    assert sum(jc.face_counts()) == 728
+    assert passed == [64, 129, 111, 49, 11, 1]  # top map first, 365 rows
 
 
 def test_sparse_boundaries_match_dense_ones():
