@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Time the joins layer's homology case by case and record its counters.
+"""Time the joins, fusion and kmodules layers case by case, with counters.
 
-Times joins.reduced_homology on the join complexes of the benchmark's
-`join homology` grid plus three larger ones, in integer nanoseconds
-(the median of the repeats), and counts for each complex the rows the
-boundaries hold in total, the rows handed to the sparse elimination,
-the rows cleared before it and the boundary nonzeros, augmentation
-included.  The counters come from one more call, made after the timed
-ones with the elimination wrapped.
+Each case is one library call timed in integer nanoseconds (the median
+of the repeats):
+- joins: reduced_homology on the join complexes of the benchmark's
+  `join homology` grid plus three larger ones, counting the rows the
+  boundaries hold in total, the rows handed to the sparse elimination,
+  the rows cleared before it and the boundary nonzeros, augmentation
+  included; these counters come from one more call, made before the
+  timed ones with the elimination wrapped;
+- fusion: ring_from_tag on z24 and z2xz3xz5 and circle_truncation at
+  orders 400 and 800, each a ring built and fully checked, counting the
+  rank and the generators the check finds;
+- kmodules: ModelDescriptor.instantiate on two tensor models, each
+  module built and checked, counting the ring's rank and generators and
+  the module's generators.
+The work budget is lifted for the whole run, in this process only:
+circle_truncation(800) is over it.
 
 The run is stored under its label in the output file, beside the runs
 already there under other labels, so a parent tree and a change can
 share one file:
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label change --out BENCH_<n>.json
-    PYTHONPATH=src python3 scripts/bench_layers.py --case 3 3 --repeats 3 --out bench.json
+    PYTHONPATH=src python3 scripts/bench_layers.py --case "ring_from_tag(z24)" --out bench.json
 """
 
 import argparse
@@ -25,11 +34,11 @@ import statistics
 import time
 from unittest import mock
 
-from equik import joins
+from equik import errors, fusion, joins, kmodules
 
 # (set size n, copies k): the join homology grid of the joins workload,
 # then the 7-fold join of 2 points and the 5-fold joins of 3 and 9 points.
-CASES = (
+JOIN_CASES = (
     (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
     (2, 7), (3, 5), (9, 5),
 )
@@ -37,15 +46,15 @@ MIN_REPEATS = 3
 CASE_SECONDS = 2.0  # repeats stop after this long, once MIN_REPEATS ran
 
 
-def time_case(jc, max_repeats: int) -> list:
-    """Nanoseconds of each reduced_homology call, at least MIN_REPEATS
-    of them, at most max_repeats, and no new one after CASE_SECONDS."""
+def time_case(call, max_repeats: int) -> list:
+    """Nanoseconds of each call, at least MIN_REPEATS of them, at most
+    max_repeats, and no new one after CASE_SECONDS."""
     samples = []
     started = time.perf_counter_ns()
     while len(samples) < max_repeats:
         gc.collect()
         t0 = time.perf_counter_ns()
-        joins.reduced_homology(jc)
+        call()
         samples.append(time.perf_counter_ns() - t0)
         spent = time.perf_counter_ns() - started
         if len(samples) >= MIN_REPEATS and spent > CASE_SECONDS * 1e9:
@@ -79,21 +88,67 @@ def count_case(jc) -> dict:
     }
 
 
-def run(cases, max_repeats: int) -> list:
-    records = []
-    for n, k in cases:
-        jc = joins.build_join_complex(n, k)
-        joins.reduced_homology(jc)  # warm-up, untimed
-        samples = time_case(jc, max_repeats)
-        records.append(
-            {
-                "case": f"reduced_homology({n}, {k})",
-                "layer": "joins",
-                "ns_median": int(statistics.median(samples)),
-                "repeats": len(samples),
-                "counters": count_case(jc),
-            }
+def ring_counters(ring) -> dict:
+    return {"rank": ring.rank, "generators": len(ring.generators)}
+
+
+def module_counters(mod) -> dict:
+    return {**ring_counters(mod.ring), "module_generators": mod.generators}
+
+
+def homology_case(n, k):
+    jc = joins.build_join_complex(n, k)
+    return lambda: joins.reduced_homology(jc), lambda _: count_case(jc)
+
+
+# case name -> (layer, setup); setup runs untimed and returns the timed
+# call and the function that gives the counters of the call's result.
+CASES = {
+    **{
+        f"reduced_homology({n}, {k})": ("joins", lambda n=n, k=k: homology_case(n, k))
+        for n, k in JOIN_CASES
+    },
+    **{
+        f"ring_from_tag({tag})": (
+            "fusion",
+            lambda tag=tag: (lambda: fusion.ring_from_tag(tag), ring_counters),
         )
+        for tag in ("z24", "z2xz3xz5")
+    },
+    **{
+        f"circle_truncation({n})": (
+            "fusion",
+            lambda n=n: (lambda: fusion.circle_truncation(n), ring_counters),
+        )
+        for n in (400, 800)
+    },
+    **{
+        f"instantiate({text})": (
+            "kmodules",
+            lambda text=text: (kmodules.ModelDescriptor.parse(text).instantiate, module_counters),
+        )
+        for text in ("tensor(trunc-z2:3,trunc:z3xz3:1)", "tensor(trunc:z3:3,trunc:z2:1)")
+    },
+}
+
+
+def run(names, max_repeats: int) -> list:
+    records = []
+    with mock.patch.object(errors, "WORK_BUDGET", 10**15):
+        for name in names:
+            layer, setup = CASES[name]
+            call, counters = setup()
+            counted = counters(call())  # the warm-up, untimed
+            samples = time_case(call, max_repeats)
+            records.append(
+                {
+                    "case": name,
+                    "layer": layer,
+                    "ns_median": int(statistics.median(samples)),
+                    "repeats": len(samples),
+                    "counters": counted,
+                }
+            )
     return records
 
 
@@ -102,14 +157,14 @@ def main() -> None:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--label", default="change", help="key of this run in the file")
     parser.add_argument(
-        "--case", nargs=2, type=int, action="append", metavar=("N", "K"),
-        help="time only the n-point k-fold join (repeatable; default: every case)",
+        "--case", action="append", choices=CASES, metavar="NAME",
+        help="time only this case, named as in the output (repeatable; default: every case)",
     )
     parser.add_argument("--repeats", type=int, default=21, help="most timed calls per case")
     cfg = parser.parse_args()
     if cfg.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
-    cases = [tuple(c) for c in cfg.case] if cfg.case else CASES
+    cases = cfg.case or list(CASES)
     runs = {}
     if os.path.exists(cfg.out):
         with open(cfg.out, encoding="utf-8") as fh:
@@ -119,7 +174,7 @@ def main() -> None:
         json.dump(runs, fh, indent=1)
         fh.write("\n")
     for rec in runs[cfg.label]:
-        print("%-26s %12d ns  %s" % (rec["case"], rec["ns_median"], rec["counters"]))
+        print("%-50s %12d ns  %s" % (rec["case"], rec["ns_median"], rec["counters"]))
 
 
 if __name__ == "__main__":

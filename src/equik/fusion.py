@@ -12,7 +12,11 @@ rings that are not fusion rings, since their augmentation kills lam.
 the r^3 work units of the least axiom check before its table) and the
 fusion-table loader build every ring; downstream code reads ``rank``,
 ``labels``, ``aug``, ``is_fusion``, ``basis_mul(i, j)`` and
-``mul_vec(a, b)``.
+``mul_vec(a, b)``.  Every ring is checked in full when it is built, and
+the check works on the sparse table: one pass per cell checks its shape
+and sums its dimension, the generator search inserts sparse products
+into an echelon basis (intmat.echelon_insert), and Light's test compares
+two cells directly where both products are single basis elements.
 
 Ideal lattices and the ideal-power walk carry their rows as term rows:
 the nonzero (column, entry) pairs of a row in increasing column, pivot
@@ -32,7 +36,7 @@ from math import comb, gcd
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
 from .errors import UnsupportedError, charge, read_json
 from .abgroups import cokernel
-from .intmat import Lattice, as_int, hermite_terms, xgcd
+from .intmat import Lattice, as_int, echelon_insert, hermite_terms
 
 
 @dataclass(frozen=True)
@@ -147,23 +151,31 @@ def _validate_ring(labels, aug, table, is_fusion):
         raise FusionRingError("rank", (), "a based ring needs at least the unit")
     if len(aug) != r or len(table) != r:
         raise FusionRingError("shape", (), "labels, aug and table sizes disagree")
+    if not all(type(d) is int for d in aug):
+        raise FusionRingError("shape", (), "dims must be ints")
     if aug[0] != 1:
         raise FusionRingError("unit dimension", (0,), f"dims[0] = {aug[0]}")
     if is_fusion:
         for i, d in enumerate(aug):
             if d < 1:
                 raise FusionRingError("positive dimensions", (i,), f"dims[{i}] = {d}")
-    for i in range(r):
-        if len(table[i]) != r:
+    # One pass per cell checks its shape and sign and sums its dimension;
+    # the first cell whose sum is off is raised after the two checks below.
+    off = None
+    for i, row in enumerate(table):
+        if len(row) != r:
             raise FusionRingError("shape", (i,))
-        for j in range(r):
-            last = -1
-            for k, n in table[i][j]:
-                if not last < k < r or n == 0:
+        d = aug[i]
+        for j, cell in enumerate(row):
+            last = total = 0
+            for k, n in cell:
+                if type(k) is not int or type(n) is not int or not last <= k < r or n == 0:
                     raise FusionRingError("shape", (i, j))
                 if n < 0:
                     raise FusionRingError("nonnegativity", (i, j, k))
-                last = k
+                last, total = k + 1, total + n * aug[k]
+            if total != d * aug[j] and off is None:
+                off = i, j, total
     for j in range(r):
         ej = ((j, 1),)
         if table[0][j] != ej:
@@ -174,43 +186,18 @@ def _validate_ring(labels, aug, table, is_fusion):
         for j in range(i, r):
             if table[i][j] != table[j][i]:
                 raise FusionRingError("commutativity", (i, j))
-    for i in range(r):
-        for j in range(r):
-            total = sum(n * aug[k] for k, n in table[i][j])
-            if total != aug[i] * aug[j]:
-                raise FusionRingError(
-                    "dimension homomorphism",
-                    (i, j),
-                    f"sum N*dim = {total}, dims product = {aug[i] * aug[j]}",
-                )
+    if off is not None:
+        i, j, total = off
+        raise FusionRingError(
+            "dimension homomorphism",
+            (i, j),
+            f"sum N*dim = {total}, dims product = {aug[i] * aug[j]}",
+        )
     gens = _basis_generators(table)
     charge(r**3 * len(gens), f"a rank-{r} ring")  # Light's test: r^2 |S| r-wide sums
     if _associativity_witness(table, gens):
         raise FusionRingError("associativity", _associativity_witness(table, range(r)))
     return gens
-
-
-def _lattice_insert(basis: dict, v) -> bool:
-    """Put v into the lattice of the echelon rows basis (pivot -> row);
-    True when the lattice grew, that is when v was outside it."""
-    grew = False
-    for p in range(len(v)):
-        a, row = v[p], basis.get(p)
-        if not a:
-            continue
-        if row is None:
-            basis[p] = v
-            return True
-        b = row[p]
-        q, rem = divmod(a, b)
-        if rem:  # replace the pivot by gcd(a, b), unimodularly
-            g, x, y = xgcd(b, a)
-            basis[p] = [x * c + y * e for c, e in zip(row, v)]
-            v = [b // g * e - a // g * c for c, e in zip(row, v)]
-            grew = True
-        else:
-            v = [e - q * c for c, e in zip(row, v)]
-    return grew
 
 
 def _basis_generators(table) -> tuple:
@@ -219,14 +206,14 @@ def _basis_generators(table) -> tuple:
     S is chosen greedily in index order: s joins when e_s lies outside
     the span L of the products found so far.  Each product found is
     multiplied on the right by each index in S and inserted into L's
-    Hermite basis when it falls outside, so by bilinearity L ends closed
-    under right multiplication by S: it is the span of those products.
+    echelon basis (intmat.echelon_insert, on sparse rows) when it falls
+    outside, so by bilinearity L ends closed under right multiplication
+    by S: it is the span of those products.
     """
-    r = len(table)
     basis, found, gens, pending = {}, [], [], []
-    for s in range(r):
-        e_s = [int(k == s) for k in range(r)]
-        if not _lattice_insert(basis, e_s):
+    for s in range(len(table)):
+        e_s = ((s, 1),)
+        if not echelon_insert(basis, dict(e_s)):
             continue
         if s:  # e_0, the unit, is the empty product
             gens.append(s)
@@ -235,14 +222,10 @@ def _basis_generators(table) -> tuple:
         pending += [(e_s, g) for g in gens]
         while pending:
             v, g = pending.pop()
-            prod = [0] * r
-            for i, c in enumerate(v):
-                if c:
-                    for k, n in table[i][g]:
-                        prod[k] += c * n
-            if _lattice_insert(basis, prod):
-                found.append(prod)
-                pending += [(prod, h) for h in gens]
+            prod = _row_times(table, v, g)
+            if echelon_insert(basis, dict(prod)):
+                found.append(prod.items())
+                pending += [(prod.items(), h) for h in gens]
     return tuple(gens)
 
 
@@ -252,21 +235,29 @@ def _associativity_witness(table, middle):
 
     Light's test passes the generators as middle: the a with
     (x a) y = x (a y) for all x, y form a subring, holding 1 by the unit
-    law, so it is the whole ring once it holds a generating set.  Each
-    side is summed as a {l: coefficient} map over the table's cells.
+    law, so it is the whole ring once it holds a generating set.  When
+    e_i e_j = e_m and e_j e_k = e_m' are single basis elements, the two
+    sides are the cells table[m][k] and table[i][m'], compared directly;
+    otherwise, or when those differ, each side is summed as a
+    {l: coefficient} map over the table's cells.
     """
     r = len(table)
     for i in range(r):
         row_i = table[i]
         for j in middle:
-            cell_ij, row_j = row_i[j], table[j]
-            for k in range(r):
+            cell_ij = row_i[j]
+            unit = len(cell_ij) == 1 and cell_ij[0][1] == 1
+            row_m = table[cell_ij[0][0]] if unit else None  # e_i e_j = e_m
+            for k, cell_jk in enumerate(table[j]):
+                if unit and len(cell_jk) == 1 and cell_jk[0][1] == 1:
+                    if row_m[k] == row_i[cell_jk[0][0]]:  # e_j e_k = e_m'
+                        continue
                 lhs = {}
                 for m, c in cell_ij:
                     for l, n in table[m][k]:
                         lhs[l] = lhs.get(l, 0) + c * n
                 rhs = {}
-                for m, c in row_j[k]:
+                for m, c in cell_jk:
                     for l, n in row_i[m]:
                         rhs[l] = rhs.get(l, 0) + c * n
                 if lhs != rhs:
@@ -454,10 +445,9 @@ def _unit_terms(indices) -> tuple:
     return tuple([((i, 1),) for i in indices])
 
 
-def _row_times(ring, b, s, d=0) -> dict:
+def _row_times(table, b, s, d=0) -> dict:
     """b (e_s - d e_0) for the term row b, as a {column: entry} map with
     no zeros; only b's nonzeros and the cells table[j][s] are visited."""
-    table = ring.table
     out = {}
     for j, c in b:
         if d:
@@ -472,7 +462,7 @@ def _product_outside(ring, lattice, indices):
     as an int tuple; None when there is none."""
     for i in indices:
         for b in lattice.terms:
-            prod = _row_times(ring, b, i)
+            prod = _row_times(ring.table, b, i)
             if lattice.solve_map(dict(prod)) is None:
                 return tuple([prod.get(k, 0) for k in range(ring.rank)])
     return None
@@ -529,7 +519,7 @@ def _higher_power_rows(ring, aug_rows, last=None):
     while rows:
         spent += _level_units(ring, rows)
         charge(spent, what)
-        next_rows = hermite_terms([_row_times(ring, b, s, d) for b in rows for s, d in gens])
+        next_rows = hermite_terms([_row_times(ring.table, b, s, d) for b in rows for s, d in gens])
         level += 1
         if last is not None and len(next_rows) == len(rows):
             charge(spent + (last - level) * _level_units(ring, next_rows), what)

@@ -538,6 +538,29 @@ def hermite_terms(maps) -> tuple:
     return tuple([tuple(sorted(row.items())) for row in basis.values()])
 
 
+def echelon_insert(basis: dict, row: dict) -> bool:
+    """Put the sparse row, reduced in place, into the lattice of the echelon
+    rows basis ({pivot column: {column: entry}}); True when the lattice
+    grew, that is when the row was outside it.  Only nonzeros are visited."""
+    grew = False
+    while row:
+        p = min(row)
+        lead = basis.get(p)
+        if lead is None:
+            basis[p] = row
+            return True
+        a, b = row[p], lead[p]
+        q, rem = divmod(a, b)
+        if rem:  # replace the pivot by gcd(a, b), unimodularly
+            g, x, y = xgcd(b, a)
+            basis[p] = term_product(((0, x), (1, y)) if x else ((1, y),), (lead, row))
+            row = term_product(((0, b // g), (1, -(a // g))), (row, lead))
+            grew = True
+        else:
+            _subtract(row, q, lead.items())
+    return grew
+
+
 def _subtract(row: dict, q: int, terms) -> None:
     """row -= q t for the (column, entry) terms of t, on the {column: entry}
     map row, dropping the zeros made; q != 0."""

@@ -13,6 +13,8 @@ action rows and the vectors of an image are {column: entry} maps, and
 ideal rows, relation lattices and module elements are term rows, as in
 intmat.Lattice.terms.  A row is dense only where a caller reads it:
 the result of RingModule.act, Lattice.rows and IdealLattice.basis.
+In the axiom checks, a unit row {k: 1} or table cell ((k, 1),) picks
+out an action row or matrix itself, not a copy: those products are only read.
 """
 
 from __future__ import annotations
@@ -191,11 +193,21 @@ def _axioms_hold_on_generators(ring, lattice, act) -> bool:
 
 
 def _mat_mul(a, b) -> tuple:
-    return tuple([term_product(row.items(), b) for row in a])
+    """a b; a unit row {k: 1} of a gives the row b[k] itself, not a copy."""
+    out = []
+    for row in a:
+        if len(row) == 1 and 1 in row.values():
+            out.append(b[next(iter(row))])
+        else:
+            out.append(term_product(row.items(), b))
+    return tuple(out)
 
 
 def _combine(cell, mats, g: int) -> tuple:
-    """sum(n * mats[k]) over the (k, n) pairs of a structure-table cell."""
+    """sum(n * mats[k]) over the (k, n) pairs of a structure-table cell;
+    mats[k] itself when the cell is the one term (k, 1)."""
+    if len(cell) == 1 and cell[0][1] == 1:
+        return mats[cell[0][0]]
     return tuple([term_product(cell, {k: mats[k][a] for k, _ in cell}) for a in range(g)])
 
 

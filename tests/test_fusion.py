@@ -49,7 +49,7 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hnf, kernel_basis
+from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hnf, kernel_basis, xgcd
 
 DATA = Path(__file__).parent / "data"
 
@@ -450,8 +450,26 @@ def test_ring_equality_follows_the_constructor():
 
 @pytest.mark.parametrize(
     "cell",
-    [((3, 1),), ((-1, 1),), ((2, 1), (1, 1)), ((2, 1), (2, 1)), ((2, 0),)],
-    ids=["index past rank", "negative index", "unsorted", "repeated", "zero"],
+    [
+        ((3, 1),),
+        ((-1, 1),),
+        ((2, 1), (1, 1)),
+        ((2, 1), (2, 1)),
+        ((2, 0),),
+        ((2, 1.0),),
+        ((2, True),),
+        ((2.0, 1),),
+    ],
+    ids=[
+        "index past rank",
+        "negative index",
+        "unsorted",
+        "repeated",
+        "zero",
+        "float multiplicity",
+        "bool multiplicity",
+        "float index",
+    ],
 )
 def test_malformed_sparse_cell_is_a_shape_error(cell):
     r = cyclic_ring(3)
@@ -460,6 +478,17 @@ def test_malformed_sparse_cell_is_a_shape_error(cell):
     with pytest.raises(FusionRingError) as err:
         BasedRing(r.labels, r.aug, tuple(map(tuple, table)), is_fusion=True)
     assert (err.value.axiom, err.value.indices) == ("shape", (1, 1))
+
+
+@pytest.mark.parametrize("is_fusion", [True, False])
+@pytest.mark.parametrize("aug", [(True, True), (1, 1.0), (1.0, 1)], ids=["bools", "float", "float unit"])
+def test_ring_dims_must_be_ints(aug, is_fusion):
+    # (1, 1.0) used to pass every axiom and fail later, inside the
+    # ideal-power walk, with an AttributeError.
+    r = cyclic_ring(2)
+    with pytest.raises(FusionRingError) as err:
+        BasedRing(r.labels, aug, r.table, is_fusion)
+    assert (err.value.axiom, err.value.indices) == ("shape", ())
 
 
 def oracle_basis_mul(factors, i, j):
@@ -993,6 +1022,32 @@ def test_light_test_agrees_with_exhaustive_scan_on_products(ring):
     assert validation_outcome(*ring) == validation_outcome(*ring, exhaustive=True)
 
 
+UNIT_CELL_RINGS = {
+    **{f"z{n}": cyclic_ring(n) for n in (2, 3, 4, 6)},
+    "z2xz2": ring_from_tag("z2xz2"),
+    "z3xz3": ring_from_tag("z3xz3"),
+    **PRODUCT_RINGS,
+}
+
+
+@st.composite
+def unit_moved_tables(draw):
+    """The table of a ring with a few one-term cells ((k, 1),) moved to
+    ((k2, 1),), mostly with the mirror cell.  Every edited cell stays one
+    term of multiplicity 1, so Light's test compares such cells directly
+    and meets its mismatches there."""
+    ring = UNIT_CELL_RINGS[draw(st.sampled_from(sorted(UNIT_CELL_RINGS)))]
+    r = ring.rank
+    table = [list(row) for row in ring.table]
+    units = [(i, j) for i in range(r) for j in range(r) if len(table[i][j]) == 1]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from(units))
+        k2 = draw(st.integers(0, r - 1))
+        for a, b in {(i, j), (j, i)} if draw(st.integers(0, 3)) else {(i, j)}:
+            table[a][b] = ((k2, 1),)
+    return tuple(tuple(row) for row in table)
+
+
 def dense_associativity_witness(table, middle):
     """Light's test as it was before the sparse sums: two r-wide lists
     per triple, compared whole."""
@@ -1024,6 +1079,7 @@ def sparse_cells(dense):
     st.one_of(
         perturbed_tables().map(lambda t: sparse_cells(t[2])),
         perturbed_sparse_rings().map(lambda t: t[2]),
+        unit_moved_tables(),
     ),
     st.data(),
 )
@@ -1083,6 +1139,100 @@ def test_cyclic_rings_and_circle_truncations_are_generated_by_one_index():
     assert ring_from_tag("z2xz3").generators == (1, 3)
     # b is outside the span of 1, a and a * a = 2b, so it joins too
     assert divided_square_ring().generators == (1, 2)
+
+
+def dense_lattice_insert(basis: dict, v) -> bool:
+    """Put v into the lattice of the echelon rows basis (pivot -> row);
+    True when the lattice grew, that is when v was outside it."""
+    grew = False
+    for p in range(len(v)):
+        a, row = v[p], basis.get(p)
+        if not a:
+            continue
+        if row is None:
+            basis[p] = v
+            return True
+        b = row[p]
+        q, rem = divmod(a, b)
+        if rem:  # replace the pivot by gcd(a, b), unimodularly
+            g, x, y = xgcd(b, a)
+            basis[p] = [x * c + y * e for c, e in zip(row, v)]
+            v = [b // g * e - a // g * c for c, e in zip(row, v)]
+            grew = True
+        else:
+            v = [e - q * c for c, e in zip(row, v)]
+    return grew
+
+
+def dense_basis_generators(table) -> tuple:
+    """The generator search as it was before the sparse one: r-wide
+    products inserted into dense echelon rows."""
+    r = len(table)
+    basis, found, gens, pending = {}, [], [], []
+    for s in range(r):
+        e_s = [int(k == s) for k in range(r)]
+        if not dense_lattice_insert(basis, e_s):
+            continue
+        if s:
+            gens.append(s)
+            pending += [(v, s) for v in found]
+        found.append(e_s)
+        pending += [(e_s, g) for g in gens]
+        while pending:
+            v, g = pending.pop()
+            prod = [0] * r
+            for i, c in enumerate(v):
+                if c:
+                    for k, n in table[i][g]:
+                        prod[k] += c * n
+            if dense_lattice_insert(basis, prod):
+                found.append(prod)
+                pending += [(prod, h) for h in gens]
+    return tuple(gens)
+
+
+GENERATOR_FAMILIES = {
+    "cyclic": lambda: [cyclic_ring(n) for n in range(1, 25)],
+    "product tags": lambda: [
+        ring_from_tag(tag) for tag in ("z2xz2", "z2xz2xz2", "z2xz3", "z2xz3xz5", "z3xz3")
+    ],
+    "circle": lambda: [circle_truncation(n) for n in range(1, 61)],
+    "fusion tables and products": lambda: list(SPAN_RINGS.values()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+def test_sparse_generator_search_matches_dense_oracle(family):
+    # generators fixes which products the ideal-power walk forms, so the
+    # two searches must agree exactly.
+    for ring in GENERATOR_FAMILIES[family]():
+        assert ring.generators == dense_basis_generators(ring.table), ring.labels
+
+
+@st.composite
+def small_int_tables(draw):
+    """Tables of rank 1 to 4 with arbitrary cells, entries in [-3, 3]:
+    their products meet pivots that do not divide them, so the search
+    takes its gcd step."""
+    r = draw(st.integers(1, 4))
+    cell = st.dictionaries(st.integers(0, r - 1), st.integers(-3, 3), max_size=r)
+    return tuple(
+        tuple(tuple(sorted((k, n) for k, n in draw(cell).items() if n)) for _ in range(r))
+        for _ in range(r)
+    )
+
+
+@given(
+    st.one_of(
+        perturbed_tables().map(lambda t: sparse_cells(t[2])),
+        perturbed_sparse_rings().map(lambda t: t[2]),
+        unit_moved_tables(),
+        small_int_tables(),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_generator_search_matches_dense_oracle_on_perturbed_tables(table):
+    assert fusion._basis_generators(table) == dense_basis_generators(table)
 
 
 IDEAL_RINGS = {

@@ -53,6 +53,7 @@ from equik.kmodules import (
 )
 from equik.reports import report_to_json_dict, validate, z2_af_bounds
 from test_abgroups import kron, vstack
+from test_fusion import regular_class_ring
 
 
 def test_truncated_z2_groups():
@@ -478,7 +479,8 @@ def oracle_modules() -> tuple:
 
     The S3 character ring has cells with several terms, so its modules
     have action rows with several entries, unlike the cyclic and circle
-    ones.
+    ones; the regular-class ring has the one-term cell x x = 2 x, which
+    is not a unit cell.
     """
     def model(text):
         return text, ModelDescriptor.parse(text).instantiate()
@@ -487,6 +489,7 @@ def oracle_modules() -> tuple:
     s3 = from_fusion_file(Path(__file__).parent / "data" / "s3_fusion.json")
     s3_modules = [(f"s3 mod I^{n}", truncated_ring_module(s3, n)) for n in (1, 2, 3)]
     out += s3_modules
+    out += [(f"reg mod I^{n}", truncated_ring_module(regular_class_ring(), n)) for n in (1, 2, 3)]
     factors = [model(text) for text in TENSOR_FACTORS] + s3_modules
     for a, left in factors:
         for b, right in factors:
@@ -526,55 +529,55 @@ def test_dense_oracle_accepts_every_built_module():
         assert verdict is None, name
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_sparse_module_check_matches_dense_oracle(data):
-    # One action entry or one relation entry is moved, so the two checks
-    # must agree on failures as well as on passes.
+def perturbed_module(data):
+    """(ring, g, relations, action) of an oracle module with one edit: an
+    action entry or a relation entry moved by a small delta, or the one
+    entry of an action row moved to another column.  Rows of the cyclic
+    and circle modules are unit rows {k: 1}, and the last edit keeps them
+    so, so products formed on them reuse rows and still meet failures."""
     pool = oracle_modules()
     _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
     g, ring = mod.generators, mod.ring
     action = [dense(rows, g) for rows in mod.action]
     relations = mod.lattice.rows
-    delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
-    target = data.draw(st.sampled_from(("action", "relation")), label="target")
-    if g and target == "action":
+    target = data.draw(st.sampled_from(("action", "relation", "move")), label="target")
+    if g and target != "relation":
         k = data.draw(st.integers(0, ring.rank - 1), label="k")
-        idx = data.draw(st.integers(0, g * g - 1), label="entry")
         ent = list(action[k].entries)
-        ent[idx] += delta
+        if target == "move":
+            a = data.draw(st.integers(0, g - 1), label="row")
+            held = [a * g + j for j in range(g) if ent[a * g + j]]
+            src = data.draw(st.sampled_from(held or [a * g]), label="from")
+            dst = a * g + data.draw(st.integers(0, g - 1), label="to")
+            ent[src], ent[dst] = 0, ent[src]
+        else:
+            idx = data.draw(st.integers(0, g * g - 1), label="entry")
+            ent[idx] += data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
         action[k] = IntMatrix(g, g, tuple(ent))
     elif relations:
         idx = data.draw(st.integers(0, len(relations) * g - 1), label="entry")
+        delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
         relations = moved_relation(relations, g, idx, delta)
-    want = dense_module_check(ring, g, relations, action)
-    assert sparse_module_check(ring, g, relations, action) == want
+    return ring, g, relations, action
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_module_check_matches_dense_oracle(data):
+    # The two checks must agree on failures as well as on passes.
+    module = perturbed_module(data)
+    assert sparse_module_check(*module) == dense_module_check(*module)
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_generator_check_matches_dense_oracle(data):
-    # The same perturbations as above: the generator check alone must pass
-    # exactly when every axiom holds, and the module must then raise the
-    # oracle's first failure.
-    pool = oracle_modules()
-    _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
-    g, ring = mod.generators, mod.ring
-    action = [dense(rows, g) for rows in mod.action]
-    relations = mod.lattice.rows
-    delta = data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
-    if g and data.draw(st.booleans(), label="perturb action"):
-        k = data.draw(st.integers(0, ring.rank - 1), label="k")
-        idx = data.draw(st.integers(0, g * g - 1), label="entry")
-        ent = list(action[k].entries)
-        ent[idx] += delta
-        action[k] = IntMatrix(g, g, tuple(ent))
-    elif relations:
-        idx = data.draw(st.integers(0, len(relations) * g - 1), label="entry")
-        relations = moved_relation(relations, g, idx, delta)
-    want = dense_module_check(ring, g, relations, action)
-    assert generator_check(ring, g, relations, action) == (want is None)
-    assert sparse_module_check(ring, g, relations, action) == want
+    # The generator check alone must pass exactly when every axiom holds,
+    # and the module must then raise the oracle's first failure.
+    module = perturbed_module(data)
+    want = dense_module_check(*module)
+    assert generator_check(*module) == (want is None)
+    assert sparse_module_check(*module) == want
 
 
 def outside_generators(mod):

@@ -43,17 +43,29 @@ def test_survey_script_runs(name):
 def test_bench_layers_writes_its_schema(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text('{"parent": []}')  # runs under other labels stay
-    res = run_script("bench_layers.py", "--case", "3", "3", "--repeats", "3", "--out", str(out))
+    module = "instantiate(tensor(trunc:z3:3,trunc:z2:1))"
+    res = run_script(
+        "bench_layers.py",
+        "--case", "reduced_homology(3, 3)",
+        "--case", module,
+        "--repeats", "3",
+        "--out", str(out),
+    )
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    (rec,) = runs["change"]
-    assert set(rec) == {"case", "layer", "ns_median", "repeats", "counters"}
-    assert (rec["case"], rec["layer"]) == ("reduced_homology(3, 3)", "joins")
-    assert type(rec["ns_median"]) is int and rec["ns_median"] > 0
-    assert type(rec["repeats"]) is int and rec["repeats"] >= 3
+    homology, instantiate = runs["change"]
+    for rec in runs["change"]:
+        assert set(rec) == {"case", "layer", "ns_median", "repeats", "counters"}
+        assert type(rec["ns_median"]) is int and rec["ns_median"] > 0
+        assert type(rec["repeats"]) is int and rec["repeats"] >= 3
+    assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; the 19 unit pivots of del_2 and the 8 of del_1
     # clear the rows facing them
-    assert rec["counters"] == {
+    assert homology["counters"] == {
         "rows": 63, "rows_eliminated": 36, "rows_cleared": 27, "nonzeros": 144
     }
+    assert (instantiate["case"], instantiate["layer"]) == (module, "kmodules")
+    # z3 x z2 is generated by the indices of chi x 1 and 1 x chi, and the
+    # module has the 3 x 2 generators of the two truncations
+    assert instantiate["counters"] == {"rank": 6, "generators": 2, "module_generators": 6}
