@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the joins, fusion and kmodules layers case by case, with counters.
+"""Time the joins, fusion, kmodules and reports layers case by case, with counters.
 
 Each case is one library call timed in integer nanoseconds (the median
-of the repeats):
+and the quartiles of the repeats):
 - joins: reduced_homology on the join complexes of the benchmark's
   `join homology` grid plus three larger ones, counting the rows the
   boundaries hold in total, the rows handed to the sparse elimination,
@@ -14,7 +14,10 @@ of the repeats):
   rank and the generators the check finds;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
   module built and checked, counting the ring's rank and generators and
-  the module's generators.
+  the module's generators;
+- reports: four report builders, counting the ideal-power walks their
+  modules and witnesses make and the largest ring rank walked; these
+  counters come from one more call, made with ideal_power wrapped.
 The work budget is lifted for the whole run, in this process only:
 circle_truncation(800) is over it.
 
@@ -34,13 +37,21 @@ import statistics
 import time
 from unittest import mock
 
-from equik import errors, fusion, joins, kmodules
+from equik import errors, fusion, joins, kmodules, reports
 
 # (set size n, copies k): the join homology grid of the joins workload,
 # then the 7-fold join of 2 points and the 5-fold joins of 3 and 9 points.
 JOIN_CASES = (
     (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
     (2, 7), (3, 5), (9, 5),
+)
+# (builder, arguments): reports built from the product, circle-product,
+# collapse and circle constructions.
+REPORT_CASES = (
+    ("product_z2_bounds", (2, "z3xz3")),
+    ("circle_product_dimension", (2, "z3")),
+    ("z6_collapse_report", (1,)),
+    ("circle_ah_dimension", (20,)),
 )
 MIN_REPEATS = 3
 CASE_SECONDS = 2.0  # repeats stop after this long, once MIN_REPEATS ran
@@ -96,6 +107,27 @@ def module_counters(mod) -> dict:
     return {**ring_counters(mod.ring), "module_generators": mod.generators}
 
 
+def walk_counters(call) -> dict:
+    """Ideal-power walks one call makes and the largest ring rank walked."""
+    ranks = []
+
+    def counting(ring, n, real=fusion.ideal_power):
+        ranks.append(ring.rank)
+        return real(ring, n)
+
+    with mock.patch.object(kmodules, "ideal_power", counting):
+        with mock.patch.object(reports, "ideal_power", counting):
+            call()
+    return {"walks": len(ranks), "max_walk_rank": max(ranks, default=0)}
+
+
+def report_case(builder, args):
+    def call():
+        return getattr(reports, builder)(*args)
+
+    return call, lambda _: walk_counters(call)
+
+
 def homology_case(n, k):
     jc = joins.build_join_complex(n, k)
     return lambda: joins.reduced_homology(jc), lambda _: count_case(jc)
@@ -129,6 +161,13 @@ CASES = {
         )
         for text in ("tensor(trunc-z2:3,trunc:z3xz3:1)", "tensor(trunc:z3:3,trunc:z2:1)")
     },
+    **{
+        f"{builder}({', '.join(map(str, args))})": (
+            "reports",
+            lambda builder=builder, args=args: report_case(builder, args),
+        )
+        for builder, args in REPORT_CASES
+    },
 }
 
 
@@ -140,11 +179,14 @@ def run(names, max_repeats: int) -> list:
             call, counters = setup()
             counted = counters(call())  # the warm-up, untimed
             samples = time_case(call, max_repeats)
+            q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
             records.append(
                 {
                     "case": name,
                     "layer": layer,
-                    "ns_median": int(statistics.median(samples)),
+                    "ns_median": int(median),
+                    "ns_q1": int(q1),
+                    "ns_q3": int(q3),
                     "repeats": len(samples),
                     "counters": counted,
                 }
@@ -174,7 +216,10 @@ def main() -> None:
         json.dump(runs, fh, indent=1)
         fh.write("\n")
     for rec in runs[cfg.label]:
-        print("%-50s %12d ns  %s" % (rec["case"], rec["ns_median"], rec["counters"]))
+        print(
+            "%-50s %12d ns (%d-%d)  %s"
+            % (rec["case"], rec["ns_median"], rec["ns_q1"], rec["ns_q3"], rec["counters"])
+        )
 
 
 if __name__ == "__main__":

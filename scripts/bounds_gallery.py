@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Emit every kind of dimension-bound report, validate it, and show it.
 
-One line per report: construction, parameters, rendered bound, and the
-validator's verdict.  With --out DIR each report is also written as a
-JSON file named after its construction and parameters, so the gallery
-doubles as a corpus generator for the `equik validate` command.
+One line per report: construction, parameters, the validator's verdict,
+and the report's text lines (reports.report_lines) joined by "; ".
+With --out DIR each report is also written as a JSON file named after
+its construction and parameters, so the gallery doubles as a corpus
+generator for the `equik validate` command.
 
     python3 scripts/bounds_gallery.py --out /tmp/reports
 """
@@ -20,7 +21,7 @@ from equik.reports import (
     commutative_dimension,
     finite_af_bounds,
     product_z2_bounds,
-    render_bound,
+    report_lines,
     report_to_json_dict,
     validate,
     z2_af_bounds,
@@ -54,16 +55,6 @@ def gallery(cfg: GalleryConfig):
     yield "finite-af-z5-2", finite_af_bounds("z5", 2)
 
 
-def describe(report) -> str:
-    if hasattr(report, "dim"):
-        return "dim %d, ind %d" % (report.dim, report.ind)
-    if hasattr(report, "product"):
-        return "product " + render_bound(report.product.bound)
-    if getattr(report, "outcome", None) == "existence-only":
-        return "existence-only"
-    return render_bound(report.bound)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-m", type=int, default=4)
@@ -79,7 +70,7 @@ def main() -> None:
         ok = validate(report)
         bad += not ok
         verdict = "valid" if ok else "INVALID"
-        print("%-24s %-9s %s" % (name, verdict, describe(report)))
+        print("%-24s %-9s %s" % (name, verdict, "; ".join(report_lines(report))))
         if cfg.out_dir is not None:
             path = cfg.out_dir / f"{name}.json"
             path.write_text(

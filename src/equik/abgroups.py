@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import RANK_BITS_CAP, CapExceededError, InputError, charge
+from .errors import RANK_BITS_CAP, CapExceededError, InputError, charge, decimal
 from .intmat import IntMatrix, smith_invariants
 
 
@@ -21,9 +21,11 @@ class FgAbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
+        tor = tuple(self.torsion)
+        if not all(type(x) is int for x in (self.free_rank, *tor)):
+            raise InputError("free rank and torsion invariants must be ints")
         if self.free_rank < 0:
             raise InputError("free rank must be nonnegative")
-        tor = tuple(int(d) for d in self.torsion)
         for d in tor:
             if d < 2:
                 raise InputError("torsion invariants must be >= 2")
@@ -96,7 +98,7 @@ def normalize(p: Presentation) -> FgAbelianGroup:
 
 
 def _chain(torsion_multiset) -> tuple:
-    ds = [int(d) for d in torsion_multiset if int(d) > 1]
+    ds = [d for d in torsion_multiset if d > 1]
     return smith_invariants([{i: d} for i, d in enumerate(ds)])[1]
 
 
@@ -128,7 +130,8 @@ def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 
 
 def parse_group_literal(text: str) -> FgAbelianGroup:
-    """Parse '0', 'Z', 'Z^2', 'Z_4', or ⊕/+ -joined combinations."""
+    """Parse '0', 'Z', 'Z^2', 'Z_4', or ⊕/+ -joined combinations; each
+    number is canonical decimal text (errors.decimal)."""
     text = text.strip()
     if text == "0":
         return TRIVIAL_GROUP
@@ -142,12 +145,12 @@ def parse_group_literal(text: str) -> FgAbelianGroup:
             free += 1
         elif part.startswith("Z^"):
             try:
-                free += int(part[2:])
+                free += decimal(part[2:])
             except ValueError:
                 raise InputError(f"bad free part {part!r}") from None
         elif part.startswith("Z_"):
             try:
-                order = int(part[2:].strip("{}"))
+                order = decimal(part[2:])
             except ValueError:
                 raise InputError(f"bad torsion part {part!r}") from None
             if order < 1:

@@ -13,6 +13,7 @@ construction, and then names the first difference on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -43,11 +44,9 @@ from .joins import (
 from .kmodules import ModelDescriptor, max_nonvanishing_power
 from .reports import (
     CONSTRUCTIONS,
-    CollapseReport,
-    CommutativeDimension,
-    ExistenceReport,
-    render_bound,
+    Argument,
     report_from_json_dict,
+    report_lines,
     report_to_json_dict,
     validate,
 )
@@ -218,25 +217,11 @@ def _cmd_join_mv_delta(args):
     return payload, lines, 0
 
 
-def _cmd_rokhlin(args):
-    construction = args.construction
+def _cmd_rokhlin(construction, args):
     report = construction.build(
         **{a.name: getattr(args, a.name) for a in construction.arguments}
     )
-    payload = report_to_json_dict(report)
-    if isinstance(report, CommutativeDimension):
-        lines = [f"dim {report.dim}, ind {report.ind}"]
-    elif isinstance(report, CollapseReport):
-        lines = []
-        for i, factor in enumerate(report.factors, start=1):
-            lines.append(f"factor {i}: {render_bound(factor.bound)}")
-        lines.append(f"product: {render_bound(report.product.bound)}")
-        lines.append(f"finding: {report.finding}")
-    elif isinstance(report, ExistenceReport):
-        lines = [f"existence-only: {report.note}"]
-    else:
-        lines = [render_bound(report.bound)]
-    return payload, lines, 0
+    return report_to_json_dict(report), report_lines(report), 0
 
 
 def _cmd_model(args):
@@ -273,6 +258,48 @@ def _cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 
+GROUPS = {
+    "linalg": "integer matrix normal forms",
+    "group": "finitely generated abelian groups",
+    "rep": "character rings and ideal filtrations",
+    "join": "iterated joins of finite sets",
+    "rokhlin": "certified dimension bound reports",
+}
+
+# One row per subcommand, in the order --help lists them: (group, or None
+# for a top-level command, name, help, handler, arguments).
+_MATRIX = Argument("matrix", str, "matrix JSON file")
+_GROUP = Argument("g1", str, "group literal, e.g. Z_4 or Z^2+Z_6")
+_RING = Argument("ring", str)
+COMMANDS = (
+    ("linalg", "snf", "Smith normal form", _cmd_linalg_snf, (_MATRIX,)),
+    ("linalg", "hnf", "row Hermite form", _cmd_linalg_hnf, (_MATRIX,)),
+    ("group", "tensor", None, _cmd_group, (_GROUP, Argument("g2", str))),
+    ("group", "tor", None, _cmd_group, (_GROUP, Argument("g2", str))),
+    ("rep", "ring", "describe a ring", _cmd_rep_ring,
+     (Argument("ring", str, "tag (z2, z2xz3, circle:4) or fusion file"),)),
+    ("rep", "ideal-powers", "successive power quotients", _cmd_rep_ideal_powers,
+     (_RING, Argument("--max-power", default=4))),
+    ("rep", "lambda", "top exterior power expansion", _cmd_rep_lambda,
+     (Argument("p", help="odd prime-order rank"),)),
+    ("rep", "regular", "regular class annihilation check", _cmd_rep_regular, (_RING,)),
+    ("join", "ktheory", "K-theory ranks", _cmd_join_ktheory,
+     (Argument("n", help="points per copy"), Argument("k", help="join copies"))),
+    ("join", "homology", "reduced homology", _cmd_join_homology, (Argument("n"), Argument("k"))),
+    ("join", "mv-delta", "comparison map of the join step", _cmd_join_mv_delta,
+     (Argument("l", help="K0 rank of the partial join"),
+      Argument("n", help="points in the new copy"))),
+    *(
+        ("rokhlin", c.command, c.help, functools.partial(_cmd_rokhlin, c), c.arguments)
+        for c in CONSTRUCTIONS.values()
+    ),
+    (None, "model", "inspect a K-theory model", _cmd_model,
+     (Argument("descriptor", str, "trunc-z2:l, circle:n, trunc:<ring>:n, tensor(a,b)"),)),
+    (None, "validate", "recheck a report file", _cmd_validate,
+     (Argument("file", str, "report JSON file"),)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equik",
@@ -284,116 +311,38 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--meta", action="store_true", help="timing and command info on stderr"
     )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    linalg = top.add_parser("linalg", help="integer matrix normal forms")
-    linalg_sub = linalg.add_subparsers(dest="linalg_op", required=True)
-    p = linalg_sub.add_parser("snf", parents=[common], help="Smith normal form")
-    p.add_argument("matrix", help="matrix JSON file")
-    p.set_defaults(func=_cmd_linalg_snf)
-    p = linalg_sub.add_parser("hnf", parents=[common], help="row Hermite form")
-    p.add_argument("matrix", help="matrix JSON file")
-    p.set_defaults(func=_cmd_linalg_hnf)
-
-    group = top.add_parser("group", help="finitely generated abelian groups")
-    group_sub = group.add_subparsers(dest="group_op", required=True)
-    for op in ("tensor", "tor"):
-        p = group_sub.add_parser(op, parents=[common])
-        p.add_argument("g1", help="group literal, e.g. Z_4 or Z^2+Z_6")
-        p.add_argument("g2")
-        p.set_defaults(func=_cmd_group)
-
-    rep = top.add_parser("rep", help="character rings and ideal filtrations")
-    rep_sub = rep.add_subparsers(dest="rep_op", required=True)
-    p = rep_sub.add_parser("ring", parents=[common], help="describe a ring")
-    p.add_argument("ring", help="tag (z2, z2xz3, circle:4) or fusion file")
-    p.set_defaults(func=_cmd_rep_ring)
-    p = rep_sub.add_parser(
-        "ideal-powers", parents=[common], help="successive power quotients"
-    )
-    p.add_argument("ring")
-    p.add_argument("--max-power", type=int, default=4)
-    p.set_defaults(func=_cmd_rep_ideal_powers)
-    p = rep_sub.add_parser(
-        "lambda", parents=[common], help="top exterior power expansion"
-    )
-    p.add_argument("p", type=int, help="odd prime-order rank")
-    p.set_defaults(func=_cmd_rep_lambda)
-    p = rep_sub.add_parser(
-        "regular", parents=[common], help="regular class annihilation check"
-    )
-    p.add_argument("ring")
-    p.set_defaults(func=_cmd_rep_regular)
-
-    join = top.add_parser("join", help="iterated joins of finite sets")
-    join_sub = join.add_subparsers(dest="join_op", required=True)
-    p = join_sub.add_parser("ktheory", parents=[common], help="K-theory ranks")
-    p.add_argument("n", type=int, help="points per copy")
-    p.add_argument("k", type=int, help="join copies")
-    p.set_defaults(func=_cmd_join_ktheory)
-    p = join_sub.add_parser("homology", parents=[common], help="reduced homology")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_join_homology)
-    p = join_sub.add_parser(
-        "mv-delta", parents=[common], help="comparison map of the join step"
-    )
-    p.add_argument("l", type=int, help="K0 rank of the partial join")
-    p.add_argument("n", type=int, help="points in the new copy")
-    p.set_defaults(func=_cmd_join_mv_delta)
-
-    rok = top.add_parser("rokhlin", help="certified dimension bound reports")
-    rok_sub = rok.add_subparsers(dest="rokhlin_op", required=True)
-    for construction in CONSTRUCTIONS.values():
-        p = rok_sub.add_parser(
-            construction.command, parents=[common], help=construction.help
-        )
-        for a in construction.arguments:
-            p.add_argument(
-                a.name, type=a.type, help=a.help, metavar=a.metavar, choices=a.choices
-            )
-        p.set_defaults(func=_cmd_rokhlin, construction=construction)
-
-    p = top.add_parser("model", parents=[common], help="inspect a K-theory model")
-    p.add_argument("descriptor", help="trunc-z2:l, circle:n, trunc:<ring>:n, tensor(a,b)")
-    p.set_defaults(func=_cmd_model)
-
-    p = top.add_parser("validate", parents=[common], help="recheck a report file")
-    p.add_argument("file", help="report JSON file")
-    p.set_defaults(func=_cmd_validate)
-
+    subparsers = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name, help, handler, arguments in COMMANDS:
+        if group not in subparsers:  # the group's first row
+            g = subparsers[None].add_parser(group, help=GROUPS[group])
+            subparsers[group] = g.add_subparsers(dest=f"{group}_op", required=True)
+        # a help of None would still list the name under its group
+        p = subparsers[group].add_parser(name, parents=[common], **({"help": help} if help else {}))
+        for a in arguments:
+            p.add_argument(a.name, **{k: v for k, v in a._asdict().items() if k != "name"})
+        p.set_defaults(func=handler)
     return parser
 
 
-_parser_cache = (None, None)  # (the build_parser it came from, the parser)
+@functools.lru_cache(maxsize=1)
+def _parser(builder) -> argparse.ArgumentParser:
+    """The parser builder makes, built on first use and then reused.
 
-
-def _parser() -> argparse.ArgumentParser:
-    """The parser from build_parser, built on first use and then reused.
-
-    It is built again only when build_parser has been rebound since (to a
-    wrapper, say), so it always comes from the current builder.
+    main passes the current build_parser, so a parser is built again only
+    when build_parser has been rebound since (to a wrapper, say).
     """
-    global _parser_cache
-    builder, parser = _parser_cache
-    if builder is not build_parser:
-        parser = build_parser()
-        _parser_cache = (build_parser, parser)
-    return parser
+    return builder()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     started = time.perf_counter()
     try:
         payload, lines, code = args.func(args)
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
-    except EquikError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EquikError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

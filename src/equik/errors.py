@@ -1,4 +1,4 @@
-"""Exception taxonomy, work budget and JSON reader shared by all modules.
+"""Exception taxonomy, work budget and the JSON and number readers shared by all modules.
 
 The CLI maps InputError to exit code 2 (bad or rejected input) and
 UnsupportedError to exit code 3 (a model the tool does not provide).
@@ -57,6 +57,15 @@ def charge(units: int, what: str) -> None:
         raise CapExceededError(
             f"work budget exceeded: {what} needs {shown} units, over {WORK_BUDGET}"
         )
+
+
+def decimal(text) -> int:
+    """The int that canonical decimal text names, else ValueError: 0, or an
+    optional - and ASCII digits with no leading zero, one spelling per int."""
+    digits = text.removeprefix("-") if isinstance(text, str) else ""
+    if text != "0" and not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        raise ValueError(f"not canonical decimal text: {text!r}")
+    return int(text)
 
 
 def read_json(path, what: str):

@@ -29,12 +29,11 @@ generators, for the reason given in intmat.Lattice.rows.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
-from .errors import UnsupportedError, charge, read_json
+from .errors import UnsupportedError, charge, decimal, read_json
 from .abgroups import cokernel
 from .intmat import Lattice, as_int, echelon_insert, hermite_terms
 
@@ -655,17 +654,19 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
 def tag_order(tag: str, prefix: str) -> int:
     """The order n of a tag written prefix + n.
 
-    n >= 1 is written in decimal with no sign, space, underscore or
-    leading zero, so each ring has one tag; anything else is an
-    InputError.
+    n >= 1 is canonical decimal text (errors.decimal), so each ring has
+    one tag; anything else is an InputError.
     """
-    digits = tag[len(prefix) :]
-    if not re.fullmatch("[1-9][0-9]*", digits):
-        raise InputError(
-            f"malformed tag {tag!r}: expected {prefix}<n>, n >= 1 in decimal "
-            "with no sign or leading zero"
-        )
-    return int(digits)
+    try:
+        n = decimal(tag[len(prefix) :])
+        if n >= 1:
+            return n
+    except ValueError:
+        pass
+    raise InputError(
+        f"malformed tag {tag!r}: expected {prefix}<n>, n >= 1 in decimal "
+        "with no sign or leading zero"
+    )
 
 
 def ring_from_tag(tag: str):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .errors import InputError, read_json
+from .errors import InputError, decimal, read_json
 
 
 def xgcd(a: int, b: int):
@@ -697,14 +697,15 @@ def matrix_to_json_dict(A: IntMatrix) -> dict:
 
 
 def as_int(value, what="integer"):
-    """Read a JSON integer: an int or a decimal string, never a boolean."""
+    """Read a JSON integer: an int or canonical decimal text
+    (errors.decimal), never a boolean."""
     if isinstance(value, bool):
         raise InputError(f"expected {what}, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
+            return decimal(value)
         except ValueError:
             raise InputError(f"expected decimal {what}, got {value!r}") from None
     raise InputError(f"expected {what}, got {type(value).__name__}")

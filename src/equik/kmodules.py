@@ -19,12 +19,11 @@ out an action row or matrix itself, not a copy: those products are only read.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .abgroups import FgAbelianGroup, cokernel, direct_sum, tor as group_tor
-from .errors import EquikError, InputError
+from .errors import EquikError, InputError, decimal
 from .fusion import (
     IdealLattice,
     circle_truncation,
@@ -248,11 +247,12 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
 
 
 def _order(text: str) -> int:
-    """A model order: 0 or digits with no leading zero, sign, space or
-    underscore.  instantiate checks each kind's least order."""
-    if not re.fullmatch("0|[1-9][0-9]*", text):
-        raise ValueError(f"non-canonical order {text!r}")
-    return int(text)
+    """A model order: canonical decimal text (errors.decimal), not
+    negative.  instantiate checks each kind's least order."""
+    n = decimal(text)
+    if n < 0:
+        raise ValueError(f"negative order {text!r}")
+    return n
 
 
 class _LeafKind(NamedTuple):
@@ -490,19 +490,20 @@ def factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
     return IdealLattice(ring, terms=hermite_terms(rows))
 
 
-def element_stable_nonvanishing(module: RingModule, x, n: int, mult: int, lattice=None) -> bool:
-    """Does I^n keep hitting x after arbitrarily many multiplications by mult?
+def element_stable_nonvanishing(module: RingModule, x, lattice: IdealLattice, mult: int) -> bool:
+    """Does the ideal lattice keep hitting x after arbitrarily many multiplications by mult?
 
-    True exactly when the subgroup I^n . x contains an element of
+    True exactly when the subgroup lattice . x contains an element of
     infinite order, or one of finite order coprime to mult.  With
-    mult = 1 this is just I^n . x != 0.  lattice is I^n when the caller
-    already has it; otherwise it is formed here.
+    mult = 1 this is just lattice . x != 0.  A report's stability check
+    passes the full I^n, ideal_power(module.ring, n), whatever the
+    witness's scope.
     """
     if mult < 1:
         raise InputError("multiplier must be >= 1")
+    if lattice.ring != module.ring:
+        raise InputError("ideal and module live over different rings")
     xt = _int_terms(x, module.generators, "module element")
-    if lattice is None:
-        lattice = ideal_power(module.ring, n)
     sub = module.subgroup_class([_act(module.action, b, xt) for b in lattice.terms])
     # A cyclic factor d > 1 has a prime that mult lacks exactly when d does
     # not divide mult^d: each prime of d divides it fewer than d times.

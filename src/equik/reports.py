@@ -14,12 +14,11 @@ _annihilator_image, _index_dimension, _rule_upper.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup
-from .errors import CapExceededError, EquikError, InputError, UnsupportedError
+from .errors import CapExceededError, EquikError, InputError, UnsupportedError, decimal
 from .fusion import (
     cyclic_ring,
     ideal_power,
@@ -88,9 +87,7 @@ def _upper_str(value) -> str:
 
 
 def _upper_from_str(text):
-    if text in ("infinity", "inf"):
-        return INFINITY
-    return int(text)
+    return INFINITY if text == "infinity" else decimal(text)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +109,7 @@ class AnnihilatorWitness:
 
     scope 'full' acts by the n-th power of the whole augmentation ideal;
     scope 'left-factor' acts by (I(left) x right)^n on a tensor model.
+    A stability check reads the full I^n whatever the scope.
     """
 
     ring: str
@@ -264,7 +262,8 @@ def _annihilator_image(model: ModelDescriptor, scope: str, power: int, stability
     the model's ring; 'left-factor' acts by (I(left) x right)^power on a
     tensor model left x right.  module is model's instance when the
     caller already has one.  Raises InputError when the image is zero or
-    the stability check fails.
+    the stability check, which reads the full I^power whatever the scope,
+    fails.
     """
     if module is None:
         module = model.instantiate()
@@ -282,9 +281,8 @@ def _annihilator_image(model: ModelDescriptor, scope: str, power: int, stability
     if stability is not None and not element_stable_nonvanishing(
         module,
         stability.element,
-        power,
+        lattice if scope == "full" else ideal_power(module.ring, power),
         stability.multiplier,
-        lattice if scope == "full" else None,
     ):
         raise InputError("stability check failed for the requested witness")
     return image
@@ -586,16 +584,18 @@ def finite_af_bounds(group, n: int):
 class Argument(NamedTuple):
     """One construction argument, named as in the report's parameters.
 
-    type parses the argument's text (int, str or _upper_from_str) and
+    type parses the argument's text (decimal, str or _upper_from_str) and
     raises ValueError on malformed text; metavar names it on the command
-    line when that differs from the parameter name.
+    line when that differs from the parameter name.  The fields after name
+    are argparse's add_argument keywords; a --name is an option.
     """
 
     name: str
-    type: object = int
+    type: object = decimal
     help: str | None = None
     metavar: str | None = None
     choices: tuple | None = None
+    default: object = None
 
 
 class Construction(NamedTuple):
@@ -651,7 +651,7 @@ CONSTRUCTIONS = {
     "z6-collapse": Construction(
         "z6-collapse",
         "product collapse example",
-        (Argument("d", int, "level both factors must exceed"),),
+        (Argument("d", help="level both factors must exceed"),),
         lambda d: z6_collapse_report(d),
     ),
     "commutative": Construction(
@@ -659,7 +659,7 @@ CONSTRUCTIONS = {
         "canonical join action dimension",
         (
             Argument("group", str, "z<n> or s1"),
-            Argument("copies", int, "join copies", metavar="k"),
+            Argument("copies", help="join copies", metavar="k"),
         ),
         lambda group, copies: commutative_dimension(group, copies),
     ),
@@ -734,16 +734,23 @@ def validate_bound(bound: DimBound) -> bool:
         return False
 
 
-# Text a canonical report writes for an integer or an absent upper bound.
-_NUMBER = re.compile("0|-?[1-9][0-9]*|infinity")
-
 _JSON_TYPES = {dict: "object", list: "array", str: "string", type(None): "null"}
+
+
+def _is_number(text) -> bool:
+    """Is text what a canonical report writes for an integer (errors.decimal)
+    or an absent upper bound?"""
+    try:
+        _upper_from_str(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _argument(argument: Argument, text):
     """An argument's value from its stated text, which must be a string,
-    and canonical (_NUMBER) for a number; else ValueError."""
-    if not isinstance(text, str) or (argument.type is not str and not _NUMBER.fullmatch(text)):
+    and canonical (_is_number) for a number; else ValueError."""
+    if not isinstance(text, str) or (argument.type is not str and not _is_number(text)):
         raise ValueError(f"{argument.name} is {text!r}, not canonical text")
     return argument.type(text)
 
@@ -753,7 +760,7 @@ def _difference(found, expected, path: str):
 
     Raises InputError naming the path where found is malformed: a
     different JSON type, a missing key, or text that is not canonical
-    (_NUMBER) where expected holds a number.  All nodes both trees have
+    (_is_number) where expected holds a number.  All nodes both trees have
     are walked, so a malformed node outranks a plain difference; lists
     of different lengths are not walked.
     """
@@ -773,7 +780,7 @@ def _difference(found, expected, path: str):
             return f"{path}: expected {len(expected)} items, found {len(found)}"
         pairs = [(f, e, f"{path}[{i}]") for i, (f, e) in enumerate(zip(found, expected))]
         extra = []
-    elif isinstance(expected, str) and _NUMBER.fullmatch(expected) and not _NUMBER.fullmatch(found):
+    elif isinstance(expected, str) and _is_number(expected) and not _is_number(found):
         raise InputError(f"{path}: expected a canonical decimal or infinity, found {found!r}")
     else:
         return f"{path}: expected {expected!r}, found {found!r}"
@@ -906,6 +913,19 @@ def report_to_json_dict(report) -> dict:
             "citations": _citations_json(report.citations),
         }
     raise InputError(f"cannot serialize object of type {type(report).__name__}")
+
+
+def report_lines(report) -> list:
+    """The text lines of a report, as `equik rokhlin` prints them."""
+    if isinstance(report, CommutativeDimension):
+        return [f"dim {report.dim}, ind {report.ind}"]
+    if isinstance(report, CollapseReport):
+        lines = [f"factor {i}: {render_bound(f.bound)}" for i, f in enumerate(report.factors, 1)]
+        lines.append(f"product: {render_bound(report.product.bound)}")
+        return lines + [f"finding: {report.finding}"]
+    if isinstance(report, ExistenceReport):
+        return [f"existence-only: {report.note}"]
+    return [render_bound(report.bound)]
 
 
 def report_from_json_dict(obj) -> dict:

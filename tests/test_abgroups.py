@@ -117,6 +117,23 @@ def test_group_validation():
         FgAbelianGroup(-1, ())
 
 
+@pytest.mark.parametrize(
+    "free_rank,torsion",
+    [(0, (6.9,)), (2.0, ()), (True, ()), (0, ("4",))],
+    ids=["float-torsion", "float-free-rank", "bool-free-rank", "text-torsion"],
+)
+def test_group_takes_only_ints(free_rank, torsion):
+    # each was truncated or read by int() before: Z_6, Z^2.0, Z, Z_4
+    with pytest.raises(InputError, match="must be ints"):
+        FgAbelianGroup(free_rank, torsion)
+
+
+@pytest.mark.parametrize("text", ["Z^1_0", "Z^ 2", "Z_{{4", "Z_{4}", "Z_٣", "Z^+2", "Z_04"])
+def test_group_literal_numbers_are_canonical_decimals(text):
+    with pytest.raises(InputError):
+        parse_group_literal(text)
+
+
 def test_render_forms():
     assert TRIVIAL_GROUP.render() == "0"
     assert FgAbelianGroup(1, ()).render() == "Z"

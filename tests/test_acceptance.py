@@ -269,7 +269,8 @@ def test_criterion_10_kunneth_product_certificate():
                 unit = tuple(
                     1 if i == 0 else 0 for i in range(module.generators)
                 )
-                assert element_stable_nonvanishing(module, unit, m, order)
+                full = ideal_power(module.ring, m)
+                assert element_stable_nonvanishing(module, unit, full, order)
 
 
 def test_criterion_11_annihilation_ceiling():

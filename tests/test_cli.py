@@ -10,6 +10,7 @@ import functools
 import io
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -753,7 +754,7 @@ def _request(capsys, argv):
 def test_reused_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
     fresh = []
     for argv in PARSER_REQUESTS:
-        monkeypatch.setattr(cli, "_parser_cache", (None, None))
+        cli._parser.cache_clear()
         fresh.append(_request(capsys, argv))
     assert [code for code, _, _ in fresh] == [0, 0, 2]
     assert fresh[2][2].startswith("usage: equik join homology")
@@ -768,6 +769,46 @@ def test_reused_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
     again = [_request(capsys, argv) for _ in range(3) for argv in PARSER_REQUESTS]
     assert again == fresh * 3
     assert len(builds) == 1
+
+
+# What every parser's --help printed before the subcommands were built
+# from one table, at 80 columns.
+HELP = json.loads((DATA / "help.json").read_text(encoding="utf-8"))
+
+
+def test_help_covers_every_parser():
+    names = [" ".join(filter(None, (group, name))) for group, name, *_ in cli.COMMANDS]
+    assert sorted(HELP) == sorted(["", *cli.GROUPS, *names])
+    assert len(HELP) == 27
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: c or "equik")
+def test_help_text_is_byte_identical(command, monkeypatch, capsys):
+    if command == "rokhlin" and sys.version_info >= (3, 13):
+        pytest.skip("argparse 3.13 wraps this usage line differently")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _request(capsys, [*command.split(), "--help"]) == (0, HELP[command], "")
+
+
+# Numbers that int() or a strip read before, now refused by errors.decimal.
+NON_CANONICAL_ARGUMENTS = (
+    ("group", "tensor", "Z^1_0", "Z_4"),  # ten copies of Z_4 before
+    ("group", "tensor", "Z^ 2", "Z_4"),
+    ("group", "tensor", "Z_{{4", "Z_4"),
+    ("group", "tensor", "Z_٣", "Z_4"),
+    ("rokhlin", "z2", "٢"),
+    ("rokhlin", "tensor-rule", "sum", "1", "3", "2", "+5"),
+    ("rokhlin", "tensor-rule", "sum", "1", "3", "2", "inf"),
+    ("join", "homology", "2", "03"),
+    ("rep", "ideal-powers", "z2", "--max-power", "0_2"),
+)
+
+
+@pytest.mark.parametrize("argv", NON_CANONICAL_ARGUMENTS, ids=" ".join)
+def test_non_canonical_number_argument_exits_2(argv, capsys):
+    code, out, err = _request(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.strip().count("\n") <= 2 and "Traceback" not in err
 
 
 def readme_transcripts():

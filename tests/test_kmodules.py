@@ -28,6 +28,7 @@ from equik.fusion import (
     cyclic_ring,
     from_fusion_file,
     ideal_power,
+    ideal_powers,
     ring_from_tag,
     ring_product,
 )
@@ -280,15 +281,17 @@ def test_factor_ideal_image_is_order_two(group, order, m):
     lat = factor_ideal_power(mod.ring, cyclic_ring(2), m)
     assert ideal_image(lat, mod) == FgAbelianGroup(0, (2,))
     unit = tuple(1 if i == 0 else 0 for i in range(mod.generators))
-    assert element_stable_nonvanishing(mod, unit, m, order)
-    assert not element_stable_nonvanishing(mod, unit, m, 2)
+    full = ideal_power(mod.ring, m)
+    assert element_stable_nonvanishing(mod, unit, full, order)
+    assert not element_stable_nonvanishing(mod, unit, full, 2)
 
 
 def test_stability_false_for_matching_multiplier():
     mod = truncated_ring_module(cyclic_ring(2), 2)
-    assert not element_stable_nonvanishing(mod, (1, 0), 1, 2)
-    assert element_stable_nonvanishing(mod, (1, 0), 1, 3)
-    assert element_stable_nonvanishing(mod, (1, 0), 1, 1)
+    ideal = ideal_power(mod.ring, 1)
+    assert not element_stable_nonvanishing(mod, (1, 0), ideal, 2)
+    assert element_stable_nonvanishing(mod, (1, 0), ideal, 3)
+    assert element_stable_nonvanishing(mod, (1, 0), ideal, 1)
 
 
 def test_stability_on_prime_power_torsion():
@@ -298,22 +301,26 @@ def test_stability_on_prime_power_torsion():
         mod = truncated_ring_module(cyclic_ring(2), n)
         assert ideal_image(ideal_power(mod.ring, 1), mod) == FgAbelianGroup(0, (order,))
         for mult, stable in ((1, True), (2, False), (3, True), (4, False), (6, False)):
-            assert element_stable_nonvanishing(mod, (1, 0), 1, mult) == stable, (n, mult)
+            ideal = ideal_power(mod.ring, 1)
+            assert element_stable_nonvanishing(mod, (1, 0), ideal, mult) == stable, (n, mult)
 
 
 def test_stability_true_for_free_image():
     mod = truncated_ring_module(circle_truncation(3), 3)
     x = (1, 0, 0)
-    assert element_stable_nonvanishing(mod, x, 2, 2)
-    assert not element_stable_nonvanishing(mod, x, 3, 2)
+    assert element_stable_nonvanishing(mod, x, ideal_power(mod.ring, 2), 2)
+    assert not element_stable_nonvanishing(mod, x, ideal_power(mod.ring, 3), 2)
 
 
 def test_stability_input_validation():
     mod = truncated_ring_module(cyclic_ring(2), 2)
+    ideal = ideal_power(mod.ring, 1)
     with pytest.raises(InputError):
-        element_stable_nonvanishing(mod, (1,), 1, 2)
+        element_stable_nonvanishing(mod, (1,), ideal, 2)
     with pytest.raises(InputError):
-        element_stable_nonvanishing(mod, (1, 0), 1, 0)
+        element_stable_nonvanishing(mod, (1, 0), ideal, 0)
+    with pytest.raises(InputError, match="different rings"):
+        element_stable_nonvanishing(mod, (1, 0), ideal_power(cyclic_ring(3), 1), 1)
 
 
 def _descriptor_text(tree) -> str:
@@ -452,12 +459,12 @@ def test_sparse_act_matches_dense_oracle(data):
 def test_stability_on_a_given_power_matches_the_walk():
     mod = truncated_ring_module(cyclic_ring(2), 3)
     unit = (1, 0)
-    for n in (1, 2, 3):
+    for n, walked in zip(range(4), ideal_powers(mod.ring, last=3)):
         power = ideal_power(mod.ring, n)
         for mult in (1, 2, 3):
             assert element_stable_nonvanishing(
-                mod, unit, n, mult, power
-            ) == element_stable_nonvanishing(mod, unit, n, mult)
+                mod, unit, walked, mult
+            ) == element_stable_nonvanishing(mod, unit, power, mult)
 
 
 @given(st.integers(1, 5))
@@ -669,7 +676,7 @@ def test_stability_takes_only_int_elements():
     mod = truncated_ring_module(cyclic_ring(2), 2)
     for x in ((1.9, 0), ("1", 0), (True, 0)):
         with pytest.raises(InputError):
-            element_stable_nonvanishing(mod, x, 1, 1)
+            element_stable_nonvanishing(mod, x, ideal_power(mod.ring, 1), 1)
 
 
 # The dense image, subgroup class, factor power and stability check that
@@ -781,4 +788,5 @@ def test_stability_matches_dense_oracle(data):
     x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g), label="x"))
     n = data.draw(st.integers(0, 3), label="n")
     mult = data.draw(st.integers(1, 6), label="mult")
-    assert element_stable_nonvanishing(mod, x, n, mult) == dense_stable(mod, x, n, mult)
+    lattice = ideal_power(mod.ring, n)
+    assert element_stable_nonvanishing(mod, x, lattice, mult) == dense_stable(mod, x, n, mult)

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from equik.cli import main
+from equik.errors import decimal
 from equik.reports import CONSTRUCTIONS
 
 COMMANDS = {"report": ("validate",), "matrix": ("linalg", "snf"), "fusion": ("rep", "ring")}
@@ -48,6 +49,47 @@ def test_deeply_nested_file_exits_2_with_one_line(command):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot parse {command} file ")
     assert err.count("\n") == 1
+
+
+@given(st.integers(-(10**30), 10**30))
+def test_decimal_reads_what_str_writes(n):
+    assert decimal(str(n)) == n
+
+
+@given(st.one_of(st.text("0123456789-+_ ٣", max_size=6), st.text(max_size=4)))
+def test_decimal_text_has_one_spelling(text):
+    try:
+        n = decimal(text)
+    except ValueError:
+        return
+    assert str(n) == text
+
+
+@pytest.mark.parametrize(
+    "text", ["007", " 5", "5 ", "0_2", "+1", "٣", "-0", "", "-", "1e3"], ids=repr
+)
+def test_decimal_refuses_other_spellings(text):
+    with pytest.raises(ValueError):
+        decimal(text)
+
+
+# Decimal strings int() reads but that are not canonical: before, linalg
+# read ["007", " 5"] as the row 7 5.
+@pytest.mark.parametrize("text", ["007", " 5", "0_2", "+1", "٣"], ids=repr)
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("matrix", lambda t: {"rows": "1", "cols": "2", "entries": [t, "1"]}),
+        ("matrix", lambda t: {"rows": t, "cols": "0", "entries": []}),
+        ("fusion", lambda t: {"labels": ["1"], "dims": [t], "fusion": [[[["0", "1"]]]]}),
+        ("fusion", lambda t: {"labels": ["1"], "dims": ["1"], "fusion": [[[["0", t]]]]}),
+    ],
+    ids=["matrix-entry", "matrix-rows", "fusion-dim", "fusion-multiplicity"],
+)
+def test_non_canonical_decimal_in_file_exits_2(command, doc, text):
+    code, out, err = run_on_file(command, json.dumps(doc(text)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected decimal ") and err.count("\n") == 1
 
 
 HUGE_INTS = st.one_of(st.integers(-3, 6), st.integers(0, 10**12), st.just(10**12))

@@ -34,6 +34,8 @@ from equik.reports import (
     render_bound,
     report_from_json_dict,
     report_to_json_dict,
+    Stability,
+    report_lines,
     rokhlin_factor_bound,
     rule_report,
     tensor_rule,
@@ -96,6 +98,34 @@ def test_circle_witness_walks_each_ideal_power_once(monkeypatch):
         )
     circle_ah_dimension(5)
     assert sorted(walks) == [5, 6]
+
+
+def test_left_factor_stability_reads_the_full_ideal_power():
+    # On tensor(trunc:z2:3,trunc:z3:2) the left factor's J = I(z2) x R(z3)
+    # gives J.M = J.e_0 = Z_4, which doubling kills; the full I.e_0 is
+    # Z_12, whose Z_3 (from the right factor's ideal) doubling keeps.  The
+    # witness checks stability on the full I^1, so it validates.
+    from equik.kmodules import ModelDescriptor, element_stable_nonvanishing
+    from equik.kmodules import factor_ideal_power, ideal_image
+    from equik.fusion import ideal_power
+
+    model = ModelDescriptor.parse("tensor(trunc:z2:3,trunc:z3:2)")
+    module = model.instantiate()
+    e0 = tuple(int(i == 0) for i in range(module.generators))
+    left = factor_ideal_power(module.ring, model.left.ring_of(), 1)
+    full = ideal_power(module.ring, 1)
+
+    def on_e0(lattice):
+        vectors = [{j: e for j, e in enumerate(module.act(b, e0)) if e} for b in lattice.rows()]
+        return module.subgroup_class(vectors)
+
+    z4 = FgAbelianGroup(0, (4,))
+    assert ideal_image(left, module) == on_e0(left) == z4
+    assert on_e0(full) == FgAbelianGroup(0, (12,))
+    assert not element_stable_nonvanishing(module, e0, left, 2)
+    assert element_stable_nonvanishing(module, e0, full, 2)
+    witness = AnnihilatorWitness("z2xz3", 1, model, "left-factor", z4, Stability(2, e0))
+    assert validate_bound(DimBound(1, INFINITY, witness))
 
 
 @pytest.mark.parametrize("group", ["z3", "z5", "z3xz3"])
@@ -305,6 +335,19 @@ def test_infinity_serializes_as_string():
     d = report_to_json_dict(z6_collapse_report(1))
     uppers = [f["upper"] for f in d["factors"]]
     assert "infinity" in uppers
+
+
+def test_report_lines_per_report_shape():
+    assert report_lines(z2_af_bounds(2)) == ["lower 2 (witness Z_2), upper 6 (join k=7)"]
+    assert report_lines(commutative_dimension("z2", 3)) == ["dim 2, ind 3"]
+    assert report_lines(z6_collapse_report(0))[:3] == [
+        "factor 1: lower 1 (witness Z_2), upper 4 (join k=5)",
+        "factor 2: lower 1 (witness Z_3), upper infinity",
+        "product: lower 0, upper 0 (rule min)",
+    ]
+    assert report_lines(z6_collapse_report(0))[3].startswith("finding: both factor lower")
+    existence = finite_af_bounds("z5", 2)
+    assert report_lines(existence) == [f"existence-only: {existence.note}"]
 
 
 def test_render_bound_formats():

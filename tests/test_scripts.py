@@ -44,20 +44,23 @@ def test_bench_layers_writes_its_schema(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text('{"parent": []}')  # runs under other labels stay
     module = "instantiate(tensor(trunc:z3:3,trunc:z2:1))"
+    report = "circle_product_dimension(2, z3)"
     res = run_script(
         "bench_layers.py",
         "--case", "reduced_homology(3, 3)",
         "--case", module,
+        "--case", report,
         "--repeats", "3",
         "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    homology, instantiate = runs["change"]
+    homology, instantiate, built = runs["change"]
     for rec in runs["change"]:
-        assert set(rec) == {"case", "layer", "ns_median", "repeats", "counters"}
-        assert type(rec["ns_median"]) is int and rec["ns_median"] > 0
+        assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
+        assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
+        assert 0 < rec["ns_q1"] <= rec["ns_median"] <= rec["ns_q3"]
         assert type(rec["repeats"]) is int and rec["repeats"] >= 3
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; the 19 unit pivots of del_2 and the 8 of del_1
@@ -69,3 +72,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     # z3 x z2 is generated by the indices of chi x 1 and 1 x chi, and the
     # module has the 3 x 2 generators of the two truncations
     assert instantiate["counters"] == {"rank": 6, "generators": 2, "module_generators": 6}
+    assert (built["case"], built["layer"]) == (report, "reports")
+    # the circle:3 and trunc:z3:1 modules, the left factor's I(circle:3)^2
+    # and the stability check's full I^2 over the rank-9 product ring
+    assert built["counters"] == {"walks": 4, "max_walk_rank": 9}
