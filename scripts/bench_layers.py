@@ -8,7 +8,10 @@ and the quartiles of the repeats):
   boundaries hold in total, the rows handed to the sparse elimination,
   the rows cleared before it and the boundary nonzeros, augmentation
   included; these counters come from one more call, made before the
-  timed ones with the elimination wrapped;
+  timed ones with the elimination wrapped.  On the same grid,
+  boundary_matrices, counting the boundary rows and nonzeros, and
+  check_boundaries on the boundaries and the augmentation, counting the
+  rows checked and the multiply-adds their products take;
 - fusion: ring_from_tag on z24 and z2xz3xz5 and circle_truncation at
   orders 400 and 800, each a ring built and fully checked, counting the
   rank and the generators the check finds;
@@ -133,11 +136,41 @@ def homology_case(n, k):
     return lambda: joins.reduced_homology(jc), lambda _: count_case(jc)
 
 
+def boundary_counters(chain) -> dict:
+    return {
+        "rows": sum(m.rows for m in chain.boundaries),
+        "nonzeros": sum(len(row) for m in chain.boundaries for row in m.data),
+    }
+
+
+def boundary_case(n, k):
+    jc = joins.build_join_complex(n, k)
+    return lambda: joins.boundary_matrices(jc), boundary_counters
+
+
+def check_case(n, k):
+    chain = joins.boundary_matrices(joins.build_join_complex(n, k))
+    n_vert = chain.face_counts[0]
+    maps = (joins.SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
+    counted = {
+        "rows_checked": sum(m.rows for m in maps[1:]),
+        "multiply_adds": sum(
+            len(lower.data[a]) for lower, m in zip(maps, maps[1:]) for row in m.data for a in row
+        ),
+    }
+    return lambda: joins.check_boundaries(maps), lambda _: counted
+
+
 # case name -> (layer, setup); setup runs untimed and returns the timed
 # call and the function that gives the counters of the call's result.
 CASES = {
     **{
         f"reduced_homology({n}, {k})": ("joins", lambda n=n, k=k: homology_case(n, k))
+        for n, k in JOIN_CASES
+    },
+    **{
+        f"{name}({n}, {k})": ("joins", lambda case=case, n=n, k=k: case(n, k))
+        for name, case in (("boundary_matrices", boundary_case), ("check_boundaries", check_case))
         for n, k in JOIN_CASES
     },
     **{

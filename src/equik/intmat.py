@@ -8,6 +8,7 @@ anywhere downstream) touches floating point.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -417,11 +418,11 @@ def smith_pivots(sparse_rows):
     block whose Smith diagonal comes from _smith, with no transform
     carried, as in invariant_factors.
     """
-    rows = [{j: e for j, e in r.items() if e} for r in sparse_rows]
-    where = {}  # column -> indices of the live rows with an entry there
+    rows = [dict(r) if all(r.values()) else {j: e for j, e in r.items() if e} for r in sparse_rows]
+    where = defaultdict(set)  # column -> indices of the live rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
-            where.setdefault(j, set()).add(i)
+            where[j].add(i)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(heap)
     stuck = set()  # rows that had no unit entry when last popped
@@ -475,9 +476,10 @@ def smith_pivots(sparse_rows):
 def hermite_terms(maps) -> tuple:
     """Canonical Hermite basis of the span of sparse rows, as term rows.
 
-    Each row is a {column: entry} map with no zero entries, and the maps
-    are reduced in place.  The elimination is _hermite_reduce's, column
-    by column, reducing by the smallest entry, with no transform: rows
+    Each row is a {column: entry} map with no zero entries (a zero would
+    come back as a zero pivot), and the maps are reduced in place.  The
+    elimination is _hermite_reduce's, column by column, reducing by the
+    smallest entry, with no transform: rows
     wait in a bucket under their leading column, so each row operation
     touches only the nonzeros of the row it subtracts (Dumas, Saunders
     and Villard 2001).  The entries above the pivots are reduced last,

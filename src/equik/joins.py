@@ -13,11 +13,10 @@ skipping the rows that face a unit pivot of the boundary above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
 from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, charge
-from .intmat import SparseMatrix, smith_invariants, smith_pivots, term_product
+from .intmat import SparseMatrix, smith_invariants, smith_pivots
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -87,23 +86,6 @@ class JoinComplex:
     def dimension(self) -> int:
         return self.parts - 1
 
-    def faces(self, d: int) -> list:
-        """All d-faces as sorted vertex tuples, in lexicographic order.
-
-        Vertex (block p, point v) has id p * part_size + v; a face picks
-        at most one vertex per block.
-        """
-        if d < 0 or d > self.dimension:
-            return []
-        out = []
-        for blocks in combinations(range(self.parts), d + 1):
-            for pts in product(range(self.part_size), repeat=d + 1):
-                out.append(
-                    tuple(blocks[i] * self.part_size + pts[i] for i in range(d + 1))
-                )
-        out.sort()
-        return out
-
     def face_counts(self) -> tuple:
         from math import comb
 
@@ -131,17 +113,37 @@ class ChainComplex:
     boundaries: tuple
 
 
+def _face_masks(jc: JoinComplex) -> list:
+    """masks[d + 1] lists the d-faces as int masks in descending order, which
+    is the lexicographic order of their sorted vertex tuples; masks[0] is [0].
+
+    Vertex v = p * part_size + i (block p, point i) is bit top - v, with
+    top = vertex_count - 1; a face picks at most one vertex per block.  Blocks
+    are added last first, and the faces given a vertex of block p go first.
+    """
+    k, n, top = jc.parts, jc.part_size, jc.vertex_count - 1
+    masks = [[0]] + [[] for _ in range(k)]
+    for p in reversed(range(k)):
+        bits = [1 << (top - p * n - i) for i in range(n)]
+        for d in range(k - p, 0, -1):
+            masks[d] = [b | f for b in bits for f in masks[d - 1]] + masks[d]
+    return masks
+
+
 def boundary_matrices(jc: JoinComplex) -> ChainComplex:
-    faces_by_dim = [jc.faces(d) for d in range(jc.parts)]
+    """Row i of the degree-d map drops each vertex of d-face i, lowest bit
+    (last vertex) first, with signs (-1)^d, (-1)^(d-1), ..."""
+    masks = _face_masks(jc)
     mats = []
     for d in range(1, jc.parts):
-        index = {face: i for i, face in enumerate(faces_by_dim[d - 1])}
+        index = {face: i for i, face in enumerate(masks[d])}
         rows = []
-        for face in faces_by_dim[d]:
-            row = {}
-            sign = 1
-            for drop in range(d + 1):
-                row[index[face[:drop] + face[drop + 1 :]]] = sign
+        for face in masks[d + 1]:
+            row, rest, sign = {}, face, -1 if d % 2 else 1
+            while rest:
+                low = rest & -rest
+                row[index[face ^ low]] = sign
+                rest ^= low
                 sign = -sign
             rows.append(row)
         mats.append(SparseMatrix(len(rows), len(index), tuple(rows)))
@@ -157,7 +159,11 @@ def check_boundaries(maps) -> None:
     for d in range(1, len(maps)):
         lower = maps[d - 1].data
         for i, row in enumerate(maps[d].data):
-            if term_product(row.items(), lower):
+            total = {}
+            for a, c in row.items():
+                for j, e in lower[a].items():
+                    total[j] = total.get(j, 0) + c * e
+            if any(total.values()):
                 raise EquikError(
                     f"boundary of a boundary is not zero: row {i} of map {d}"
                 )

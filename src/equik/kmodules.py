@@ -109,7 +109,8 @@ class RingModule:
 
     def subgroup_class(self, vectors) -> FgAbelianGroup:
         """Class of the subgroup generated by the vectors inside the module,
-        each vector a {column: entry} map on the generators."""
+        each a {column: entry} map on the generators, checked as relations are."""
+        vectors = _checked_rows(vectors, self.generators, "vectors")
         rel_terms = self.lattice.terms
         outer = Lattice(
             hermite_terms([dict(v) for v in vectors] + [dict(row) for row in rel_terms]),

@@ -86,7 +86,8 @@ def _upper_str(value) -> str:
     return "infinity" if is_infinite(value) else str(value)
 
 
-def _upper_from_str(text):
+def upper_bound(text):
+    """An upper bound from its text: "infinity" or canonical decimal."""
     return INFINITY if text == "infinity" else decimal(text)
 
 
@@ -584,7 +585,7 @@ def finite_af_bounds(group, n: int):
 class Argument(NamedTuple):
     """One construction argument, named as in the report's parameters.
 
-    type parses the argument's text (decimal, str or _upper_from_str) and
+    type parses the argument's text (decimal, str or upper_bound) and
     raises ValueError on malformed text; metavar names it on the command
     line when that differs from the parameter name.  The fields after name
     are argparse's add_argument keywords; a --name is an option.
@@ -675,9 +676,9 @@ CONSTRUCTIONS = {
         (
             Argument("rule", str, choices=("sum", "min", "absorb")),
             Argument("l1"),
-            Argument("u1", _upper_from_str, "integer or infinity"),
+            Argument("u1", upper_bound, "integer or infinity"),
             Argument("l2"),
-            Argument("u2", _upper_from_str, "integer or infinity"),
+            Argument("u2", upper_bound, "integer or infinity"),
         ),
         lambda rule, l1, u1, l2, u2: rule_report(rule, DimBound(l1, u1), DimBound(l2, u2)),
     ),
@@ -741,7 +742,7 @@ def _is_number(text) -> bool:
     """Is text what a canonical report writes for an integer (errors.decimal)
     or an absent upper bound?"""
     try:
-        _upper_from_str(text)
+        upper_bound(text)
     except ValueError:
         return False
     return True

@@ -715,6 +715,15 @@ def test_non_decimal_upper_argument_exits_2(capsys):
     assert "argument u1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["+5", "abc"])
+def test_malformed_upper_bound_names_its_public_parser(text, capsys):
+    code, out, err = _request(capsys, ("rokhlin", "tensor-rule", "sum", "1", "3", "2", text))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"equik rokhlin tensor-rule: error: argument u2: invalid upper_bound value: '{text}'"
+    )
+
+
 def test_non_decimal_circle_ring_order_exits_2(capsys):
     code, out, err = run(capsys, "rep", "ring", "circle:x")
     assert code == 2

@@ -8,11 +8,14 @@ The independent oracle for homology is the dense kernel/image route:
 dense boundary matrices, a Hermite kernel basis, the image solved in
 that basis, and the Smith form of the resulting presentation.  The
 per-map route, smith_invariants on each whole boundary with no rows
-cleared, is kept here as a second oracle for the top-down sweep.
+cleared, is kept here as a second oracle for the top-down sweep.  The
+boundaries built from face masks are checked entry for entry against
+the tuple route: itertools face lists, sorted vertex tuples, and each
+sub-face found by slicing one vertex out.
 """
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -53,9 +56,50 @@ def densify(m: SparseMatrix) -> IntMatrix:
     )
 
 
+def tuple_faces(jc: JoinComplex, d: int) -> list:
+    """All d-faces as sorted vertex tuples, in lexicographic order.
+
+    Vertex (block p, point v) has id p * part_size + v; a face picks
+    at most one vertex per block.
+    """
+    if d < 0 or d > jc.dimension:
+        return []
+    out = []
+    for blocks in combinations(range(jc.parts), d + 1):
+        for pts in product(range(jc.part_size), repeat=d + 1):
+            out.append(tuple(blocks[i] * jc.part_size + pts[i] for i in range(d + 1)))
+    out.sort()
+    return out
+
+
+def tuple_boundary_matrices(jc: JoinComplex) -> ChainComplex:
+    """Sparse boundaries from vertex tuples: row i of the degree-d map
+    drops vertex position p of d-face i with sign (-1)^p."""
+    faces_by_dim = [tuple_faces(jc, d) for d in range(jc.parts)]
+    mats = []
+    for d in range(1, jc.parts):
+        index = {face: i for i, face in enumerate(faces_by_dim[d - 1])}
+        rows = []
+        for face in faces_by_dim[d]:
+            row = {}
+            sign = 1
+            for drop in range(d + 1):
+                row[index[face[:drop] + face[drop + 1 :]]] = sign
+                sign = -sign
+            rows.append(row)
+        mats.append(SparseMatrix(len(rows), len(index), tuple(rows)))
+    return ChainComplex(jc.face_counts(), tuple(mats))
+
+
+def with_augmentation(chain: ChainComplex) -> tuple:
+    """The maps reduced_homology checks: the augmentation, then the boundaries."""
+    n_vert = chain.face_counts[0]
+    return (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
+
+
 def dense_boundaries(jc: JoinComplex) -> list:
     """Dense boundary matrices built straight from the face lists."""
-    faces_by_dim = [jc.faces(d) for d in range(jc.parts)]
+    faces_by_dim = [tuple_faces(jc, d) for d in range(jc.parts)]
     index = [{face: i for i, face in enumerate(faces)} for faces in faces_by_dim]
     mats = []
     for d in range(1, jc.parts):
@@ -95,9 +139,7 @@ def dense_chain_homology(n_vert: int, bnds) -> tuple:
 
 def per_map_homology(chain: ChainComplex) -> tuple:
     """Reduced homology from smith_invariants on each whole boundary."""
-    n_vert = chain.face_counts[0]
-    maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
-    invariants = [smith_invariants(m.data) for m in maps] + [(0, ())]
+    invariants = [smith_invariants(m.data) for m in with_augmentation(chain)] + [(0, ())]
     return tuple(
         FgAbelianGroup(n - invariants[d][0] - invariants[d + 1][0], invariants[d + 1][1])
         for d, n in enumerate(chain.face_counts)
@@ -158,10 +200,75 @@ def test_single_part_is_discrete_set():
 
 def test_faces_are_sorted_and_cross_block():
     jc = build_join_complex(2, 3)
-    edges = jc.faces(1)
+    edges = tuple_faces(jc, 1)
     assert edges == sorted(edges)
     for a, b in edges:
         assert a // 2 != b // 2
+
+
+def mask_vertices(jc: JoinComplex, mask: int) -> tuple:
+    """The sorted vertex tuple of a face mask: vertex v sits on bit top - v."""
+    top = jc.vertex_count - 1
+    return tuple(v for v in range(top + 1) if mask >> (top - v) & 1)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (3, 1), (2, 3), (3, 3), (4, 2), (2, 5)])
+def test_face_masks_are_the_lexicographic_vertex_tuples(n, k):
+    jc = build_join_complex(n, k)
+    masks = joins._face_masks(jc)
+    assert masks[0] == [0] and len(masks) == k + 1
+    for d in range(k):
+        assert masks[d + 1] == sorted(masks[d + 1], reverse=True)
+        assert [mask_vertices(jc, f) for f in masks[d + 1]] == tuple_faces(jc, d)
+
+
+# The benchmark's `join homology` grid, two larger joins, and the n = 1
+# and k = 1 edges.
+BOUNDARY_CASES = (
+    (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
+    (2, 7), (3, 5), (1, 1), (1, 2), (1, 6), (2, 1), (7, 1),
+)
+
+
+def assert_same_boundaries(jc: JoinComplex) -> None:
+    chain, oracle = boundary_matrices(jc), tuple_boundary_matrices(jc)
+    assert chain.face_counts == oracle.face_counts
+    assert len(chain.boundaries) == len(oracle.boundaries) == jc.parts - 1
+    for mine, theirs in zip(chain.boundaries, oracle.boundaries):
+        assert (mine.rows, mine.cols) == (theirs.rows, theirs.cols)
+        assert mine.data == theirs.data
+
+
+@pytest.mark.parametrize("n,k", BOUNDARY_CASES)
+def test_mask_boundaries_equal_tuple_boundaries(n, k):
+    assert_same_boundaries(build_join_complex(n, k))
+
+
+# Joins of at most 3000 faces, each far inside the work budget.
+CAPPED_JOINS = [(n, k) for n in range(1, 13) for k in range(1, 12) if (n + 1) ** k - 1 <= 3000]
+
+
+@given(st.sampled_from(CAPPED_JOINS))
+@settings(max_examples=40, deadline=None)
+def test_mask_boundaries_equal_tuple_boundaries_under_the_cap(nk):
+    assert_same_boundaries(build_join_complex(*nk))
+
+
+@given(st.sampled_from([(2, 3), (2, 5), (3, 3), (3, 4), (4, 3)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_one_flipped_sign_is_named_by_its_row_and_map(nk, data):
+    maps = with_augmentation(boundary_matrices(build_join_complex(*nk)))
+    check_boundaries(maps)
+    d = data.draw(st.integers(1, len(maps) - 1), label="map")
+    i = data.draw(st.integers(0, maps[d].rows - 1), label="row")
+    row = dict(maps[d].data[i])
+    j = data.draw(st.sampled_from(sorted(row)), label="column")
+    row[j] = -row[j]
+    rows = maps[d].data[:i] + (row,) + maps[d].data[i + 1 :]
+    bad = maps[:d] + (SparseMatrix(maps[d].rows, maps[d].cols, rows),) + maps[d + 1 :]
+    message = f"^boundary of a boundary is not zero: row {i} of map {d}$"
+    with pytest.raises(EquikError, match=message):
+        check_boundaries(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -341,10 +448,10 @@ def test_complex_cap():
 
 
 def test_complex_cap_refuses_before_listing_faces(monkeypatch):
-    def no_listing(self, d):
+    def no_listing(jc):
         raise AssertionError("faces listed before the cap check")
 
-    monkeypatch.setattr(JoinComplex, "faces", no_listing)
+    monkeypatch.setattr(joins, "_face_masks", no_listing)
     message = (  # 400 units for each of 6 * 10 * 11^5 = 9663060 nonzeros
         "^work budget exceeded: the 6-fold join of 10 points needs 3865224000 units, "
         "over 200000000$"

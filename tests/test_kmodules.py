@@ -759,6 +759,25 @@ def test_subgroup_class_matches_dense_oracle(data):
     assert mod.subgroup_class(maps) == dense_subgroup_class(mod, vectors)
 
 
+def test_subgroup_class_drops_zero_entries():
+    # a zero entry once came back from hermite_terms as a zero pivot
+    mod = truncated_ring_module(cyclic_ring(2), 2)
+    assert mod.subgroup_class([{0: 0, 1: 2}]) == mod.subgroup_class([{1: 2}])
+    assert mod.subgroup_class([{0: 0, 1: 0}]) == mod.subgroup_class([])
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [{0: 1.0}, {0: True}, {1: "2"}, {2: 1}, {-1: 1}, {"0": 1}, ((0, 1),)],
+    ids=["float", "bool", "str entry", "column 2", "column -1", "str column", "term row"],
+)
+def test_subgroup_class_refuses_malformed_vectors(vector):
+    mod = truncated_ring_module(cyclic_ring(2), 2)
+    message = r"^vectors must be \{column: int\} maps with columns in \[0, 2\)$"
+    with pytest.raises(InputError, match=message):
+        mod.subgroup_class([{0: 1}, vector])
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_ideal_image_matches_dense_oracle(data):

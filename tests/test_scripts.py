@@ -48,6 +48,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     res = run_script(
         "bench_layers.py",
         "--case", "reduced_homology(3, 3)",
+        "--case", "boundary_matrices(3, 3)",
+        "--case", "check_boundaries(3, 3)",
         "--case", module,
         "--case", report,
         "--repeats", "3",
@@ -56,7 +58,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    homology, instantiate, built = runs["change"]
+    homology, boundaries, check, instantiate, built = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
         assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
@@ -68,6 +70,13 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert homology["counters"] == {
         "rows": 63, "rows_eliminated": 36, "rows_cleared": 27, "nonzeros": 144
     }
+    assert (boundaries["case"], boundaries["layer"]) == ("boundary_matrices(3, 3)", "joins")
+    # 27 edges of 2 vertices and 27 triangles of 3
+    assert boundaries["counters"] == {"rows": 54, "nonzeros": 135}
+    assert (check["case"], check["layer"]) == ("check_boundaries(3, 3)", "joins")
+    # each edge meets the augmentation at 2 vertices of 1 entry, each
+    # triangle its 3 edges of 2 entries: 27 * 2 + 27 * 6
+    assert check["counters"] == {"rows_checked": 54, "multiply_adds": 216}
     assert (instantiate["case"], instantiate["layer"]) == (module, "kmodules")
     # z3 x z2 is generated by the indices of chi x 1 and 1 x chi, and the
     # module has the 3 x 2 generators of the two truncations
