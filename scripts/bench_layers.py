@@ -14,7 +14,11 @@ and the quartiles of the repeats):
   rows checked and the multiply-adds their products take;
 - fusion: ring_from_tag on z24 and z2xz3xz5 and circle_truncation at
   orders 400 and 800, each a ring built and fully checked, counting the
-  rank and the generators the check finds;
+  rank and the generators the check finds; regular_class_check on the
+  rings of the benchmark's `rep regular` (built untimed), and
+  lambda_expansion(31), counting the ring products each forms (the
+  augmentation ideal's closure check included), from one more call made
+  with the product functions wrapped;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
   module built and checked, counting the ring's rank and generators and
   the module's generators;
@@ -106,6 +110,29 @@ def ring_counters(ring) -> dict:
     return {"rank": ring.rank, "generators": len(ring.generators)}
 
 
+def product_counters(call) -> dict:
+    """Ring products one call forms: calls of fusion._row_times, and of
+    BasedRing.mul_vec, which trees before every product moved to term
+    rows call instead."""
+    calls = []
+
+    def counting(real):
+        def wrapped(*args):
+            calls.append(1)
+            return real(*args)
+
+        return wrapped
+
+    with mock.patch.object(fusion, "_row_times", counting(fusion._row_times)):
+        with mock.patch.object(fusion.BasedRing, "mul_vec", counting(fusion.BasedRing.mul_vec)):
+            call()
+    return {"products": len(calls)}
+
+
+def product_case(call):
+    return call, lambda _: product_counters(call)
+
+
 def module_counters(mod) -> dict:
     return {**ring_counters(mod.ring), "module_generators": mod.generators}
 
@@ -187,6 +214,16 @@ CASES = {
         )
         for n in (400, 800)
     },
+    **{
+        f"regular_class_check({tag})": (
+            "fusion",
+            lambda tag=tag: product_case(
+                lambda ring=fusion.ring_from_tag(tag): fusion.regular_class_check(ring)
+            ),
+        )
+        for tag in ("z24", "z3xz3", "z2xz3xz5")
+    },
+    "lambda_expansion(31)": ("fusion", lambda: product_case(lambda: fusion.lambda_expansion(31))),
     **{
         f"instantiate({text})": (
             "kmodules",

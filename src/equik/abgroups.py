@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import RANK_BITS_CAP, CapExceededError, InputError, charge, decimal
-from .intmat import IntMatrix, smith_invariants
+from .intmat import IntMatrix, _sparse_rows, smith_invariants
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,13 @@ class Presentation:
 
 
 def cokernel(rows, width: int) -> FgAbelianGroup:
-    """Z^width modulo the span of the rows, each a sequence of width ints.
+    """Z^width modulo the span of the rows, each a sequence of width ints
+    (not bools); other rows raise InputError.
 
     The rank and torsion come from intmat.smith_invariants, which
     eliminates unit pivots over sparse rows.
     """
-    rank, torsion = smith_invariants({j: e for j, e in enumerate(row) if e} for row in rows)
+    rank, torsion = smith_invariants(_sparse_rows(rows, width))
     return FgAbelianGroup(width - rank, torsion)
 
 

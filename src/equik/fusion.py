@@ -11,8 +11,9 @@ rings that are not fusion rings, since their augmentation kills lam.
 ``cyclic_ring``, ``circle_truncation``, ``ring_product`` (each charging
 the r^3 work units of the least axiom check before its table) and the
 fusion-table loader build every ring; downstream code reads ``rank``,
-``labels``, ``aug``, ``is_fusion``, ``basis_mul(i, j)`` and
-``mul_vec(a, b)``.  Every ring is checked in full when it is built, and
+``labels``, ``aug``, ``is_fusion`` and ``table``.  Every product is
+formed on term rows by _row_times, ``multiply`` and ``mul_vec(a, b)``
+included.  Every ring is checked in full when it is built, and
 the check works on the sparse table: one pass per cell checks its shape
 and sums its dimension, the generator search inserts sparse products
 into an echelon basis (intmat.echelon_insert), and Light's test compares
@@ -35,7 +36,7 @@ from math import comb, gcd
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
 from .errors import UnsupportedError, charge, decimal, read_json
 from .abgroups import cokernel
-from .intmat import Lattice, as_int, echelon_insert, hermite_terms
+from .intmat import Lattice, as_int, echelon_insert, hermite_terms, term_product
 
 
 @dataclass(frozen=True)
@@ -94,29 +95,10 @@ class BasedRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    def basis_mul(self, i: int, j: int) -> tuple:
-        out = [0] * self.rank
-        for k, n in self.table[i][j]:
-            out[k] = n
-        return tuple(out)
-
     def mul_vec(self, a, b) -> tuple:
-        r = self.rank
-        out = [0] * r
-        b_nonzero = [(j, b[j]) for j in range(r) if b[j]]
-        for i in range(r):
-            ai = a[i]
-            if ai == 0:
-                continue
-            row = self.table[i]
-            for j, bj in b_nonzero:
-                c = ai * bj
-                for k, n in row[j]:
-                    out[k] += c * n
-        return tuple(out)
-
-    def one_vec(self) -> tuple:
-        return tuple([1 if i == 0 else 0 for i in range(self.rank)])
+        """The product of the int vectors a and b, as an int tuple; only
+        their first rank entries are read."""
+        return _vector_product(self.table, a, b)
 
     def render_element(self, coeffs) -> str:
         terms = []
@@ -221,7 +203,7 @@ def _basis_generators(table) -> tuple:
         pending += [(e_s, g) for g in gens]
         while pending:
             v, g = pending.pop()
-            prod = _row_times(table, v, g)
+            prod = _row_times(table, v, ((g, 1),))
             if echelon_insert(basis, dict(prod)):
                 found.append(prod.items())
                 pending += [(prod.items(), h) for h in gens]
@@ -274,7 +256,7 @@ def multiply(ring, a, b) -> RingElement:
             f"element length mismatch: ring rank {ring.rank}, "
             f"got {len(av)} and {len(bv)}"
         )
-    return RingElement(ring.mul_vec(av, bv))
+    return RingElement(_vector_product(ring.table, av, bv))
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +426,30 @@ def _unit_terms(indices) -> tuple:
     return tuple([((i, 1),) for i in indices])
 
 
-def _row_times(table, b, s, d=0) -> dict:
-    """b (e_s - d e_0) for the term row b, as a {column: entry} map with
-    no zeros; only b's nonzeros and the cells table[j][s] are visited."""
+def _row_times(table, a, b) -> dict:
+    """a b for the term rows a and b, as a {column: entry} map with no
+    zeros; only their nonzeros and the cells table[j][s] they meet are
+    visited.  Every ring product is formed here."""
     out = {}
-    for j, c in b:
-        if d:
-            out[j] = out.get(j, 0) - d * c
-        for k, n in table[j][s]:
-            out[k] = out.get(k, 0) + c * n
+    for s, c in b:
+        for j, e in a:
+            ce = c * e
+            for k, n in table[j][s]:
+                out[k] = out.get(k, 0) + ce * n
     return {k: e for k, e in out.items() if e}
+
+
+def _terms(v, width: int) -> list:
+    """The term row of the first width entries of the int vector v."""
+    return [(j, v[j]) for j in range(width) if v[j]]
+
+
+def _vector_product(table, a, b) -> tuple:
+    """a b for the first len(table) entries of the int vectors a and b,
+    as an int tuple."""
+    r = len(table)
+    out = _row_times(table, _terms(a, r), _terms(b, r))
+    return tuple([out.get(k, 0) for k in range(r)])
 
 
 def _product_outside(ring, lattice, indices):
@@ -461,7 +457,7 @@ def _product_outside(ring, lattice, indices):
     as an int tuple; None when there is none."""
     for i in indices:
         for b in lattice.terms:
-            prod = _row_times(ring.table, b, i)
+            prod = _row_times(ring.table, b, ((i, 1),))
             if lattice.solve_map(dict(prod)) is None:
                 return tuple([prod.get(k, 0) for k in range(ring.rank)])
     return None
@@ -512,13 +508,13 @@ def _higher_power_rows(ring, aug_rows, last=None):
     and those pivot columns, and the pivot product, the index of a
     power's projection onto them, never falls: no later level costs less.
     """
-    gens = [(s, ring.aug[s]) for s in ring.generators]
+    gens = [_aug_generator(ring, s) for s in ring.generators]
     rows, spent, level = aug_rows, 0, 1
     what = f"the ideal power walk of a rank-{ring.rank} ring"
     while rows:
         spent += _level_units(ring, rows)
         charge(spent, what)
-        next_rows = hermite_terms([_row_times(ring.table, b, s, d) for b in rows for s, d in gens])
+        next_rows = hermite_terms([_row_times(ring.table, b, g) for b in rows for g in gens])
         level += 1
         if last is not None and len(next_rows) == len(rows):
             charge(spent + (last - level) * _level_units(ring, next_rows), what)
@@ -588,12 +584,9 @@ def regular_class_check(ring: BasedRing):
     vector b; for character rings this is the classical behaviour of the
     regular representation class.
     """
-    reg = ring.aug
-    ideal = augmentation_ideal(ring)
-    ok = all(
-        all(c == 0 for c in ring.mul_vec(b, reg)) for b in ideal.rows()
-    )
-    return RingElement(reg), ok
+    reg = _terms(ring.aug, ring.rank)
+    ok = not any(_row_times(ring.table, b, reg) for b in augmentation_ideal(ring).terms)
+    return RingElement(ring.aug), ok
 
 
 def regular_dimension(ring: BasedRing) -> int:
@@ -618,17 +611,13 @@ def lambda_expansion(p: int) -> tuple:
         )
     if p < 3:
         raise InputError("lambda expansion needs p >= 3")
-    ring = cyclic_ring(p)
-    lam = tuple(1 if k == 0 else (-1 if k == 1 else 0) for k in range(p))
-    powers = [lam]
+    table = cyclic_ring(p).table
+    lam = ((0, 1), (1, -1))
+    powers = [dict(lam)]
     for _ in range(p - 1):
-        powers.append(ring.mul_vec(powers[-1], lam))
+        powers.append(_row_times(table, powers[-1].items(), lam))
     n = tuple([(-1) ** j * comb(p, j) for j in range(1, p)])
-    check = [0] * p
-    for nj, pw in zip(n, powers):
-        for k in range(p):
-            check[k] += nj * pw[k]
-    if tuple(check) != powers[p - 1]:
+    if term_product(enumerate(n), powers) != powers[p - 1]:
         raise EquikError(f"the binomial expansion does not reproduce lam^{p}")
     return n
 

@@ -98,85 +98,12 @@ class IntMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols,
             self.rows,
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError(f"shape mismatch {self.shape} x {other.shape}")
-        n, m, p = self.rows, self.cols, other.cols
-        out = [0] * (n * p)
-        oe = other.entries
-        for i in range(n):
-            base = i * m
-            obase = i * p
-            for k in range(m):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                kb = k * p
-                for j in range(p):
-                    b = oe[kb + j]
-                    if b:
-                        out[obase + j] += a * b
-        return IntMatrix(n, p, tuple(out))
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise InputError("shape mismatch in subtraction")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def det(self) -> int:
-        """Determinant via the Bareiss fraction-free elimination (exact)."""
-        if self.rows != self.cols:
-            raise InputError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss update: division by the previous pivot is exact.
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def __str__(self):
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        widths = [
-            max(len(str(self.entry(i, j))) for i in range(self.rows))
-            for j in range(self.cols)
-        ]
-        lines = []
-        for i in range(self.rows):
-            cells = (str(self.entry(i, j)).rjust(widths[j]) for j in range(self.cols))
-            lines.append("[ " + "  ".join(cells) + " ]")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +292,6 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     )
 
 
-def invariant_factors(A: IntMatrix) -> tuple:
-    """The nonzero diagonal of the Smith form of A, with no transform."""
-    diag = _smith(A.to_rows(), A.cols, [[]] * A.rows, [[]] * A.cols)[0]
-    return tuple(e for e in diag if e)
-
-
 # ---------------------------------------------------------------------------
 # Kernels, cokernels, and row-lattice helpers
 # ---------------------------------------------------------------------------
@@ -416,7 +337,7 @@ def smith_pivots(sparse_rows):
     stay sparse.  Each such pivot is an invariant factor 1 and takes its
     row and column out.  Rows left with no unit entry form a small dense
     block whose Smith diagonal comes from _smith, with no transform
-    carried, as in invariant_factors.
+    carried.
     """
     rows = [dict(r) if all(r.values()) else {j: e for j, e in r.items() if e} for r in sparse_rows]
     where = defaultdict(set)  # column -> indices of the live rows with an entry there
@@ -543,7 +464,12 @@ def hermite_terms(maps) -> tuple:
 def echelon_insert(basis: dict, row: dict) -> bool:
     """Put the sparse row, reduced in place, into the lattice of the echelon
     rows basis ({pivot column: {column: entry}}); True when the lattice
-    grew, that is when the row was outside it.  Only nonzeros are visited."""
+    grew, that is when the row was outside it.  Only nonzeros are visited.
+
+    The step is hermite_terms' Euclid step: the row loses the floor
+    quotient of the pivot row, and when a remainder is left at the pivot,
+    the row (now the smaller) becomes the pivot row and the old pivot row
+    carries on in its place."""
     grew = False
     while row:
         p = min(row)
@@ -551,15 +477,12 @@ def echelon_insert(basis: dict, row: dict) -> bool:
         if lead is None:
             basis[p] = row
             return True
-        a, b = row[p], lead[p]
-        q, rem = divmod(a, b)
-        if rem:  # replace the pivot by gcd(a, b), unimodularly
-            g, x, y = xgcd(b, a)
-            basis[p] = term_product(((0, x), (1, y)) if x else ((1, y),), (lead, row))
-            row = term_product(((0, b // g), (1, -(a // g))), (row, lead))
-            grew = True
-        else:
+        q = row[p] // lead[p]
+        if q:
             _subtract(row, q, lead.items())
+        if p in row:
+            basis[p], row = row, lead
+            grew = True
     return grew
 
 
@@ -649,6 +572,8 @@ class Lattice:
 
     def solve(self, v):
         """Integer coordinates of the int vector v in the rows, or None."""
+        if len(v) != self.width:
+            raise InputError(f"vector length {len(v)} differs from the lattice width {self.width}")
         if not all(type(e) is int for e in v):
             raise InputError("vector entries must be ints")
         return self.solve_map({j: e for j, e in enumerate(v) if e})
@@ -679,10 +604,6 @@ class Lattice:
 def hermite_solve(basis_rows, v):
     """Integer coordinates of v in rows in row Hermite form, or None."""
     return Lattice.from_rows(basis_rows, len(v)).solve(v)
-
-
-def in_lattice(basis_rows, v) -> bool:
-    return Lattice.from_rows(basis_rows, len(v)).contains(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,81 @@
+"""Dense matrix and ring algebra that only the tests use.
+
+The library works on sparse rows; these dense forms recheck its answers:
+IntMatrix products, differences and determinants, the Smith diagonal
+with no transform, lattice membership on dense rows, and the dense
+basis products and unit vector of a based ring.
+"""
+
+from equik.errors import InputError
+from equik.intmat import IntMatrix, Lattice, _smith
+
+
+def mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise InputError(f"shape mismatch {a.rows}x{a.cols} x {b.rows}x{b.cols}")
+    n, m, p = a.rows, a.cols, b.cols
+    out = [0] * (n * p)
+    for i in range(n):
+        for k in range(m):
+            x = a.entries[i * m + k]
+            if x:
+                for j in range(p):
+                    out[i * p + j] += x * b.entries[k * p + j]
+    return IntMatrix(n, p, tuple(out))
+
+
+def sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise InputError("shape mismatch in subtraction")
+    return IntMatrix(a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries)))
+
+
+def is_zero(a: IntMatrix) -> bool:
+    return not any(a.entries)
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant via the Bareiss fraction-free elimination (exact)."""
+    if a.rows != a.cols:
+        raise InputError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss update: division by the previous pivot is exact.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def invariant_factors(a: IntMatrix) -> tuple:
+    """The nonzero diagonal of the Smith form of a, with no transform."""
+    diag = _smith(a.to_rows(), a.cols, [[]] * a.rows, [[]] * a.cols)[0]
+    return tuple(e for e in diag if e)
+
+
+def in_lattice(basis_rows, v) -> bool:
+    return Lattice.from_rows(basis_rows, len(v)).contains(v)
+
+
+def basis_mul(ring, i: int, j: int) -> tuple:
+    """e_i e_j as an int tuple of the ring's rank."""
+    out = [0] * ring.rank
+    for k, n in ring.table[i][j]:
+        out[k] = n
+    return tuple(out)
+
+
+def one_vec(ring) -> tuple:
+    return tuple(int(i == 0) for i in range(ring.rank))

@@ -24,7 +24,8 @@ from equik.abgroups import (
     tor,
 )
 from equik.errors import InputError
-from equik.intmat import IntMatrix, hermite_rows, invariant_factors, kernel_basis
+from equik.intmat import IntMatrix, hermite_rows, kernel_basis
+from dense_algebra import invariant_factors
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -236,6 +237,22 @@ def test_cokernel_matches_dense_invariant_factors(case):
     want = FgAbelianGroup(width - len(factors), tuple(d for d in factors if d > 1))
     assert cokernel(rows, width) == want
     assert normalize(Presentation(width, dense)) == want
+
+
+@pytest.mark.parametrize(
+    "rows, width, message",
+    [
+        ([(0, 0, 5)], 2, "ragged"),  # was Z + Z_5
+        ([(2,)], 3, "ragged"),  # was Z^2 + Z_2
+        ([(1, 0), (2,)], 2, "ragged"),
+        ([(True, 0)], 2, "must be ints"),  # was Z
+        ([(1.5, 0)], 2, "must be ints"),  # failed on the torsion invariants
+        ([(2, "3")], 2, "must be ints"),
+    ],
+)
+def test_cokernel_takes_only_int_rows_of_its_width(rows, width, message):
+    with pytest.raises(InputError, match=message):
+        cokernel(rows, width)
 
 
 def test_json_roundtrip():

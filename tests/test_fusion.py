@@ -50,6 +50,7 @@ from equik.fusion import (
     ring_product,
 )
 from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hnf, kernel_basis, xgcd
+from dense_algebra import basis_mul, one_vec
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,7 +62,7 @@ def s3_ring():
 def dense_table(ring):
     """fusion[i][j][k]: the multiplicity of e_k in e_i * e_j, every cell dense."""
     return tuple(
-        tuple(ring.basis_mul(i, j) for j in range(ring.rank)) for i in range(ring.rank)
+        tuple(basis_mul(ring, i, j) for j in range(ring.rank)) for i in range(ring.rank)
     )
 
 
@@ -79,7 +80,7 @@ def test_cyclic_ring_shape():
     assert r.rank == 4
     assert r.labels == ("1", "chi", "chi^2", "chi^3")
     assert r.aug == (1, 1, 1, 1)
-    assert r.basis_mul(1, 3) == (1, 0, 0, 0)
+    assert basis_mul(r, 1, 3) == (1, 0, 0, 0)
     with pytest.raises(InputError):
         cyclic_ring(0)
 
@@ -139,11 +140,11 @@ def relabelings_match(small, big):
         ok = True
         for i in range(r):
             for j in range(r):
-                cell = small.basis_mul(i, j)
+                cell = basis_mul(small, i, j)
                 image = [0] * r
                 for k, mult in enumerate(cell):
                     image[to_big[k]] = mult
-                if tuple(image) != big.basis_mul(to_big[i], to_big[j]):
+                if tuple(image) != basis_mul(big, to_big[i], to_big[j]):
                     ok = False
                     break
             if not ok:
@@ -267,7 +268,7 @@ def test_lambda_expansion_back_substitutes(p):
     lam = tuple(
         (1 if i == 0 else 0) - (1 if i == 1 else 0) for i in range(p)
     )
-    powers = [r.one_vec()]
+    powers = [one_vec(r)]
     for _ in range(p):
         powers.append(multiply(r, powers[-1], lam).coefficients)
     coeffs = lambda_expansion(p)
@@ -374,6 +375,16 @@ def test_ideal_lattice_membership_takes_only_int_vectors():
     assert aug.contains((-1, 1)) and aug.solve((-2, 2)) == [-2]
 
 
+def test_ideal_lattice_membership_takes_only_vectors_of_the_ring_rank():
+    aug = augmentation_ideal(cyclic_ring(3))
+    for v in ((1, -1), (1, -1, 0, 0)):  # both used to be members
+        with pytest.raises(InputError, match="vector length"):
+            aug.contains(v)
+        with pytest.raises(InputError, match="vector length"):
+            aug.solve(v)
+    assert aug.contains((1, -1, 0)) and not aug.contains((1, 0, 0))
+
+
 def test_ideal_lattice_from_rows_takes_only_int_vectors():
     ring = cyclic_ring(2)
     for v in ((-1.7, 1), (-1, 1.0), (True, 1), ("-1", 1)):
@@ -387,7 +398,7 @@ def test_circle_truncation_unit_class_inverse():
     t = (1, -1, 0, 0, 0)  # t = 1 - lam, the invertible generator
     inv = (1,) * 5  # (1 - lam)^-1 = 1 + lam + ... + lam^4
     product = multiply(c, t, inv)
-    assert product.coefficients == c.one_vec()
+    assert product.coefficients == one_vec(c)
     assert not c.is_fusion
 
 
@@ -427,7 +438,7 @@ def test_mixed_product_ring_protocol():
     mixed = ring_product(circle_truncation(3), cyclic_ring(2))
     assert mixed.rank == 6
     assert len(mixed.labels) == 6
-    one = mixed.one_vec()
+    one = one_vec(mixed)
     some = tuple(1 for _ in range(6))
     assert multiply(mixed, one, some).coefficients == some
     assert len(mixed.aug) == 6
@@ -494,10 +505,10 @@ def test_ring_dims_must_be_ints(aug, is_fusion):
 def oracle_basis_mul(factors, i, j):
     """Dense e_i * e_j from the factors' own dense rows (Kronecker order)."""
     if len(factors) == 1:
-        return factors[0].basis_mul(i, j)
+        return basis_mul(factors[0], i, j)
     left, right = factors
     (i1, i2), (j1, j2) = divmod(i, right.rank), divmod(j, right.rank)
-    return tuple(a * b for a in left.basis_mul(i1, j1) for b in right.basis_mul(i2, j2))
+    return tuple(a * b for a in basis_mul(left, i1, j1) for b in basis_mul(right, i2, j2))
 
 
 def dense_mul_vec(factors, a, b):
@@ -522,6 +533,10 @@ def regular_class_ring():
     )
 
 
+def ring_of(factors):
+    return factors[0] if len(factors) == 1 else ring_product(*factors)
+
+
 MUL_RINGS = {
     **{f"z{n}": lambda n=n: (cyclic_ring(n),) for n in (1, 2, 3, 5)},
     "s3": lambda: (s3_ring(),),
@@ -542,7 +557,7 @@ MUL_RINGS = {
 @settings(max_examples=20, deadline=None)
 def test_sparse_mul_vec_matches_dense_oracle(name, data):
     factors = MUL_RINGS[name]()
-    ring = factors[0] if len(factors) == 1 else ring_product(*factors)
+    ring = ring_of(factors)
     vector = st.lists(st.integers(-4, 4), min_size=ring.rank, max_size=ring.rank)
     a, b = tuple(data.draw(vector)), tuple(data.draw(vector))
     assert ring.mul_vec(a, b) == dense_mul_vec(factors, a, b)
@@ -1098,7 +1113,7 @@ def left_normed_span(ring):
     """Hermite rows of the span of 1, e_s, (e_s e_t), ... for s, t, ... in
     ring.generators, grown one product length at a time until it stops."""
     units = [tuple(1 if k == s else 0 for k in range(ring.rank)) for s in ring.generators]
-    frontier = {ring.one_vec()}
+    frontier = {one_vec(ring)}
     span = hermite_rows(frontier, ring.rank)
     while True:
         frontier = {ring.mul_vec(m, e) for m in frontier for e in units}
@@ -1127,7 +1142,7 @@ SPAN_RINGS = {
 @pytest.mark.parametrize("name", sorted(SPAN_RINGS))
 def test_basis_generators_span_the_ring(name):
     ring = SPAN_RINGS[name]
-    identity = tuple(ring.basis_mul(0, i) for i in range(ring.rank))
+    identity = tuple(basis_mul(ring, 0, i) for i in range(ring.rank))
     assert left_normed_span(ring) == identity
 
 
@@ -1198,6 +1213,7 @@ GENERATOR_FAMILIES = {
     ],
     "circle": lambda: [circle_truncation(n) for n in range(1, 61)],
     "fusion tables and products": lambda: list(SPAN_RINGS.values()),
+    "every suite ring": lambda: [build() for build in SUITE_RINGS.values()],
 }
 
 
@@ -1308,7 +1324,7 @@ def test_generator_closure_agrees_with_full_closure(name, close, data):
     vector = st.lists(st.integers(-3, 3), min_size=ring.rank, max_size=ring.rank)
     vectors = data.draw(st.lists(vector, max_size=3))
     if close:  # the ideal the vectors generate
-        vectors = [ring.mul_vec(ring.basis_mul(0, i), v) for i in range(ring.rank) for v in vectors]
+        vectors = [ring.mul_vec(basis_mul(ring, 0, i), v) for i in range(ring.rank) for v in vectors]
     rows = hermite_rows(vectors, ring.rank)
     want = full_closure_outcome(ring, rows)
     if want is None:
@@ -1319,3 +1335,52 @@ def test_generator_closure_agrees_with_full_closure(name, close, data):
         assert err.value.witness == want
     if close:
         assert want is None
+
+
+def term_row(v) -> list:
+    return [(j, e) for j, e in enumerate(v) if e]
+
+
+def loop_mul_vec(ring, a, b) -> tuple:
+    """The product as BasedRing.mul_vec formed it before every product
+    moved to term rows: each index of a, r wide, against the nonzeros of b."""
+    r = ring.rank
+    out = [0] * r
+    b_nonzero = [(j, b[j]) for j in range(r) if b[j]]
+    for i in range(r):
+        ai = a[i]
+        if ai == 0:
+            continue
+        row = ring.table[i]
+        for j, bj in b_nonzero:
+            c = ai * bj
+            for k, n in row[j]:
+                out[k] += c * n
+    return tuple(out)
+
+
+# Every ring the tests above build, each by a function that builds it.
+SUITE_RINGS = {
+    **{name: lambda f=f: ring_of(f()) for name, f in MUL_RINGS.items()},
+    **AUGMENTATION_RINGS,
+    **IDEAL_RINGS,
+    **{name: build for name, (build, _) in MULTI_GENERATOR_RINGS.items()},
+    **{name: lambda r=r: r for name, r in {**SPAN_RINGS, **UNIT_CELL_RINGS}.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_RINGS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_term_row_product_matches_r_wide_loop(name, data):
+    ring = SUITE_RINGS[name]()
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    vector = st.lists(entry, min_size=ring.rank, max_size=ring.rank)
+    a, b = data.draw(vector), data.draw(vector)
+    want = loop_mul_vec(ring, a, b)
+    got = fusion._row_times(ring.table, term_row(a), term_row(b))
+    assert 0 not in got.values()
+    assert tuple(got.get(k, 0) for k in range(ring.rank)) == want
+    assert multiply(ring, a, b).coefficients == want
+    assert ring.mul_vec(a, b) == want
+

@@ -17,19 +17,20 @@ from equik.errors import InputError
 from equik.intmat import (
     IntMatrix,
     Lattice,
+    echelon_insert,
     hermite_rows,
     hermite_solve,
     hermite_terms,
     hnf,
-    in_lattice,
-    invariant_factors,
     kernel_basis,
     matrix_from_json_dict,
     matrix_to_json_dict,
     smith_invariants,
     snf,
+    term_product,
     xgcd,
 )
+from dense_algebra import det, in_lattice, invariant_factors, is_zero, mul
 
 
 @st.composite
@@ -54,7 +55,7 @@ def minor_gcd_invariants(a: IntMatrix) -> tuple:
                 sub = IntMatrix.from_rows(
                     [tuple(a.entry(i, j) for j in cs) for i in rs], cols=k
                 )
-                g = gcd(g, abs(sub.det()))
+                g = gcd(g, abs(det(sub)))
         if g == 0:
             break
         out.append(g // prev)
@@ -73,7 +74,7 @@ def test_snf_frozen_example():
     a = IntMatrix.from_rows([(2, 4), (6, 8)], cols=2)
     dec = snf(a)
     assert dec.invariant_factors() == (2, 4)
-    assert dec.U.mul(a).mul(dec.V).entries == dec.D.entries
+    assert mul(mul(dec.U, a), dec.V).entries == dec.D.entries
 
 
 def test_hnf_frozen_examples():
@@ -92,30 +93,30 @@ def test_kernel_frozen_example():
     a = IntMatrix.from_rows([(1, 2), (2, 4)], cols=2)
     k = kernel_basis(a)
     assert k.rows == 1
-    assert k.mul(a).is_zero()
+    assert is_zero(mul(k, a))
 
 
 def test_det_bareiss_matches_small_cases():
     a = IntMatrix.from_rows([(3,)], cols=1)
-    assert a.det() == 3
+    assert det(a) == 3
     b = IntMatrix.from_rows([(1, 2), (3, 4)], cols=2)
-    assert b.det() == -2
+    assert det(b) == -2
     c = IntMatrix.from_rows([(2, 0, 1), (1, 1, 0), (0, 3, 1)], cols=3)
-    assert c.det() == 2 * 1 + 1 * 3 - 0  # cofactor expansion by hand
+    assert det(c) == 2 * 1 + 1 * 3 - 0  # cofactor expansion by hand
 
 
 def test_det_rejects_nonsquare():
     with pytest.raises(InputError):
-        IntMatrix.zeros(2, 3).det()
+        det(IntMatrix.zeros(2, 3))
 
 
 @given(matrices())
 @settings(max_examples=150)
 def test_snf_decomposition_properties(a):
     dec = snf(a)
-    assert dec.U.mul(a).mul(dec.V).entries == dec.D.entries
-    assert abs(dec.U.det()) == 1
-    assert abs(dec.V.det()) == 1
+    assert mul(mul(dec.U, a), dec.V).entries == dec.D.entries
+    assert abs(det(dec.U)) == 1
+    assert abs(det(dec.V)) == 1
     factors = dec.invariant_factors()
     assert all(d > 0 for d in factors)
     for x, y in zip(factors, factors[1:]):
@@ -136,8 +137,8 @@ def test_snf_matches_minor_gcd_oracle(a):
 @settings(max_examples=120)
 def test_hnf_shape_and_transform(a):
     res = hnf(a)
-    assert res.transform.mul(a).entries == res.H.entries
-    assert abs(res.transform.det()) == 1
+    assert mul(res.transform, a).entries == res.H.entries
+    assert abs(det(res.transform)) == 1
     pivots = []
     for i in range(res.H.rows):
         row = res.H.row(i)
@@ -168,8 +169,8 @@ def test_hnf_invariant_under_row_operations(a, ops):
             continue
         elem = IntMatrix.identity(a.rows).to_rows()
         elem[i][j] = c
-        m = IntMatrix.from_rows(elem, cols=a.rows).mul(m)
-    assert hnf(m.mul(a)).H.entries == hnf(a).H.entries
+        m = mul(IntMatrix.from_rows(elem, cols=a.rows), m)
+    assert hnf(mul(m, a)).H.entries == hnf(a).H.entries
 
 
 @given(matrices())
@@ -177,7 +178,7 @@ def test_hnf_invariant_under_row_operations(a, ops):
 def test_kernel_is_saturated_and_complete(a):
     ker = kernel_basis(a)
     assert ker.cols == a.rows
-    assert ker.mul(a).is_zero()
+    assert is_zero(mul(ker, a))
     assert ker.rows == a.rows - hnf(a).rank
     if ker.rows:
         # the kernel of an integer matrix is a pure sublattice, so its
@@ -414,6 +415,17 @@ def test_lattice_rows_and_solve_take_only_ints():
     assert hermite_solve([(1, 0), (0, 2)], (3, 4)) == [3, 2]
 
 
+def test_lattice_solve_takes_only_vectors_of_its_width():
+    lattice = Lattice.from_rows([(1, 0, 0), (0, 2, 0)], 3)
+    for v in ((1,), (1, 0), (1, 0, 0, 0), (1, 0, 0, 5)):
+        with pytest.raises(InputError, match="vector length"):
+            lattice.solve(v)
+        with pytest.raises(InputError, match="vector length"):
+            lattice.contains(v)
+    assert lattice.solve((1, 4, 0)) == [1, 2]
+    assert not lattice.contains((1, 1, 0))
+
+
 def classical_snf(a: IntMatrix):
     """(U, D, V) by classical pivoting: the Smith form before Hermite steps.
 
@@ -513,9 +525,9 @@ def transform_bits_bound(a: IntMatrix) -> float:
 @settings(max_examples=150, deadline=None)
 def test_snf_identities_oracle_and_transform_bound(a):
     dec = snf(a)
-    assert dec.U.mul(a).mul(dec.V).entries == dec.D.entries
-    assert abs(dec.U.det()) == 1
-    assert abs(dec.V.det()) == 1
+    assert mul(mul(dec.U, a), dec.V).entries == dec.D.entries
+    assert abs(det(dec.U)) == 1
+    assert abs(det(dec.V)) == 1
     if a.rows <= 8 and a.cols <= 8:
         assert dec.D == classical_snf(a)[1]
     else:
@@ -541,5 +553,85 @@ def test_invariant_factors_match_classical_oracle(a):
 def test_classical_oracle_agrees_with_frozen_examples():
     a = IntMatrix.from_rows([(2, 4, 4), (6, 6, 12)], cols=3)
     u, d, v = classical_snf(a)
-    assert u.mul(a).mul(v) == d
+    assert mul(mul(u, a), v) == d
     assert d.to_rows() == [[2, 0, 0], [0, 6, 0]]
+
+
+def xgcd_echelon_insert(basis: dict, row: dict) -> bool:
+    """echelon_insert as it was before it took hermite_terms' Euclid step:
+    a remainder left at the pivot puts gcd(a, b) there at once, by xgcd."""
+    grew = False
+    while row:
+        p = min(row)
+        lead = basis.get(p)
+        if lead is None:
+            basis[p] = row
+            return True
+        a, b = row[p], lead[p]
+        q, rem = divmod(a, b)
+        if rem:
+            g, x, y = xgcd(b, a)
+            basis[p] = term_product(((0, x), (1, y)) if x else ((1, y),), (lead, row))
+            row = term_product(((0, b // g), (1, -(a // g))), (row, lead))
+            grew = True
+        else:
+            row = term_product(((0, 1), (1, -q)), (row, lead))
+    return grew
+
+
+@st.composite
+def non_unit_lead_rows(draw):
+    """(width, rows): up to 7 int rows of width 1 to 5, each led by an
+    entry of absolute value 2 to 12, so rows led in one column often
+    leave a remainder there."""
+    width = draw(st.integers(1, 5))
+    lead = st.integers(2, 12).flatmap(lambda a: st.sampled_from((a, -a)))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        p = draw(st.integers(0, width - 1))
+        tail = draw(st.lists(st.integers(-6, 6), min_size=width - p - 1, max_size=width - p - 1))
+        rows.append((0,) * p + (draw(lead),) + tuple(tail))
+    return width, rows
+
+
+def insert_one_by_one(width, rows) -> int:
+    """Insert the rows into one echelon basis in turn, checking each grew
+    answer against Lattice.span and the xgcd oracle and the final lattice
+    against Lattice.span; returns the Euclid swaps seen, counted as the
+    pivots whose entry an insertion changed."""
+    basis, oracle, swaps = {}, {}, 0
+    for i, v in enumerate(rows):
+        before = {p: lead[p] for p, lead in basis.items()}
+        grew = echelon_insert(basis, {j: e for j, e in enumerate(v) if e})
+        assert grew == (not Lattice.span(rows[:i], width).contains(v))
+        assert grew == xgcd_echelon_insert(oracle, {j: e for j, e in enumerate(v) if e})
+        assert all(min(row) == p for p, row in basis.items())  # still echelon
+        swaps += sum(basis[p][p] != e for p, e in before.items())
+    dense = [[row.get(j, 0) for j in range(width)] for row in basis.values()]
+    assert Lattice.span(dense, width) == Lattice.span(rows, width)
+    return swaps
+
+
+def test_echelon_insert_matches_span_and_xgcd_oracle():
+    swaps = []
+
+    @given(non_unit_lead_rows())
+    @settings(max_examples=300, deadline=None)
+    def check(case):
+        swaps.append(insert_one_by_one(*case))
+
+    check()
+    # the swap, a remainder left at a pivot, ran in many of the cases
+    assert sum(1 for n in swaps if n) >= len(swaps) // 10
+
+
+def test_echelon_insert_takes_the_euclid_step():
+    basis = {0: {0: 4, 1: 1}}
+    assert echelon_insert(basis, {0: 6}) is True
+    # 6 - 4 leaves 2 at the pivot: (2, -1) becomes the pivot row and
+    # (4, 1) - 2 (2, -1) = (0, 3) carries on to column 1
+    assert basis == {0: {0: 2, 1: -1}, 1: {1: 3}}
+    assert echelon_insert(basis, {0: 2, 1: 2}) is False
+    assert echelon_insert(basis, {1: -9}) is False
+    assert echelon_insert(basis, {1: 4}) is True
+    assert basis == {0: {0: 2, 1: -1}, 1: {1: 1}}

@@ -55,6 +55,7 @@ from equik.kmodules import (
 from equik.reports import report_to_json_dict, validate, z2_af_bounds
 from test_abgroups import kron, vstack
 from test_fusion import regular_class_ring
+from dense_algebra import mul, sub
 
 
 def test_truncated_z2_groups():
@@ -99,27 +100,27 @@ def dense_module_check(ring, g, relations, action):
     def vanishes(mat):
         return all(hermite_solve(rel_rows, mat.row(i)) is not None for i in range(mat.rows))
 
-    if not vanishes(action[0].sub(IntMatrix.identity(g))):
+    if not vanishes(sub(action[0], IntMatrix.identity(g))):
         return "unit acts as identity", (0,)
     r = ring.rank
     for i in range(r):
         ai = action[i]
         for j in range(i, r):
             aj = action[j]
-            pij = ai.mul(aj)
-            pji = aj.mul(ai)
-            if not vanishes(pij.sub(pji)):
+            pij = mul(ai, aj)
+            pji = mul(aj, ai)
+            if not vanishes(sub(pij, pji)):
                 return "actions commute", (i, j)
             acc = [0] * (g * g)
             for k, mult in ring.table[i][j]:
                 for idx, e in enumerate(action[k].entries):
                     if e:
                         acc[idx] += mult * e
-            if not vanishes(pij.sub(IntMatrix(g, g, tuple(acc)))):
+            if not vanishes(sub(pij, IntMatrix(g, g, tuple(acc)))):
                 return "fusion compatibility", (i, j)
     for i in range(r):
         for row in rel_rows:
-            moved = IntMatrix.from_rows([row], cols=g).mul(action[i])
+            moved = mul(IntMatrix.from_rows([row], cols=g), action[i])
             if not vanishes(moved):
                 return "relations are invariant", (i,)
     return None

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run to completion against the package in src/."""
+"""The scripts under scripts/, and the benchmark's self-check, run to
+completion against the package in src/."""
 
 import json
 import os
@@ -21,6 +22,20 @@ def run_script(name, *args):
         text=True,
         timeout=120,
     )
+
+
+def test_perfbench_selfcheck_passes():
+    # The tracer patches names in src/ by string, so deleting one it
+    # patches or reaches fails here.
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1].endswith(", 0 failures")
 
 
 def test_bounds_gallery_validates_every_report():
@@ -52,13 +67,14 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", "check_boundaries(3, 3)",
         "--case", module,
         "--case", report,
+        "--case", "regular_class_check(z3xz3)",
         "--repeats", "3",
         "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    homology, boundaries, check, instantiate, built = runs["change"]
+    homology, boundaries, check, instantiate, built, regular = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
         assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
@@ -85,3 +101,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     # the circle:3 and trunc:z3:1 modules, the left factor's I(circle:3)^2
     # and the stability check's full I^2 over the rank-9 product ring
     assert built["counters"] == {"walks": 4, "max_walk_rank": 9}
+    assert (regular["case"], regular["layer"]) == ("regular_class_check(z3xz3)", "fusion")
+    # the 8 rows of the augmentation ideal, times each of the 2 generators
+    # in its closure check and times the regular class
+    assert regular["counters"] == {"products": 24}
