@@ -20,8 +20,11 @@ and the quartiles of the repeats):
   augmentation ideal's closure check included), from one more call made
   with the product functions wrapped;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
-  module built and checked, counting the ring's rank and generators and
-  the module's generators;
+  module built and checked; kunneth_pieces on the two halves of two
+  more tensor models, the halves built untimed; and
+  truncated_ring_module on circle_truncation(292), the ring built
+  untimed; each counting the ring's rank and generators and the
+  module's generators;
 - reports: four report builders, counting the ideal-power walks their
   modules and witnesses make and the largest ring rank walked; these
   counters come from one more call, made with ideal_power wrapped.
@@ -137,6 +140,16 @@ def module_counters(mod) -> dict:
     return {**ring_counters(mod.ring), "module_generators": mod.generators}
 
 
+def kunneth_case(left, right):
+    halves = [kmodules.ModelDescriptor.parse(text).instantiate() for text in (left, right)]
+    return lambda: kmodules.kunneth_pieces(*halves), lambda pieces: module_counters(pieces[0])
+
+
+def truncation_case(n):
+    ring = fusion.circle_truncation(n)
+    return lambda: kmodules.truncated_ring_module(ring, n), module_counters
+
+
 def walk_counters(call) -> dict:
     """Ideal-power walks one call makes and the largest ring rank walked."""
     ranks = []
@@ -231,6 +244,11 @@ CASES = {
         )
         for text in ("tensor(trunc-z2:3,trunc:z3xz3:1)", "tensor(trunc:z3:3,trunc:z2:1)")
     },
+    **{
+        f"kunneth_pieces({a}, {b})": ("kmodules", lambda a=a, b=b: kunneth_case(a, b))
+        for a, b in (("circle:21", "trunc:z3xz3:1"), ("circle:9", "trunc:z3xz3:3"))
+    },
+    "truncated_ring_module(circle_truncation(292), 292)": ("kmodules", lambda: truncation_case(292)),
     **{
         f"{builder}({', '.join(map(str, args))})": (
             "reports",

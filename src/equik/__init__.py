@@ -81,15 +81,12 @@ from .joins import (
     reduced_homology,
 )
 from .kmodules import (
-    GradedKunnethPieces,
-    GradedModulePair,
     ModelDescriptor,
     ModuleInvariantError,
     RingModule,
     circle_model,
     element_stable_nonvanishing,
     factor_ideal_power,
-    graded_kunneth,
     ideal_image,
     kunneth_pieces,
     max_nonvanishing_power,

@@ -11,13 +11,16 @@ rings that are not fusion rings, since their augmentation kills lam.
 ``cyclic_ring``, ``circle_truncation``, ``ring_product`` (each charging
 the r^3 work units of the least axiom check before its table) and the
 fusion-table loader build every ring; downstream code reads ``rank``,
-``labels``, ``aug``, ``is_fusion`` and ``table``.  Every product is
-formed on term rows by _row_times, ``multiply`` and ``mul_vec(a, b)``
-included.  Every ring is checked in full when it is built, and
+``labels``, ``aug``, ``is_fusion`` and ``table``.  _row_times forms
+every product on term rows, ``multiply``, ``mul_vec(a, b)`` and the
+products of kmodules, whose module tables share the ring's cell format,
+included; ring_product's table and the Kunneth module's are both _kron.
+Every ring is checked in full when it is built, and
 the check works on the sparse table: one pass per cell checks its shape
 and sums its dimension, the generator search inserts sparse products
-into an echelon basis (intmat.echelon_insert), and Light's test compares
-two cells directly where both products are single basis elements.
+into an echelon basis (intmat.echelon_insert), and Light's test, which
+checks a module's table modulo its relations too, reads a cell in place
+where a product is a single basis element.
 
 Ideal lattices and the ideal-power walk carry their rows as term rows:
 the nonzero (column, entry) pairs of a row in increasing column, pivot
@@ -36,7 +39,7 @@ from math import comb, gcd
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
 from .errors import UnsupportedError, charge, decimal, read_json
 from .abgroups import cokernel
-from .intmat import Lattice, as_int, echelon_insert, hermite_terms, term_product
+from .intmat import Lattice, _subtract, as_int, echelon_insert, hermite_terms, term_product
 
 
 @dataclass(frozen=True)
@@ -210,41 +213,44 @@ def _basis_generators(table) -> tuple:
     return tuple(gens)
 
 
-def _associativity_witness(table, middle):
+def _associativity_witness(table, middle, t=None, lattice=None):
     """The first (i, j, k, l), j in middle, where (e_i e_j) e_k and
-    e_i (e_j e_k) differ at l, or None.
+    e_i (e_j e_k) differ at l, or None.  Given a module's table t over
+    the ring and its relation lattice, e_i is a module generator and the
+    sides must differ by a vector outside the lattice.
 
     Light's test passes the generators as middle: the a with
     (x a) y = x (a y) for all x, y form a subring, holding 1 by the unit
-    law, so it is the whole ring once it holds a generating set.  When
-    e_i e_j = e_m and e_j e_k = e_m' are single basis elements, the two
-    sides are the cells table[m][k] and table[i][m'], compared directly;
-    otherwise, or when those differ, each side is summed as a
-    {l: coefficient} map over the table's cells.
+    law, so it is the whole ring once it holds a generating set.  Where
+    e_i e_j = e_m or e_j e_k = e_m' is a single basis element, that side
+    is the cell t[m][k] or t[i][m'] itself, and the sides are compared as
+    whole rows of cells before any one is reduced.
     """
-    r = len(table)
-    for i in range(r):
-        row_i = table[i]
+    t = table if t is None else t
+    e = _unit_terms(range(max(len(t), len(table))))
+    right = {j: [(_unit(c), c) for c in table[j]] for j in middle}  # e_j e_k = e_m'
+    for i, row in enumerate(t):
         for j in middle:
-            cell_ij = row_i[j]
-            unit = len(cell_ij) == 1 and cell_ij[0][1] == 1
-            row_m = table[cell_ij[0][0]] if unit else None  # e_i e_j = e_m
-            for k, cell_jk in enumerate(table[j]):
-                if unit and len(cell_jk) == 1 and cell_jk[0][1] == 1:
-                    if row_m[k] == row_i[cell_jk[0][0]]:  # e_j e_k = e_m'
-                        continue
-                lhs = {}
-                for m, c in cell_ij:
-                    for l, n in table[m][k]:
-                        lhs[l] = lhs.get(l, 0) + c * n
-                rhs = {}
-                for m, c in cell_jk:
-                    for l, n in row_i[m]:
-                        rhs[l] = rhs.get(l, 0) + c * n
-                if lhs != rhs:
-                    diff = [l for l in lhs.keys() | rhs.keys() if lhs.get(l, 0) != rhs.get(l, 0)]
-                    if diff:
-                        return i, j, k, min(diff)
+            m = _unit(row[j])  # e_i e_j = e_m
+            lhs = t[m] if m is not None else tuple([_times(t, row[j], c) for c in e[: len(table)]])
+            rhs = tuple([_times(t, e[i], c) if n is None else row[n] for n, c in right[j]])
+            found = _difference(lhs, rhs, lattice) if lhs != rhs else None
+            if found is not None:
+                return i, j, found[0], min(found[1])
+    return None
+
+
+def _difference(xs, ys, lattice=None):
+    """The first (k, d) with d = xs[k] - ys[k] nonzero, or outside the
+    lattice when one is given; xs and ys hold term rows, in which a
+    column may repeat, and d is a {column: entry} map."""
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        if x != y:
+            d = {}
+            _subtract(d, -1, x)
+            _subtract(d, 1, y)
+            if d and (lattice is None or lattice.solve_map(dict(d)) is None):
+                return k, d
     return None
 
 
@@ -299,11 +305,19 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
     sparse and in increasing index order; the product is a fusion ring
     when both factors are.
     """
-    n2 = r2.rank
-    charge((r1.rank * n2) ** 3, f"a rank-{r1.rank * n2} ring")
+    r = r1.rank * r2.rank
+    charge(r**3, f"a rank-{r} ring")
     labels = tuple([f"({a},{b})" for a in r1.labels for b in r2.labels])
     aug = tuple([x * y for x in r1.aug for y in r2.aug])
-    table = tuple(
+    return BasedRing(labels, aug, _kron(r1.table, r2.table), r1.is_fusion and r2.is_fusion)
+
+
+def _kron(t1, t2) -> tuple:
+    """The Kronecker product of two structure tables, rows and columns
+    paired as the basis of ring_product is: ring_product's table, and the
+    tensor module's table in kmodules.kunneth_pieces."""
+    n2 = len(t2)
+    return tuple(
         [
             tuple(
                 [
@@ -312,11 +326,10 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
                     for c2 in row2
                 ]
             )
-            for row1 in r1.table
-            for row2 in r2.table
+            for row1 in t1
+            for row2 in t2
         ]
     )
-    return BasedRing(labels, aug, table, r1.is_fusion and r2.is_fusion)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +368,8 @@ class IdealLattice:
         lattice = Lattice(tuple(terms), ring.rank)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "lattice", lattice)
-        if _product_outside(ring, lattice, ring.generators) is not None:
-            raise LatticeContainmentError(_product_outside(ring, lattice, range(ring.rank)))
+        if _product_outside(ring.table, lattice, ring.generators) is not None:
+            raise LatticeContainmentError(_product_outside(ring.table, lattice, range(ring.rank)))
 
     @classmethod
     def from_rows(cls, ring, vectors) -> "IdealLattice":
@@ -439,6 +452,20 @@ def _row_times(table, a, b) -> dict:
     return {k: e for k, e in out.items() if e}
 
 
+def _unit(row):
+    """k when the term row is the one term (k, 1), else None."""
+    return row[0][0] if len(row) == 1 and row[0][1] == 1 else None
+
+
+def _times(t, x, b) -> tuple:
+    """x b on the table t as a term row in increasing column, as cells are;
+    the cell t[k][m] itself if x = e_k and b = e_m."""
+    k, m = _unit(x), _unit(b)
+    if k is not None and m is not None:
+        return t[k][m]
+    return tuple(sorted(_row_times(t, x, b).items()))
+
+
 def _terms(v, width: int) -> list:
     """The term row of the first width entries of the int vector v."""
     return [(j, v[j]) for j in range(width) if v[j]]
@@ -452,14 +479,14 @@ def _vector_product(table, a, b) -> tuple:
     return tuple([out.get(k, 0) for k in range(r)])
 
 
-def _product_outside(ring, lattice, indices):
-    """The first e_i b outside the lattice, i in indices, b a basis row,
-    as an int tuple; None when there is none."""
+def _product_outside(table, lattice, indices):
+    """The first b e_i outside the lattice, i in indices, b a basis row, on
+    a ring's or a module's table, as an int tuple; None when there is none."""
     for i in indices:
         for b in lattice.terms:
-            prod = _row_times(ring.table, b, ((i, 1),))
+            prod = _row_times(table, b, ((i, 1),))
             if lattice.solve_map(dict(prod)) is None:
-                return tuple([prod.get(k, 0) for k in range(ring.rank)])
+                return tuple([prod.get(k, 0) for k in range(lattice.width)])
     return None
 
 
@@ -596,13 +623,13 @@ def regular_dimension(ring: BasedRing) -> int:
 def lambda_expansion(p: int) -> tuple:
     """Coefficients (n_1, ..., n_(p-1)) with lam^p = sum n_j lam^j.
 
-    Worked in the cyclic ring of odd order p >= 3 with lam = 1 - chi.
+    Worked in Z[chi]/(chi^p - 1), p >= 3 odd, with lam = 1 - chi.
     The powers lam, ..., lam^(p-1) are a basis of the augmentation
     ideal, so the expansion exists and is unique.  It is binomial:
     (1 - lam)^p = chi^p = 1 gives sum over j of (-1)^j C(p, j) lam^j = 0,
     so for odd p, n_j = (-1)^j C(p, j), and n_1 = -p.  The sum is checked
-    against lam^p in the ring.  Even p has no expansion of this shape and
-    is rejected.
+    against lam^p, formed with no ring built, though the p^3 units of
+    cyclic_ring(p) are charged.  Even p has no such expansion and is rejected.
     """
     if p % 2 == 0:
         raise UnsupportedError(
@@ -611,11 +638,11 @@ def lambda_expansion(p: int) -> tuple:
         )
     if p < 3:
         raise InputError("lambda expansion needs p >= 3")
-    table = cyclic_ring(p).table
-    lam = ((0, 1), (1, -1))
-    powers = [dict(lam)]
-    for _ in range(p - 1):
-        powers.append(_row_times(table, powers[-1].items(), lam))
+    charge(p**3, f"a rank-{p} ring")
+    powers = [{0: 1, 1: -1}]  # lam^k as {exponent of chi: coefficient}
+    for _ in range(p - 1):  # lam^(k+1) = lam^k - chi lam^k
+        chi_lam = {(i + 1) % p: c for i, c in powers[-1].items()}
+        powers.append(term_product(((0, 1), (1, -1)), (powers[-1], chi_lam)))
     n = tuple([(-1) ** j * comb(p, j) for j in range(1, p)])
     if term_product(enumerate(n), powers) != powers[p - 1]:
         raise EquikError(f"the binomial expansion does not reproduce lam^{p}")

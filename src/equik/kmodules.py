@@ -1,20 +1,21 @@
 """Modules over based rings used as equivariant K-theory models.
 
 A RingModule is a finitely presented abelian group, its relations held
-as the Hermite term rows of their lattice, together with one integer
-action matrix per ring basis element.  Construction re-checks the module
-axioms (unit, commutation, compatibility with the structure constants,
-invariance of the relation lattice), so anything that exists is a
-genuine module presentation.  They are checked on the ring's
-generators; every index runs only on failure, to name the axiom.
+as the Hermite term rows of their lattice, together with a structure
+table in the ring's cell format: table[a][i] holds the (k, n) terms of
+generator a times ring basis element i, and fusion._row_times forms
+every product on it.  Construction re-checks the module axioms (unit,
+commutation, compatibility with the structure constants, invariance of
+the relation lattice), so anything that exists is a genuine module
+presentation.  They are checked on the ring's generators; every index
+runs only on failure, to name the axiom.
 
-Rows stay sparse from the ideal power to the module image: relations,
-action rows and the vectors of an image are {column: entry} maps, and
-ideal rows, relation lattices and module elements are term rows, as in
+Rows stay sparse from the ideal power to the module image: relations
+and the vectors of an image are {column: entry} maps, and ideal rows,
+relation lattices and module elements are term rows, as in
 intmat.Lattice.terms.  A row is dense only where a caller reads it:
 the result of RingModule.act, Lattice.rows and IdealLattice.basis.
-In the axiom checks, a unit row {k: 1} or table cell ((k, 1),) picks
-out an action row or matrix itself, not a copy: those products are only read.
+In the axiom checks, e_k e_m is the cell t[k][m] itself, read in place.
 """
 
 from __future__ import annotations
@@ -22,10 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .abgroups import FgAbelianGroup, cokernel, direct_sum, tor as group_tor
+from .abgroups import FgAbelianGroup, cokernel, tor as group_tor
 from .errors import EquikError, InputError, decimal
 from .fusion import (
     IdealLattice,
+    _associativity_witness,
+    _difference,
+    _kron,
+    _product_outside,
+    _row_times,
+    _times,
+    _unit_terms,
     circle_truncation,
     cyclic_ring,
     ideal_power,
@@ -33,7 +41,7 @@ from .fusion import (
     ring_from_tag,
     ring_product,
 )
-from .intmat import Lattice, hermite_terms, term_product
+from .intmat import Lattice, hermite_terms
 
 
 class ModuleInvariantError(InputError):
@@ -47,49 +55,43 @@ class ModuleInvariantError(InputError):
 
 
 class RingModule:
-    """Module presentation: generators, relation rows, action matrices.
+    """Module presentation: generators, relation rows, structure table.
 
-    Relations and action rows are sparse rows, {column: entry} maps on
-    the generators as in intmat.SparseMatrix, with int columns and int
-    entries; zeros are dropped.  Only the relations' lattice is kept, as
-    Hermite term rows.  There is one action matrix per ring basis
-    element, one row per generator; the axioms are checked on those rows
-    for the ring's generators (all on failure).
+    Relations are sparse rows, {column: entry} maps on the generators as
+    in intmat.SparseMatrix, with int columns and int entries; zeros are
+    dropped.  Only the relations' lattice is kept, as Hermite term rows.
+    table[a][i], one row per generator and one cell per ring basis
+    element, is row a of the action matrix of e_i as a term row; the
+    axioms are checked on the ring's generators (all on failure).
     """
 
-    def __init__(self, ring, generators: int, relations, action):
+    def __init__(self, ring, generators: int, relations, table):
         if generators < 0:
             raise InputError("generator count must be nonnegative")
         relations = _checked_rows(relations, generators, "relations")
-        action = tuple(_checked_rows(rows, generators, "action rows") for rows in action)
-        if len(action) != ring.rank:
-            raise InputError("need one action matrix per ring basis element")
-        if any(len(rows) != generators for rows in action):
-            raise InputError("action matrices must be generators x generators")
         self.ring = ring
         self.generators = generators
-        self.action = action
+        self.table = _checked_table(table, generators, ring.rank)
         self.lattice = Lattice(hermite_terms([dict(row) for row in relations]), generators)
         self._validate()
 
     def _validate(self):
-        act, lattice = self.action, self.lattice
-        if _axioms_hold_on_generators(self.ring, lattice, act):
+        ring, lattice, t = self.ring, self.lattice, self.table
+        if _axioms_hold_on_generators(ring, lattice, t):
             return
-        g = self.generators  # a failure: scan every index for the first one
-        if not _vanishes(lattice, act[0], tuple({a: 1} for a in range(g))):
+        g, r = self.generators, ring.rank  # a failure: scan every index for the first one
+        e = _unit_terms(range(max(g, r)))
+        if _difference([row[0] for row in t], e, lattice):
             raise ModuleInvariantError("unit acts as identity", (0,))
-        r = self.ring.rank
         for i in range(r):
             for j in range(i, r):
-                pij = _mat_mul(act[i], act[j])
-                pji = pij if i == j else _mat_mul(act[j], act[i])
-                if not _vanishes(lattice, pij, pji):
+                pij = [_times(t, row[i], e[j]) for row in t]
+                if _difference(pij, [_times(t, row[j], e[i]) for row in t], lattice):
                     raise ModuleInvariantError("actions commute", (i, j))
-                if not _vanishes(lattice, pij, _combine(self.ring.table[i][j], act, g)):
+                if _difference(pij, [_times(t, e[a], ring.table[i][j]) for a in range(g)], lattice):
                     raise ModuleInvariantError("fusion compatibility", (i, j))
         for i in range(r):
-            if not _relations_move_inside(lattice, act[i]):
+            if _product_outside(t, lattice, (i,)) is not None:
                 raise ModuleInvariantError("relations are invariant", (i,))
         raise EquikError("module axioms fail on the generators but hold at every index")
 
@@ -102,10 +104,8 @@ class RingModule:
         """Image of a module vector under a ring element, as a raw vector."""
         b = _int_terms(ring_vec, self.ring.rank, "ring element")
         x = _int_terms(module_vec, self.generators, "module element")
-        out = [0] * self.generators
-        for j, e in _act(self.action, b, x).items():
-            out[j] = e
-        return tuple(out)
+        out = _row_times(self.table, x, b)
+        return tuple([out.get(j, 0) for j in range(self.generators)])
 
     def subgroup_class(self, vectors) -> FgAbelianGroup:
         """Class of the subgroup generated by the vectors inside the module,
@@ -138,6 +138,24 @@ def _checked_rows(rows, g: int, what: str) -> tuple:
     )
 
 
+def _checked_table(t, g: int, r: int) -> tuple:
+    """The table t itself; InputError unless it is a tuple of g rows of r
+    cells, each a tuple of (k, n) pairs with int k in [0, g) and int
+    n != 0 (not bools)."""
+    if not (
+        type(t) is tuple
+        and len(t) == g
+        and all(type(row) is tuple and len(row) == r for row in t)
+        and all(type(c) is tuple for row in t for c in row)
+        and all(type(x) is tuple and len(x) == 2 for row in t for c in row for x in c)
+        and all(
+            type(k) is type(n) is int and 0 <= k < g and n for row in t for c in row for k, n in c
+        )
+    ):
+        raise InputError(f"module table needs {g} x {r} cells of int pairs (k, n), k < {g}, n != 0")
+    return t
+
+
 def _int_terms(vec, width: int, what: str) -> list:
     """The nonzero (index, entry) terms of a vector; InputError unless it
     holds width entries, each an int (not a bool), as relations do."""
@@ -147,86 +165,33 @@ def _int_terms(vec, width: int, what: str) -> list:
     return [(a, e) for a, e in enumerate(vec) if e]
 
 
-# Sparse matrices here are sequences of {column: entry} rows, and vectors
-# are term rows or such maps; intmat.term_product forms every product and
-# difference.  Its rows omit zeros, so equal products compare equal as
-# dicts.
-
-
-def _act(action, b, x) -> dict:
-    """x A(b) for the ring term row b and the module term row x, where
-    A(b) = sum b_i action[i]: the image of x under b."""
-    return term_product(b, {i: term_product(x, action[i]) for i, _ in b})
-
-
-def _vanishes(lattice, m, n) -> bool:
-    """Whether every row of m - n, 1 x - 1 y for rows x of m and y of n,
-    lies in the lattice; equal rows are skipped."""
-    for x, y in zip(m, n):
-        if x != y and lattice.solve_map(term_product(((0, 1), (1, -1)), (x, y))) is None:
-            return False
-    return True
-
-
-def _relations_move_inside(lattice, rows) -> bool:
-    """Whether each relation moved by the matrix with these rows stays in the lattice."""
-    return all(lattice.solve_map(term_product(r, rows)) is not None for r in lattice.terms)
-
-
-def _axioms_hold_on_generators(ring, lattice, act) -> bool:
-    """The unit law, L act[s] in L and act[s] act[j] = sum N_sj^k act[k] mod L
-    for s in the ring's generators S and every j, which imply every axiom:
-    with A(b) = sum b_k act[k], the b with L A(b) in L hold 1 and are closed
-    under each e_s, so they are all of Z^r; the a with A(a) A(b) = A(ab) mod L
+def _axioms_hold_on_generators(ring, lattice, t) -> bool:
+    """The unit law, L e_s in L and (e_a e_s) e_j = e_a (e_s e_j) mod L
+    (Light's test on the module, fusion._associativity_witness) for s in
+    the ring's generators S and all a, j, which imply every axiom: the b
+    with L A(b) in L, A(b) the action of b, hold 1 and are closed under
+    each e_s, so they are all of Z^r; the c with A(c) A(b) = A(cb) mod L
     for all b form a subring of the associative, commutative ring holding S."""
-    g = len(act[0])
-    if not _vanishes(lattice, act[0], tuple({a: 1} for a in range(g))):
-        return False
-    for s in ring.generators:
-        if not _relations_move_inside(lattice, act[s]):
-            return False
-        for j in range(ring.rank):
-            product = _mat_mul(act[s], act[j])
-            if not _vanishes(lattice, product, _combine(ring.table[s][j], act, g)):
-                return False
-    return True
-
-
-def _mat_mul(a, b) -> tuple:
-    """a b; a unit row {k: 1} of a gives the row b[k] itself, not a copy."""
-    out = []
-    for row in a:
-        if len(row) == 1 and 1 in row.values():
-            out.append(b[next(iter(row))])
-        else:
-            out.append(term_product(row.items(), b))
-    return tuple(out)
-
-
-def _combine(cell, mats, g: int) -> tuple:
-    """sum(n * mats[k]) over the (k, n) pairs of a structure-table cell;
-    mats[k] itself when the cell is the one term (k, 1)."""
-    if len(cell) == 1 and cell[0][1] == 1:
-        return mats[cell[0][0]]
-    return tuple([term_product(cell, {k: mats[k][a] for k, _ in cell}) for a in range(g)])
+    return not (
+        _difference([row[0] for row in t], _unit_terms(range(len(t))), lattice)
+        or _product_outside(t, lattice, ring.generators)
+        or _associativity_witness(ring.table, ring.generators, t, lattice)
+    )
 
 
 def truncated_ring_module(ring, n: int) -> RingModule:
     """The ring modulo its n-th augmentation-ideal power, as a module.
 
-    Basis element i acts by right multiplication: row j is e_j * e_i.
+    Basis element i acts by right multiplication: the table is the ring's.
     """
     if n < 0:
         raise InputError("truncation order must be nonnegative")
     relations = [dict(row) for row in ideal_power(ring, n).terms]
-    action = tuple(
-        tuple(dict(ring.table[j][i]) for j in range(ring.rank)) for i in range(ring.rank)
-    )
-    return RingModule(ring, ring.rank, relations, action)
+    return RingModule(ring, ring.rank, relations, ring.table)
 
 
 def zero_module(ring) -> RingModule:
-    return RingModule(ring, 0, (), ((),) * ring.rank)
+    return RingModule(ring, 0, (), ())
 
 
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
@@ -235,11 +200,10 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     off = a.generators
     relations = [dict(row) for row in a.lattice.terms]
     relations += [{off + j: e for j, e in row} for row in b.lattice.terms]
-    action = tuple(
-        am + tuple({off + j: e for j, e in row.items()} for row in bm)
-        for am, bm in zip(a.action, b.action)
+    shifted = tuple(
+        [tuple([tuple([(off + k, n) for k, n in cell]) for cell in row]) for row in b.table]
     )
-    return RingModule(a.ring, off + b.generators, relations, action)
+    return RingModule(a.ring, off + b.generators, relations, a.table + shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +352,8 @@ def ideal_image(lattice: IdealLattice, module: RingModule) -> FgAbelianGroup:
     """Class of the subgroup of the module generated by the ideal's action."""
     if lattice.ring != module.ring:
         raise InputError("ideal and module live over different rings")
-    act = module.action
-    return module.subgroup_class(
-        [_act(act, b, ((a, 1),)) for b in lattice.terms for a in range(module.generators)]
-    )
+    t, units = module.table, _unit_terms(range(module.generators))
+    return module.subgroup_class([_row_times(t, e, b) for b in lattice.terms for e in units])
 
 
 def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
@@ -412,70 +374,22 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     """(tensor module over the product ring, Tor of the underlying groups).
 
     The tensor presentation is the Kronecker one: relations R x I and
-    I x S, action matrices A_i x B_j, on the generators (c, d) ->
-    c * h + d.  R x I has the row r x e_d for each relation row r and
-    each d, and I x S the row e_c x s for each c and each relation row s.
+    I x S, and the tables' Kronecker product (fusion._kron), on the
+    generators (c, d) -> c * h + d.  R x I has the row r x e_d for each
+    relation row r and each d, and I x S the row e_c x s for each c and
+    each relation row s.
     The Tor piece is reported as a bare abelian group; no extension data
     is computed.
     """
     ring = ring_product(mg.ring, mh.ring)
     h = mh.generators
-    g = mg.generators * h
     relations = [{c * h + d: e for c, e in r} for r in mg.lattice.terms for d in range(h)]
     relations += [
         {c * h + d: e for d, e in s} for c in range(mg.generators) for s in mh.lattice.terms
     ]
-    action = tuple(
-        tuple(
-            {c * h + d: x * y for c, x in arow.items() for d, y in brow.items()}
-            for arow in am
-            for brow in bm
-        )
-        for am in mg.action
-        for bm in mh.action
-    )
-    module = RingModule(ring, g, relations, action)
+    module = RingModule(ring, mg.generators * h, relations, _kron(mg.table, mh.table))
     torsion = group_tor(mg.underlying_group(), mh.underlying_group())
     return module, torsion
-
-
-@dataclass(frozen=True)
-class GradedModulePair:
-    """Even and odd parts of a two-periodic module."""
-
-    even: RingModule
-    odd: RingModule
-
-    def __post_init__(self):
-        if self.even.ring != self.odd.ring:
-            raise InputError("graded parts must share a ring")
-
-
-@dataclass(frozen=True)
-class GradedKunnethPieces:
-    even_tensor: RingModule
-    odd_tensor: RingModule
-    even_tor: FgAbelianGroup
-    odd_tor: FgAbelianGroup
-
-
-def graded_kunneth(pg: GradedModulePair, ph: GradedModulePair) -> GradedKunnethPieces:
-    """Graded tensor/Tor pieces with the usual degree bookkeeping.
-
-    Tensor terms pair degrees additively; Tor terms carry the one-step
-    degree shift, so the even Tor piece pairs even with odd.
-    """
-    ee, _ = kunneth_pieces(pg.even, ph.even)
-    oo, _ = kunneth_pieces(pg.odd, ph.odd)
-    eo, _ = kunneth_pieces(pg.even, ph.odd)
-    oe, _ = kunneth_pieces(pg.odd, ph.even)
-    even_tensor = module_direct_sum(ee, oo)
-    odd_tensor = module_direct_sum(eo, oe)
-    ge, go = pg.even.underlying_group(), pg.odd.underlying_group()
-    he, ho = ph.even.underlying_group(), ph.odd.underlying_group()
-    even_tor = direct_sum(group_tor(ge, ho), group_tor(go, he))
-    odd_tor = direct_sum(group_tor(ge, he), group_tor(go, ho))
-    return GradedKunnethPieces(even_tensor, odd_tensor, even_tor, odd_tor)
 
 
 def factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
@@ -505,7 +419,7 @@ def element_stable_nonvanishing(module: RingModule, x, lattice: IdealLattice, mu
     if lattice.ring != module.ring:
         raise InputError("ideal and module live over different rings")
     xt = _int_terms(x, module.generators, "module element")
-    sub = module.subgroup_class([_act(module.action, b, xt) for b in lattice.terms])
+    sub = module.subgroup_class([_row_times(module.table, xt, b) for b in lattice.terms])
     # A cyclic factor d > 1 has a prime that mult lacks exactly when d does
     # not divide mult^d: each prime of d divides it fewer than d times.
     return sub.free_rank > 0 or any(pow(mult, d, d) for d in sub.torsion)

@@ -71,7 +71,11 @@ REFUSALS = [
         (fusion, "BasedRing"),
         refused("a rank-100001 ring", 1000030000300001),
     ),
-    ("rep lambda 100001", (fusion, "BasedRing"), refused("a rank-100001 ring", 1000030000300001)),
+    (
+        "rep lambda 100001",
+        (fusion, "term_product"),
+        refused("a rank-100001 ring", 1000030000300001),
+    ),
     (
         "rep regular z100000",
         (fusion, "BasedRing"),

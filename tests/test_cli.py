@@ -72,6 +72,19 @@ def test_group_tensor_text(capsys):
     assert out == "Z_2\n"
 
 
+def test_rep_lambda_admits_the_orders_its_ring_did(capsys):
+    # No ring is built, but the p^3 units cyclic_ring(p) charged still are:
+    # 583^3 fits the budget and 585^3 does not (584 is even).
+    code, out, _ = run(capsys, "rep", "lambda", "583")
+    assert code == 0
+    assert out.startswith("coefficients: -583 169653 ")
+    code, out, err = run(capsys, "rep", "lambda", "585")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: work budget exceeded: a rank-585 ring needs 200201625 units, over 200000000\n"
+    )
+
+
 def test_rep_lambda_text(capsys):
     code, out, _ = run(capsys, "rep", "lambda", "3")
     assert code == 0

@@ -11,7 +11,7 @@ replaced, kept here as oracles.
 
 import json
 from itertools import islice, permutations
-from math import prod
+from math import comb, prod
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +24,7 @@ import equik.fusion as fusion
 from equik.abgroups import FgAbelianGroup
 from equik.errors import (
     CapExceededError,
+    EquikError,
     FusionRingError,
     InputError,
     LatticeContainmentError,
@@ -49,7 +50,16 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hnf, kernel_basis, xgcd
+from equik.intmat import (
+    IntMatrix,
+    Lattice,
+    hermite_rows,
+    hermite_solve,
+    hnf,
+    kernel_basis,
+    term_product,
+    xgcd,
+)
 from dense_algebra import basis_mul, one_vec
 
 DATA = Path(__file__).parent / "data"
@@ -296,6 +306,41 @@ def hnf_lambda_expansion(p):
 @pytest.mark.parametrize("p", range(3, 32, 2))
 def test_lambda_expansion_matches_hnf_solve(p):
     assert lambda_expansion(p) == hnf_lambda_expansion(p)
+
+
+def ring_lambda_expansion(p):
+    """(coefficients, powers lam, ..., lam^p as maps) as lambda_expansion
+    found them before it formed the powers in Z[chi]/(chi^p - 1) itself:
+    in the built and checked cyclic_ring(p), by _row_times."""
+    table = cyclic_ring(p).table
+    lam = ((0, 1), (1, -1))
+    powers = [dict(lam)]
+    for _ in range(p - 1):
+        powers.append(fusion._row_times(table, powers[-1].items(), lam))
+    n = tuple([(-1) ** j * comb(p, j) for j in range(1, p)])
+    if term_product(enumerate(n), powers) != powers[p - 1]:
+        raise EquikError(f"the binomial expansion does not reproduce lam^{p}")
+    return n, powers
+
+
+@pytest.mark.parametrize("p", range(3, 62, 2))
+def test_lambda_expansion_matches_the_ring_path(p, monkeypatch):
+    # The binomial check is the last term_product call; its rows are the
+    # powers lam, ..., lam^p.
+    calls = []
+    real = fusion.term_product
+    monkeypatch.setattr(
+        fusion, "term_product", lambda terms, rows: calls.append(list(rows)) or real(terms, rows)
+    )
+    want, powers = ring_lambda_expansion(p)
+    assert lambda_expansion(p) == want
+    assert calls[-1] == powers
+
+
+def test_lambda_expansion_checks_the_binomial_sum(monkeypatch):
+    monkeypatch.setattr(fusion, "comb", lambda p, j: comb(p, j) + (j == 2))
+    with pytest.raises(EquikError, match="does not reproduce lam"):
+        lambda_expansion(5)
 
 
 def test_lambda_expansion_rejects_bad_orders():

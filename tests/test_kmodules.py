@@ -7,9 +7,13 @@ tuples and hand RingModule their {column: entry} maps; the Kunneth
 relations are checked against the Kronecker presentation built with the
 matrix oracle of test_abgroups.  The dense ideal image, subgroup class,
 factor ideal power and stability check that the term-row ones replaced
-stay here as their oracles.
+stay here as their oracles, and so does the Kronecker loop that built
+the tensor module's action matrices before modules held structure
+tables.  The graded Kunneth pieces, which nothing in the package builds,
+live here too.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -18,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equik import kmodules
-from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, cokernel, tensor, tor
+from equik import fusion, kmodules
+from equik.abgroups import FgAbelianGroup, TRIVIAL_GROUP, cokernel, direct_sum, tensor, tor
 from equik.cli import main
 from equik.errors import EquikError, InputError
 from equik.fusion import (
@@ -34,14 +38,12 @@ from equik.fusion import (
 )
 from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve
 from equik.kmodules import (
-    GradedModulePair,
     ModelDescriptor,
     ModuleInvariantError,
     RingModule,
     circle_model,
     element_stable_nonvanishing,
     factor_ideal_power,
-    graded_kunneth,
     ideal_image,
     kunneth_pieces,
     max_nonvanishing_power,
@@ -54,7 +56,7 @@ from equik.kmodules import (
 )
 from equik.reports import report_to_json_dict, validate, z2_af_bounds
 from test_abgroups import kron, vstack
-from test_fusion import regular_class_ring
+from test_fusion import SUITE_RINGS, regular_class_ring
 from dense_algebra import mul, sub
 
 
@@ -76,10 +78,32 @@ def test_circle_module_is_free():
         assert mod.underlying_group() == FgAbelianGroup(n, ())
 
 
-def sparse(mat: IntMatrix) -> tuple:
-    """An action matrix as the sparse rows RingModule takes."""
+def table_of(action) -> tuple:
+    """The structure table RingModule takes, from dense action matrices,
+    one per ring basis element: cell (a, i) holds the nonzero terms of
+    row a of action[i]."""
     return tuple(
-        {j: e for j, e in enumerate(mat.row(i)) if e} for i in range(mat.rows)
+        tuple(tuple((k, e) for k, e in enumerate(m.row(a)) if e) for m in action)
+        for a in range(action[0].rows)
+    )
+
+
+def cell_map(cell) -> dict:
+    """A table cell as a {column: entry} map with no zeros; repeated
+    columns add up."""
+    out = {}
+    for k, n in cell:
+        out[k] = out.get(k, 0) + n
+    return {k: n for k, n in out.items() if n}
+
+
+def sparse_action(mod) -> tuple:
+    """The module's action matrices as modules held them before they held
+    tables: one {column: entry} row per generator, for each ring basis
+    element; row a of matrix i is the cell table[a][i]."""
+    return tuple(
+        tuple(cell_map(mod.table[a][i]) for a in range(mod.generators))
+        for i in range(mod.ring.rank)
     )
 
 
@@ -87,6 +111,11 @@ def dense(rows, g: int) -> IntMatrix:
     return IntMatrix.from_rows(
         [[row.get(j, 0) for j in range(g)] for row in rows], cols=g
     )
+
+
+@lru_cache(maxsize=None)
+def dense_action(mod) -> tuple:
+    return tuple(dense(rows, mod.generators) for rows in sparse_action(mod))
 
 
 def dense_module_check(ring, g, relations, action):
@@ -129,9 +158,7 @@ def dense_module_check(ring, g, relations, action):
 def generator_check(ring, g, relations, action) -> bool:
     """The check on the ring's generators alone, without the full scan."""
     lattice = Lattice.span(relations, g)
-    return kmodules._axioms_hold_on_generators(
-        ring, lattice, tuple(sparse(m) for m in action)
-    )
+    return kmodules._axioms_hold_on_generators(ring, lattice, table_of(action))
 
 
 def moved_relation(relations, g, idx, delta):
@@ -149,7 +176,7 @@ def relation_maps(relations) -> list:
 
 def sparse_module_check(ring, g, relations, action):
     try:
-        RingModule(ring, g, relation_maps(relations), tuple(sparse(m) for m in action))
+        RingModule(ring, g, relation_maps(relations), table_of(action))
     except ModuleInvariantError as err:
         return err.axiom, err.indices
     return None
@@ -166,7 +193,7 @@ def test_module_validation_catches_bad_action():
         IntMatrix.from_rows([(0, 1), (0, 0)], cols=2),
     )
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 2, rel, tuple(sparse(m) for m in bad_action))
+        RingModule(r, 2, rel, table_of(bad_action))
     assert err.value.axiom == "fusion compatibility"
 
 
@@ -174,7 +201,7 @@ def test_module_validation_catches_bad_unit():
     r = cyclic_ring(2)
     rel = ()
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 1, rel, (sparse(IntMatrix.from_rows([(2,)], cols=1)),) * 2)
+        RingModule(r, 1, rel, table_of((IntMatrix.from_rows([(2,)], cols=1),) * 2))
     assert err.value.axiom == "unit acts as identity"
 
 
@@ -184,7 +211,7 @@ def test_module_validation_catches_moving_relations():
     rel = ({0: 2},)
     swap = IntMatrix.from_rows([(0, 1), (1, 0)], cols=2)
     with pytest.raises(ModuleInvariantError) as err:
-        RingModule(r, 2, rel, (sparse(IntMatrix.identity(2)), sparse(swap)))
+        RingModule(r, 2, rel, table_of((IntMatrix.identity(2), swap)))
     assert err.value.axiom == "relations are invariant"
 
 
@@ -194,10 +221,65 @@ def test_module_validation_catches_moving_relations():
     ids=["column-out-of-range", "negative-column", "float", "bool", "dense-row"],
 )
 def test_module_rejects_malformed_relation_rows(rel):
-    identity = ({0: 1}, {1: 1})
+    identity = table_of((IntMatrix.identity(2),) * 2)
     with pytest.raises(InputError) as err:
-        RingModule(cyclic_ring(2), 2, rel, (identity, identity))
+        RingModule(cyclic_ring(2), 2, rel, identity)
     assert not isinstance(err.value, ModuleInvariantError)
+
+
+Z2_TABLE = cyclic_ring(2).table  # ((e0, chi), (chi, e0)) as unit cells
+
+
+def with_cell(a, i, cell):
+    """The z2 ring's table with cell (a, i) replaced."""
+    rows = [list(row) for row in Z2_TABLE]
+    rows[a][i] = cell
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        Z2_TABLE[:1],
+        Z2_TABLE + Z2_TABLE[:1],
+        (Z2_TABLE[0], Z2_TABLE[1][:1]),
+        (Z2_TABLE[0], Z2_TABLE[1] + ((),)),
+        with_cell(1, 1, ((0, True),)),
+        with_cell(1, 1, ((0, 0),)),
+        with_cell(1, 1, ((0, 1), (1, 0))),
+        with_cell(1, 1, ((2, 1),)),
+        with_cell(1, 1, ((-1, 1),)),
+        with_cell(1, 1, ((False, 1),)),
+        with_cell(1, 1, ((0, 1.0),)),
+        with_cell(1, 1, ((0, 1, 1),)),
+        with_cell(1, 1, ((0,),)),
+        with_cell(1, 1, (0, 1)),
+        with_cell(1, 1, ([0, 1],)),
+        with_cell(1, 1, [(0, 1)]),
+        with_cell(1, 1, None),
+        (list(Z2_TABLE[0]), Z2_TABLE[1]),
+        list(Z2_TABLE),
+        None,
+    ],
+    ids=[
+        "one-row", "three-rows", "ragged-short", "ragged-long", "bool-n", "zero-n",
+        "zero-n-beside-another", "k-out-of-range", "negative-k", "bool-k", "float-n",
+        "triple", "single", "bare-ints", "list-term", "list-cell", "none-cell", "list-row",
+        "list-table", "none",
+    ],
+)
+def test_module_rejects_malformed_tables(table):
+    # Each is bad input at the boundary, never a TypeError from deep
+    # inside a product and never a module axiom failure.
+    with pytest.raises(InputError) as err:
+        RingModule(cyclic_ring(2), 2, (), table)
+    assert not isinstance(err.value, ModuleInvariantError)
+    assert str(err.value).startswith("module table needs 2 x 2 cells of int pairs")
+
+
+def test_truncated_ring_module_takes_the_ring_table_itself():
+    ring = cyclic_ring(3)
+    assert truncated_ring_module(ring, 2).table is ring.table
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -254,6 +336,49 @@ def test_module_direct_sum_groups_add():
     b = truncated_ring_module(cyclic_ring(2), 1)
     s = module_direct_sum(a, b)
     assert s.underlying_group() == FgAbelianGroup(2, (2,))
+
+
+# The graded Kunneth pieces of two two-periodic modules, built from
+# kunneth_pieces and module_direct_sum.
+
+
+@dataclass(frozen=True)
+class GradedModulePair:
+    """Even and odd parts of a two-periodic module."""
+
+    even: RingModule
+    odd: RingModule
+
+    def __post_init__(self):
+        if self.even.ring != self.odd.ring:
+            raise InputError("graded parts must share a ring")
+
+
+@dataclass(frozen=True)
+class GradedKunnethPieces:
+    even_tensor: RingModule
+    odd_tensor: RingModule
+    even_tor: FgAbelianGroup
+    odd_tor: FgAbelianGroup
+
+
+def graded_kunneth(pg: GradedModulePair, ph: GradedModulePair) -> GradedKunnethPieces:
+    """Graded tensor/Tor pieces with the usual degree bookkeeping.
+
+    Tensor terms pair degrees additively; Tor terms carry the one-step
+    degree shift, so the even Tor piece pairs even with odd.
+    """
+    ee, _ = kunneth_pieces(pg.even, ph.even)
+    oo, _ = kunneth_pieces(pg.odd, ph.odd)
+    eo, _ = kunneth_pieces(pg.even, ph.odd)
+    oe, _ = kunneth_pieces(pg.odd, ph.even)
+    even_tensor = module_direct_sum(ee, oo)
+    odd_tensor = module_direct_sum(eo, oe)
+    ge, go = pg.even.underlying_group(), pg.odd.underlying_group()
+    he, ho = ph.even.underlying_group(), ph.odd.underlying_group()
+    even_tor = direct_sum(tor(ge, ho), tor(go, he))
+    odd_tor = direct_sum(tor(ge, he), tor(go, ho))
+    return GradedKunnethPieces(even_tensor, odd_tensor, even_tor, odd_tor)
 
 
 def test_graded_kunneth_with_trivial_odd_part():
@@ -430,11 +555,6 @@ def test_act_runs_on_the_right():
     assert moved == (0, 1, 0)
 
 
-@lru_cache(maxsize=None)
-def dense_action(mod) -> tuple:
-    return tuple(dense(rows, mod.generators) for rows in mod.action)
-
-
 def dense_act(mod, ring_vec, module_vec):
     """sum over i of ring_vec[i] (module_vec . A_i), each A_i a dense matrix."""
     g = mod.generators
@@ -445,6 +565,18 @@ def dense_act(mod, ring_vec, module_vec):
                 for j in range(g):
                     out[j] += c * m * a.entry(i, j)
     return tuple(out)
+
+
+def test_act_matches_dense_oracle_on_every_basis_pair():
+    # Direct sums have more generators than ring basis elements, so an act
+    # that read one vector for the other would fail here.
+    for name, mod in oracle_modules():
+        g, r = mod.generators, mod.ring.rank
+        for i in range(r):
+            e_i = tuple(int(k == i) for k in range(r))
+            for a in range(g):
+                e_a = tuple(int(k == a) for k in range(g))
+                assert mod.act(e_i, e_a) == dense_act(mod, e_i, e_a), (name, i, a)
 
 
 @given(data=st.data())
@@ -529,10 +661,80 @@ def test_kunneth_relations_span_the_kronecker_lattice(a, b):
     assert mod.lattice.rows == hermite_rows(kronecker_relations(left, right), mod.generators)
 
 
+def action_kron(left, right) -> tuple:
+    """The tensor module's action matrices as kunneth_pieces built them
+    before modules held tables: A_i x B_j for each pair of basis elements,
+    one {column: entry} row per generator (c, d) -> c * h + d."""
+    h = right.generators
+    return tuple(
+        tuple(
+            {c * h + d: x * y for c, x in arow.items() for d, y in brow.items()}
+            for arow in am
+            for brow in bm
+        )
+        for am in sparse_action(left)
+        for bm in sparse_action(right)
+    )
+
+
+def ring_table_kron(r1, r2) -> tuple:
+    """ring_product's table as it built it before it called _kron."""
+    n2 = r2.rank
+    return tuple(
+        [
+            tuple(
+                [
+                    tuple([(k1 * n2 + k2, m1 * m2) for k1, m1 in c1 for k2, m2 in c2])
+                    for c1 in row1
+                    for c2 in row2
+                ]
+            )
+            for row1 in r1.table
+            for row2 in r2.table
+        ]
+    )
+
+
+@lru_cache(maxsize=None)
+def kron_factors() -> tuple:
+    """The TENSOR_FACTORS models and the S3 truncations, as modules."""
+    s3 = from_fusion_file(Path(__file__).parent / "data" / "s3_fusion.json")
+    return tuple(model_module(text) for text in TENSOR_FACTORS) + tuple(
+        truncated_ring_module(s3, n) for n in (1, 2)
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kron_matches_the_action_matrix_loop(data):
+    left = data.draw(st.sampled_from(kron_factors()), label="left")
+    right = data.draw(st.sampled_from(kron_factors()), label="right")
+    table = fusion._kron(left.table, right.table)
+    mod, _ = kunneth_pieces(left, right)
+    assert mod.table == table
+    assert sparse_action(mod) == action_kron(left, right)
+
+
+# Pairs of suite rings whose product table stays small.
+SUITE_RANKS = {name: build().rank for name, build in SUITE_RINGS.items()}
+SUITE_PAIRS = [(a, b) for a in sorted(SUITE_RANKS) for b in sorted(SUITE_RANKS)
+               if SUITE_RANKS[a] * SUITE_RANKS[b] <= 200]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kron_matches_the_old_ring_product_table(data):
+    a, b = data.draw(st.sampled_from(SUITE_PAIRS), label="pair")
+    r1, r2 = SUITE_RINGS[a](), SUITE_RINGS[b]()
+    assert fusion._kron(r1.table, r2.table) == ring_table_kron(r1, r2)
+    if r1.rank * r2.rank <= 36:
+        assert ring_product(r1, r2).table == ring_table_kron(r1, r2)
+
+
 def test_dense_oracle_accepts_every_built_module():
     # Building each module ran the sparse check.
     for name, mod in oracle_modules():
-        action = tuple(dense(rows, mod.generators) for rows in mod.action)
+        action = dense_action(mod)
         verdict = dense_module_check(mod.ring, mod.generators, mod.lattice.rows, action)
         assert verdict is None, name
 
@@ -540,13 +742,14 @@ def test_dense_oracle_accepts_every_built_module():
 def perturbed_module(data):
     """(ring, g, relations, action) of an oracle module with one edit: an
     action entry or a relation entry moved by a small delta, or the one
-    entry of an action row moved to another column.  Rows of the cyclic
-    and circle modules are unit rows {k: 1}, and the last edit keeps them
-    so, so products formed on them reuse rows and still meet failures."""
+    entry of an action row moved to another column.  Cells of the cyclic
+    and circle modules are unit cells ((k, 1),), and the last edit keeps
+    them so, so products formed on them read cells in place and still
+    meet failures."""
     pool = oracle_modules()
     _, mod = pool[data.draw(st.integers(0, len(pool) - 1), label="module")]
     g, ring = mod.generators, mod.ring
-    action = [dense(rows, g) for rows in mod.action]
+    action = list(dense_action(mod))
     relations = mod.lattice.rows
     target = data.draw(st.sampled_from(("action", "relation", "move")), label="target")
     if g and target != "relation":
@@ -591,7 +794,7 @@ def test_generator_check_matches_dense_oracle(data):
 def outside_generators(mod):
     """(k, action with one entry of act[k] moved) for each k not in S."""
     g, ring = mod.generators, mod.ring
-    action = [dense(rows, g) for rows in mod.action]
+    action = dense_action(mod)
     for k in range(ring.rank):
         if k in ring.generators:
             continue

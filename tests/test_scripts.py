@@ -60,6 +60,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     out.write_text('{"parent": []}')  # runs under other labels stay
     module = "instantiate(tensor(trunc:z3:3,trunc:z2:1))"
     report = "circle_product_dimension(2, z3)"
+    kunneth = "kunneth_pieces(circle:9, trunc:z3xz3:3)"
+    truncation = "truncated_ring_module(circle_truncation(292), 292)"
     res = run_script(
         "bench_layers.py",
         "--case", "reduced_homology(3, 3)",
@@ -68,13 +70,15 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", module,
         "--case", report,
         "--case", "regular_class_check(z3xz3)",
+        "--case", kunneth,
+        "--case", truncation,
         "--repeats", "3",
         "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    homology, boundaries, check, instantiate, built, regular = runs["change"]
+    homology, boundaries, check, instantiate, built, regular, tensor, truncated = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
         assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
@@ -105,3 +109,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     # the 8 rows of the augmentation ideal, times each of the 2 generators
     # in its closure check and times the regular class
     assert regular["counters"] == {"products": 24}
+    assert (tensor["case"], tensor["layer"]) == (kunneth, "kmodules")
+    # circle:9 x z3xz3 is generated by lam x 1, 1 x (chi, 1) and 1 x (1, chi)
+    assert tensor["counters"] == {"rank": 81, "generators": 3, "module_generators": 81}
+    assert (truncated["case"], truncated["layer"]) == (truncation, "kmodules")
+    assert truncated["counters"] == {"rank": 292, "generators": 1, "module_generators": 292}

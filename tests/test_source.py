@@ -152,3 +152,11 @@ def test_module_requests_read_no_dense_ideal_basis(monkeypatch, tmp_path, capsys
     report.write_text(capsys.readouterr().out, encoding="utf-8")
     assert main(["validate", str(report)]) == 0
     assert capsys.readouterr().out == "valid\n"
+
+
+def test_module_products_are_formed_by_the_ring_product():
+    # A module's table has the ring's cell format, so kmodules forms its
+    # products with fusion._row_times and has no product code of its own.
+    source = (Path(equik.__file__).parent / "kmodules.py").read_text(encoding="utf-8")
+    assert "_row_times" in source
+    assert "term_product" not in source
