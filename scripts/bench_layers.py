@@ -18,13 +18,16 @@ and the quartiles of the repeats):
   rings of the benchmark's `rep regular` (built untimed), and
   lambda_expansion(31), counting the ring products each forms (the
   augmentation ideal's closure check included), from one more call made
-  with the product functions wrapped;
+  with fusion._row_times wrapped; lattice_quotient of the levels 0-2 of
+  ideal_powers(z2xz3xz5) (built untimed), counting the levels and their
+  largest rank;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
   module built and checked; kunneth_pieces on the two halves of two
-  more tensor models, the halves built untimed; and
+  more tensor models, the halves built untimed;
   truncated_ring_module on circle_truncation(292), the ring built
-  untimed; each counting the ring's rank and generators and the
-  module's generators;
+  untimed; and ideal_image of I^3 on tensor(circle:9,trunc:z3xz3:3),
+  both built untimed; each counting the ring's rank and generators and
+  the module's generators, and the image the ideal's rank;
 - reports: four report builders, counting the ideal-power walks their
   modules and witnesses make and the largest ring rank walked; these
   counters come from one more call, made with ideal_power wrapped.
@@ -41,6 +44,7 @@ share one file:
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import statistics
@@ -85,16 +89,14 @@ def time_case(call, max_repeats: int) -> list:
 
 def count_case(jc) -> dict:
     """Rows, eliminated rows, cleared rows and nonzeros of one call."""
-    # Trees without the top-down sweep call smith_invariants per map.
-    name = "smith_pivots" if hasattr(joins, "smith_pivots") else "smith_invariants"
-    inner = getattr(joins, name)
+    inner = joins.smith_pivots
     eliminated = []
 
     def counting(rows):
         eliminated.append(len(rows))
         return inner(rows)
 
-    with mock.patch.object(joins, name, counting):
+    with mock.patch.object(joins, "smith_pivots", counting):
         joins.reduced_homology(jc)
     chain = joins.boundary_matrices(jc)
     rows = sum(chain.face_counts)
@@ -114,21 +116,16 @@ def ring_counters(ring) -> dict:
 
 
 def product_counters(call) -> dict:
-    """Ring products one call forms: calls of fusion._row_times, and of
-    BasedRing.mul_vec, which trees before every product moved to term
-    rows call instead."""
+    """Ring products one call forms: calls of fusion._row_times."""
     calls = []
+    real = fusion._row_times
 
-    def counting(real):
-        def wrapped(*args):
-            calls.append(1)
-            return real(*args)
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
 
-        return wrapped
-
-    with mock.patch.object(fusion, "_row_times", counting(fusion._row_times)):
-        with mock.patch.object(fusion.BasedRing, "mul_vec", counting(fusion.BasedRing.mul_vec)):
-            call()
+    with mock.patch.object(fusion, "_row_times", counting):
+        call()
     return {"products": len(calls)}
 
 
@@ -143,6 +140,29 @@ def module_counters(mod) -> dict:
 def kunneth_case(left, right):
     halves = [kmodules.ModelDescriptor.parse(text).instantiate() for text in (left, right)]
     return lambda: kmodules.kunneth_pieces(*halves), lambda pieces: module_counters(pieces[0])
+
+
+def quotient_case(tag, last):
+    """lattice_quotient of each ideal power I^k over I^(k+1), k < last, of
+    the ring the tag names; the ring and the powers are built untimed."""
+    ring = fusion.ring_from_tag(tag)
+    levels = list(itertools.islice(fusion.ideal_powers(ring, last=last), last + 1))
+    pairs = list(zip(levels, levels[1:]))
+
+    def call():
+        return [fusion.lattice_quotient(ring, outer, inner) for outer, inner in pairs]
+
+    return call, lambda _: {"levels": len(levels), "max_level_rank": max(level.rank for level in levels)}
+
+
+def image_case(text, n):
+    """ideal_image of I^n on the module the descriptor names, both built untimed."""
+    mod = kmodules.ModelDescriptor.parse(text).instantiate()
+    lattice = fusion.ideal_power(mod.ring, n)
+    return (
+        lambda: kmodules.ideal_image(lattice, mod),
+        lambda _: {**module_counters(mod), "ideal_rank": lattice.rank},
+    )
 
 
 def truncation_case(n):
@@ -249,6 +269,14 @@ CASES = {
         for a, b in (("circle:21", "trunc:z3xz3:1"), ("circle:9", "trunc:z3xz3:3"))
     },
     "truncated_ring_module(circle_truncation(292), 292)": ("kmodules", lambda: truncation_case(292)),
+    "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)": (
+        "fusion",
+        lambda: quotient_case("z2xz3xz5", 2),
+    ),
+    "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))": (
+        "kmodules",
+        lambda: image_case("tensor(circle:9,trunc:z3xz3:3)", 3),
+    ),
     **{
         f"{builder}({', '.join(map(str, args))})": (
             "reports",

@@ -16,6 +16,7 @@ from .abgroups import (
     direct_sum,
     normalize,
     parse_group_literal,
+    quotient,
     tensor,
     tor,
 )

@@ -1,9 +1,9 @@
 """Finitely generated abelian groups in invariant-factor form.
 
 A group is stored as (free_rank, torsion) where torsion is the chain
-d1 | d2 | ... with every d >= 2.  cokernel() gives the group Z^width
-modulo the span of integer rows; a Presentation holds its relations as
-an IntMatrix, and normalize() reads it through cokernel().
+d1 | d2 | ... with every d >= 2.  quotient() is the one lattice modulo
+a sublattice (Cohen 1993, ch. 2), for ideal quotients and module images;
+cokernel() reads dense int input rows, and normalize() a Presentation.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import RANK_BITS_CAP, CapExceededError, InputError, charge, decimal
-from .intmat import IntMatrix, _sparse_rows, smith_invariants
+from .errors import RANK_BITS_CAP, CapExceededError, InputError, LatticeContainmentError, charge
+from .errors import decimal
+from .intmat import IntMatrix, _dense, _sparse_rows, smith_invariants
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,25 @@ class Presentation:
 
 
 def cokernel(rows, width: int) -> FgAbelianGroup:
-    """Z^width modulo the span of the rows, each a sequence of width ints
-    (not bools); other rows raise InputError.
-
-    The rank and torsion come from intmat.smith_invariants, which
-    eliminates unit pivots over sparse rows.
-    """
+    """Z^width modulo the span of the rows, the reader of dense input: each
+    row must be width ints (not bools), else InputError.  The rank and
+    torsion come from intmat.smith_invariants."""
     rank, torsion = smith_invariants(_sparse_rows(rows, width))
     return FgAbelianGroup(width - rank, torsion)
+
+
+def quotient(outer, inner) -> FgAbelianGroup:
+    """outer/inner for an intmat.Lattice outer and the term rows inner of a
+    sublattice, from the Smith form of inner's coordinates in outer's rows;
+    LatticeContainmentError names the first row outside as an int tuple."""
+    rel = []
+    for row in inner:
+        coeffs = outer.solve_map(dict(row))
+        if coeffs is None:
+            raise LatticeContainmentError(_dense(row, outer.width))
+        rel.append({i: c for i, c in enumerate(coeffs) if c})
+    rank, torsion = smith_invariants(rel)
+    return FgAbelianGroup(len(outer.terms) - rank, torsion)
 
 
 def normalize(p: Presentation) -> FgAbelianGroup:

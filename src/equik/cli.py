@@ -2,8 +2,8 @@
 
 Every command prints a deterministic text summary by default; --json
 switches to a machine format where all integers are decimal strings and
-an absent upper bound is the string "infinity".  --meta writes timing to
-stderr so the stdout payload stays byte-identical run to run.
+an absent upper bound is the string "infinity".  --meta writes one JSON
+line of timing to stderr, so the stdout payload stays byte-identical.
 
 Exit codes: 0 success, 2 bad input, 3 unsupported request.  validate
 exits 1 when the file is well formed but differs from the rebuild of its
@@ -336,7 +336,7 @@ def _parser(builder) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser(build_parser).parse_args(argv)
-    started = time.perf_counter()
+    started = time.perf_counter_ns()
     try:
         payload, lines, code = args.func(args)
     except UnsupportedError as exc:
@@ -351,8 +351,8 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
     if args.meta:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        print(f"meta: command={args.command} elapsed_ms={elapsed:.1f}", file=sys.stderr)
+        elapsed = time.perf_counter_ns() - started
+        print(json.dumps({"command": args.command, "elapsed_ns": elapsed}), file=sys.stderr)
     return code
 
 

@@ -38,7 +38,7 @@ from math import comb, gcd
 
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
 from .errors import UnsupportedError, charge, decimal, read_json
-from .abgroups import cokernel
+from .abgroups import quotient
 from .intmat import Lattice, _subtract, as_int, echelon_insert, hermite_terms, term_product
 
 
@@ -359,10 +359,7 @@ class IdealLattice:
 
     def __init__(self, ring, basis=(), terms=None):
         if terms is None:
-            rows = [tuple(row) for row in basis]
-            if any(len(row) != ring.rank for row in rows):
-                raise InputError("ideal basis width must equal the ring rank")
-            terms = Lattice.from_rows(rows, ring.rank).terms
+            terms = Lattice.from_rows(basis, ring.rank).terms
         if not _is_hermite(terms):
             raise InputError("ideal basis is not in Hermite form")
         lattice = Lattice(tuple(terms), ring.rank)
@@ -595,13 +592,7 @@ def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
     """Isomorphism class of outer/inner; inner must sit inside outer."""
     if outer.ring != ring or inner.ring != ring:
         raise InputError("quotient lattices must live over the given ring")
-    rel = []
-    for i, row in enumerate(inner.terms):
-        sol = outer.lattice.solve_map(dict(row))
-        if sol is None:
-            raise LatticeContainmentError(inner.basis[i])
-        rel.append(sol)
-    return cokernel(rel, outer.rank)
+    return quotient(outer.lattice, inner.terms)
 
 
 def regular_class_check(ring: BasedRing):
@@ -654,11 +645,9 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
 
     Spanned by lam^j, ..., lam^(n-1); the zero lattice once j >= n.
     """
-    if n < 1:
-        raise InputError("circle truncation needs order >= 1")
+    ring = circle_truncation(n)
     if j < 0:
         raise InputError("ideal power needs j >= 0")
-    ring = circle_truncation(n)
     return IdealLattice(ring, terms=_unit_terms(range(j, n)))
 
 

@@ -65,14 +65,14 @@ class KTheoryRanks:
 
 @dataclass(frozen=True)
 class JoinComplex:
-    """Complete k-partite complex: parts blocks of part_size vertices."""
+    """Complete k-partite complex: k = parts blocks of n = part_size vertices."""
 
     parts: int
     part_size: int
 
     def __post_init__(self):
         if self.parts < 1 or self.part_size < 1:
-            raise InputError("join complex needs parts >= 1 and part_size >= 1")
+            raise InputError("join complex needs n >= 1 points per copy and k >= 1 copies")
         # 400 units per boundary nonzero, augmentation included: k n (n+1)^(k-1)
         # of them.  Past k = 65 the power is cut at 64, already over the budget.
         k, n = self.parts, self.part_size
@@ -96,8 +96,6 @@ class JoinComplex:
 
 
 def build_join_complex(n: int, k: int) -> JoinComplex:
-    if n < 1 or k < 1:
-        raise InputError("join complex needs n >= 1 and k >= 1")
     return JoinComplex(parts=k, part_size=n)
 
 

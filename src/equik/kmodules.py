@@ -10,12 +10,12 @@ the relation lattice), so anything that exists is a genuine module
 presentation.  They are checked on the ring's generators; every index
 runs only on failure, to name the axiom.
 
-Rows stay sparse from the ideal power to the module image: relations
-and the vectors of an image are {column: entry} maps, and ideal rows,
-relation lattices and module elements are term rows, as in
-intmat.Lattice.terms.  A row is dense only where a caller reads it:
-the result of RingModule.act, Lattice.rows and IdealLattice.basis.
-In the axiom checks, e_k e_m is the cell t[k][m] itself, read in place.
+Rows stay sparse from the ideal power to the module image, as maps or
+term rows (intmat.Lattice.terms); only act's result and
+IdealLattice.basis are dense.  Every image (V + L)/L is RingModule._image,
+read by abgroups.quotient.  Rows are checked only where they enter: the
+constructor, subgroup_class, act and element_stable_nonvanishing.  In
+the axiom checks, e_k e_m is the cell t[k][m] itself, read in place.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .abgroups import FgAbelianGroup, cokernel, tor as group_tor
+from .abgroups import FgAbelianGroup, quotient, tor as group_tor
 from .errors import EquikError, InputError, decimal
 from .fusion import (
     IdealLattice,
@@ -72,7 +72,7 @@ class RingModule:
         self.ring = ring
         self.generators = generators
         self.table = _checked_table(table, generators, ring.rank)
-        self.lattice = Lattice(hermite_terms([dict(row) for row in relations]), generators)
+        self.lattice = Lattice(hermite_terms(relations), generators)
         self._validate()
 
     def _validate(self):
@@ -98,7 +98,8 @@ class RingModule:
     # -- queries ----------------------------------------------------------
 
     def underlying_group(self) -> FgAbelianGroup:
-        return cokernel(self.lattice.rows, self.generators)
+        g = self.generators
+        return quotient(Lattice(_unit_terms(range(g)), g), self.lattice.terms)
 
     def act(self, ring_vec, module_vec) -> tuple:
         """Image of a module vector under a ring element, as a raw vector."""
@@ -110,32 +111,24 @@ class RingModule:
     def subgroup_class(self, vectors) -> FgAbelianGroup:
         """Class of the subgroup generated by the vectors inside the module,
         each a {column: entry} map on the generators, checked as relations are."""
-        vectors = _checked_rows(vectors, self.generators, "vectors")
-        rel_terms = self.lattice.terms
-        outer = Lattice(
-            hermite_terms([dict(v) for v in vectors] + [dict(row) for row in rel_terms]),
-            self.generators,
-        )
-        rel = []
-        for row in rel_terms:
-            sol = outer.solve_map(dict(row))
-            if sol is None:
-                raise EquikError(f"relation {row} lies outside the span built from it")
-            rel.append(sol)
-        return cokernel(rel, len(outer.terms))
+        return self._image(_checked_rows(vectors, self.generators, "vectors"))
+
+    def _image(self, maps: list) -> FgAbelianGroup:
+        """(V + L)/L for the span V of the maps, reduced in place, and the relations L."""
+        rel = self.lattice.terms
+        outer = Lattice(hermite_terms(maps + [dict(row) for row in rel]), self.generators)
+        return quotient(outer, rel)
 
 
-def _checked_rows(rows, g: int, what: str) -> tuple:
-    """The {column: entry} maps rows with zeros dropped; InputError unless
-    each column is an int in [0, g) and each entry an int (not a bool)."""
+def _checked_rows(rows, g: int, what: str) -> list:
+    """Copies of the {column: entry} maps rows, zeros dropped; InputError
+    unless each column is an int in [0, g) and each entry an int (not a bool)."""
     rows = tuple(rows)
     if not all(type(row) is dict for row in rows) or not all(
         type(j) is int and 0 <= j < g and type(e) is int for row in rows for j, e in row.items()
     ):
         raise InputError(f"{what} must be {{column: int}} maps with columns in [0, {g})")
-    return tuple(
-        [{j: e for j, e in row.items() if e} if 0 in row.values() else row for row in rows]
-    )
+    return [{j: e for j, e in row.items() if e} for row in rows]
 
 
 def _checked_table(t, g: int, r: int) -> tuple:
@@ -184,8 +177,6 @@ def truncated_ring_module(ring, n: int) -> RingModule:
 
     Basis element i acts by right multiplication: the table is the ring's.
     """
-    if n < 0:
-        raise InputError("truncation order must be nonnegative")
     relations = [dict(row) for row in ideal_power(ring, n).terms]
     return RingModule(ring, ring.rank, relations, ring.table)
 
@@ -350,10 +341,14 @@ def tensor_model(left: ModelDescriptor, right: ModelDescriptor) -> ModelDescript
 
 def ideal_image(lattice: IdealLattice, module: RingModule) -> FgAbelianGroup:
     """Class of the subgroup of the module generated by the ideal's action."""
+    return _ideal_times(lattice, module, _unit_terms(range(module.generators)))
+
+
+def _ideal_times(lattice: IdealLattice, module: RingModule, xs) -> FgAbelianGroup:
+    """Class of the span of x b in the module, x in the term rows xs, b in the ideal's rows."""
     if lattice.ring != module.ring:
         raise InputError("ideal and module live over different rings")
-    t, units = module.table, _unit_terms(range(module.generators))
-    return module.subgroup_class([_row_times(t, e, b) for b in lattice.terms for e in units])
+    return module._image([_row_times(module.table, x, b) for b in lattice.terms for x in xs])
 
 
 def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
@@ -416,10 +411,7 @@ def element_stable_nonvanishing(module: RingModule, x, lattice: IdealLattice, mu
     """
     if mult < 1:
         raise InputError("multiplier must be >= 1")
-    if lattice.ring != module.ring:
-        raise InputError("ideal and module live over different rings")
-    xt = _int_terms(x, module.generators, "module element")
-    sub = module.subgroup_class([_row_times(module.table, xt, b) for b in lattice.terms])
+    sub = _ideal_times(lattice, module, [_int_terms(x, module.generators, "module element")])
     # A cyclic factor d > 1 has a prime that mult lacks exactly when d does
     # not divide mult^d: each prime of d divides it fewer than d times.
     return sub.free_rank > 0 or any(pow(mult, d, d) for d in sub.torsion)

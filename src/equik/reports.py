@@ -503,19 +503,22 @@ def z6_collapse_report(d: int) -> CollapseReport:
 def _index_dimension(group: str, copies: int) -> int:
     """Dimension k - 1 of the canonical action on the k-fold self-join.
 
-    The group is s1 or z<d>, with d as fusion.tag_order reads it.  For
+    The group is s1 or z<d>, with d as fusion.tag_order reads it, and z1
+    (dimension 0, index 1: its joins are simplices) only at k = 1.  For
     the order-2 group the join is the (k-1)-sphere, and its homology is
     checked whenever the join fits the work budget.
     """
     if copies < 1:
         raise InputError("join copies must be >= 1")
-    if group != "s1" and not group.startswith("z"):
+    if group != "s1" and (not group.startswith("z") or "x" in group):
         raise UnsupportedError(
             f"no commutative join model for group tag {group!r}; "
             "supported: z<n> and s1"
         )
     if group != "s1":
         tag_order(group, "z")
+    if group == "z1" and copies > 1:
+        raise InputError("the trivial group z1 has dimension 0 and index 1; only k = 1 states that")
     if group == "z2":
         try:
             join = build_join_complex(2, copies)
@@ -552,13 +555,16 @@ def finite_af_bounds(group, n: int):
     """Finite group on a UHF-model algebra, target dimension above n.
 
     With an order-2 group the join models are built in and the result is
-    the concrete {n+1, 2n+4} report.  Other finite groups get the
-    documented existence-only outcome: the dimension is finite and
-    exceeds n, but no effective bound is computed here.
+    the concrete {n+1, 2n+4} report.  Other nontrivial groups get the
+    existence-only outcome: the dimension is finite and exceeds n, but
+    no effective bound is computed here.  The trivial group is refused.
     """
     if n < 1:
         raise InputError("finite construction needs n >= 1")
-    if ring_from_tag(group) == cyclic_ring(2):
+    ring = ring_from_tag(group)
+    if ring.rank == 1:
+        raise InputError(f"{group!r} is the trivial group: its dimension is 0, not above {n}")
+    if ring == cyclic_ring(2):
         inner = z2_af_bounds(n + 1)
         return BoundReport(
             "finite-af",

@@ -2,11 +2,13 @@
 
 The library works on sparse rows; these dense forms recheck its answers:
 IntMatrix products, differences and determinants, the Smith diagonal
-with no transform, lattice membership on dense rows, and the dense
-basis products and unit vector of a based ring.
+with no transform, lattice membership on dense rows, a lattice modulo a
+sublattice by the dense cokernel, and the dense basis products and unit
+vector of a based ring.
 """
 
-from equik.errors import InputError
+from equik.abgroups import FgAbelianGroup, cokernel
+from equik.errors import InputError, LatticeContainmentError
 from equik.intmat import IntMatrix, Lattice, _smith
 
 
@@ -67,6 +69,20 @@ def invariant_factors(a: IntMatrix) -> tuple:
 
 def in_lattice(basis_rows, v) -> bool:
     return Lattice.from_rows(basis_rows, len(v)).contains(v)
+
+
+def dense_quotient(outer: Lattice, inner_rows) -> FgAbelianGroup:
+    """outer/inner as lattice_quotient and RingModule.subgroup_class formed
+    it before abgroups.quotient: each int row of inner is solved in outer,
+    the first row outside raises LatticeContainmentError with that row,
+    and the coordinates are read by the dense cokernel."""
+    rel = []
+    for row in inner_rows:
+        sol = outer.solve(row)
+        if sol is None:
+            raise LatticeContainmentError(row)
+        rel.append(sol)
+    return cokernel(rel, len(outer.terms))
 
 
 def basis_mul(ring, i: int, j: int) -> tuple:

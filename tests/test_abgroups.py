@@ -5,7 +5,8 @@ oracles built only on the matrix layer: the tensor product of two
 presentations is the Kronecker presentation, and the d-torsion subgroup
 B[d] comes from the kernel of the stacked lattice condition d*x in rel.
 kron and vstack, the matrix operations these oracles need, live here.
-The sparse cokernel is checked against the dense Smith diagonal.
+The sparse cokernel is checked against the dense Smith diagonal, and
+quotient against solving each row and reading the dense cokernel.
 """
 
 import pytest
@@ -20,12 +21,13 @@ from equik.abgroups import (
     direct_sum,
     normalize,
     parse_group_literal,
+    quotient,
     tensor,
     tor,
 )
-from equik.errors import InputError
-from equik.intmat import IntMatrix, hermite_rows, kernel_basis
-from dense_algebra import invariant_factors
+from equik.errors import InputError, LatticeContainmentError
+from equik.intmat import IntMatrix, Lattice, hermite_rows, kernel_basis
+from dense_algebra import dense_quotient, invariant_factors
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -262,3 +264,40 @@ def test_json_roundtrip():
     tree = g.to_json_dict()
     assert tree == {"free_rank": "2", "torsion": ["2", "6"]}
     assert FgAbelianGroup(int(tree["free_rank"]), tuple(map(int, tree["torsion"]))) == g
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(outer, inner): a Hermite lattice and the span of integer combinations
+    of its rows, with sometimes one more vector, which may lie outside."""
+    width = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-6, 6), min_size=width, max_size=width)
+    outer = Lattice.span(draw(st.lists(vector, max_size=5)), width)
+    rank = len(outer.terms)
+    combos = draw(st.lists(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank), max_size=5))
+    rows = [[sum(c * row[j] for c, row in zip(cs, outer.rows)) for j in range(width)] for cs in combos]
+    return outer, Lattice.span(rows + draw(st.lists(vector, max_size=1)), width)
+
+
+@given(lattice_pairs())
+@settings(max_examples=300, deadline=None)
+def test_quotient_matches_the_solve_then_cokernel_oracle(pair):
+    outer, inner = pair
+    try:
+        want = dense_quotient(outer, inner.rows)
+    except LatticeContainmentError as exc:
+        with pytest.raises(LatticeContainmentError) as got:
+            quotient(outer, inner.terms)
+        assert got.value.witness == exc.witness
+    else:
+        assert quotient(outer, inner.terms) == want
+
+
+def test_quotient_names_the_first_row_outside():
+    outer = Lattice.span([(2, 0, 0), (0, 3, 0)], 3)
+    with pytest.raises(LatticeContainmentError) as got:
+        quotient(outer, Lattice.span([(2, 3, 0), (0, 1, 0), (0, 0, 1)], 3).terms)
+    assert got.value.witness == (0, 1, 0)
+    assert quotient(outer, ()) == FgAbelianGroup(2, ())
+    assert quotient(outer, outer.terms) == TRIVIAL_GROUP
+    assert quotient(outer, Lattice.span([(4, 6, 0)], 3).terms) == FgAbelianGroup(1, (2,))

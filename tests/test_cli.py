@@ -283,8 +283,11 @@ def test_validate_bad_json_is_input_error(tmp_path, capsys):
 def test_meta_goes_to_stderr(capsys):
     code, out, err = run(capsys, "rokhlin", "z2", "1", "--meta")
     assert code == 0
-    assert "meta:" not in out
-    assert "meta: command=rokhlin" in err
+    assert (out, "") == run(capsys, "rokhlin", "z2", "1")[1:]
+    assert err.endswith("\n") and err.count("\n") == 1  # one JSON line
+    meta = json.loads(err)
+    assert meta["command"] == "rokhlin"
+    assert type(meta["elapsed_ns"]) is int and meta["elapsed_ns"] >= 0
 
 
 def test_commutative_text(capsys):
@@ -380,6 +383,51 @@ def test_commutative_with_a_non_canonical_cyclic_tag_exits_2(tag, capsys):
     code, out, err = run(capsys, "rokhlin", "commutative", tag, "2")
     assert (code, out) == (2, "")
     assert _one_line_error(err)
+
+
+def test_trivial_group_has_index_one_only_at_one_copy(capsys):
+    # Every action of the trivial group has dimension 0, and its k-fold
+    # join is a simplex, of index 1: "dim k-1, ind k" is false for k >= 2.
+    assert run(capsys, "rokhlin", "commutative", "z1", "1") == (0, "dim 0, ind 1\n", "")
+    for k in ("2", "3", "7"):
+        code, out, err = run(capsys, "rokhlin", "commutative", "z1", k)
+        assert (code, out) == (2, "")
+        assert _one_line_error(err) and "trivial group" in err
+
+
+@pytest.mark.parametrize("tag", ["z1", "z1xz1", "z1xz1xz1"])
+def test_finite_refuses_the_trivial_group(tag, capsys):
+    # the dimension is 0, so "finite and exceeds n" is false
+    code, out, err = run(capsys, "rokhlin", "finite", tag, "2")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and "trivial group" in err
+
+
+@pytest.mark.parametrize("tag", ["z2xz3", "z1xz1", "s1xz2", "z2xs1"])
+def test_commutative_with_a_product_tag_is_unsupported(tag, capsys):
+    code, out, err = run(capsys, "rokhlin", "commutative", tag, "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("unsupported:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,group",
+    [
+        (("commutative", "z3", "3"), "z1"),
+        (("finite", "z5", "2"), "z1"),
+        (("finite", "z5", "2"), "z1xz1"),
+    ],
+)
+def test_validate_rejects_a_trivial_group_report(argv, group, tmp_path, capsys):
+    code, out, _ = run(capsys, "rokhlin", *argv, "--json")
+    assert code == 0
+    doc = json.loads(out.replace(f'"{argv[1]}"', f'"{group}"'))
+    assert doc["parameters"]["group"] == group
+    rfile = tmp_path / "report.json"
+    rfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(rfile))
+    assert (code, out) == (1, "invalid\n")
+    assert "rejects them" in err and "trivial group" in err
 
 
 @pytest.mark.parametrize("tag", NON_CANONICAL_CYCLIC_TAGS)

@@ -60,7 +60,7 @@ from equik.intmat import (
     term_product,
     xgcd,
 )
-from dense_algebra import basis_mul, one_vec
+from dense_algebra import basis_mul, dense_quotient, one_vec
 
 DATA = Path(__file__).parent / "data"
 
@@ -1412,6 +1412,24 @@ SUITE_RINGS = {
     **{name: build for name, (build, _) in MULTI_GENERATOR_RINGS.items()},
     **{name: lambda r=r: r for name, r in {**SPAN_RINGS, **UNIT_CELL_RINGS}.items()},
 }
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_RINGS))
+def test_lattice_quotient_matches_the_dense_oracle(name):
+    # every ordered pair of I^0, ..., I^3: a pair the wrong way round has a
+    # row outside, named as lattice_quotient named it before abgroups.quotient
+    ring = SUITE_RINGS[name]()
+    powers = list(islice(ideal_powers(ring, last=3), 4))
+    for outer in powers:
+        for inner in powers:
+            try:
+                want = dense_quotient(outer.lattice, inner.basis)
+            except LatticeContainmentError as exc:
+                with pytest.raises(LatticeContainmentError) as got:
+                    lattice_quotient(ring, outer, inner)
+                assert got.value.witness == exc.witness
+            else:
+                assert lattice_quotient(ring, outer, inner) == want
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_RINGS))

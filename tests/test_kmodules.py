@@ -57,7 +57,7 @@ from equik.kmodules import (
 from equik.reports import report_to_json_dict, validate, z2_af_bounds
 from test_abgroups import kron, vstack
 from test_fusion import SUITE_RINGS, regular_class_ring
-from dense_algebra import mul, sub
+from dense_algebra import dense_quotient, mul, sub
 
 
 def test_truncated_z2_groups():
@@ -890,9 +890,7 @@ def test_stability_takes_only_int_elements():
 def dense_subgroup_class(mod, vectors) -> FgAbelianGroup:
     rel_rows = mod.lattice.rows
     outer = Lattice.span([tuple(v) for v in vectors] + list(rel_rows), mod.generators)
-    rel = [outer.solve(row) for row in rel_rows]
-    assert None not in rel
-    return cokernel(rel, len(outer.rows))
+    return dense_quotient(outer, rel_rows)
 
 
 def dense_ideal_image(lattice, mod) -> FgAbelianGroup:
@@ -961,6 +959,16 @@ def test_subgroup_class_matches_dense_oracle(data):
     )
     maps = [{j: e for j, e in enumerate(v) if e} for v in vectors]
     assert mod.subgroup_class(maps) == dense_subgroup_class(mod, vectors)
+
+
+@pytest.mark.parametrize(
+    "name,mod",
+    image_modules() + tuple((text, model_module(text)) for text in TENSOR_FACTORS),
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+def test_underlying_group_matches_the_dense_cokernel(name, mod):
+    # the group was read from the relations' dense Hermite rows
+    assert mod.underlying_group() == cokernel(mod.lattice.rows, mod.generators)
 
 
 def test_subgroup_class_drops_zero_entries():

@@ -214,6 +214,22 @@ def test_commutative_unsupported_group():
         commutative_dimension("z2", 0)
 
 
+def test_trivial_group_bounds_are_refused_past_dimension_zero():
+    # z1's actions all have dimension 0 and its joins are simplices, of index 1
+    result = commutative_dimension("z1", 1)
+    assert (result.dim, result.ind) == (0, 1) and validate(result)
+    for k in (2, 5):
+        with pytest.raises(InputError, match="trivial group"):
+            commutative_dimension("z1", k)
+        witness = IndexWitness("z1", k, k)
+        assert not validate_bound(DimBound(k - 1, k - 1, witness, witness))
+    for tag in ("z1", "z1xz1"):
+        with pytest.raises(InputError, match="trivial group"):
+            finite_af_bounds(tag, 2)
+    with pytest.raises(UnsupportedError):
+        commutative_dimension("z2xz3", 2)
+
+
 def test_finite_af_delegates_for_order_two():
     report = finite_af_bounds("z2", 2)
     assert isinstance(report, BoundReport)

@@ -62,6 +62,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     report = "circle_product_dimension(2, z3)"
     kunneth = "kunneth_pieces(circle:9, trunc:z3xz3:3)"
     truncation = "truncated_ring_module(circle_truncation(292), 292)"
+    quotients = "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)"
+    image = "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))"
     res = run_script(
         "bench_layers.py",
         "--case", "reduced_homology(3, 3)",
@@ -72,13 +74,16 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", "regular_class_check(z3xz3)",
         "--case", kunneth,
         "--case", truncation,
+        "--case", quotients,
+        "--case", image,
         "--repeats", "3",
         "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    homology, boundaries, check, instantiate, built, regular, tensor, truncated = runs["change"]
+    (homology, boundaries, check, instantiate, built, regular, tensor, truncated, quotient,
+     imaged) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
         assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
@@ -114,3 +119,10 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert tensor["counters"] == {"rank": 81, "generators": 3, "module_generators": 81}
     assert (truncated["case"], truncated["layer"]) == (truncation, "kmodules")
     assert truncated["counters"] == {"rank": 292, "generators": 1, "module_generators": 292}
+    assert (quotient["case"], quotient["layer"]) == (quotients, "fusion")
+    # I^0, I^1 and I^2 of the rank-30 ring
+    assert quotient["counters"] == {"levels": 3, "max_level_rank": 30}
+    assert (imaged["case"], imaged["layer"]) == (image, "kmodules")
+    assert imaged["counters"] == {
+        "rank": 81, "generators": 3, "module_generators": 81, "ideal_rank": 78
+    }

@@ -160,3 +160,47 @@ def test_module_products_are_formed_by_the_ring_product():
     source = (Path(equik.__file__).parent / "kmodules.py").read_text(encoding="utf-8")
     assert "_row_times" in source
     assert "term_product" not in source
+
+
+def called_names() -> dict:
+    """'file:function' (methods as 'file:Class.method') -> the names each
+    top-level function or method calls, by name or as an attribute."""
+    calls = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in methods:
+                if isinstance(fn, ast.FunctionDef):
+                    prefix = f"{node.name}." if fn is not node else ""
+                    calls[f"{path.name}:{prefix}{fn.name}"] = {
+                        getattr(call.func, "attr", getattr(call.func, "id", None))
+                        for call in ast.walk(fn)
+                        if isinstance(call, ast.Call)
+                    }
+    return calls
+
+
+def test_solved_coordinates_become_a_group_in_one_function():
+    # abgroups.quotient is the one lattice modulo a sublattice: ideal
+    # filtration quotients and module images both go through it.  The
+    # other solve_map callers only test membership.
+    calls = called_names()
+    solvers = {f for f, names in calls.items() if "solve_map" in names}
+    assert solvers == {
+        "abgroups.py:quotient",
+        "fusion.py:_difference",
+        "fusion.py:_product_outside",
+        "intmat.py:Lattice.solve",
+    }
+    group_readers = {"smith_invariants", "smith_pivots", "cokernel", "FgAbelianGroup"}
+    assert {f for f in solvers if calls[f] & group_readers} == {"abgroups.py:quotient"}
+
+
+def test_module_rows_are_checked_only_where_they_enter():
+    # rows the library forms itself (ideal images) are not re-checked:
+    # only the two public entry points check, and the library calls the
+    # checking subgroup_class nowhere
+    calls = called_names()
+    users = {f for f, names in calls.items() if "_checked_rows" in names}
+    assert users == {"kmodules.py:RingModule.__init__", "kmodules.py:RingModule.subgroup_class"}
+    assert {f for f, names in calls.items() if "subgroup_class" in names} == set()
