@@ -2,7 +2,11 @@
 """Time the joins, fusion, kmodules and reports layers case by case, with counters.
 
 Each case is one library call timed in integer nanoseconds (the median
-and the quartiles of the repeats):
+and the quartiles of the repeats), but the first:
+- import: `import equik, equik.cli` from the tree this script imports,
+  timed inside each of 11 fresh `python -I` interpreters, counting the
+  modules it loads; 11 more run under `-X importtime`, and the record's
+  self_us holds each equik module's median self time in microseconds;
 - joins: reduced_homology on the join complexes of the benchmark's
   `join homology` grid plus three larger ones, counting the rows the
   boundaries hold in total, the rows handed to the sparse elimination,
@@ -48,9 +52,12 @@ import itertools
 import json
 import os
 import statistics
+import subprocess
+import sys
 import time
 from unittest import mock
 
+import equik
 from equik import errors, fusion, joins, kmodules, reports
 
 # (set size n, copies k): the join homology grid of the joins workload,
@@ -69,6 +76,15 @@ REPORT_CASES = (
 )
 MIN_REPEATS = 3
 CASE_SECONDS = 2.0  # repeats stop after this long, once MIN_REPEATS ran
+IMPORT_CASE = "import(equik, equik.cli)"
+IMPORT_RUNS = 11  # fresh interpreters timed, and as many under -X importtime
+# Run as `python -I -c IMPORT_PROBE SRC`: prints the nanoseconds the import
+# takes and the number of modules it loads.  time and sys are built in.
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); before = len(sys.modules); "
+    "t0 = time.perf_counter_ns(); import equik, equik.cli; "
+    "print(time.perf_counter_ns() - t0, len(sys.modules) - before)"
+)
 
 
 def time_case(call, max_repeats: int) -> list:
@@ -221,6 +237,40 @@ def check_case(n, k):
     return lambda: joins.check_boundaries(maps), lambda _: counted
 
 
+def fresh_import(*flags):
+    """One fresh interpreter running IMPORT_PROBE on this script's equik tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equik.__file__)))
+    return subprocess.run(
+        [sys.executable, "-I", *flags, "-c", IMPORT_PROBE, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+
+
+def import_record() -> dict:
+    """The import case: IMPORT_RUNS timed imports, then each equik
+    module's median self time over IMPORT_RUNS runs of -X importtime."""
+    runs = [fresh_import().stdout.split() for _ in range(IMPORT_RUNS)]
+    samples = [int(ns) for ns, _ in runs]
+    self_us = {}
+    for _ in range(IMPORT_RUNS):
+        for line in fresh_import("-X", "importtime").stderr.splitlines():
+            # "import time: <self us> | <cumulative us> | <indented module>"
+            fields = [field.strip() for field in line.split("|")]
+            if len(fields) == 3 and fields[2].startswith("equik"):
+                self_us.setdefault(fields[2], []).append(int(fields[0].split(":")[1]))
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "case": IMPORT_CASE,
+        "layer": "import",
+        "ns_median": int(median),
+        "ns_q1": int(q1),
+        "ns_q3": int(q3),
+        "repeats": len(samples),
+        "counters": {"modules_loaded": int(runs[0][1])},
+        "self_us": {name: int(statistics.median(us)) for name, us in sorted(self_us.items())},
+    }
+
+
 # case name -> (layer, setup); setup runs untimed and returns the timed
 # call and the function that gives the counters of the call's result.
 CASES = {
@@ -291,6 +341,9 @@ def run(names, max_repeats: int) -> list:
     records = []
     with mock.patch.object(errors, "WORK_BUDGET", 10**15):
         for name in names:
+            if name == IMPORT_CASE:
+                records.append(import_record())
+                continue
             layer, setup = CASES[name]
             call, counters = setup()
             counted = counters(call())  # the warm-up, untimed
@@ -315,14 +368,14 @@ def main() -> None:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--label", default="change", help="key of this run in the file")
     parser.add_argument(
-        "--case", action="append", choices=CASES, metavar="NAME",
+        "--case", action="append", choices=[IMPORT_CASE, *CASES], metavar="NAME",
         help="time only this case, named as in the output (repeatable; default: every case)",
     )
-    parser.add_argument("--repeats", type=int, default=21, help="most timed calls per case")
+    parser.add_argument("--repeats", type=int, default=21, help="most timed calls per library case")
     cfg = parser.parse_args()
     if cfg.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
-    cases = cfg.case or list(CASES)
+    cases = cfg.case or [IMPORT_CASE, *CASES]
     runs = {}
     if os.path.exists(cfg.out):
         with open(cfg.out, encoding="utf-8") as fh:

@@ -4,28 +4,26 @@ A group is stored as (free_rank, torsion) where torsion is the chain
 d1 | d2 | ... with every d >= 2.  quotient() is the one lattice modulo
 a sublattice (Cohen 1993, ch. 2), for ideal quotients and module images;
 cokernel() reads dense int input rows, and normalize() a Presentation.
+Both records check their fields when built (errors.Record).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import RANK_BITS_CAP, CapExceededError, InputError, LatticeContainmentError, charge
-from .errors import decimal
+from .errors import Record, decimal
 from .intmat import IntMatrix, _dense, _sparse_rows, smith_invariants
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
-    free_rank: int
-    torsion: tuple
+class FgAbelianGroup(Record):
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        tor = tuple(self.torsion)
-        if not all(type(x) is int for x in (self.free_rank, *tor)):
+    def __init__(self, free_rank: int, torsion: tuple):
+        tor = tuple(torsion)
+        if not all(type(x) is int for x in (free_rank, *tor)):
             raise InputError("free rank and torsion invariants must be ints")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise InputError("free rank must be nonnegative")
         for d in tor:
             if d < 2:
@@ -38,6 +36,7 @@ class FgAbelianGroup:
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise InputError(f"torsion chain broken: {a} does not divide {b}")
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
 
     @property
@@ -66,21 +65,18 @@ class FgAbelianGroup:
 TRIVIAL_GROUP = FgAbelianGroup(0, ())
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """generators free generators subject to the rows of relations."""
 
-    generators: int
-    relations: IntMatrix
+    __slots__ = _fields = ("generators", "relations")
 
-    def __post_init__(self):
-        if self.generators < 0:
+    def __init__(self, generators: int, relations: IntMatrix):
+        if generators < 0:
             raise InputError("generator count must be nonnegative")
-        if self.relations.cols != self.generators:
-            raise InputError(
-                f"relations have {self.relations.cols} columns for "
-                f"{self.generators} generators"
-            )
+        if relations.cols != generators:
+            raise InputError(f"relations have {relations.cols} columns for {generators} generators")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
 
 def cokernel(rows, width: int) -> FgAbelianGroup:

@@ -1,4 +1,4 @@
-"""Exception taxonomy, work budget and the JSON and number readers shared by all modules.
+"""Exceptions, work budget, JSON and number readers and the Record base shared by all modules.
 
 The CLI maps InputError to exit code 2 (bad or rejected input) and
 UnsupportedError to exit code 3 (a model the tool does not provide).
@@ -47,6 +47,44 @@ class LatticeContainmentError(InputError):
 
 class CapExceededError(InputError):
     """A request needs more than WORK_BUDGET or RANK_BITS_CAP allows."""
+
+
+class Record:
+    """Immutable value whose constructor checks or derives its fields.
+
+    A subclass names its fields in _fields, lists them (and any derived
+    or lazy slot) in __slots__, and sets them in its own __init__ with
+    object.__setattr__.  Equality and hashing read the fields, within one
+    class, repr shows Name(field=value, ...), and assignment and deletion
+    raise AttributeError.  Records that only hold fields are NamedTuples.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle: (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def charge(units: int, what: str) -> None:

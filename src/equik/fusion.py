@@ -7,6 +7,7 @@ Character rings of finite groups are fusion rings: nonnegative structure
 constants and positive dimensions.  The truncated polynomial ring that
 models the circle, and its products with character rings, are based
 rings that are not fusion rings, since their augmentation kills lam.
+BasedRing, RingElement and IdealLattice are errors.Record classes.
 
 ``cyclic_ring``, ``circle_truncation``, ``ring_product`` (each charging
 the r^3 work units of the least axiom check before its table) and the
@@ -33,23 +34,21 @@ generators, for the reason given in intmat.Lattice.rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .errors import EquikError, FusionRingError, InputError, LatticeContainmentError
-from .errors import UnsupportedError, charge, decimal, read_json
+from .errors import Record, UnsupportedError, charge, decimal, read_json
 from .abgroups import quotient
 from .intmat import Lattice, _subtract, as_int, echelon_insert, hermite_terms, term_product
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """Coefficient vector of a ring element in the distinguished basis."""
 
-    coefficients: tuple
+    __slots__ = _fields = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _coeffs(self.coefficients))
+    def __init__(self, coefficients):
+        object.__setattr__(self, "coefficients", _coeffs(coefficients))
 
     def __len__(self):
         return len(self.coefficients)
@@ -69,8 +68,7 @@ def _coeffs(x) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class BasedRing:
+class BasedRing(Record):
     """Based commutative ring with a sparse structure table.
 
     table[i][j] lists the nonzero (k, multiplicity) pairs of the product
@@ -78,21 +76,19 @@ class BasedRing:
     augmentation of basis element k.  Construction checks the table's
     shape, nonnegative constants, the unit law at index 0,
     commutativity, that aug is a ring map, and associativity by Light's
-    test on the basis generators it finds (kept as ``generators``).  A
-    fusion ring must also have positive dimensions, which the circle
-    truncation fails; is_fusion is set by the constructor that built the
-    ring, never derived from aug.
+    test on the basis generators it finds (kept as ``generators``, which
+    equality, hashing and repr leave out).  A fusion ring must also have
+    positive dimensions, which the circle truncation fails; is_fusion is
+    set by the constructor that built the ring, never derived from aug.
     """
 
-    labels: tuple
-    aug: tuple
-    table: tuple
-    is_fusion: bool
-    generators: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "aug", "table", "is_fusion")
+    __slots__ = _fields + ("generators",)
 
-    def __post_init__(self):
-        gens = _validate_ring(self.labels, self.aug, self.table, self.is_fusion)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, labels: tuple, aug: tuple, table: tuple, is_fusion: bool):
+        gens = _validate_ring(labels, aug, table, is_fusion)
+        for name, value in zip(self.__slots__, (labels, aug, table, is_fusion, gens)):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -337,8 +333,7 @@ def _kron(t1, t2) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class IdealLattice:
+class IdealLattice(Record):
     """A sublattice of a ring, closed under multiplication by the basis.
 
     The lattice is held by its rows in row Hermite form as term rows, the
@@ -354,8 +349,7 @@ class IdealLattice:
     basis element run, to name the first product outside.
     """
 
-    ring: object
-    lattice: Lattice
+    __slots__ = _fields = ("ring", "lattice")
 
     def __init__(self, ring, basis=(), terms=None):
         if terms is None:
@@ -396,10 +390,13 @@ class IdealLattice:
         return list(self.basis)
 
     def contains(self, vector) -> bool:
-        return self.lattice.contains(_coeffs(vector))
+        return self.solve(vector) is not None
 
     def solve(self, vector):
-        return self.lattice.solve(_coeffs(vector))
+        """Coordinates of a RingElement or int vector in the basis, or None."""
+        if isinstance(vector, RingElement):
+            vector = vector.coefficients
+        return self.lattice.solve(vector)
 
     def content(self) -> int:
         """gcd of all basis entries (0 for the zero lattice)."""

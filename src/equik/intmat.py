@@ -3,17 +3,17 @@
 Row-vector convention throughout the package: a lattice is the span of a
 matrix's rows and maps act on the right, so the kernel of A is the set
 {x : x.A = 0}.  All arithmetic is over Python ints; nothing here (or
-anywhere downstream) touches floating point.
+anywhere downstream) touches floating point.  IntMatrix and Lattice are
+errors.Record classes; the other results are NamedTuples.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
-from .errors import InputError, decimal, read_json
+from .errors import InputError, Record, decimal, read_json
 
 
 def xgcd(a: int, b: int):
@@ -31,24 +31,21 @@ def xgcd(a: int, b: int):
     return g, x, y
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        ent = tuple(self.entries)
-        if len(ent) != self.rows * self.cols:
-            raise InputError(
-                f"expected {self.rows * self.cols} entries, got {len(ent)}"
-            )
+        ent = tuple(entries)
+        if len(ent) != rows * cols:
+            raise InputError(f"expected {rows * cols} entries, got {len(ent)}")
         if not all(type(e) is int for e in ent):
             raise InputError("matrix entries must be ints")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
 
     @classmethod
@@ -111,8 +108,7 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(NamedTuple):
     """H = transform . A with transform unimodular and H in row Hermite form.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
@@ -193,8 +189,7 @@ def hnf(A: IntMatrix) -> HnfResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """U . A . V = D with U, V unimodular and D diagonal.
 
     The diagonal is nonnegative and each entry divides the next, which
@@ -314,8 +309,7 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(keep, cols=A.rows)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     """Integer matrix kept as one {column: entry} map per row, zeros omitted."""
 
     rows: int
@@ -536,19 +530,23 @@ def hermite_rows(vectors, width: int) -> tuple:
     return tuple([_dense(row, width) for row in hermite_terms(_sparse_rows(vectors, width))])
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """The span of rows in row Hermite form, held as term rows.
 
     terms holds the nonzero (column, entry) pairs of each row in
     increasing column, so the pivot comes first, and width the length of
-    the rows; rows gives them as int tuples, built when first read.  Zero
-    rows (the bottom of an hnf) may stay and solve with coefficient 0.
-    solve is plain back-substitution down the pivots.
+    the rows; rows gives them as int tuples, and _pivots indexes them by
+    pivot column, each built into its slot when first read.  Zero rows
+    (the bottom of an hnf) may stay and solve with coefficient 0.  solve
+    is plain back-substitution down the pivots.
     """
 
-    terms: tuple
-    width: int
+    _fields = ("terms", "width")
+    __slots__ = _fields + ("rows", "_pivots")
+
+    def __init__(self, terms: tuple, width: int):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def from_rows(cls, rows, width: int) -> "Lattice":
@@ -558,17 +556,21 @@ class Lattice:
     def span(cls, vectors, width: int) -> "Lattice":
         return cls(hermite_terms(_sparse_rows(vectors, width)), width)
 
-    @cached_property
-    def rows(self) -> tuple:
-        # Tuples on hot paths are built from lists, not generators: CPython
-        # resizes a tuple built from a generator, and the resized tuple is
-        # freed onto the free list of its final size, which only a full
-        # collection empties, so memory creeps up between full collections.
-        return tuple([_dense(row, self.width) for row in self.terms])
-
-    @cached_property
-    def _pivots(self) -> dict:
-        return {row[0][0]: (i, row) for i, row in enumerate(self.terms) if row}
+    def __getattr__(self, name):
+        # Reached only for a slot not yet set: rows and _pivots are filled
+        # on first read, and later reads are plain slot reads.
+        if name == "rows":
+            # Tuples on hot paths are built from lists, not generators: a
+            # tuple built from a generator is resized, and CPython frees it
+            # onto the free list of its final size, which only a full
+            # collection empties, so memory creeps up between collections.
+            value = tuple([_dense(row, self.width) for row in self.terms])
+        elif name == "_pivots":
+            value = {row[0][0]: (i, row) for i, row in enumerate(self.terms) if row}
+        else:
+            raise AttributeError(f"'Lattice' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def solve(self, v):
         """Integer coordinates of the int vector v in the rows, or None."""

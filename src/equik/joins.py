@@ -7,15 +7,16 @@ independent oracle for those numbers.  Boundaries are kept as sparse
 rows, and homology comes from the rank and torsion of each boundary:
 unit pivots are eliminated over the sparse rows and only the leftover
 block goes through Smith reduction.  The boundaries are reduced top first,
-skipping the rows that face a unit pivot of the boundary above.
+skipping the rows that face a unit pivot of the boundary above.  Results
+are NamedTuples; JoinComplex (an errors.Record) is checked and charged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
-from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, charge
+from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, Record, charge
 from .intmat import SparseMatrix, smith_invariants, smith_pivots
 
 
@@ -57,26 +58,25 @@ def join_k_theory_formula(n: int, k: int):
     return 1, step
 
 
-@dataclass(frozen=True)
-class KTheoryRanks:
+class KTheoryRanks(NamedTuple):
     k0_rank: int
     k1_rank: int
 
 
-@dataclass(frozen=True)
-class JoinComplex:
+class JoinComplex(Record):
     """Complete k-partite complex: k = parts blocks of n = part_size vertices."""
 
-    parts: int
-    part_size: int
+    __slots__ = _fields = ("parts", "part_size")
 
-    def __post_init__(self):
-        if self.parts < 1 or self.part_size < 1:
+    def __init__(self, parts: int, part_size: int):
+        if parts < 1 or part_size < 1:
             raise InputError("join complex needs n >= 1 points per copy and k >= 1 copies")
         # 400 units per boundary nonzero, augmentation included: k n (n+1)^(k-1)
         # of them.  Past k = 65 the power is cut at 64, already over the budget.
-        k, n = self.parts, self.part_size
+        k, n = parts, part_size
         charge(400 * k * n * (n + 1) ** min(k - 1, 64), f"the {k}-fold join of {n} points")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "part_size", part_size)
 
     @property
     def vertex_count(self) -> int:
@@ -99,8 +99,7 @@ def build_join_complex(n: int, k: int) -> JoinComplex:
     return JoinComplex(parts=k, part_size=n)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Sparse boundaries of a complex, rows = d-faces, cols = (d-1)-faces.
 
     boundaries[d-1] is the degree-d boundary; chains are row vectors and
@@ -167,8 +166,7 @@ def check_boundaries(maps) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Reduced homology groups by degree, exact including torsion."""
 
     groups: tuple
@@ -208,8 +206,7 @@ def reduced_homology(jc: JoinComplex) -> BettiTable:
     return BettiTable(tuple(groups))
 
 
-@dataclass(frozen=True)
-class MvDeltaReport:
+class MvDeltaReport(NamedTuple):
     delta0: SparseMatrix
     kernel_rank: int
     cokernel: FgAbelianGroup
@@ -233,8 +230,7 @@ def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
     )
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     """Formula ranks against the homology of the actual complex."""
 
     set_size: int

@@ -16,11 +16,11 @@ IdealLattice.basis are dense.  Every image (V + L)/L is RingModule._image,
 read by abgroups.quotient.  Rows are checked only where they enter: the
 constructor, subgroup_class, act and element_stable_nonvanishing.  In
 the axiom checks, e_k e_m is the cell t[k][m] itself, read in place.
+ModelDescriptor is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .abgroups import FgAbelianGroup, quotient, tor as group_tor
@@ -236,8 +236,7 @@ def _leaf_kind(kind) -> _LeafKind:
     return leaf
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(NamedTuple):
     """Named K-theory model, addressable from the CLI and from reports.
 
     Kinds: 'trunc-z2' (order-2 ring modulo its l-th ideal power),

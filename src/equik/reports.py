@@ -9,12 +9,12 @@ names every construction; validate() rebuilds a report from its name
 and parameters, walks the report's JSON tree beside the rebuild's, and
 accepts it only if the two are identical.  Each certificate kind has
 one check, called by its builder and by validate_bound alike:
-_annihilator_image, _index_dimension, _rule_upper.
+_annihilator_image, _index_dimension, _rule_upper.  Reports and
+certificates are immutable NamedTuples; a variant is made by _replace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup
@@ -96,16 +96,14 @@ def upper_bound(text):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stability:
+class Stability(NamedTuple):
     """Connecting-map data: multiplier and the tracked module element."""
 
     multiplier: int
     element: tuple
 
 
-@dataclass(frozen=True)
-class AnnihilatorWitness:
+class AnnihilatorWitness(NamedTuple):
     """Nonzero image of an ideal power on a concrete module.
 
     scope 'full' acts by the n-th power of the whole augmentation ideal;
@@ -121,15 +119,13 @@ class AnnihilatorWitness:
     stability: Stability | None = None
 
 
-@dataclass(frozen=True)
-class JoinFactorWitness:
+class JoinFactorWitness(NamedTuple):
     """A model built from a k-fold self-join caps the dimension at k - 1."""
 
     copies: int
 
 
-@dataclass(frozen=True)
-class IndexWitness:
+class IndexWitness(NamedTuple):
     """Commutative case: dimension equals the join index minus one."""
 
     group: str
@@ -137,24 +133,21 @@ class IndexWitness:
     ind: int
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(NamedTuple):
     """Combination rule applied to input bound summaries (lower, upper)."""
 
     rule: str
     inputs: tuple
 
 
-@dataclass(frozen=True)
-class DimBound:
+class DimBound(NamedTuple):
     lower: int
     upper: object  # int or INFINITY
     lower_certificate: object = None
     upper_certificate: object = None
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(NamedTuple):
     tag: str
     statement: str
 
@@ -215,8 +208,7 @@ def _cite(*tags) -> tuple:
     return tuple(Citation(tag, _STATEMENTS[tag]) for tag in tags)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     construction: str
     parameters: dict
     bound: DimBound
@@ -231,8 +223,7 @@ class BoundReport:
         return self.bound.upper
 
 
-@dataclass
-class CollapseReport:
+class CollapseReport(NamedTuple):
     construction: str
     parameters: dict
     factors: tuple
@@ -241,8 +232,7 @@ class CollapseReport:
     citations: tuple
 
 
-@dataclass
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     construction: str
     parameters: dict
     note: str
@@ -468,9 +458,9 @@ def z6_collapse_report(d: int) -> CollapseReport:
     if d < 0:
         raise InputError("collapse example needs d >= 0")
     m = d + 1
-    factor_one = product_z2_bounds(m, "z3")
-    factor_one.construction = "z6-collapse-factor"
-    factor_one.parameters = {"side": "z2", "m": str(m), "group": "z3"}
+    factor_one = product_z2_bounds(m, "z3")._replace(
+        construction="z6-collapse-factor", parameters={"side": "z2", "m": str(m), "group": "z3"}
+    )
     model_two = tensor_model(trunc_model("z3", m + 1), trunc_model("z2", 1))
     witness_two = _annihilator_witness(model_two, "left-factor", m, 2)
     factor_two = BoundReport(
@@ -530,8 +520,7 @@ def _index_dimension(group: str, copies: int) -> int:
     return copies - 1
 
 
-@dataclass(frozen=True)
-class CommutativeDimension:
+class CommutativeDimension(NamedTuple):
     dim: int
     ind: int
     report: BoundReport

@@ -420,6 +420,20 @@ def test_ideal_lattice_membership_takes_only_int_vectors():
     assert aug.contains((-1, 1)) and aug.solve((-2, 2)) == [-2]
 
 
+def test_ideal_lattice_membership_checks_entries_once():
+    # A RingElement is unwrapped (its constructor checked it); any other
+    # vector goes to Lattice.solve, whose one check names the entries.
+    aug = augmentation_ideal(cyclic_ring(2))
+    assert aug.contains(RingElement((-1, 1))) and aug.solve(RingElement((-2, 2))) == [-2]
+    assert not aug.contains(RingElement((1, 0)))
+    assert aug.contains([-1, 1])
+    for v in ((-1.7, 1), (True, 0)):
+        with pytest.raises(InputError, match="^vector entries must be ints$"):
+            aug.contains(v)
+        with pytest.raises(InputError, match="^vector entries must be ints$"):
+            aug.solve(v)
+
+
 def test_ideal_lattice_membership_takes_only_vectors_of_the_ring_rank():
     aug = augmentation_ideal(cyclic_ring(3))
     for v in ((1, -1), (1, -1, 0, 0)):  # both used to be members

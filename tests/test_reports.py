@@ -7,7 +7,6 @@ integers and the string "infinity" for a missing upper bound.
 
 import importlib.util
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -564,17 +563,17 @@ def test_bare_path_rejects_a_changed_witness_group(gallery_bounds):
     for name, bound in _annihilator_bounds(gallery_bounds):
         cert = bound.lower_certificate
         group = cert.nonzero_group
-        forged = replace(cert, nonzero_group=FgAbelianGroup(group.free_rank + 1, group.torsion))
-        assert not validate_bound(replace(bound, lower_certificate=forged)), name
+        forged = cert._replace(nonzero_group=FgAbelianGroup(group.free_rank + 1, group.torsion))
+        assert not validate_bound(bound._replace(lower_certificate=forged)), name
 
 
 def test_bare_path_rejects_a_lower_bound_above_the_witness_power(gallery_bounds):
     for name, bound in _annihilator_bounds(gallery_bounds):
         power = bound.lower_certificate.power
         # drop the upper claim so only the lower certificate decides
-        at_power = replace(bound, lower=power, upper=INFINITY, upper_certificate=None)
+        at_power = bound._replace(lower=power, upper=INFINITY, upper_certificate=None)
         assert validate_bound(at_power), name
-        assert not validate_bound(replace(at_power, lower=power + 1)), name
+        assert not validate_bound(at_power._replace(lower=power + 1)), name
 
 
 def test_bare_path_rejects_a_product_z2_witness_with_an_even_multiplier(gallery_bounds):
@@ -587,17 +586,17 @@ def test_bare_path_rejects_a_product_z2_witness_with_an_even_multiplier(gallery_
     for name, bound in product_z2:
         cert = bound.lower_certificate
         assert cert.nonzero_group == FgAbelianGroup(0, (2,))
-        forged = replace(cert, stability=replace(cert.stability, multiplier=2))
-        assert not validate_bound(replace(bound, lower_certificate=forged)), name
+        forged = cert._replace(stability=cert.stability._replace(multiplier=2))
+        assert not validate_bound(bound._replace(lower_certificate=forged)), name
 
 
 def test_bare_path_rejects_a_witness_ring_other_than_its_models(gallery_bounds):
     bound = z2_af_bounds(2).bound
-    forged = replace(bound.lower_certificate, ring="q9")
+    forged = bound.lower_certificate._replace(ring="q9")
     assert validate_bound(bound)
-    assert not validate_bound(replace(bound, lower_certificate=forged))
+    assert not validate_bound(bound._replace(lower_certificate=forged))
     for name, bound in _annihilator_bounds(gallery_bounds):
         cert = bound.lower_certificate
         for ring in ("q9", cert.ring + "x", cert.ring.upper()):
-            forged = replace(cert, ring=ring)
-            assert not validate_bound(replace(bound, lower_certificate=forged)), (name, ring)
+            forged = cert._replace(ring=ring)
+            assert not validate_bound(bound._replace(lower_certificate=forged)), (name, ring)

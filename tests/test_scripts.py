@@ -126,3 +126,23 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert imaged["counters"] == {
         "rank": 81, "generators": 3, "module_generators": 81, "ideal_rank": 78
     }
+
+
+def test_bench_layers_times_the_import_in_fresh_interpreters(tmp_path):
+    out = tmp_path / "bench.json"
+    res = run_script(
+        "bench_layers.py", "--case", "import(equik, equik.cli)", "--repeats", "3", "--out", str(out)
+    )
+    assert res.returncode == 0, res.stderr
+    (record,) = json.loads(out.read_text())["change"]
+    assert set(record) == {
+        "case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters", "self_us"
+    }
+    assert (record["case"], record["layer"]) == ("import(equik, equik.cli)", "import")
+    assert record["repeats"] == 11  # at least 11 interpreters, whatever --repeats says
+    assert 0 < record["ns_q1"] <= record["ns_median"] <= record["ns_q3"]
+    # the package, its eight submodules, and the stdlib modules they need
+    assert record["counters"]["modules_loaded"] > 9
+    package = {f"equik.{p.stem}" for p in (ROOT / "src" / "equik").glob("*.py")} - {"equik.__init__"}
+    assert set(record["self_us"]) == package | {"equik"}
+    assert all(type(us) is int and us >= 0 for us in record["self_us"].values())
