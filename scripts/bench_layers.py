@@ -34,30 +34,47 @@ and the quartiles of the repeats), but the first:
   the module's generators, and the image the ideal's rank;
 - reports: four report builders, counting the ideal-power walks their
   modules and witnesses make and the largest ring rank walked; these
-  counters come from one more call, made with ideal_power wrapped.
-The work budget is lifted for the whole run, in this process only:
-circle_truncation(800) is over it.
+  counters come from one more call, made with ideal_power wrapped;
+- cli: cli.main in process, stdout and stderr captured, on each "$ equik"
+  example of the README, on `rokhlin product-z2 2 z3xz3 --json` and on
+  `linalg snf --json` of a seeded 8 x 8 matrix, counting the
+  ArgumentParser.parse_known_args calls of one request, the bytes it
+  writes and its exit code, from one more call with the method wrapped.
+The work budget is lifted for every case but the cli ones, in this
+process only: circle_truncation(800) is over it.
 
 The run is stored under its label in the output file, beside the runs
 already there under other labels, so a parent tree and a change can
-share one file:
+share one file.  With --parent DIR, the script runs itself --rounds
+times on DIR/src and on the equik it imports, each in a fresh process,
+alternating which goes first, and stores round i under parent-i and
+<label>-i:
 
     PYTHONPATH=src python3 scripts/bench_layers.py --label change --out BENCH_<n>.json
     PYTHONPATH=src python3 scripts/bench_layers.py --case "ring_from_tag(z24)" --out bench.json
+    PYTHONPATH=src python3 scripts/bench_layers.py --parent ../parent --rounds 3 --out BENCH_<n>.json
 """
 
 import argparse
+import contextlib
+import functools
 import gc
+import io
 import itertools
 import json
 import os
+import random
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import equik
+import equik.cli
 from equik import errors, fusion, joins, kmodules, reports
 
 # (set size n, copies k): the join homology grid of the joins workload,
@@ -74,6 +91,21 @@ REPORT_CASES = (
     ("z6_collapse_report", (1,)),
     ("circle_ah_dimension", (20,)),
 )
+# The "$ equik" examples of the README, then a grouped --json request and
+# the Smith form of a seeded 8 x 8 matrix with entries in [-9, 9].
+README = Path(__file__).resolve().parent.parent / "README.md"
+# The source tree of the equik this script imports.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(equik.__file__)))
+CLI_REQUESTS = (
+    *(
+        line[len("$ equik "):]
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("$ equik ")
+    ),
+    "rokhlin product-z2 2 z3xz3 --json",
+    "linalg snf seeded-8x8.json --json",
+)
+MATRIX_SEED = 24
 MIN_REPEATS = 3
 CASE_SECONDS = 2.0  # repeats stop after this long, once MIN_REPEATS ran
 IMPORT_CASE = "import(equik, equik.cli)"
@@ -237,11 +269,59 @@ def check_case(n, k):
     return lambda: joins.check_boundaries(maps), lambda _: counted
 
 
+@functools.lru_cache(maxsize=1)
+def cli_workdir() -> tempfile.TemporaryDirectory:
+    """A directory holding the files the CLI requests name: the README's
+    matrix.json, report.json as `rokhlin z2 2 --json` writes it, and the
+    seeded 8 x 8 matrix; it is removed when the interpreter exits."""
+    tmp = tempfile.TemporaryDirectory(prefix="bench_layers_")
+    work = Path(tmp.name)
+    readme = README.read_text(encoding="utf-8")
+    example = readme.split("Integer matrices are JSON", 1)[1].split("```json\n", 1)[1]
+    (work / "matrix.json").write_text(example.split("```", 1)[0], encoding="utf-8")
+    report = cli_request(["rokhlin", "z2", "2", "--json"])[1]
+    (work / "report.json").write_text(report, encoding="utf-8")
+    rng = random.Random(MATRIX_SEED)
+    entries = [str(rng.randint(-9, 9)) for _ in range(64)]
+    (work / "seeded-8x8.json").write_text(
+        json.dumps({"rows": "8", "cols": "8", "entries": entries}), encoding="utf-8"
+    )
+    return tmp
+
+
+def cli_request(argv) -> tuple:
+    """Exit code, stdout and stderr of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = equik.cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_case(request):
+    """cli.main on the request, its file names resolved in cli_workdir()."""
+    work = Path(cli_workdir().name)
+    argv = [str(work / w) if (work / w).is_file() else w for w in shlex.split(request)]
+
+    def counters(_):
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args", counting):
+            code, out, err = cli_request(argv)
+        written = len(out.encode("utf-8")) + len(err.encode("utf-8"))
+        return {"parse_known_args": len(calls), "bytes_written": written, "exit_code": code}
+
+    return lambda: cli_request(argv), counters
+
+
 def fresh_import(*flags):
     """One fresh interpreter running IMPORT_PROBE on this script's equik tree."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(equik.__file__)))
     return subprocess.run(
-        [sys.executable, "-I", *flags, "-c", IMPORT_PROBE, src],
+        [sys.executable, "-I", *flags, "-c", IMPORT_PROBE, SRC],
         capture_output=True, text=True, timeout=60, check=True,
     )
 
@@ -334,33 +414,58 @@ CASES = {
         )
         for builder, args in REPORT_CASES
     },
+    **{
+        f"cli({request})": ("cli", lambda request=request: cli_case(request))
+        for request in CLI_REQUESTS
+    },
 }
 
 
 def run(names, max_repeats: int) -> list:
     records = []
-    with mock.patch.object(errors, "WORK_BUDGET", 10**15):
-        for name in names:
-            if name == IMPORT_CASE:
-                records.append(import_record())
-                continue
-            layer, setup = CASES[name]
+    for name in names:
+        if name == IMPORT_CASE:
+            records.append(import_record())
+            continue
+        layer, setup = CASES[name]
+        # cli requests keep the budget: a README example is refused by it
+        budget = errors.WORK_BUDGET if layer == "cli" else 10**15
+        with mock.patch.object(errors, "WORK_BUDGET", budget):
             call, counters = setup()
             counted = counters(call())  # the warm-up, untimed
             samples = time_case(call, max_repeats)
-            q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-            records.append(
-                {
-                    "case": name,
-                    "layer": layer,
-                    "ns_median": int(median),
-                    "ns_q1": int(q1),
-                    "ns_q3": int(q3),
-                    "repeats": len(samples),
-                    "counters": counted,
-                }
-            )
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        records.append(
+            {
+                "case": name,
+                "layer": layer,
+                "ns_median": int(median),
+                "ns_q1": int(q1),
+                "ns_q3": int(q3),
+                "repeats": len(samples),
+                "counters": counted,
+            }
+        )
     return records
+
+
+def run_rounds(cfg) -> None:
+    """Run this script cfg.rounds times on each tree, each run in a fresh
+    process, the parent first in odd rounds and the change first in even."""
+    trees = {
+        "parent": os.path.join(os.path.abspath(cfg.parent), "src"),
+        cfg.label: SRC,
+    }
+    passed = ["--out", cfg.out, "--repeats", str(cfg.repeats)]
+    for name in cfg.case or ():
+        passed += ["--case", name]
+    for i in range(1, cfg.rounds + 1):
+        for side in list(trees)[:: 1 if i % 2 else -1]:
+            print(f"round {i}: {side} ({trees[side]})", flush=True)
+            subprocess.run(
+                [sys.executable, os.path.abspath(__file__), *passed, "--label", f"{side}-{i}"],
+                env=dict(os.environ, PYTHONPATH=trees[side]), check=True,
+            )
 
 
 def main() -> None:
@@ -372,9 +477,21 @@ def main() -> None:
         help="time only this case, named as in the output (repeatable; default: every case)",
     )
     parser.add_argument("--repeats", type=int, default=21, help="most timed calls per library case")
+    parser.add_argument(
+        "--parent", metavar="DIR",
+        help="a checkout of the parent commit: run it and this tree in alternating rounds",
+    )
+    parser.add_argument("--rounds", type=int, default=1, help="runs per tree with --parent")
     cfg = parser.parse_args()
     if cfg.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
+    if cfg.rounds < 1 or (cfg.rounds > 1 and cfg.parent is None):
+        parser.error("--rounds must be at least 1, and above 1 only with --parent")
+    if cfg.parent is not None:
+        if cfg.label == "parent":
+            parser.error("--label parent would mix the two trees' rounds")
+        run_rounds(cfg)
+        return
     cases = cfg.case or [IMPORT_CASE, *CASES]
     runs = {}
     if os.path.exists(cfg.out):
@@ -389,7 +506,6 @@ def main() -> None:
             "%-50s %12d ns (%d-%d)  %s"
             % (rec["case"], rec["ns_median"], rec["ns_q1"], rec["ns_q3"], rec["counters"])
         )
-
 
 if __name__ == "__main__":
     main()

@@ -2,8 +2,11 @@
 
 Every command prints a deterministic text summary by default; --json
 switches to a machine format where all integers are decimal strings and
-an absent upper bound is the string "infinity".  --meta writes one JSON
-line of timing to stderr, so the stdout payload stays byte-identical.
+an absent upper bound is the string "infinity", written exactly as
+json.dumps(payload, indent=2) writes it.  --meta writes one JSON line of
+timing to stderr, so the stdout payload stays byte-identical.  A request
+is read by the parser of the subcommand its first words name; argparse's
+nested parse of the whole tree reads the rest, to print help or an error.
 
 Exit codes: 0 success, 2 bad input, 3 unsupported request.  validate
 exits 1 when the file is well formed but differs from the rebuild of its
@@ -17,6 +20,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _escape
 
 from .abgroups import TRIVIAL_GROUP, parse_group_literal, tensor, tor
 from .errors import CapExceededError, EquikError, InputError, UnsupportedError
@@ -326,16 +330,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=1)
 def _parser(builder) -> argparse.ArgumentParser:
-    """The parser builder makes, built on first use and then reused.
-
-    main passes the current build_parser, so a parser is built again only
-    when build_parser has been rebound since (to a wrapper, say).
-    """
+    """The parser builder makes, built on first use and reused until main
+    passes a rebound build_parser (a wrapper, say)."""
     return builder()
 
 
+def _namespace(argv):
+    """argv read by the parser of the subcommand its first words name."""
+    parser = leaf = _parser(build_parser)
+    named = {}  # command and <group>_op, as the nested parse sets them
+    while sub := next((a for a in leaf._actions if type(a) is argparse._SubParsersAction), None):
+        word = argv[len(named)] if len(named) < len(argv) else None
+        if word not in sub.choices:
+            return parser.parse_args(argv)  # help or a usage error
+        named[sub.dest], leaf = word, sub.choices[word]
+    args, rest = leaf.parse_known_args(argv[len(named):])
+    # words left over get the nested parse's usage error; leaf values win, as nested
+    return parser.parse_args(argv) if rest else argparse.Namespace(**{**named, **vars(args)})
+
+
+def _json_text(value, indent="\n"):
+    """json.dumps(value, indent=2) of a JSON tree whose keys are strings."""
+    if isinstance(value, str):
+        return _escape(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a number, bool, None or empty container
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+    else:  # a list of strings, such as matrix entries, is escaped in one map
+        plain = all(type(v) is str for v in value)
+        ends, items = "[]", map(_escape, value) if plain else [_json_text(v, inner) for v in value]
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def main(argv=None) -> int:
-    args = _parser(build_parser).parse_args(argv)
+    args = _namespace(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter_ns()
     try:
         payload, lines, code = args.func(args)
@@ -346,7 +376,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)

@@ -4,12 +4,16 @@ Commands run in-process through main(argv) so the tests stay fast; the
 console entry point uses the same function.
 """
 
+import argparse
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -24,6 +28,7 @@ from equik.intmat import load_matrix, matrix_from_json_dict
 from equik.reports import CONSTRUCTIONS, report_from_json_dict, report_to_json_dict, validate
 from test_reports import gallery_reports
 from dense_algebra import det, mul
+import cli_oracle
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -921,3 +926,142 @@ def test_readme_transcript(command, expected, tmp_path, monkeypatch, capsys):
         assert (code, out, err) == (2, "", expected[0] + "\n")
     else:
         assert (code, out, err) == (0, "\n".join(expected) + "\n", "")
+
+
+# main reads a request with its subcommand's parser alone; cli_oracle's
+# nested parse of the whole tree, with json.dumps output, is the oracle.
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_dispatch_corpus_covers_every_command():
+    names = [" ".join(filter(None, (group, name))) for group, name, *_ in cli.COMMANDS]
+    assert list(cli_oracle.VALID) == names
+    with cli_oracle.workdir():
+        codes = [cli_oracle.outcome(main, [*words.split(), *args])[0]
+                 for words, args in cli_oracle.VALID.items()]
+    assert codes == [0] * len(names)
+
+
+def test_dispatch_matches_the_nested_parse_on_the_corpus(columns):
+    with cli_oracle.workdir():
+        assert cli_oracle.differences(cli_oracle.CORPUS) == []
+
+
+@st.composite
+def edited_argv(draw):
+    """A corpus argv with a few corpus words inserted or deleted."""
+    argv = list(draw(st.sampled_from(cli_oracle.CORPUS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        if argv and at < len(argv) and draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(cli_oracle.TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(edited_argv(), st.lists(st.sampled_from(cli_oracle.TOKENS), max_size=6)))
+def test_dispatch_matches_the_nested_parse_on_drawn_argv(argv):
+    with cli_oracle.workdir():
+        assert cli_oracle.differences([argv]) == []
+
+
+def test_dispatch_reads_each_request_with_one_parser(monkeypatch, capsys):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv, progs in (
+        (["rokhlin", "product-z2", "2", "z3", "--json"], ["equik rokhlin product-z2"]),
+        (["model", "trunc-z2:3"], ["equik model"]),
+        # leftover words: the nested parse prints the usage error
+        (["rokhlin", "z2", "2", "3"], ["equik rokhlin z2", "equik", "equik rokhlin", "equik rokhlin z2"]),
+    ):
+        calls.clear()
+        _request(capsys, argv)
+        assert calls == progs
+
+
+_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\ufeff')))
+_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(_text, max_size=4),
+        st.dictionaries(_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_json_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_every_gallery_report():
+    for _, report in gallery_reports():
+        tree = report_to_json_dict(report)
+        assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("command", [c for c, e in TRANSCRIPTS if not e[0].startswith("error:")])
+def test_json_writer_matches_json_dumps_on_every_readme_example(command):
+    with cli_oracle.workdir():
+        code, out, err = cli_oracle.outcome(main, [*shlex.split(command), "--json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_requests_leave_no_cyclic_garbage():
+    # json.dumps(indent=2) left about 33 objects in cycles per call
+    argv = ["rokhlin", "z2", "2", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)  # builds the parser
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(10):
+                main(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+    assert garbage == 0
+
+
+# Run as `python -I -m equik.cli` does: -I ignores PYTHONPATH, so the
+# runner puts src/ on sys.path itself and runs equik.cli as __main__.
+FRESH_RUNNER = (
+    "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "runpy.run_module('equik.cli', run_name='__main__', alter_sys=True)"
+)
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _fresh_argvs():
+    readme = [shlex.split(command) for command, _ in TRANSCRIPTS]
+    json_examples = [[*argv, "--json"] for argv, (_, expected) in zip(readme, TRANSCRIPTS)
+                     if not expected[0].startswith("error:")]
+    return [*readme, *json_examples, ["rokhlin", "--help"], ["rokhlin", "z2"]]
+
+
+@pytest.mark.parametrize("argv", _fresh_argvs(), ids=" ".join)
+def test_fresh_process_prints_what_main_prints(argv, columns):
+    with cli_oracle.workdir() as tmp:
+        expected = cli_oracle.outcome(main, argv)
+        res = subprocess.run(
+            [sys.executable, "-I", "-c", FRESH_RUNNER, SRC, *argv],
+            cwd=tmp, capture_output=True, timeout=60, env={**os.environ, "COLUMNS": "80"},
+        )
+    assert (res.returncode, res.stdout.decode(), res.stderr.decode()) == expected

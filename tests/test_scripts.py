@@ -64,6 +64,10 @@ def test_bench_layers_writes_its_schema(tmp_path):
     truncation = "truncated_ring_module(circle_truncation(292), 292)"
     quotients = "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)"
     image = "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))"
+    grouped = "cli(rokhlin product-z2 2 z3xz3 --json)"
+    snf = "cli(linalg snf seeded-8x8.json --json)"
+    top = "cli(validate report.json)"
+    refused = "cli(rep ideal-powers z2 --max-power 1000000000)"
     res = run_script(
         "bench_layers.py",
         "--case", "reduced_homology(3, 3)",
@@ -76,6 +80,10 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", truncation,
         "--case", quotients,
         "--case", image,
+        "--case", grouped,
+        "--case", snf,
+        "--case", top,
+        "--case", refused,
         "--repeats", "3",
         "--out", str(out),
     )
@@ -83,7 +91,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
     (homology, boundaries, check, instantiate, built, regular, tensor, truncated, quotient,
-     imaged) = runs["change"]
+     imaged, grouped_cli, snf_cli, top_cli, refused_cli) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
         assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
@@ -126,6 +134,30 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert imaged["counters"] == {
         "rank": 81, "generators": 3, "module_generators": 81, "ideal_rank": 78
     }
+    # one parser reads each request; the refused one is a README example
+    # whose error goes to stderr
+    assert (grouped_cli["case"], grouped_cli["layer"]) == (grouped, "cli")
+    assert grouped_cli["counters"] == {"parse_known_args": 1, "bytes_written": 1816, "exit_code": 0}
+    assert snf_cli["counters"]["parse_known_args"] == 1
+    assert snf_cli["counters"]["exit_code"] == 0
+    assert top_cli["counters"] == {"parse_known_args": 1, "bytes_written": 6, "exit_code": 0}
+    assert refused_cli["counters"] == {"parse_known_args": 1, "bytes_written": 96, "exit_code": 2}
+
+
+def test_bench_layers_alternates_rounds_of_two_trees(tmp_path):
+    # this tree stands in for the parent checkout
+    out = tmp_path / "bench.json"
+    res = run_script(
+        "bench_layers.py", "--parent", str(ROOT), "--rounds", "3", "--case", "reduced_homology(3, 3)",
+        "--repeats", "3", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    runs = json.loads(out.read_text())
+    assert list(runs) == ["parent-1", "change-1", "change-2", "parent-2", "parent-3", "change-3"]
+    assert all([rec["case"] for rec in run] == ["reduced_homology(3, 3)"] for run in runs.values())
+    res = run_script("bench_layers.py", "--rounds", "2", "--out", str(out))
+    assert res.returncode == 2
+    assert "only with --parent" in res.stderr
 
 
 def test_bench_layers_times_the_import_in_fresh_interpreters(tmp_path):
