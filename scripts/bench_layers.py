@@ -8,21 +8,23 @@ and the quartiles of the repeats), but the first:
   modules it loads; 11 more run under `-X importtime`, and the record's
   self_us holds each equik module's median self time in microseconds;
 - joins: reduced_homology on the join complexes of the benchmark's
-  `join homology` grid plus three larger ones, counting the rows the
-  boundaries hold in total, the rows handed to the sparse elimination,
-  the rows cleared before it and the boundary nonzeros, augmentation
-  included; these counters come from one more call, made before the
-  timed ones with the elimination wrapped.  On the same grid,
-  boundary_matrices, counting the boundary rows and nonzeros, and
-  check_boundaries on the boundaries and the augmentation, counting the
-  rows checked and the multiply-adds their products take;
+  `join homology` grid plus five larger ones, counting the rows the
+  boundaries hold in total, the critical cells coreduction leaves, the
+  rows of those handed to the sparse elimination and the rows cleared
+  before it, and the boundary nonzeros, augmentation included; the
+  counters are read from the maps handed to check_boundaries, coreduce
+  and smith_pivots, wrapped in the warm-up call.  On the grid and the
+  first three larger joins, boundary_matrices, counting the boundary rows
+  and nonzeros, and check_boundaries on the boundaries and the
+  augmentation, counting the rows checked and the multiply-adds their
+  products take;
 - fusion: ring_from_tag on z24 and z2xz3xz5 and circle_truncation at
   orders 400 and 800, each a ring built and fully checked, counting the
   rank and the generators the check finds; regular_class_check on the
   rings of the benchmark's `rep regular` (built untimed), and
   lambda_expansion(31), counting the ring products each forms (the
-  augmentation ideal's closure check included), from one more call made
-  with fusion._row_times wrapped; lattice_quotient of the levels 0-2 of
+  augmentation ideal's closure check included), with fusion._row_times
+  wrapped in the warm-up call; lattice_quotient of the levels 0-2 of
   ideal_powers(z2xz3xz5) (built untimed), counting the levels and their
   largest rank;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
@@ -33,13 +35,13 @@ and the quartiles of the repeats), but the first:
   both built untimed; each counting the ring's rank and generators and
   the module's generators, and the image the ideal's rank;
 - reports: four report builders, counting the ideal-power walks their
-  modules and witnesses make and the largest ring rank walked; these
-  counters come from one more call, made with ideal_power wrapped;
+  modules and witnesses make and the largest ring rank walked, with
+  ideal_power wrapped in the warm-up call;
 - cli: cli.main in process, stdout and stderr captured, on each "$ equik"
   example of the README, on `rokhlin product-z2 2 z3xz3 --json` and on
   `linalg snf --json` of a seeded 8 x 8 matrix, counting the
   ArgumentParser.parse_known_args calls of one request, the bytes it
-  writes and its exit code, from one more call with the method wrapped.
+  writes and its exit code, with the method wrapped in the warm-up call.
 The work budget is lifted for every case but the cli ones, in this
 process only: circle_truncation(800) is over it.
 
@@ -83,6 +85,9 @@ JOIN_CASES = (
     (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
     (2, 7), (3, 5), (9, 5),
 )
+# Joins timed by reduced_homology alone: the 7-fold join of 4 points and
+# the 9-fold join of 3, both within the work budget.
+HOMOLOGY_CASES = JOIN_CASES + ((4, 7), (3, 9))
 # (builder, arguments): reports built from the product, circle-product,
 # collapse and circle constructions.
 REPORT_CASES = (
@@ -136,27 +141,44 @@ def time_case(call, max_repeats: int) -> list:
 
 
 def count_case(jc) -> dict:
-    """Rows, eliminated rows, cleared rows and nonzeros of one call."""
-    inner = joins.smith_pivots
-    eliminated = []
+    """Rows, critical cells, eliminated and cleared rows, and nonzeros of
+    one reduced_homology call, read from the maps handed to its steps.  A
+    tree with no joins.coreduce (an older parent) counts every row as a
+    critical cell."""
+    seen, eliminated = {}, []
 
-    def counting(rows):
+    def checking(maps, real=joins.check_boundaries):
+        seen["rows"] = seen["critical_cells"] = sum(m.rows for m in maps)
+        seen["nonzeros"] = sum(len(row) for m in maps for row in m.data)
+        return real(maps)
+
+    def coreducing(maps, real=getattr(joins, "coreduce", None)):
+        kept = real(maps)
+        seen["critical_cells"] = sum(m.rows for m in kept)
+        return kept
+
+    def counting(rows, real=joins.smith_pivots):
         eliminated.append(len(rows))
-        return inner(rows)
+        return real(rows)
 
-    with mock.patch.object(joins, "smith_pivots", counting):
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(joins, "check_boundaries", checking))
+        patches.enter_context(mock.patch.object(joins, "smith_pivots", counting))
+        if hasattr(joins, "coreduce"):
+            patches.enter_context(mock.patch.object(joins, "coreduce", coreducing))
         joins.reduced_homology(jc)
-    chain = joins.boundary_matrices(jc)
-    rows = sum(chain.face_counts)
-    nonzeros = chain.face_counts[0] + sum(
-        len(row) for m in chain.boundaries for row in m.data
-    )
     return {
-        "rows": rows,
+        "rows": seen["rows"],
+        "critical_cells": seen["critical_cells"],
         "rows_eliminated": sum(eliminated),
-        "rows_cleared": rows - sum(eliminated),
-        "nonzeros": nonzeros,
+        "rows_cleared": seen["critical_cells"] - sum(eliminated),
+        "nonzeros": seen["nonzeros"],
     }
+
+
+def from_result(call, counters) -> tuple:
+    """A case whose counters are read off the result of the call itself."""
+    return call, lambda: counters(call())
 
 
 def ring_counters(ring) -> dict:
@@ -178,7 +200,7 @@ def product_counters(call) -> dict:
 
 
 def product_case(call):
-    return call, lambda _: product_counters(call)
+    return call, lambda: product_counters(call)
 
 
 def module_counters(mod) -> dict:
@@ -187,7 +209,9 @@ def module_counters(mod) -> dict:
 
 def kunneth_case(left, right):
     halves = [kmodules.ModelDescriptor.parse(text).instantiate() for text in (left, right)]
-    return lambda: kmodules.kunneth_pieces(*halves), lambda pieces: module_counters(pieces[0])
+    return from_result(
+        lambda: kmodules.kunneth_pieces(*halves), lambda pieces: module_counters(pieces[0])
+    )
 
 
 def quotient_case(tag, last):
@@ -200,14 +224,16 @@ def quotient_case(tag, last):
     def call():
         return [fusion.lattice_quotient(ring, outer, inner) for outer, inner in pairs]
 
-    return call, lambda _: {"levels": len(levels), "max_level_rank": max(level.rank for level in levels)}
+    return from_result(
+        call, lambda _: {"levels": len(levels), "max_level_rank": max(level.rank for level in levels)}
+    )
 
 
 def image_case(text, n):
     """ideal_image of I^n on the module the descriptor names, both built untimed."""
     mod = kmodules.ModelDescriptor.parse(text).instantiate()
     lattice = fusion.ideal_power(mod.ring, n)
-    return (
+    return from_result(
         lambda: kmodules.ideal_image(lattice, mod),
         lambda _: {**module_counters(mod), "ideal_rank": lattice.rank},
     )
@@ -215,7 +241,7 @@ def image_case(text, n):
 
 def truncation_case(n):
     ring = fusion.circle_truncation(n)
-    return lambda: kmodules.truncated_ring_module(ring, n), module_counters
+    return from_result(lambda: kmodules.truncated_ring_module(ring, n), module_counters)
 
 
 def walk_counters(call) -> dict:
@@ -236,12 +262,12 @@ def report_case(builder, args):
     def call():
         return getattr(reports, builder)(*args)
 
-    return call, lambda _: walk_counters(call)
+    return call, lambda: walk_counters(call)
 
 
 def homology_case(n, k):
     jc = joins.build_join_complex(n, k)
-    return lambda: joins.reduced_homology(jc), lambda _: count_case(jc)
+    return lambda: joins.reduced_homology(jc), lambda: count_case(jc)
 
 
 def boundary_counters(chain) -> dict:
@@ -253,7 +279,7 @@ def boundary_counters(chain) -> dict:
 
 def boundary_case(n, k):
     jc = joins.build_join_complex(n, k)
-    return lambda: joins.boundary_matrices(jc), boundary_counters
+    return from_result(lambda: joins.boundary_matrices(jc), boundary_counters)
 
 
 def check_case(n, k):
@@ -266,7 +292,7 @@ def check_case(n, k):
             len(lower.data[a]) for lower, m in zip(maps, maps[1:]) for row in m.data for a in row
         ),
     }
-    return lambda: joins.check_boundaries(maps), lambda _: counted
+    return from_result(lambda: joins.check_boundaries(maps), lambda _: counted)
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,7 +328,7 @@ def cli_case(request):
     work = Path(cli_workdir().name)
     argv = [str(work / w) if (work / w).is_file() else w for w in shlex.split(request)]
 
-    def counters(_):
+    def counters():
         calls = []
         real = argparse.ArgumentParser.parse_known_args
 
@@ -352,11 +378,12 @@ def import_record() -> dict:
 
 
 # case name -> (layer, setup); setup runs untimed and returns the timed
-# call and the function that gives the counters of the call's result.
+# call and the counted call, which makes the call once and gives its
+# counters; the counted call is the case's warm-up.
 CASES = {
     **{
         f"reduced_homology({n}, {k})": ("joins", lambda n=n, k=k: homology_case(n, k))
-        for n, k in JOIN_CASES
+        for n, k in HOMOLOGY_CASES
     },
     **{
         f"{name}({n}, {k})": ("joins", lambda case=case, n=n, k=k: case(n, k))
@@ -366,14 +393,14 @@ CASES = {
     **{
         f"ring_from_tag({tag})": (
             "fusion",
-            lambda tag=tag: (lambda: fusion.ring_from_tag(tag), ring_counters),
+            lambda tag=tag: from_result(lambda: fusion.ring_from_tag(tag), ring_counters),
         )
         for tag in ("z24", "z2xz3xz5")
     },
     **{
         f"circle_truncation({n})": (
             "fusion",
-            lambda n=n: (lambda: fusion.circle_truncation(n), ring_counters),
+            lambda n=n: from_result(lambda: fusion.circle_truncation(n), ring_counters),
         )
         for n in (400, 800)
     },
@@ -390,7 +417,9 @@ CASES = {
     **{
         f"instantiate({text})": (
             "kmodules",
-            lambda text=text: (kmodules.ModelDescriptor.parse(text).instantiate, module_counters),
+            lambda text=text: from_result(
+                kmodules.ModelDescriptor.parse(text).instantiate, module_counters
+            ),
         )
         for text in ("tensor(trunc-z2:3,trunc:z3xz3:1)", "tensor(trunc:z3:3,trunc:z2:1)")
     },
@@ -431,8 +460,8 @@ def run(names, max_repeats: int) -> list:
         # cli requests keep the budget: a README example is refused by it
         budget = errors.WORK_BUDGET if layer == "cli" else 10**15
         with mock.patch.object(errors, "WORK_BUDGET", budget):
-            call, counters = setup()
-            counted = counters(call())  # the warm-up, untimed
+            call, count = setup()
+            counted = count()  # the counted call is the warm-up, untimed
             samples = time_case(call, max_repeats)
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         records.append(

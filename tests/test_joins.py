@@ -7,8 +7,9 @@ octahedron sphere.
 The independent oracle for homology is the dense kernel/image route:
 dense boundary matrices, a Hermite kernel basis, the image solved in
 that basis, and the Smith form of the resulting presentation.  The
-per-map route, smith_invariants on each whole boundary with no rows
-cleared, is kept here as a second oracle for the top-down sweep.  The
+per-map route, smith_invariants on each whole boundary with no cell
+coreduced and no rows cleared, is kept here as a second oracle for the
+coreduction and the top-down sweep.  The
 boundaries built from face masks are checked entry for entry against
 the tuple route: itertools face lists, sorted vertex tuples, and each
 sub-face found by slicing one vertex out.
@@ -138,12 +139,13 @@ def dense_chain_homology(n_vert: int, bnds) -> tuple:
     return tuple(groups)
 
 
-def per_map_homology(chain: ChainComplex) -> tuple:
-    """Reduced homology from smith_invariants on each whole boundary."""
-    invariants = [smith_invariants(m.data) for m in with_augmentation(chain)] + [(0, ())]
+def per_map_homology(maps) -> tuple:
+    """Reduced homology from smith_invariants on each whole map, maps[0]
+    the augmentation and the cells of each degree counted by its rows."""
+    invariants = [smith_invariants(m.data) for m in maps] + [(0, ())]
     return tuple(
-        FgAbelianGroup(n - invariants[d][0] - invariants[d + 1][0], invariants[d + 1][1])
-        for d, n in enumerate(chain.face_counts)
+        FgAbelianGroup(m.rows - invariants[d][0] - invariants[d + 1][0], invariants[d + 1][1])
+        for d, m in enumerate(maps)
     )
 
 
@@ -223,12 +225,10 @@ def test_face_masks_are_the_lexicographic_vertex_tuples(n, k):
         assert [mask_vertices(jc, f) for f in masks[d + 1]] == tuple_faces(jc, d)
 
 
-# The benchmark's `join homology` grid, two larger joins, and the n = 1
-# and k = 1 edges.
-BOUNDARY_CASES = (
-    (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
-    (2, 7), (3, 5), (1, 1), (1, 2), (1, 6), (2, 1), (7, 1),
-)
+# The benchmark's `join homology` grid.
+HOMOLOGY_GRID = ((2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3))
+# The grid, two larger joins, and the n = 1 and k = 1 edges.
+BOUNDARY_CASES = HOMOLOGY_GRID + ((2, 7), (3, 5), (1, 1), (1, 2), (1, 6), (2, 1), (7, 1))
 
 
 def assert_same_boundaries(jc: JoinComplex) -> None:
@@ -323,7 +323,7 @@ def test_cleared_homology_matches_per_map_and_dense_oracles(facets):
     )
     with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
         groups = reduced_homology(build_join_complex(1, 1)).groups
-    assert groups == per_map_homology(chain) == dense
+    assert groups == per_map_homology(with_augmentation(chain)) == dense
 
 
 def test_projective_plane_clears_beside_a_stuck_row():
@@ -336,19 +336,111 @@ def test_projective_plane_clears_beside_a_stuck_row():
     assert [g.render() for g in betti.groups] == ["0", "Z_2", "0"]
 
 
-def test_homology_skips_the_rows_facing_unit_pivots_above():
+def rows_eliminated(chain: ChainComplex) -> tuple:
+    """The reduced groups, and the rows reduced_homology hands smith_pivots,
+    top map first, when the complex's boundaries are the chain's."""
     passed, inner = [], joins.smith_pivots
 
-    def counting(rows):
-        passed.append(len(rows))
+    def recording(rows):
+        passed.append(rows)
         return inner(rows)
 
+    with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
+        with mock.patch.object(joins, "smith_pivots", recording):
+            groups = reduced_homology(build_join_complex(1, 1)).groups
+    return groups, passed
+
+
+def test_homology_skips_the_rows_facing_unit_pivots_above():
+    # coreduction leaves 5 edges and 5 triangles; the triangles' map has 4
+    # unit pivots and one row of torsion 2, and 4 of the 5 edge rows face
+    # those pivots, so one edge row is eliminated
+    groups, passed = rows_eliminated(simplicial_chain(RP2_FACETS))
+    assert [g.render() for g in groups] == ["0", "Z_2", "0"]
+    assert [len(rows) for rows in passed] == [5, 1, 0]
+
+
+def test_homology_eliminates_only_the_critical_cells_of_a_join():
     jc = build_join_complex(2, 6)
-    with mock.patch.object(joins, "smith_pivots", counting):
-        betti = reduced_homology(jc)
-    assert betti.ranks() == (0, 0, 0, 0, 0, 1)
+    groups, passed = rows_eliminated(boundary_matrices(jc))
+    assert [g.free_rank for g in groups] == [0, 0, 0, 0, 0, 1]
     assert sum(jc.face_counts()) == 728
-    assert passed == [64, 129, 111, 49, 11, 1]  # top map first, 365 rows
+    assert [len(rows) for rows in passed] == [1, 0, 0, 0, 0, 0]  # the one critical cell
+
+
+def assert_coreduced_in_step(maps, kept) -> None:
+    """kept is a complex of the maps' shape whose columns follow the rows below."""
+    assert len(kept) == len(maps) and kept[0].cols <= 1
+    for lower, upper in zip(kept, kept[1:]):
+        assert upper.cols == lower.rows
+    for m in kept:
+        assert len(m.data) == m.rows
+        assert all(0 <= j < m.cols for row in m.data for j in row)
+    check_boundaries(kept)
+
+
+@given(facet_lists)
+@example(RP2_FACETS)
+@settings(max_examples=40, deadline=None)
+def test_coreduced_homology_matches_per_map_and_dense_oracles(facets):
+    chain = simplicial_chain(facets)
+    maps = with_augmentation(chain)
+    kept = joins.coreduce(maps)
+    assert_coreduced_in_step(maps, kept)
+    dense = dense_chain_homology(
+        chain.face_counts[0], [densify(m) for m in chain.boundaries]
+    )
+    assert per_map_homology(kept) == per_map_homology(maps) == dense
+
+
+def test_projective_plane_coreduces_to_five_edges_and_five_triangles():
+    maps = with_augmentation(simplicial_chain(RP2_FACETS))
+    kept = joins.coreduce(maps)
+    assert [m.rows for m in kept] == [0, 5, 5]
+    assert all(row == {} for row in kept[1].data)
+    assert [g.render() for g in per_map_homology(kept)] == ["0", "Z_2", "0"]
+
+
+def test_a_face_of_coefficient_two_reaches_the_elimination_untouched():
+    # one vertex, one loop and a 2-cell attached along the loop twice: the
+    # vertex pairs with the empty cell, and nothing pairs with the loop
+    chain = ChainComplex((1, 1, 1), (SparseMatrix(1, 1, ({},)), SparseMatrix(1, 1, ({0: 2},))))
+    kept = joins.coreduce(with_augmentation(chain))
+    assert [(m.rows, m.cols, m.data) for m in kept] == [
+        (0, 0, ()), (1, 0, ({},)), (1, 1, ({0: 2},))
+    ]
+    groups, passed = rows_eliminated(chain)
+    assert [g.render() for g in groups] == ["0", "Z_2", "0"]
+    assert passed == [[{0: 2}], [{}], []]
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [simplicial_chain(RP2_FACETS), boundary_matrices(build_join_complex(3, 4))],
+    ids=["rp2", "join(3, 4)"],
+)
+def test_coreduction_leaves_every_input_row_as_it_was(chain):
+    maps = with_augmentation(chain)
+    before = [[dict(row) for row in m.data] for m in maps]
+    shared = maps[0].data[0]  # the augmentation's rows are one dict
+    joins.coreduce(maps)
+    with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
+        reduced_homology(build_join_complex(1, 1))
+    assert [list(m.data) for m in maps] == before
+    assert shared == {0: 1} and all(row is shared for row in maps[0].data)
+
+
+@pytest.mark.parametrize("n,k", HOMOLOGY_GRID)
+def test_coreduction_leaves_one_cell_per_betti_number_on_a_join(n, k):
+    # every join is a wedge of (n-1)^k spheres of dimension k-1, and
+    # coreduction leaves just that many top cells, none with a face
+    maps = with_augmentation(boundary_matrices(build_join_complex(n, k)))
+    kept = joins.coreduce(maps)
+    assert_coreduced_in_step(maps, kept)
+    assert [m.rows for m in kept] == [0] * (k - 1) + [(n - 1) ** k]
+    assert all(row == {} for row in kept[-1].data)
+    betti = reduced_homology(build_join_complex(n, k))
+    assert sum(g.free_rank for g in betti.groups) == (n - 1) ** k
 
 
 def test_sparse_boundaries_match_dense_ones():

@@ -98,10 +98,11 @@ def test_bench_layers_writes_its_schema(tmp_path):
         assert 0 < rec["ns_q1"] <= rec["ns_median"] <= rec["ns_q3"]
         assert type(rec["repeats"]) is int and rec["repeats"] >= 3
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
-    # 9 + 27 + 27 faces; the 19 unit pivots of del_2 and the 8 of del_1
-    # clear the rows facing them
+    # 9 + 27 + 27 faces; coreduction leaves 8 = 2^3 triangles with no face,
+    # one per 2-sphere of the wedge, so no row is cleared
     assert homology["counters"] == {
-        "rows": 63, "rows_eliminated": 36, "rows_cleared": 27, "nonzeros": 144
+        "rows": 63, "critical_cells": 8, "rows_eliminated": 8, "rows_cleared": 0,
+        "nonzeros": 144,
     }
     assert (boundaries["case"], boundaries["layer"]) == ("boundary_matrices(3, 3)", "joins")
     # 27 edges of 2 vertices and 27 triangles of 3
