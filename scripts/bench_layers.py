@@ -10,10 +10,10 @@ and the quartiles of the repeats), but the first:
 - joins: reduced_homology on the join complexes of the benchmark's
   `join homology` grid plus five larger ones, counting the rows the
   boundaries hold in total, the critical cells coreduction leaves, the
-  rows of those handed to the sparse elimination and the rows cleared
-  before it, and the boundary nonzeros, augmentation included; the
-  counters are read from the maps handed to check_boundaries, coreduce
-  and smith_pivots, wrapped in the warm-up call.  On the grid and the
+  rows of those handed to the sparse elimination, and the boundary
+  nonzeros, augmentation included; the counters are read from the maps
+  handed to check_boundaries, coreduce and the Smith reader joins calls,
+  wrapped in the warm-up call.  On the grid and the
   first three larger joins, boundary_matrices, counting the boundary rows
   and nonzeros, and check_boundaries on the boundaries and the
   augmentation, counting the rows checked and the multiply-adds their
@@ -141,10 +141,12 @@ def time_case(call, max_repeats: int) -> list:
 
 
 def count_case(jc) -> dict:
-    """Rows, critical cells, eliminated and cleared rows, and nonzeros of
-    one reduced_homology call, read from the maps handed to its steps.  A
+    """Rows, critical cells, eliminated rows and nonzeros of one
+    reduced_homology call, read from the maps handed to its steps.  A
     tree with no joins.coreduce (an older parent) counts every row as a
-    critical cell."""
+    critical cell.  The rows eliminated are those handed to the Smith
+    reader the tree's reduced_homology names, which differs on older
+    parents."""
     seen, eliminated = {}, []
 
     def checking(maps, real=joins.check_boundaries):
@@ -157,13 +159,15 @@ def count_case(jc) -> dict:
         seen["critical_cells"] = sum(m.rows for m in kept)
         return kept
 
-    def counting(rows, real=joins.smith_pivots):
+    reader = next(n for n in joins.reduced_homology.__code__.co_names if n.startswith("smith_"))
+
+    def counting(rows, real=getattr(joins, reader)):
         eliminated.append(len(rows))
         return real(rows)
 
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(joins, "check_boundaries", checking))
-        patches.enter_context(mock.patch.object(joins, "smith_pivots", counting))
+        patches.enter_context(mock.patch.object(joins, reader, counting))
         if hasattr(joins, "coreduce"):
             patches.enter_context(mock.patch.object(joins, "coreduce", coreducing))
         joins.reduced_homology(jc)
@@ -171,7 +175,6 @@ def count_case(jc) -> dict:
         "rows": seen["rows"],
         "critical_cells": seen["critical_cells"],
         "rows_eliminated": sum(eliminated),
-        "rows_cleared": seen["critical_cells"] - sum(eliminated),
         "nonzeros": seen["nonzeros"],
     }
 

@@ -318,13 +318,7 @@ class SparseMatrix(NamedTuple):
 
 
 def smith_invariants(sparse_rows):
-    """(rank, torsion chain) of the matrix with the given {column: entry} rows."""
-    return smith_pivots(sparse_rows)[:2]
-
-
-def smith_pivots(sparse_rows):
-    """(rank, torsion chain, unit columns): smith_invariants, and the set
-    of the columns where a pivot of absolute value 1 was taken.
+    """(rank, torsion chain) of the matrix with the given {column: entry} rows.
 
     Pivots of absolute value 1 are eliminated first, on the shortest row
     and, within it, the unit entry whose column is shortest, so the rows
@@ -341,7 +335,7 @@ def smith_pivots(sparse_rows):
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(heap)
     stuck = set()  # rows that had no unit entry when last popped
-    units = set()
+    units = 0
     while heap:
         length, i = heappop(heap)
         row = rows[i]
@@ -356,7 +350,7 @@ def smith_pivots(sparse_rows):
         if p is None:
             stuck.add(i)
             continue
-        units.add(p)
+        units += 1
         rows[i] = None
         for j in row:
             where[j].discard(i)
@@ -380,12 +374,12 @@ def smith_pivots(sparse_rows):
                 rows[t] = None
     left = sorted(stuck)
     if not left:
-        return len(units), (), units
+        return units, ()
     used = sorted({j for i in left for j in rows[i]})
     block = [[rows[i].get(j, 0) for j in used] for i in left]
     diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
     factors = [d for d in diag if d]
-    return len(units) + len(factors), tuple([d for d in factors if d > 1]), units
+    return units + len(factors), tuple([d for d in factors if d > 1])
 
 
 def hermite_terms(maps) -> tuple:

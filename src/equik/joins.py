@@ -7,10 +7,8 @@ independent oracle for those numbers.  Boundaries are kept as sparse
 rows.  Coreduction pairs along +-1 incidences remove cells first, and
 homology comes from the rank and torsion of each boundary restricted to
 the critical cells left: unit pivots are eliminated over the sparse rows
-and only the leftover block goes through Smith reduction.  The boundaries
-are reduced top first, skipping the rows that face a unit pivot of the
-boundary above.  Results are NamedTuples; JoinComplex (an errors.Record)
-is checked and charged.
+and only the leftover block goes through Smith reduction.  Results are
+NamedTuples; JoinComplex (an errors.Record) is checked and charged.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import NamedTuple
 
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
 from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, Record, charge
-from .intmat import SparseMatrix, smith_invariants, smith_pivots
+from .intmat import SparseMatrix, smith_invariants
 
 
 def join_step_formula(l: int, r: int, n: int):
@@ -257,20 +255,15 @@ def reduced_homology(jc: JoinComplex) -> BettiTable:
     checked, then coreduce removes its pairs, which keeps the homology,
     and leaves n_d critical cells in degree d.  The reduced group in
     degree d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion
-    of del_(d+1), each del restricted to the critical cells.  Top first,
-    del_d skips its rows at the unit-pivot columns of del_(d+1)
-    (clearing, Chen and Kerber 2011): the reduced pivot rows of
-    del_(d+1) are boundaries and unitriangular on those columns, so the
-    kept rows span the same row lattice.
+    of del_(d+1), each del restricted to the critical cells.
     """
     chain = boundary_matrices(jc)
     n_vert = chain.face_counts[0]
     maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
     check_boundaries(maps)
-    groups, rank_up, torsion, cleared = [], 0, (), ()
+    groups, rank_up, torsion = [], 0, ()
     for m in reversed(coreduce(maps)):
-        rows = [row for i, row in enumerate(m.data) if i not in cleared]
-        rank, torsion_d, cleared = smith_pivots(rows)
+        rank, torsion_d = smith_invariants(m.data)
         groups.insert(0, FgAbelianGroup(m.rows - rank - rank_up, torsion))
         rank_up, torsion = rank, torsion_d
     return BettiTable(tuple(groups))

@@ -8,8 +8,7 @@ The independent oracle for homology is the dense kernel/image route:
 dense boundary matrices, a Hermite kernel basis, the image solved in
 that basis, and the Smith form of the resulting presentation.  The
 per-map route, smith_invariants on each whole boundary with no cell
-coreduced and no rows cleared, is kept here as a second oracle for the
-coreduction and the top-down sweep.  The
+coreduced, is kept here as a second oracle for the coreduction.  The
 boundaries built from face masks are checked entry for entry against
 the tuple route: itertools face lists, sorted vertex tuples, and each
 sub-face found by slicing one vertex out.
@@ -171,8 +170,8 @@ def simplicial_chain(facets) -> ChainComplex:
 
 
 # The 6-vertex projective plane (the hemi-icosahedron): H~1 = Z_2.  Its
-# top boundary has nine unit pivots and one row left with no unit entry,
-# so the edges facing those pivots are cleared beside a stuck row.
+# top boundary has rank 10 and torsion 2, and coreduction stops short on
+# it, so rows are left for the Smith elimination.
 RP2_FACETS = (
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
@@ -316,7 +315,7 @@ facet_lists = st.lists(
 @given(facet_lists)
 @example(RP2_FACETS)
 @settings(max_examples=40, deadline=None)
-def test_cleared_homology_matches_per_map_and_dense_oracles(facets):
+def test_homology_matches_per_map_and_dense_oracles(facets):
     chain = simplicial_chain(facets)
     dense = dense_chain_homology(
         chain.face_counts[0], [densify(m) for m in chain.boundaries]
@@ -326,38 +325,37 @@ def test_cleared_homology_matches_per_map_and_dense_oracles(facets):
     assert groups == per_map_homology(with_augmentation(chain)) == dense
 
 
-def test_projective_plane_clears_beside_a_stuck_row():
+def test_projective_plane_top_boundary_has_torsion_two():
     chain = simplicial_chain(RP2_FACETS)
     assert chain.face_counts == (6, 15, 10)
-    rank, torsion, units = joins.smith_pivots(chain.boundaries[1].data)
-    assert (rank, torsion, len(units)) == (10, (2,), 9)
+    assert smith_invariants(chain.boundaries[1].data) == (10, (2,))
     with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
         betti = reduced_homology(build_join_complex(1, 1))
     assert [g.render() for g in betti.groups] == ["0", "Z_2", "0"]
 
 
 def rows_eliminated(chain: ChainComplex) -> tuple:
-    """The reduced groups, and the rows reduced_homology hands smith_pivots,
-    top map first, when the complex's boundaries are the chain's."""
-    passed, inner = [], joins.smith_pivots
+    """The reduced groups, and the rows reduced_homology hands
+    smith_invariants, top map first, when the complex's boundaries are
+    the chain's."""
+    passed, inner = [], joins.smith_invariants
 
     def recording(rows):
-        passed.append(rows)
+        passed.append(list(rows))
         return inner(rows)
 
     with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
-        with mock.patch.object(joins, "smith_pivots", recording):
+        with mock.patch.object(joins, "smith_invariants", recording):
             groups = reduced_homology(build_join_complex(1, 1)).groups
     return groups, passed
 
 
-def test_homology_skips_the_rows_facing_unit_pivots_above():
-    # coreduction leaves 5 edges and 5 triangles; the triangles' map has 4
-    # unit pivots and one row of torsion 2, and 4 of the 5 edge rows face
-    # those pivots, so one edge row is eliminated
+def test_homology_reads_each_coreduced_map_whole():
+    # coreduction leaves 5 edges and 5 triangles, and every row of each
+    # coreduced map goes to the elimination, the edges' empty rows too
     groups, passed = rows_eliminated(simplicial_chain(RP2_FACETS))
     assert [g.render() for g in groups] == ["0", "Z_2", "0"]
-    assert [len(rows) for rows in passed] == [5, 1, 0]
+    assert [len(rows) for rows in passed] == [5, 5, 0]
 
 
 def test_homology_eliminates_only_the_critical_cells_of_a_join():

@@ -99,10 +99,9 @@ def test_bench_layers_writes_its_schema(tmp_path):
         assert type(rec["repeats"]) is int and rec["repeats"] >= 3
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; coreduction leaves 8 = 2^3 triangles with no face,
-    # one per 2-sphere of the wedge, so no row is cleared
+    # one per 2-sphere of the wedge
     assert homology["counters"] == {
-        "rows": 63, "critical_cells": 8, "rows_eliminated": 8, "rows_cleared": 0,
-        "nonzeros": 144,
+        "rows": 63, "critical_cells": 8, "rows_eliminated": 8, "nonzeros": 144,
     }
     assert (boundaries["case"], boundaries["layer"]) == ("boundary_matrices(3, 3)", "joins")
     # 27 edges of 2 vertices and 27 triangles of 3
