@@ -18,22 +18,24 @@ and the quartiles of the repeats), but the first:
   and nonzeros, and check_boundaries on the boundaries and the
   augmentation, counting the rows checked and the multiply-adds their
   products take;
-- fusion: ring_from_tag on z24 and z2xz3xz5 and circle_truncation at
-  orders 400 and 800, each a ring built and fully checked, counting the
-  rank and the generators the check finds; regular_class_check on the
+- fusion: cyclic_ring(24), ring_from_tag on z24 and z2xz3xz5,
+  circle_truncation at orders 291 (the largest `rokhlin circle` admits),
+  400 and 800, and ring_product of circle_truncation(9) and z3xz3 (the
+  factors built untimed), each a ring built with its generators found,
+  counting the rank and the generators; regular_class_check on the
   rings of the benchmark's `rep regular` (built untimed), and
-  lambda_expansion(31), counting the ring products each forms (the
-  augmentation ideal's closure check included), with fusion._row_times
-  wrapped in the warm-up call; lattice_quotient of the levels 0-2 of
-  ideal_powers(z2xz3xz5) (built untimed), counting the levels and their
-  largest rank;
+  lambda_expansion(31), counting the ring products each forms, with
+  fusion._row_times wrapped in the warm-up call; lattice_quotient of
+  the levels 0-2 of ideal_powers(z2xz3xz5) (built untimed), counting
+  the levels and their largest rank;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
-  module built and checked; kunneth_pieces on the two halves of two
+  module built; kunneth_pieces on the two halves of two
   more tensor models, the halves built untimed;
-  truncated_ring_module on circle_truncation(292), the ring built
-  untimed; and ideal_image of I^3 on tensor(circle:9,trunc:z3xz3:3),
-  both built untimed; each counting the ring's rank and generators and
-  the module's generators, and the image the ideal's rank;
+  truncated_ring_module on circle_truncation(292) and on z3xz3 at
+  order 3, the rings built untimed; and ideal_image of I^3 on
+  tensor(circle:9,trunc:z3xz3:3), both built untimed; each counting
+  the ring's rank and generators and the module's generators, and the
+  image the ideal's rank;
 - reports: four report builders, counting the ideal-power walks their
   modules and witnesses make and the largest ring rank walked, with
   ideal_power wrapped in the warm-up call;
@@ -188,6 +190,11 @@ def ring_counters(ring) -> dict:
     return {"rank": ring.rank, "generators": len(ring.generators)}
 
 
+def product_ring_case(left, right):
+    """ring_product of two rings built untimed."""
+    return from_result(lambda: fusion.ring_product(left, right), ring_counters)
+
+
 def product_counters(call) -> dict:
     """Ring products one call forms: calls of fusion._row_times."""
     calls = []
@@ -242,8 +249,7 @@ def image_case(text, n):
     )
 
 
-def truncation_case(n):
-    ring = fusion.circle_truncation(n)
+def truncation_case(ring, n):
     return from_result(lambda: kmodules.truncated_ring_module(ring, n), module_counters)
 
 
@@ -400,13 +406,21 @@ CASES = {
         )
         for tag in ("z24", "z2xz3xz5")
     },
+    "cyclic_ring(24)": (
+        "fusion",
+        lambda: from_result(lambda: fusion.cyclic_ring(24), ring_counters),
+    ),
     **{
         f"circle_truncation({n})": (
             "fusion",
             lambda n=n: from_result(lambda: fusion.circle_truncation(n), ring_counters),
         )
-        for n in (400, 800)
+        for n in (291, 400, 800)
     },
+    "ring_product(circle_truncation(9), ring_from_tag(z3xz3))": (
+        "fusion",
+        lambda: product_ring_case(fusion.circle_truncation(9), fusion.ring_from_tag("z3xz3")),
+    ),
     **{
         f"regular_class_check({tag})": (
             "fusion",
@@ -430,7 +444,14 @@ CASES = {
         f"kunneth_pieces({a}, {b})": ("kmodules", lambda a=a, b=b: kunneth_case(a, b))
         for a, b in (("circle:21", "trunc:z3xz3:1"), ("circle:9", "trunc:z3xz3:3"))
     },
-    "truncated_ring_module(circle_truncation(292), 292)": ("kmodules", lambda: truncation_case(292)),
+    "truncated_ring_module(circle_truncation(292), 292)": (
+        "kmodules",
+        lambda: truncation_case(fusion.circle_truncation(292), 292),
+    ),
+    "truncated_ring_module(ring_from_tag(z3xz3), 3)": (
+        "kmodules",
+        lambda: truncation_case(fusion.ring_from_tag("z3xz3"), 3),
+    ),
     "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)": (
         "fusion",
         lambda: quotient_case("z2xz3xz5", 2),

@@ -16,8 +16,11 @@ fusion-table loader build every ring; downstream code reads ``rank``,
 every product on term rows, ``multiply``, ``mul_vec(a, b)`` and the
 products of kmodules, whose module tables share the ring's cell format,
 included; ring_product's table and the Kunneth module's are both _kron.
-Every ring is checked in full when it is built, and
-the check works on the sparse table: one pass per cell checks its shape
+A ring given to BasedRing or read from a fusion table is checked in
+full.  The three builders pass _trusted=True and skip the check, since
+their formulas make based rings; every ring still finds its generators
+and charges Light's test, so the budget refuses the same rings.  The
+check works on the sparse table: one pass per cell checks its shape
 and sums its dimension, the generator search inserts sparse products
 into an echelon basis (intmat.echelon_insert), and Light's test, which
 checks a module's table modulo its relations too, reads a cell in place
@@ -77,7 +80,8 @@ class BasedRing(Record):
     shape, nonnegative constants, the unit law at index 0,
     commutativity, that aug is a ring map, and associativity by Light's
     test on the basis generators it finds (kept as ``generators``, which
-    equality, hashing and repr leave out).  A fusion ring must also have
+    equality, hashing and repr leave out); _trusted=True skips all but
+    the search and its charge.  A fusion ring must also have
     positive dimensions, which the circle truncation fails; is_fusion is
     set by the constructor that built the ring, never derived from aug.
     """
@@ -85,8 +89,13 @@ class BasedRing(Record):
     _fields = ("labels", "aug", "table", "is_fusion")
     __slots__ = _fields + ("generators",)
 
-    def __init__(self, labels: tuple, aug: tuple, table: tuple, is_fusion: bool):
-        gens = _validate_ring(labels, aug, table, is_fusion)
+    def __init__(self, labels: tuple, aug: tuple, table: tuple, is_fusion: bool, *, _trusted=False):
+        if not _trusted:
+            _check_table(labels, aug, table, is_fusion)
+        r, gens = len(labels), _basis_generators(table)
+        charge(r**3 * len(gens), f"a rank-{r} ring")  # Light's test: r^2 |S| r-wide sums
+        if not _trusted and _associativity_witness(table, gens):
+            raise FusionRingError("associativity", _associativity_witness(table, range(r)))
         for name, value in zip(self.__slots__, (labels, aug, table, is_fusion, gens)):
             object.__setattr__(self, name, value)
 
@@ -125,7 +134,7 @@ class BasedRing(Record):
 FusionRing = CircleRingTruncation = MixedProductRing = BasedRing
 
 
-def _validate_ring(labels, aug, table, is_fusion):
+def _check_table(labels, aug, table, is_fusion):
     r = len(labels)
     if r == 0:
         raise FusionRingError("rank", (), "a based ring needs at least the unit")
@@ -173,11 +182,6 @@ def _validate_ring(labels, aug, table, is_fusion):
             (i, j),
             f"sum N*dim = {total}, dims product = {aug[i] * aug[j]}",
         )
-    gens = _basis_generators(table)
-    charge(r**3 * len(gens), f"a rank-{r} ring")  # Light's test: r^2 |S| r-wide sums
-    if _associativity_witness(table, gens):
-        raise FusionRingError("associativity", _associativity_witness(table, range(r)))
-    return gens
 
 
 def _basis_generators(table) -> tuple:
@@ -273,7 +277,7 @@ def cyclic_ring(n: int) -> BasedRing:
     charge(n**3, f"a rank-{n} ring")
     labels = tuple(["1" if k == 0 else ("chi" if k == 1 else f"chi^{k}") for k in range(n)])
     table = tuple([tuple([(((i + j) % n, 1),) for j in range(n)]) for i in range(n)])
-    return BasedRing(labels, (1,) * n, table, is_fusion=True)
+    return BasedRing(labels, (1,) * n, table, True, _trusted=True)  # Z[Z/n], a fusion ring
 
 
 def circle_truncation(n: int) -> BasedRing:
@@ -291,7 +295,7 @@ def circle_truncation(n: int) -> BasedRing:
     table = tuple(
         [tuple([((i + j, 1),) if i + j < n else () for j in range(n)]) for i in range(n)]
     )
-    return BasedRing(labels, aug, table, is_fusion=False)
+    return BasedRing(labels, aug, table, False, _trusted=True)  # Z[lam]/(lam^n), a based ring
 
 
 def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
@@ -305,7 +309,8 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
     charge(r**3, f"a rank-{r} ring")
     labels = tuple([f"({a},{b})" for a in r1.labels for b in r2.labels])
     aug = tuple([x * y for x in r1.aug for y in r2.aug])
-    return BasedRing(labels, aug, _kron(r1.table, r2.table), r1.is_fusion and r2.is_fusion)
+    table = _kron(r1.table, r2.table)  # a product of two based rings is one
+    return BasedRing(labels, aug, table, r1.is_fusion and r2.is_fusion, _trusted=True)
 
 
 def _kron(t1, t2) -> tuple:
@@ -342,8 +347,10 @@ class IdealLattice(Record):
     ring's rank, built when first read.  IdealLattice(ring, rows) takes
     those int rows, IdealLattice(ring, terms=...) term rows as
     intmat.hermite_terms returns them.  Construction verifies both the
-    normal form and the ideal-closure property, so any instance in
-    flight is a genuine ideal presented canonically.  Closure is checked
+    normal form and the ideal-closure property unless _trusted=True,
+    which only the library's full, zero, power and image ideals pass, as
+    Hermite ideals by construction; so any instance in flight is a
+    genuine ideal presented canonically.  Closure is checked
     on the ring's generators: the a with L a in L form a subring of the
     associative ring, so they are all of it.  Only on failure does every
     basis element run, to name the first product outside.
@@ -351,15 +358,15 @@ class IdealLattice(Record):
 
     __slots__ = _fields = ("ring", "lattice")
 
-    def __init__(self, ring, basis=(), terms=None):
+    def __init__(self, ring, basis=(), terms=None, *, _trusted=False):
         if terms is None:
             terms = Lattice.from_rows(basis, ring.rank).terms
-        if not _is_hermite(terms):
+        if not (_trusted or _is_hermite(terms)):
             raise InputError("ideal basis is not in Hermite form")
         lattice = Lattice(tuple(terms), ring.rank)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "lattice", lattice)
-        if _product_outside(ring.table, lattice, ring.generators) is not None:
+        if not _trusted and _product_outside(ring.table, lattice, ring.generators) is not None:
             raise LatticeContainmentError(_product_outside(ring.table, lattice, range(ring.rank)))
 
     @classmethod
@@ -368,11 +375,11 @@ class IdealLattice(Record):
 
     @classmethod
     def zero(cls, ring) -> "IdealLattice":
-        return cls(ring, terms=())
+        return cls(ring, terms=(), _trusted=True)  # 0 is an ideal
 
     @classmethod
     def full(cls, ring) -> "IdealLattice":
-        return cls(ring, terms=_unit_terms(range(ring.rank)))
+        return cls(ring, terms=_unit_terms(range(ring.rank)), _trusted=True)  # so is the ring
 
     @property
     def basis(self) -> tuple:
@@ -495,7 +502,7 @@ def augmentation_ideal(ring) -> IdealLattice:
     """Kernel of the augmentation, as a canonical ideal lattice; since
     aug[0] = 1, the e_k - aug[k] e_0 for k >= 1 are a basis of it."""
     rows = [dict(_aug_generator(ring, k)) for k in range(1, ring.rank)]
-    return IdealLattice(ring, terms=hermite_terms(rows))
+    return IdealLattice(ring, terms=hermite_terms(rows), _trusted=True)  # a ring map's kernel
 
 
 def _level_units(ring, rows) -> int:
@@ -557,7 +564,7 @@ def ideal_powers(ring, last=None):
     aug = augmentation_ideal(ring)
     yield aug
     for rows in _higher_power_rows(ring, aug.terms, last):
-        yield IdealLattice(ring, terms=rows)
+        yield IdealLattice(ring, terms=rows, _trusted=True)  # I^k, an ideal, in Hermite form
     zero = IdealLattice.zero(ring)
     while True:
         yield zero
@@ -582,7 +589,7 @@ def ideal_power(ring, n: int) -> IdealLattice:
     for k, rows in enumerate(_higher_power_rows(ring, rows, n), start=2):
         if k == n or not rows:
             break
-    return IdealLattice(ring, terms=rows)
+    return IdealLattice(ring, terms=rows, _trusted=True)  # I^n, as each level of ideal_powers
 
 
 def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):
@@ -645,7 +652,7 @@ def circle_ideal_image(n: int, j: int) -> IdealLattice:
     ring = circle_truncation(n)
     if j < 0:
         raise InputError("ideal power needs j >= 0")
-    return IdealLattice(ring, terms=_unit_terms(range(j, n)))
+    return IdealLattice(ring, terms=_unit_terms(range(j, n)), _trusted=True)  # lam^j R
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,21 @@ A RingModule is a finitely presented abelian group, its relations held
 as the Hermite term rows of their lattice, together with a structure
 table in the ring's cell format: table[a][i] holds the (k, n) terms of
 generator a times ring basis element i, and fusion._row_times forms
-every product on it.  Construction re-checks the module axioms (unit,
+every product on it.  RingModule(...) checks the module axioms (unit,
 commutation, compatibility with the structure constants, invariance of
-the relation lattice), so anything that exists is a genuine module
-presentation.  They are checked on the ring's generators; every index
-runs only on failure, to name the axiom.
+the relation lattice); truncated_ring_module, zero_module,
+module_direct_sum and kunneth_pieces build modules by construction and
+pass _trusted=True to skip the check, so anything that exists is a
+genuine module presentation.  The axioms are checked on the ring's
+generators; every index runs only on failure, to name the axiom.
 
 Rows stay sparse from the ideal power to the module image, as maps or
 term rows (intmat.Lattice.terms); only act's result and
 IdealLattice.basis are dense.  Every image (V + L)/L is RingModule._image,
 read by abgroups.quotient.  Rows are checked only where they enter: the
-constructor, subgroup_class, act and element_stable_nonvanishing.  In
-the axiom checks, e_k e_m is the cell t[k][m] itself, read in place.
+public constructor, subgroup_class, act and
+element_stable_nonvanishing.  In the axiom checks, e_k e_m is the cell
+t[k][m] itself, read in place.
 ModelDescriptor is a NamedTuple.
 """
 
@@ -62,18 +65,20 @@ class RingModule:
     dropped.  Only the relations' lattice is kept, as Hermite term rows.
     table[a][i], one row per generator and one cell per ring basis
     element, is row a of the action matrix of e_i as a term row; the
-    axioms are checked on the ring's generators (all on failure).
+    axioms are checked on the ring's generators (all on failure), and
+    _trusted=True skips them and the input checks.
     """
 
-    def __init__(self, ring, generators: int, relations, table):
-        if generators < 0:
-            raise InputError("generator count must be nonnegative")
-        relations = _checked_rows(relations, generators, "relations")
-        self.ring = ring
-        self.generators = generators
-        self.table = _checked_table(table, generators, ring.rank)
+    def __init__(self, ring, generators: int, relations, table, *, _trusted=False):
+        if not _trusted:
+            if generators < 0:
+                raise InputError("generator count must be nonnegative")
+            relations = _checked_rows(relations, generators, "relations")
+            table = _checked_table(table, generators, ring.rank)
+        self.ring, self.generators, self.table = ring, generators, table
         self.lattice = Lattice(hermite_terms(relations), generators)
-        self._validate()
+        if not _trusted:
+            self._validate()
 
     def _validate(self):
         ring, lattice, t = self.ring, self.lattice, self.table
@@ -178,11 +183,11 @@ def truncated_ring_module(ring, n: int) -> RingModule:
     Basis element i acts by right multiplication: the table is the ring's.
     """
     relations = [dict(row) for row in ideal_power(ring, n).terms]
-    return RingModule(ring, ring.rank, relations, ring.table)
+    return RingModule(ring, ring.rank, relations, ring.table, _trusted=True)  # R/I^n
 
 
 def zero_module(ring) -> RingModule:
-    return RingModule(ring, 0, (), ())
+    return RingModule(ring, 0, (), (), _trusted=True)  # the zero module
 
 
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
@@ -193,8 +198,8 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     relations += [{off + j: e for j, e in row} for row in b.lattice.terms]
     shifted = tuple(
         [tuple([tuple([(off + k, n) for k, n in cell]) for cell in row]) for row in b.table]
-    )
-    return RingModule(a.ring, off + b.generators, relations, a.table + shifted)
+    )  # the direct sum of two modules over one ring is a module
+    return RingModule(a.ring, off + b.generators, relations, a.table + shifted, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,8 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     relations += [
         {c * h + d: e for d, e in s} for c in range(mg.generators) for s in mh.lattice.terms
     ]
-    module = RingModule(ring, mg.generators * h, relations, _kron(mg.table, mh.table))
+    table = _kron(mg.table, mh.table)  # the tensor of two modules is a module
+    module = RingModule(ring, mg.generators * h, relations, table, _trusted=True)
     torsion = group_tor(mg.underlying_group(), mh.underlying_group())
     return module, torsion
 
@@ -391,12 +397,13 @@ def factor_ideal_power(ring, left_ring, m: int) -> IdealLattice:
 
     Because the right factor is the whole ring, the m-th power is the
     span of u x e_j over a basis u of I(left)^m and the right basis.
+    The lattice is not checked, so ring must be that product.
     """
     rr = ring.rank // left_ring.rank
     rows = [
         {i * rr + j: c for i, c in u} for u in ideal_power(left_ring, m).terms for j in range(rr)
     ]
-    return IdealLattice(ring, terms=hermite_terms(rows))
+    return IdealLattice(ring, terms=hermite_terms(rows), _trusted=True)  # I(left)^m x right
 
 
 def element_stable_nonvanishing(module: RingModule, x, lattice: IdealLattice, mult: int) -> bool:

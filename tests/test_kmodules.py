@@ -858,9 +858,12 @@ def test_generator_check_sees_relations_moved_by_a_generator():
 def test_full_scan_that_finds_nothing_raises(monkeypatch):
     # The scan runs only after the generator check failed, so a scan that
     # passes is an internal fault, never a silent success.
+    # R/I^2 for R = Z[Z/3], built by the public constructor, which checks.
+    ring = cyclic_ring(3)
+    relations = [dict(row) for row in ideal_power(ring, 2).terms]
     monkeypatch.setattr(kmodules, "_axioms_hold_on_generators", lambda *args: False)
     with pytest.raises(EquikError) as err:
-        truncated_ring_module(cyclic_ring(3), 2)
+        RingModule(ring, 3, relations, ring.table)
     assert not isinstance(err.value, ModuleInvariantError)
 
 

@@ -200,9 +200,9 @@ def test_module_products_are_formed_by_the_ring_product():
     assert "term_product" not in source
 
 
-def called_names() -> dict:
-    """'file:function' (methods as 'file:Class.method') -> the names each
-    top-level function or method calls, by name or as an attribute."""
+def function_calls() -> dict:
+    """'file:function' (methods as 'file:Class.method') -> the calls each
+    top-level function or method makes, as ast.Call nodes."""
     calls = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -210,12 +210,19 @@ def called_names() -> dict:
             for fn in methods:
                 if isinstance(fn, ast.FunctionDef):
                     prefix = f"{node.name}." if fn is not node else ""
-                    calls[f"{path.name}:{prefix}{fn.name}"] = {
-                        getattr(call.func, "attr", getattr(call.func, "id", None))
-                        for call in ast.walk(fn)
-                        if isinstance(call, ast.Call)
-                    }
+                    calls[f"{path.name}:{prefix}{fn.name}"] = [
+                        call for call in ast.walk(fn) if isinstance(call, ast.Call)
+                    ]
     return calls
+
+
+def called_names() -> dict:
+    """'file:function' -> the names each top-level function or method
+    calls, by name or as an attribute."""
+    return {
+        f: {getattr(call.func, "attr", getattr(call.func, "id", None)) for call in calls}
+        for f, calls in function_calls().items()
+    }
 
 
 def test_solved_coordinates_become_a_group_in_one_function():
@@ -242,3 +249,30 @@ def test_module_rows_are_checked_only_where_they_enter():
     users = {f for f, names in calls.items() if "_checked_rows" in names}
     assert users == {"kmodules.py:RingModule.__init__", "kmodules.py:RingModule.subgroup_class"}
     assert {f for f, names in calls.items() if "subgroup_class" in names} == set()
+
+
+def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
+    # BasedRing, IdealLattice and RingModule skip their checks only when
+    # passed _trusted=True, by a builder whose formula makes the value
+    # valid; the public constructors and the readers check everything.
+    trusted = {
+        f
+        for f, calls in function_calls().items()
+        if any(k.arg == "_trusted" for call in calls for k in call.keywords)
+    }
+    assert trusted == {
+        "fusion.py:cyclic_ring",
+        "fusion.py:circle_truncation",
+        "fusion.py:ring_product",
+        "fusion.py:IdealLattice.zero",
+        "fusion.py:IdealLattice.full",
+        "fusion.py:augmentation_ideal",
+        "fusion.py:ideal_powers",
+        "fusion.py:ideal_power",
+        "fusion.py:circle_ideal_image",
+        "kmodules.py:truncated_ring_module",
+        "kmodules.py:zero_module",
+        "kmodules.py:module_direct_sum",
+        "kmodules.py:kunneth_pieces",
+        "kmodules.py:factor_ideal_power",
+    }
