@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Time the joins, fusion, kmodules and reports layers case by case, with counters.
+"""Time the intmat, joins, fusion, kmodules and reports layers case by case, with counters.
 
 Each case is one library call timed in integer nanoseconds (the median
-and the quartiles of the repeats), but the first:
+and the quartiles of the repeats, and the median of the repeats scaled
+to nominal machine speed by perfbench/reference.py's routine, run just
+before and just after each repeat as perfbench/run.py runs it around a
+task), but the first:
 - import: `import equik, equik.cli` from the tree this script imports,
   timed inside each of 11 fresh `python -I` interpreters, counting the
   modules it loads; 11 more run under `-X importtime`, and the record's
   self_us holds each equik module's median self time in microseconds;
+- intmat: hnf, snf, kernel_basis and hermite_rows on seeded 8 x 8 and
+  12 x 12 matrices and on 6 x 10 and 10 x 6 matrices of rank 4, so with
+  both kernels nonzero, each built untimed, counting the rank (for
+  kernel_basis and hermite_rows, the rows given) and the largest entry
+  bit length of the output;
 - joins: reduced_homology on the join complexes of the benchmark's
   `join homology` grid plus five larger ones, counting the rows the
   boundaries hold in total, the critical cells coreduction leaves, the
@@ -27,7 +35,9 @@ and the quartiles of the repeats), but the first:
   lambda_expansion(31), counting the ring products each forms, with
   fusion._row_times wrapped in the warm-up call; lattice_quotient of
   the levels 0-2 of ideal_powers(z2xz3xz5) (built untimed), counting
-  the levels and their largest rank;
+  the levels and their largest rank; ideal_power of z2xz3xz5 at 3 and of
+  circle_truncation(292) at 291, the rings built untimed, counting the
+  ring products the walk forms and the power's rank;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
   module built; kunneth_pieces on the two halves of two
   more tensor models, the halves built untimed;
@@ -79,7 +89,12 @@ from unittest import mock
 
 import equik
 import equik.cli
-from equik import errors, fusion, joins, kmodules, reports
+from equik import errors, fusion, intmat, joins, kmodules, reports
+
+# perfbench/reference.py, the routine that gauges the machine's speed of
+# the moment, imported from its own directory as perfbench/run.py does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 
 # (set size n, copies k): the join homology grid of the joins workload,
 # then the 7-fold join of 2 points and the 5-fold joins of 3 and 9 points.
@@ -113,6 +128,17 @@ CLI_REQUESTS = (
     "linalg snf seeded-8x8.json --json",
 )
 MATRIX_SEED = 24
+# (rows, cols, rank) of the seeded matrices of the intmat cases; a rank
+# below min(rows, cols) makes the matrix a product of rows x rank and
+# rank x cols factors, so that both of its kernels are nonzero.
+MATRIX_CASES = ((8, 8, 8), (12, 12, 12), (6, 10, 4), (10, 6, 4))
+# (ring, its builder, n) of the ideal_power cases: a power of the rank-30
+# ring, and the deepest power of the largest circle truncation that
+# `rokhlin circle` walks.
+POWER_CASES = (
+    ("ring_from_tag(z2xz3xz5)", lambda: fusion.ring_from_tag("z2xz3xz5"), 3),
+    ("circle_truncation(292)", lambda: fusion.circle_truncation(292), 291),
+)
 MIN_REPEATS = 3
 CASE_SECONDS = 2.0  # repeats stop after this long, once MIN_REPEATS ran
 IMPORT_CASE = "import(equik, equik.cli)"
@@ -126,20 +152,36 @@ IMPORT_PROBE = (
 )
 
 
-def time_case(call, max_repeats: int) -> list:
+def time_case(call, max_repeats: int) -> tuple:
     """Nanoseconds of each call, at least MIN_REPEATS of them, at most
-    max_repeats, and no new one after CASE_SECONDS."""
-    samples = []
+    max_repeats, and no new one after CASE_SECONDS; and the same times
+    scaled to nominal machine speed by the reference runs just before
+    and just after each call, as perfbench/run.py scales a task."""
+    samples, gauge = [], []
     started = time.perf_counter_ns()
     while len(samples) < max_repeats:
         gc.collect()
+        gauge.append(reference.time_ns())
         t0 = time.perf_counter_ns()
         call()
         samples.append(time.perf_counter_ns() - t0)
         spent = time.perf_counter_ns() - started
         if len(samples) >= MIN_REPEATS and spent > CASE_SECONDS * 1e9:
             break
-    return samples
+    gauge.append(reference.time_ns())
+    return samples, [ns * reference.scale(gauge[i : i + 2]) for i, ns in enumerate(samples)]
+
+
+def timing_fields(samples, scaled) -> dict:
+    """The median and quartiles of the raw times, and the scaled median."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "ns_median": int(median),
+        "ns_q1": int(q1),
+        "ns_q3": int(q3),
+        "ns_median_scaled": int(statistics.median(scaled)),
+        "repeats": len(samples),
+    }
 
 
 def count_case(jc) -> dict:
@@ -274,6 +316,67 @@ def report_case(builder, args):
     return call, lambda: walk_counters(call)
 
 
+def seeded_matrix(m, n, rank) -> intmat.IntMatrix:
+    """The m x n matrix of MATRIX_CASES: entries in [-9, 9] at full rank,
+    else the product of factors with entries in [-3, 3]."""
+    rng = random.Random(f"{MATRIX_SEED}:{m}x{n}:{rank}")
+    if rank == min(m, n):
+        return intmat.IntMatrix(m, n, tuple([rng.randint(-9, 9) for _ in range(m * n)]))
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    return intmat.IntMatrix.from_rows(
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left], cols=n
+    )
+
+
+def matrix_shape(m, n, rank) -> str:
+    return f"{m}x{n}" + ("" if rank == min(m, n) else f", rank {rank}")
+
+
+# name -> (the call on a matrix and its rows, the rank or the number of
+# rows it gives and the entries it gives, read off its result)
+MATRIX_CALLS = {
+    "hnf": (
+        lambda a, rows: intmat.hnf(a),
+        lambda res: (res.rank, res.H.entries + res.transform.entries),
+    ),
+    "snf": (
+        lambda a, rows: intmat.snf(a),
+        lambda res: (len(res.invariant_factors()), res.U.entries + res.D.entries + res.V.entries),
+    ),
+    "kernel_basis": (lambda a, rows: intmat.kernel_basis(a), lambda res: (res.rows, res.entries)),
+    "hermite_rows": (
+        lambda a, rows: intmat.hermite_rows(rows, a.cols),
+        lambda res: (len(res), [e for row in res for e in row]),
+    ),
+}
+
+
+def matrix_case(name, m, n, rank):
+    """A MATRIX_CALLS call on seeded_matrix(m, n, rank), built untimed,
+    counting the rank or rows it gives and their largest entry bit length."""
+    a = seeded_matrix(m, n, rank)
+    rows = a.to_rows()
+    call, read = MATRIX_CALLS[name]
+
+    def counters(res):
+        count, entries = read(res)
+        return {"rank": count, "max_bits": max((abs(e).bit_length() for e in entries), default=0)}
+
+    return from_result(lambda: call(a, rows), counters)
+
+
+def power_case(build, n):
+    """ideal_power of the ring build() gives, built untimed, counting the
+    ring products its walk forms and the power's rank."""
+    ring = build()
+
+    def call():
+        return fusion.ideal_power(ring, n)
+
+    return call, lambda: {**product_counters(call), "power_rank": call().rank}
+
+
 def homology_case(n, k):
     jc = joins.build_join_complex(n, k)
     return lambda: joins.reduced_homology(jc), lambda: count_case(jc)
@@ -364,8 +467,13 @@ def fresh_import(*flags):
 def import_record() -> dict:
     """The import case: IMPORT_RUNS timed imports, then each equik
     module's median self time over IMPORT_RUNS runs of -X importtime."""
-    runs = [fresh_import().stdout.split() for _ in range(IMPORT_RUNS)]
+    runs, gauge = [], []
+    for _ in range(IMPORT_RUNS):
+        gauge.append(reference.time_ns())
+        runs.append(fresh_import().stdout.split())
+    gauge.append(reference.time_ns())
     samples = [int(ns) for ns, _ in runs]
+    scaled = [ns * reference.scale(gauge[i : i + 2]) for i, ns in enumerate(samples)]
     self_us = {}
     for _ in range(IMPORT_RUNS):
         for line in fresh_import("-X", "importtime").stderr.splitlines():
@@ -373,14 +481,10 @@ def import_record() -> dict:
             fields = [field.strip() for field in line.split("|")]
             if len(fields) == 3 and fields[2].startswith("equik"):
                 self_us.setdefault(fields[2], []).append(int(fields[0].split(":")[1]))
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {
         "case": IMPORT_CASE,
         "layer": "import",
-        "ns_median": int(median),
-        "ns_q1": int(q1),
-        "ns_q3": int(q3),
-        "repeats": len(samples),
+        **timing_fields(samples, scaled),
         "counters": {"modules_loaded": int(runs[0][1])},
         "self_us": {name: int(statistics.median(us)) for name, us in sorted(self_us.items())},
     }
@@ -390,6 +494,14 @@ def import_record() -> dict:
 # call and the counted call, which makes the call once and gives its
 # counters; the counted call is the case's warm-up.
 CASES = {
+    **{
+        f"{name}({matrix_shape(*shape)})": (
+            "intmat",
+            lambda name=name, shape=shape: matrix_case(name, *shape),
+        )
+        for shape in MATRIX_CASES
+        for name in MATRIX_CALLS
+    },
     **{
         f"reduced_homology({n}, {k})": ("joins", lambda n=n, k=k: homology_case(n, k))
         for n, k in HOMOLOGY_CASES
@@ -452,6 +564,10 @@ CASES = {
         "kmodules",
         lambda: truncation_case(fusion.ring_from_tag("z3xz3"), 3),
     ),
+    **{
+        f"ideal_power({ring}, {n})": ("fusion", lambda build=build, n=n: power_case(build, n))
+        for ring, build, n in POWER_CASES
+    },
     "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)": (
         "fusion",
         lambda: quotient_case("z2xz3xz5", 2),
@@ -486,18 +602,9 @@ def run(names, max_repeats: int) -> list:
         with mock.patch.object(errors, "WORK_BUDGET", budget):
             call, count = setup()
             counted = count()  # the counted call is the warm-up, untimed
-            samples = time_case(call, max_repeats)
-        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+            samples, scaled = time_case(call, max_repeats)
         records.append(
-            {
-                "case": name,
-                "layer": layer,
-                "ns_median": int(median),
-                "ns_q1": int(q1),
-                "ns_q3": int(q3),
-                "repeats": len(samples),
-                "counters": counted,
-            }
+            {"case": name, "layer": layer, **timing_fields(samples, scaled), "counters": counted}
         )
     return records
 
@@ -556,8 +663,11 @@ def main() -> None:
         fh.write("\n")
     for rec in runs[cfg.label]:
         print(
-            "%-50s %12d ns (%d-%d)  %s"
-            % (rec["case"], rec["ns_median"], rec["ns_q1"], rec["ns_q3"], rec["counters"])
+            "%-50s %12d ns (%d-%d), %d ns scaled  %s"
+            % (
+                rec["case"], rec["ns_median"], rec["ns_q1"], rec["ns_q3"],
+                rec["ns_median_scaled"], rec["counters"],
+            )
         )
 
 if __name__ == "__main__":

@@ -515,9 +515,8 @@ def _level_units(ring, rows) -> int:
     return 16 * len(rows) * len(ring.generators) * ring.rank * (1 + pivots.bit_length() // 64)
 
 
-def _higher_power_rows(ring, aug_rows, last=None):
-    """Yield the Hermite term rows of I^2, I^3, ... for the augmentation
-    ideal I, given I's term rows.
+def ideal_powers(ring, last=None):
+    """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
 
     Power k+1 is the span of b g_s for b a Hermite row of power k and
     g_s = e_s - aug[s] e_0, s in ring.generators.  The g_s generate I as
@@ -528,18 +527,22 @@ def _higher_power_rows(ring, aug_rows, last=None):
     Rows stay sparse throughout: each product visits only b's nonzeros
     (_row_times), and intmat.hermite_terms reduces the products.
 
-    Each level is charged, with those before it, before it is formed;
-    the generator ends after the first zero power.  Given the last power
-    wanted, a walk whose remaining levels cannot fit is refused once
-    that is certain: once a power has the rank of the one before, the
-    two span the same space over Q, so every later power keeps that rank
-    and those pivot columns, and the pivot product, the index of a
-    power's projection onto them, never falls: no later level costs less.
+    Each level is charged, with those before it, before it is formed.
+    Given the last power the caller will read, a walk whose remaining
+    levels cannot fit is refused once that is certain: once a power has
+    the rank of the one before, the two span the same space over Q, so
+    every later power keeps that rank and those pivot columns, and the
+    pivot product, the index of a power's projection onto them, never
+    falls: no later level costs less.  The first zero power is yielded
+    for every later one, with nothing more formed or charged.
     """
+    yield IdealLattice.full(ring)
+    power = augmentation_ideal(ring)
+    rows, spent, level = power.terms, 0, 1
     gens = [_aug_generator(ring, s) for s in ring.generators]
-    rows, spent, level = aug_rows, 0, 1
     what = f"the ideal power walk of a rank-{ring.rank} ring"
     while rows:
+        yield power
         spent += _level_units(ring, rows)
         charge(spent, what)
         next_rows = hermite_terms([_row_times(ring.table, b, g) for b in rows for g in gens])
@@ -547,49 +550,22 @@ def _higher_power_rows(ring, aug_rows, last=None):
         if last is not None and len(next_rows) == len(rows):
             charge(spent + (last - level) * _level_units(ring, next_rows), what)
         rows = next_rows
-        yield rows
-
-
-def ideal_powers(ring, last=None):
-    """Yield I^0, I^1, I^2, ... for the augmentation ideal I, in one pass.
-
-    Each I^(k+1) is formed from I^k and the ideal generators
-    e_s - aug[s] e_0, s in ring.generators, and charged against the work
-    budget (see _higher_power_rows).  Given the last power the caller
-    will read, a walk that cannot reach it within the budget is refused
-    as early as in ideal_power.  Once a power is zero, every later one
-    is the zero lattice.
-    """
-    yield IdealLattice.full(ring)
-    aug = augmentation_ideal(ring)
-    yield aug
-    for rows in _higher_power_rows(ring, aug.terms, last):
-        yield IdealLattice(ring, terms=rows, _trusted=True)  # I^k, an ideal, in Hermite form
-    zero = IdealLattice.zero(ring)
+        power = IdealLattice(ring, terms=rows, _trusted=True)  # I^level, in Hermite form
     while True:
-        yield zero
+        yield power
 
 
 def ideal_power(ring, n: int) -> IdealLattice:
-    """n-th power of the augmentation ideal as a lattice, as in ideal_powers.
-
-    Only I and I^n are built as lattices, and the walk stops at the
-    first zero power, so a large n on a nilpotent ideal returns at once;
-    a large n on any other ideal is refused as soon as the ranks of the
-    powers stop falling and the remaining levels cannot fit the budget.
+    """n-th power of the augmentation ideal: level n of
+    ideal_powers(ring, last=n), or its first zero level when that comes
+    first.  So a large n on a nilpotent ideal returns at once, and one on
+    any other ideal is refused once the ranks of the powers stop falling
+    and the remaining levels cannot fit the budget.
     """
     if n < 0:
         raise InputError("ideal power needs n >= 0")
-    if n == 0:
-        return IdealLattice.full(ring)
-    aug = augmentation_ideal(ring)
-    rows = aug.terms
-    if n == 1 or not rows:
-        return aug
-    for k, rows in enumerate(_higher_power_rows(ring, rows, n), start=2):
-        if k == n or not rows:
-            break
-    return IdealLattice(ring, terms=rows, _trusted=True)  # I^n, as each level of ideal_powers
+    levels = enumerate(ideal_powers(ring, last=n))
+    return next(power for k, power in levels if k == n or not power.terms)
 
 
 def lattice_quotient(ring, outer: IdealLattice, inner: IdealLattice):

@@ -124,16 +124,16 @@ class HnfResult(NamedTuple):
         return sum(1 for i in range(self.H.rows) if any(self.H.row(i)))
 
 
-def _hermite_reduce(h, n: int) -> int:
-    """Bring the first n columns of the rows h to row Hermite form, in place.
+def _hermite_step(d, carry, n):
+    """Row Hermite form of the n-column rows d, the rows carry following.
 
-    Every row operation acts on whole rows, so entries past column n (a
-    transform carried alongside) follow the reduction without steering
-    it.  Returns the rank.  The rows from the pivot row down are zero left
-    of the current column, so each row operation starts at that column.
+    Every row operation acts on whole rows [d | carry], so a carried
+    transform follows the reduction without steering it.  The rows from
+    the pivot row down are zero left of the current column, so each row
+    operation starts at that column.
     """
-    m = len(h)
-    r = 0
+    h = [row + c for row, c in zip(d, carry)]
+    m, r = len(h), 0
     for j in range(n):
         if r == m:
             break
@@ -164,13 +164,6 @@ def _hermite_reduce(h, n: int) -> int:
             if q:
                 hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
         r += 1
-    return r
-
-
-def _hermite_step(d, carry, n):
-    """Row Hermite form of the n-column rows d, the rows carry following."""
-    h = [row + c for row, c in zip(d, carry)]
-    _hermite_reduce(h, n)
     return [row[:n] for row in h], [row[n:] for row in h]
 
 
@@ -222,8 +215,7 @@ def _kernel_reduce(t, rank: int) -> None:
     kernel = t[rank:]
     if not kernel or not kernel[0]:
         return  # no kernel, or no transform carried
-    _hermite_reduce(kernel, len(kernel[0]))
-    t[rank:] = kernel
+    t[rank:] = kernel = hermite_rows(kernel, len(kernel[0]))  # independent rows: none drops
     for row in kernel:
         p = next(j for j, e in enumerate(row) if e)
         for other in t[:rank]:
@@ -296,17 +288,12 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Hermite-form basis of {x : x.A = 0}.
 
     With transform.A = H in echelon form, the transform rows facing zero
-    rows of H are a kernel basis; they get one more Hermite pass so the
-    result is canonical for the kernel lattice.
+    rows of H are a kernel basis; hermite_rows makes it canonical for
+    the kernel lattice.
     """
     res = hnf(A)
-    rank = res.rank
-    ker_rows = [list(res.transform.row(i)) for i in range(rank, A.rows)]
-    if not ker_rows:
-        return IntMatrix.zeros(0, A.rows)
-    reduced = hnf(IntMatrix.from_rows(ker_rows, cols=A.rows))
-    keep = [list(reduced.H.row(i)) for i in range(reduced.rank)]
-    return IntMatrix.from_rows(keep, cols=A.rows)
+    kernel = hermite_rows(res.transform.to_rows()[res.rank :], A.rows)
+    return IntMatrix.from_rows(kernel, cols=A.rows)
 
 
 class SparseMatrix(NamedTuple):
@@ -386,12 +373,13 @@ def hermite_terms(maps) -> tuple:
     """Canonical Hermite basis of the span of sparse rows, as term rows.
 
     Each row is a {column: entry} map with no zero entries (a zero would
-    come back as a zero pivot), and the maps are reduced in place.  The
-    elimination is _hermite_reduce's, column by column, reducing by the
-    smallest entry, with no transform: rows
-    wait in a bucket under their leading column, so each row operation
-    touches only the nonzeros of the row it subtracts (Dumas, Saunders
-    and Villard 2001).  The entries above the pivots are reduced last,
+    come back as a zero pivot), and the maps are reduced in place.  It is
+    the one Hermite reduction with no transform carried; kernel_basis
+    and snf's kernel rows reach it through hermite_rows.  The elimination
+    is column by column, reducing by the smallest entry: rows wait in a
+    bucket under their leading column, so each row operation touches
+    only the nonzeros of the row it subtracts (Dumas, Saunders and
+    Villard 2001).  The entries above the pivots are reduced last,
     bottom row first, each row visiting only its own pivot-column
     entries.  Each basis row comes back as its (column, entry) terms in
     increasing column, pivot first, as in Lattice.terms.

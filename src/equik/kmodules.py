@@ -355,18 +355,19 @@ def _ideal_times(lattice: IdealLattice, module: RingModule, xs) -> FgAbelianGrou
     return module._image([_row_times(module.table, x, b) for b in lattice.terms for x in xs])
 
 
-def max_nonvanishing_power(module: RingModule, cap: int = 16) -> int:
-    """Largest n <= cap with a nontrivial ideal-power image, else -1.
+POWER_CAP = 16  # the highest ideal power max_nonvanishing_power scans
+
+
+def max_nonvanishing_power(module: RingModule) -> int:
+    """Largest n <= POWER_CAP with a nontrivial ideal-power image, else -1.
 
     The images are nested, so the scan stops at the first trivial one.
     A module that is trivial to begin with returns -1.
     """
-    if cap < 0:
-        raise InputError("cap must be nonnegative")
-    for n, lattice in zip(range(cap + 1), ideal_powers(module.ring, last=cap)):
+    for n, lattice in zip(range(POWER_CAP + 1), ideal_powers(module.ring, last=POWER_CAP)):
         if ideal_image(lattice, module).is_trivial:
             return n - 1
-    return cap
+    return POWER_CAP
 
 
 def kunneth_pieces(mg: RingModule, mh: RingModule):

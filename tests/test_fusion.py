@@ -9,6 +9,7 @@ the sparse axiom check are compared with the constructions they
 replaced, kept here as oracles.
 """
 
+import functools
 import json
 from itertools import islice, permutations
 from math import comb, prod
@@ -55,6 +56,7 @@ from equik.intmat import (
     Lattice,
     hermite_rows,
     hermite_solve,
+    hermite_terms,
     hnf,
     kernel_basis,
     term_product,
@@ -811,7 +813,7 @@ def test_ideal_power_stops_at_first_zero_power(ring):
     assert ideal_power(ring, 10**12) == IdealLattice.zero(ring)
 
 
-def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
+def test_ideal_power_builds_the_levels_up_to_n_only(monkeypatch):
     built = []
     init = IdealLattice.__init__
 
@@ -822,8 +824,97 @@ def test_ideal_power_builds_only_i_and_i_to_the_n(monkeypatch):
     monkeypatch.setattr(IdealLattice, "__init__", counting)
     ring = cyclic_ring(5)
     lat = ideal_power(ring, 4)
-    assert built == [4, 4]  # I, then I^4 (I^0 and I^2, I^3 stay rows)
+    # ideal_power reads ideal_powers: I^0, I, I^2, I^3 and I^4 become
+    # lattices, each level trusted, and nothing past I^4 is formed
+    assert built == [5, 4, 4, 4, 4]
     assert lat.rows() == per_power_oracle(ring, 4)
+
+
+def loop_walk_rows(ring, aug_rows, last=None):
+    """The Hermite term rows of I^2, I^3, ..., formed and charged level
+    by level as ideal_power's own loop walked them; it ends after the
+    first zero power."""
+    gens = [fusion._aug_generator(ring, s) for s in ring.generators]
+    rows, spent, level = aug_rows, 0, 1
+    what = f"the ideal power walk of a rank-{ring.rank} ring"
+    while rows:
+        spent += fusion._level_units(ring, rows)
+        errors.charge(spent, what)
+        next_rows = hermite_terms(
+            [fusion._row_times(ring.table, b, g) for b in rows for g in gens]
+        )
+        level += 1
+        if last is not None and len(next_rows) == len(rows):
+            errors.charge(spent + (last - level) * fusion._level_units(ring, next_rows), what)
+        rows = next_rows
+        yield rows
+
+
+def loop_ideal_power(ring, n):
+    """ideal_power as it was with a walk loop of its own, kept as the
+    oracle for its read of ideal_powers."""
+    if n < 0:
+        raise InputError("ideal power needs n >= 0")
+    if n == 0:
+        return IdealLattice.full(ring)
+    aug = augmentation_ideal(ring)
+    rows = aug.terms
+    if n == 1 or not rows:
+        return aug
+    for k, rows in enumerate(loop_walk_rows(ring, rows, n), start=2):
+        if k == n or not rows:
+            break
+    return IdealLattice(ring, terms=rows)
+
+
+# Cyclic and circle rings up to rank 12, ring tags, and products of a
+# circle truncation with a tag; each built once.
+LOOP_ORACLE_RINGS = (
+    *(("z", k) for k in range(1, 13)),
+    *(("circle", k) for k in range(1, 13)),
+    *(("tag", tag) for tag in ("z2xz2", "z2xz3", "z3xz3", "z4xz2", "z2xz3xz5")),
+    *(("circle x tag", (a, tag)) for a in (2, 3, 4) for tag in ("z2", "z3", "z2xz2", "z3xz3")),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def loop_oracle_ring(kind, arg):
+    if kind == "z":
+        return cyclic_ring(arg)
+    if kind == "circle":
+        return circle_truncation(arg)
+    if kind == "tag":
+        return ring_from_tag(arg)
+    return ring_product(circle_truncation(arg[0]), ring_from_tag(arg[1]))
+
+
+def refusal_or_lattice(power, ring, n):
+    try:
+        return power(ring, n)
+    except CapExceededError as err:
+        return str(err)
+
+
+@given(
+    spec=st.sampled_from(LOOP_ORACLE_RINGS),
+    n=st.one_of(st.integers(0, 8), st.sampled_from([10**6, 10**12])),
+)
+@settings(max_examples=200, deadline=None)
+def test_ideal_power_matches_its_old_walk_loop(spec, n):
+    ring = loop_oracle_ring(*spec)
+    want = refusal_or_lattice(loop_ideal_power, ring, n)
+    got = refusal_or_lattice(ideal_power, ring, n)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("spec", LOOP_ORACLE_RINGS, ids=str)
+def test_ideal_power_matches_its_old_walk_loop_far_out(spec):
+    ring = loop_oracle_ring(*spec)
+    for n in (10**6, 10**12):
+        assert refusal_or_lattice(ideal_power, ring, n) == refusal_or_lattice(
+            loop_ideal_power, ring, n
+        )
 
 
 # Rings whose generating set S has more than one index, with the highest
@@ -887,17 +978,19 @@ def test_each_power_level_forms_rank_times_generators_products(ring, monkeypatch
     # is more on these rings, since |S| < rank(I).  The walk forms each
     # product of a row with a generator by one _row_times call.
     assert len(ring.generators) < ring.rank - 1
-    rows = augmentation_ideal(ring).terms
     calls = []
     row_times = fusion._row_times
     monkeypatch.setattr(
         fusion, "_row_times", lambda *args: calls.append(1) or row_times(*args)
     )
-    walk = fusion._higher_power_rows(ring, rows)
-    for level, next_rows in zip(range(4), walk):
+    walk = ideal_powers(ring)
+    next(walk)  # I^0
+    rows = next(walk).terms
+    assert calls == []  # I itself is read off the augmentation
+    for level, power in zip(range(4), walk):
         assert len(calls) == len(rows) * len(ring.generators), level
         calls.clear()
-        rows = next_rows
+        rows = power.terms
 
 
 def dense_fusion_check(labels, dims, fusion):

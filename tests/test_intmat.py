@@ -7,11 +7,13 @@ minors, and the k-th invariant factor is d_k / d_(k-1).
 
 from itertools import combinations, compress, count
 from math import gcd, log2
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equik.intmat as intmat
 from equik.abgroups import FgAbelianGroup, cokernel
 from equik.errors import InputError
 from equik.intmat import (
@@ -362,7 +364,7 @@ def sparse_matrices(draw, max_rows=12, max_cols=24):
 @given(sparse_matrices())
 @settings(max_examples=120, deadline=None)
 def test_sparse_hermite_rows_match_nonzero_rows_of_dense_hnf(a):
-    # hnf runs the dense _hermite_reduce with a transform carried; the
+    # hnf runs the dense _hermite_step with a transform carried; the
     # sparse elimination must reach the same unique basis.
     rows = [a.row(i) for i in range(a.rows)]
     res = hnf(a)
@@ -635,3 +637,122 @@ def test_echelon_insert_takes_the_euclid_step():
     assert echelon_insert(basis, {1: -9}) is False
     assert echelon_insert(basis, {1: 4}) is True
     assert basis == {0: {0: 2, 1: -1}, 1: {1: 1}}
+
+
+# The dense Hermite path as it was before kernel_basis and snf's kernel
+# step moved to hermite_rows, kept as the oracle for both: the elimination
+# as its own function, a second hnf for kernel_basis, and a dense
+# reduction of the kernel rows.
+
+
+def dense_hermite_reduce(h, n: int) -> None:
+    """Bring the first n columns of the rows h to row Hermite form, in
+    place, every row operation acting on whole rows."""
+    m, r = len(h), 0
+    for j in range(n):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if h[i][j]]
+            if not nz:
+                break
+            if len(nz) == 1:
+                if nz[0] != r:
+                    h[r], h[nz[0]] = h[nz[0]], h[r]
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
+            p = h[i0]
+            for i in nz:
+                if i != i0:
+                    hi = h[i]
+                    q = hi[j] // p[j]
+                    hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
+        p = h[r]
+        if p[j] == 0:
+            continue
+        if p[j] < 0:
+            p[j:] = [-e for e in p[j:]]
+        for i in range(r):
+            hi = h[i]
+            q = hi[j] // p[j]
+            if q:
+                hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
+        r += 1
+
+
+def dense_hermite_step(d, carry, n):
+    h = [row + c for row, c in zip(d, carry)]
+    dense_hermite_reduce(h, n)
+    return [row[:n] for row in h], [row[n:] for row in h]
+
+
+def dense_kernel_reduce(t, rank: int) -> None:
+    kernel = t[rank:]
+    if not kernel or not kernel[0]:
+        return
+    dense_hermite_reduce(kernel, len(kernel[0]))
+    t[rank:] = kernel
+    for row in kernel:
+        p = next(j for j, e in enumerate(row) if e)
+        for other in t[:rank]:
+            q = other[p] // row[p]
+            if q:
+                other[:] = [a - q * b for a, b in zip(other, row)]
+
+
+def two_hnf_kernel_basis(a: IntMatrix) -> IntMatrix:
+    res = hnf(a)
+    ker_rows = [list(res.transform.row(i)) for i in range(res.rank, a.rows)]
+    if not ker_rows:
+        return IntMatrix.zeros(0, a.rows)
+    reduced = hnf(IntMatrix.from_rows(ker_rows, cols=a.rows))
+    return IntMatrix.from_rows([reduced.H.row(i) for i in range(reduced.rank)], cols=a.rows)
+
+
+@st.composite
+def low_rank_matrices(draw, max_dim=9, max_entry=6):
+    """m x n products of m x k and k x n matrices, k < min(m, n), so
+    both kernels are nonzero."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    k = draw(st.integers(0, min(m, n) - 1))
+    entries = st.integers(-max_entry, max_entry)
+    b = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    c = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    return IntMatrix.from_rows(
+        [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if k else [0] * n for row in b],
+        cols=n,
+    )
+
+
+@given(
+    st.one_of(
+        matrices(max_dim=9, max_entry=6),
+        low_rank_matrices(),
+        pooled_matrices(max_dim=9),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_normal_forms_match_the_dense_kernel_oracle(a):
+    with mock.patch.multiple(
+        intmat, _hermite_step=dense_hermite_step, _kernel_reduce=dense_kernel_reduce
+    ):
+        want = snf(a), hnf(a), two_hnf_kernel_basis(a)
+    got = snf(a), hnf(a), kernel_basis(a)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_kernel_paths_read_hermite_rows(monkeypatch):
+    calls = []
+    real = intmat.hermite_rows
+    monkeypatch.setattr(intmat, "hermite_rows", lambda *args: calls.append(1) or real(*args))
+    a = IntMatrix.from_rows([(1, 2, 3), (2, 4, 6), (0, 0, 0)], cols=3)
+    assert kernel_basis(a).to_rows() == [[2, -1, 0], [0, 0, 1]]
+    assert len(calls) == 1
+    calls.clear()
+    dec = snf(a)
+    assert dec.D.to_rows() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert len(calls) == 2  # the kernel rows of U and of V's transpose
+    calls.clear()
+    assert smith_invariants([{0: 2, 1: 4}, {0: 4, 1: 8}]) == (1, (2,))
+    assert calls == []  # no transform carried, so no kernel step

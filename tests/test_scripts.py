@@ -68,8 +68,12 @@ def test_bench_layers_writes_its_schema(tmp_path):
     snf = "cli(linalg snf seeded-8x8.json --json)"
     top = "cli(validate report.json)"
     refused = "cli(rep ideal-powers z2 --max-power 1000000000)"
+    kernel = "kernel_basis(6x10, rank 4)"
+    power = "ideal_power(ring_from_tag(z2xz3xz5), 3)"
     res = run_script(
         "bench_layers.py",
+        "--case", kernel,
+        "--case", power,
         "--case", "reduced_homology(3, 3)",
         "--case", "boundary_matrices(3, 3)",
         "--case", "check_boundaries(3, 3)",
@@ -90,13 +94,24 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert res.returncode == 0, res.stderr
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
-    (homology, boundaries, check, instantiate, built, regular, tensor, truncated, quotient,
-     imaged, grouped_cli, snf_cli, top_cli, refused_cli) = runs["change"]
+    (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
+     truncated, quotient, imaged, grouped_cli, snf_cli, top_cli, refused_cli) = runs["change"]
     for rec in runs["change"]:
-        assert set(rec) == {"case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters"}
-        assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3"))
+        assert set(rec) == {
+            "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
+            "counters",
+        }
+        assert all(type(rec[k]) is int for k in ("ns_median", "ns_q1", "ns_q3", "ns_median_scaled"))
         assert 0 < rec["ns_q1"] <= rec["ns_median"] <= rec["ns_q3"]
+        assert rec["ns_median_scaled"] > 0
         assert type(rec["repeats"]) is int and rec["repeats"] >= 3
+    assert (kernel_rec["case"], kernel_rec["layer"]) == (kernel, "intmat")
+    # a 6 x 10 matrix of rank 4 has a rank-2 kernel
+    assert kernel_rec["counters"] == {"rank": 2, "max_bits": 7}
+    assert (power_rec["case"], power_rec["layer"]) == (power, "fusion")
+    # I and I^2 of the rank-30 ring have rank 29, and each forms 29 * |S|
+    # products with the |S| = 3 generators
+    assert power_rec["counters"] == {"products": 174, "power_rank": 29}
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; coreduction leaves 8 = 2^3 triangles with no face,
     # one per 2-sphere of the wedge
@@ -168,7 +183,8 @@ def test_bench_layers_times_the_import_in_fresh_interpreters(tmp_path):
     assert res.returncode == 0, res.stderr
     (record,) = json.loads(out.read_text())["change"]
     assert set(record) == {
-        "case", "layer", "ns_median", "ns_q1", "ns_q3", "repeats", "counters", "self_us"
+        "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
+        "counters", "self_us",
     }
     assert (record["case"], record["layer"]) == ("import(equik, equik.cli)", "import")
     assert record["repeats"] == 11  # at least 11 interpreters, whatever --repeats says

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import equik
+import equik.intmat as intmat
 from equik.cli import main
 from equik.fusion import IdealLattice
 from equik.intmat import IntMatrix
@@ -155,8 +156,9 @@ def test_lattice_and_certify_requests_build_no_intmatrix(monkeypatch, tmp_path, 
 
 def test_dense_hermite_reduce_serves_only_the_transform_paths():
     # intmat.hermite_terms is the one transform-free Hermite routine.  The
-    # dense _hermite_reduce runs only where a transform is carried: in hnf
-    # and _smith, through _hermite_step, and in _kernel_reduce.
+    # dense elimination is _hermite_step, and it runs only where a
+    # transform is carried: in hnf and _smith.  No second dense routine,
+    # under the old name _hermite_reduce or as a module attribute, is left.
     dense = ("_hermite_reduce", "_hermite_step")
     users = {name: set() for name in dense}
     for path in SOURCES:
@@ -170,9 +172,10 @@ def test_dense_hermite_reduce_serves_only_the_transform_paths():
                     if isinstance(inner, ast.Name) and inner.id in dense:
                         users[inner.id].add(f"{path.name}:{node.name}")
     assert users == {
-        "_hermite_reduce": {"intmat.py:_hermite_step", "intmat.py:_kernel_reduce"},
+        "_hermite_reduce": set(),
         "_hermite_step": {"intmat.py:hnf", "intmat.py:_smith"},
     }
+    assert not hasattr(intmat, "_hermite_reduce")
 
 
 def test_module_requests_read_no_dense_ideal_basis(monkeypatch, tmp_path, capsys):
@@ -268,7 +271,6 @@ def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
         "fusion.py:IdealLattice.full",
         "fusion.py:augmentation_ideal",
         "fusion.py:ideal_powers",
-        "fusion.py:ideal_power",
         "fusion.py:circle_ideal_image",
         "kmodules.py:truncated_ring_module",
         "kmodules.py:zero_module",
