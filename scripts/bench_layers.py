@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the intmat, joins, fusion, kmodules and reports layers case by case, with counters.
+"""Time equik's layers, intmat to reports, case by case, with counters.
 
 Each case is one library call timed in integer nanoseconds (the median
 and the quartiles of the repeats, and the median of the repeats scaled
@@ -25,7 +25,12 @@ task), but the first:
   first three larger joins, boundary_matrices, counting the boundary rows
   and nonzeros, and check_boundaries on the boundaries and the
   augmentation, counting the rows checked and the multiply-adds their
-  products take;
+  products take; mayer_vietoris_delta at (20, 20), (1, 2000) and
+  (300, 300), counting the kernel rank, the cokernel's free rank, and
+  the rows and nonzeros handed to joins.smith_invariants;
+- abgroups: cokernel of a seeded sparse 100 x 100 matrix (each entry
+  nonzero with chance 0.1, then in [-3, 3]), built untimed, counting the
+  free rank and the torsion summands;
 - fusion: cyclic_ring(24), ring_from_tag on z24 and z2xz3xz5,
   circle_truncation at orders 291 (the largest `rokhlin circle` admits),
   400 and 800, and ring_product of circle_truncation(9) and z3xz3 (the
@@ -89,7 +94,7 @@ from unittest import mock
 
 import equik
 import equik.cli
-from equik import errors, fusion, intmat, joins, kmodules, reports
+from equik import abgroups, errors, fusion, intmat, joins, kmodules, reports
 
 # perfbench/reference.py, the routine that gauges the machine's speed of
 # the moment, imported from its own directory as perfbench/run.py does.
@@ -102,6 +107,9 @@ JOIN_CASES = (
     (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3),
     (2, 7), (3, 5), (9, 5),
 )
+# (l, n) of the mayer_vietoris_delta cases, whose homology is read on the
+# complete bipartite graph K_(l,n): two squares and the star K_(1,2000).
+DELTA_CASES = ((20, 20), (1, 2000), (300, 300))
 # Joins timed by reduced_homology alone: the 7-fold join of 4 points and
 # the 9-fold join of 3, both within the work budget.
 HOMOLOGY_CASES = JOIN_CASES + ((4, 7), (3, 9))
@@ -184,14 +192,30 @@ def timing_fields(samples, scaled) -> dict:
     }
 
 
+def smith_counters(call) -> tuple:
+    """The result of the call, and the rows and nonzeros it hands to
+    joins.smith_invariants."""
+    handed = []
+
+    def counting(rows, real=joins.smith_invariants):
+        handed.append((len(rows), sum(len(row) for row in rows)))
+        return real(rows)
+
+    with mock.patch.object(joins, "smith_invariants", counting):
+        result = call()
+    return result, {
+        "rows_eliminated": sum(rows for rows, _ in handed),
+        "nonzeros_eliminated": sum(nonzeros for _, nonzeros in handed),
+    }
+
+
 def count_case(jc) -> dict:
     """Rows, critical cells, eliminated rows and nonzeros of one
     reduced_homology call, read from the maps handed to its steps.  A
     tree with no joins.coreduce (an older parent) counts every row as a
-    critical cell.  The rows eliminated are those handed to the Smith
-    reader the tree's reduced_homology names, which differs on older
-    parents."""
-    seen, eliminated = {}, []
+    critical cell.  The rows eliminated are those handed to
+    joins.smith_invariants."""
+    seen = {}
 
     def checking(maps, real=joins.check_boundaries):
         seen["rows"] = seen["critical_cells"] = sum(m.rows for m in maps)
@@ -203,24 +227,47 @@ def count_case(jc) -> dict:
         seen["critical_cells"] = sum(m.rows for m in kept)
         return kept
 
-    reader = next(n for n in joins.reduced_homology.__code__.co_names if n.startswith("smith_"))
-
-    def counting(rows, real=getattr(joins, reader)):
-        eliminated.append(len(rows))
-        return real(rows)
-
     with contextlib.ExitStack() as patches:
         patches.enter_context(mock.patch.object(joins, "check_boundaries", checking))
-        patches.enter_context(mock.patch.object(joins, reader, counting))
         if hasattr(joins, "coreduce"):
             patches.enter_context(mock.patch.object(joins, "coreduce", coreducing))
-        joins.reduced_homology(jc)
+        _, handed = smith_counters(lambda: joins.reduced_homology(jc))
     return {
         "rows": seen["rows"],
         "critical_cells": seen["critical_cells"],
-        "rows_eliminated": sum(eliminated),
+        "rows_eliminated": handed["rows_eliminated"],
         "nonzeros": seen["nonzeros"],
     }
+
+
+def delta_case(l, n):
+    """mayer_vietoris_delta(l, n), counting its kernel rank and its
+    cokernel's free rank, and the rows and nonzeros it hands to
+    joins.smith_invariants."""
+
+    def call():
+        return joins.mayer_vietoris_delta(l, n)
+
+    def counters():
+        rep, handed = smith_counters(call)
+        return {"kernel_rank": rep.kernel_rank, "cokernel_rank": rep.cokernel.free_rank, **handed}
+
+    return call, counters
+
+
+def cokernel_case(size, density):
+    """abgroups.cokernel of a seeded size x size matrix, built untimed,
+    each entry nonzero with the given chance and then in [-3, 3] less 0,
+    counting the free rank and torsion summands of the group."""
+    rng = random.Random(f"{MATRIX_SEED}:cokernel:{size}:{density}")
+    rows = [
+        [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(size)]
+        for _ in range(size)
+    ]
+    return from_result(
+        lambda: abgroups.cokernel(rows, size),
+        lambda g: {"free_rank": g.free_rank, "torsion": len(g.torsion)},
+    )
 
 
 def from_result(call, counters) -> tuple:
@@ -511,6 +558,11 @@ CASES = {
         for name, case in (("boundary_matrices", boundary_case), ("check_boundaries", check_case))
         for n, k in JOIN_CASES
     },
+    **{
+        f"mayer_vietoris_delta({l}, {n})": ("joins", lambda l=l, n=n: delta_case(l, n))
+        for l, n in DELTA_CASES
+    },
+    "cokernel(100x100, density 0.1)": ("abgroups", lambda: cokernel_case(100, 0.1)),
     **{
         f"ring_from_tag({tag})": (
             "fusion",

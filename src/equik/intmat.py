@@ -9,7 +9,6 @@ errors.Record classes; the other results are NamedTuples.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -210,12 +209,19 @@ def _combine(x, a, y, b) -> list:
     return [x * p + y * q for p, q in zip(a, b)]
 
 
+def _kernel_hermite(vectors, width: int) -> list:
+    """The Hermite basis of the span of int vectors the library built
+    itself, as int tuples: hermite_rows with no entry check."""
+    maps = [{j: e for j, e in enumerate(v) if e} for v in vectors]
+    return [_dense(row, width) for row in hermite_terms(maps)]
+
+
 def _kernel_reduce(t, rank: int) -> None:
     """Hermite-reduce the rows t[rank:] and size-reduce t[:rank] against them."""
     kernel = t[rank:]
     if not kernel or not kernel[0]:
         return  # no kernel, or no transform carried
-    t[rank:] = kernel = hermite_rows(kernel, len(kernel[0]))  # independent rows: none drops
+    t[rank:] = kernel = _kernel_hermite(kernel, len(kernel[0]))  # independent rows: none drops
     for row in kernel:
         p = next(j for j, e in enumerate(row) if e)
         for other in t[:rank]:
@@ -288,11 +294,11 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Hermite-form basis of {x : x.A = 0}.
 
     With transform.A = H in echelon form, the transform rows facing zero
-    rows of H are a kernel basis; hermite_rows makes it canonical for
+    rows of H are a kernel basis; hermite_terms makes it canonical for
     the kernel lattice.
     """
     res = hnf(A)
-    kernel = hermite_rows(res.transform.to_rows()[res.rank :], A.rows)
+    kernel = _kernel_hermite(res.transform.to_rows()[res.rank :], A.rows)
     return IntMatrix.from_rows(kernel, cols=A.rows)
 
 
@@ -307,82 +313,38 @@ class SparseMatrix(NamedTuple):
 def smith_invariants(sparse_rows):
     """(rank, torsion chain) of the matrix with the given {column: entry} rows.
 
-    Pivots of absolute value 1 are eliminated first, on the shortest row
-    and, within it, the unit entry whose column is shortest, so the rows
-    stay sparse.  Each such pivot is an invariant factor 1 and takes its
-    row and column out.  Rows left with no unit entry form a small dense
-    block whose Smith diagonal comes from _smith, with no transform
-    carried.
+    The rows are copied with their zeros dropped and brought to echelon
+    form by _echelon; the rank is the number of pivots.  The rows with
+    pivot 1, with the unit vectors off their pivot columns, are a basis
+    of Z^width, so the torsion is that of the other echelon rows once
+    cleared at the unit pivot columns: their dense block on the columns
+    left goes through _smith, with no transform carried.
     """
-    rows = [dict(r) if all(r.values()) else {j: e for j, e in r.items() if e} for r in sparse_rows]
-    where = defaultdict(set)  # column -> indices of the live rows with an entry there
-    for i, row in enumerate(rows):
-        for j in row:
-            where[j].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapify(heap)
-    stuck = set()  # rows that had no unit entry when last popped
-    units = 0
-    while heap:
-        length, i = heappop(heap)
-        row = rows[i]
-        if row is None or length != len(row):
-            continue  # stale heap entry
-        p = best = None  # the unit entry whose column is shortest, then leftmost
-        for j, e in row.items():
-            if e == 1 or e == -1:
-                n = len(where[j])
-                if p is None or n < best or n == best and j < p:
-                    p, best = j, n
-        if p is None:
-            stuck.add(i)
-            continue
-        units += 1
-        rows[i] = None
-        for j in row:
-            where[j].discard(i)
-        sign = row[p]
-        for t in list(where[p]):
-            other = rows[t]
-            q = other[p] * sign  # the pivot is +-1, so this is other[p] / sign
-            for j, e in row.items():
-                v = other.get(j, 0) - q * e
-                if v:
-                    if j not in other:
-                        where[j].add(t)
-                    other[j] = v
-                else:
-                    del other[j]
-                    where[j].discard(t)
-            stuck.discard(t)
-            if other:
-                heappush(heap, (len(other), t))
-            else:
-                rows[t] = None
-    left = sorted(stuck)
+    basis = _echelon(
+        {j: e for j, e in r.items() if e} if 0 in r.values() else dict(r) for r in sparse_rows if r
+    )
+    units = {j: row for j, row in basis.items() if row[j] == 1}
+    left = [row for j, row in basis.items() if j not in units]
     if not left:
-        return units, ()
-    used = sorted({j for i in left for j in rows[i]})
-    block = [[rows[i].get(j, 0) for j in used] for i in left]
+        return len(basis), ()
+    for row in left:
+        _reduce_at(row, min(row), units)  # a unit pivot row clears its column
+    used = sorted({j for row in left for j in row})
+    block = [[row.get(j, 0) for j in used] for row in left]
     diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
-    factors = [d for d in diag if d]
-    return units + len(factors), tuple([d for d in factors if d > 1])
+    return len(basis), tuple([d for d in diag if d > 1])
 
 
-def hermite_terms(maps) -> tuple:
-    """Canonical Hermite basis of the span of sparse rows, as term rows.
+def _echelon(maps) -> dict:
+    """Echelon rows of the span of sparse rows, as {pivot column: row}.
 
     Each row is a {column: entry} map with no zero entries (a zero would
-    come back as a zero pivot), and the maps are reduced in place.  It is
-    the one Hermite reduction with no transform carried; kernel_basis
-    and snf's kernel rows reach it through hermite_rows.  The elimination
-    is column by column, reducing by the smallest entry: rows wait in a
-    bucket under their leading column, so each row operation touches
-    only the nonzeros of the row it subtracts (Dumas, Saunders and
-    Villard 2001).  The entries above the pivots are reduced last,
-    bottom row first, each row visiting only its own pivot-column
-    entries.  Each basis row comes back as its (column, entry) terms in
-    increasing column, pivot first, as in Lattice.terms.
+    come back as a zero pivot), and the maps are reduced in place.  The
+    elimination is column by column, reducing by the smallest entry:
+    rows wait in a bucket under their leading column, so each row
+    operation touches only the nonzeros of the row it subtracts (Dumas,
+    Saunders and Villard 2001).  Every pivot is made positive, and the
+    rows come back in increasing pivot column.
     """
     buckets = {}  # leading column -> the rows waiting there
     for row in maps:
@@ -416,24 +378,43 @@ def hermite_terms(maps) -> tuple:
             for k in p:
                 p[k] = -p[k]
         basis[j] = p
+    return basis
+
+
+def _reduce_at(row: dict, start: int, pivots: dict) -> None:
+    """Bring the entries of the sparse row at the columns past start that
+    hold a pivot of the echelon rows pivots ({pivot column: row}) into
+    [0, pivot), in increasing column: subtracting a pivot row changes
+    only columns from its pivot on."""
+    todo = [k for k in row if k > start and k in pivots]
+    heapify(todo)
+    done = start
+    while todo:
+        j = heappop(todo)
+        if j <= done:
+            continue  # pushed twice
+        done = j
+        p = pivots[j]
+        q = row.get(j, 0) // p[j]
+        if q:
+            _subtract(row, q, p.items())
+            todo += [k for k in p if k > j and k in pivots]
+            heapify(todo)
+
+
+def hermite_terms(maps) -> tuple:
+    """Canonical Hermite basis of the span of sparse rows, as term rows.
+
+    Each row is a {column: entry} map with no zero entries, and the maps
+    are reduced in place.  It is the one Hermite reduction with no
+    transform carried: _echelon's rows, then the entries above the
+    pivots reduced, bottom row first, each row visiting only its own
+    pivot-column entries.  Each basis row comes back as its (column,
+    entry) terms in increasing column, pivot first, as in Lattice.terms.
+    """
+    basis = _echelon(maps)
     for j0, row in reversed(basis.items()):
-        # Bring the entries of row at later pivot columns into [0, pivot),
-        # in increasing column: subtracting a pivot row changes only
-        # columns from its pivot on.
-        todo = [k for k in row if k != j0 and k in basis]
-        heapify(todo)
-        done = j0
-        while todo:
-            j = heappop(todo)
-            if j <= done:
-                continue  # pushed twice
-            done = j
-            p = basis[j]
-            q = row.get(j, 0) // p[j]
-            if q:
-                _subtract(row, q, p.items())
-                todo += [k for k in p if k > j and k in basis]
-                heapify(todo)
+        _reduce_at(row, j0, basis)
     return tuple([tuple(sorted(row.items())) for row in basis.values()])
 
 
@@ -442,7 +423,7 @@ def echelon_insert(basis: dict, row: dict) -> bool:
     rows basis ({pivot column: {column: entry}}); True when the lattice
     grew, that is when the row was outside it.  Only nonzeros are visited.
 
-    The step is hermite_terms' Euclid step: the row loses the floor
+    The step is _echelon's Euclid step: the row loses the floor
     quotient of the pivot row, and when a remainder is left at the pivot,
     the row (now the smaller) becomes the pivot row and the old pivot row
     carries on in its place."""

@@ -5,10 +5,11 @@ complex on k blocks of N vertices.  Its K-theory ranks follow a closed
 one-step recursion; the simplicial homology computed here serves as an
 independent oracle for those numbers.  Boundaries are kept as sparse
 rows.  Coreduction pairs along +-1 incidences remove cells first, and
-homology comes from the rank and torsion of each boundary restricted to
-the critical cells left: unit pivots are eliminated over the sparse rows
-and only the leftover block goes through Smith reduction.  Results are
-NamedTuples; JoinComplex (an errors.Record) is checked and charged.
+homology comes from the rank and torsion (intmat.smith_invariants) of
+each boundary restricted to the critical cells left.  The comparison map
+of the join step is read the same way, as the transposed boundary of a
+complete bipartite graph.  Results are NamedTuples; JoinComplex (an
+errors.Record) is checked and charged.
 """
 
 from __future__ import annotations
@@ -248,25 +249,28 @@ class BettiTable(NamedTuple):
         return any(g.torsion for g in self.groups)
 
 
-def reduced_homology(jc: JoinComplex) -> BettiTable:
-    """Reduced simplicial homology from the rank and torsion of each boundary.
-
-    With the augmentation as the degree-0 boundary, every boundary is
-    checked, then coreduce removes its pairs, which keeps the homology,
-    and leaves n_d critical cells in degree d.  The reduced group in
-    degree d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion
-    of del_(d+1), each del restricted to the critical cells.
-    """
-    chain = boundary_matrices(jc)
-    n_vert = chain.face_counts[0]
-    maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
-    check_boundaries(maps)
+def _homology(maps) -> tuple:
+    """Reduced homology groups, by degree, of the complex whose boundaries
+    are maps, maps[0] the augmentation and maps[d] followed by maps[d-1]
+    zero.  coreduce removes its pairs, which keeps the homology, and
+    leaves n_d critical cells in degree d.  The reduced group in degree
+    d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion of
+    del_(d+1), each del restricted to the critical cells."""
     groups, rank_up, torsion = [], 0, ()
     for m in reversed(coreduce(maps)):
         rank, torsion_d = smith_invariants(m.data)
         groups.insert(0, FgAbelianGroup(m.rows - rank - rank_up, torsion))
         rank_up, torsion = rank, torsion_d
-    return BettiTable(tuple(groups))
+    return tuple(groups)
+
+
+def reduced_homology(jc: JoinComplex) -> BettiTable:
+    """_homology of the join's boundaries, the augmentation first, once checked."""
+    chain = boundary_matrices(jc)
+    n_vert = chain.face_counts[0]
+    maps = (SparseMatrix(n_vert, 1, ({0: 1},) * n_vert),) + chain.boundaries
+    check_boundaries(maps)
+    return BettiTable(_homology(maps))
 
 
 class MvDeltaReport(NamedTuple):
@@ -279,18 +283,26 @@ def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
     """The comparison map Z^l + Z^n -> Z^(l*n), (a, b) -> a.(1..1) - (1;..;1).b.
 
     Its kernel is the rank-1 diagonal (all coordinates equal) and its
-    cokernel is free of rank l*n - l - n + 1.
+    cokernel is free of rank l*n - l - n + 1.  Both are read from the
+    homology of the complete bipartite graph K_(l,n): edge (i, j) has
+    boundary a_i - b_j, so the graph's boundary is delta transposed,
+    rank delta is l*n - rank H_1, and delta's cokernel has the torsion
+    of H~_0.
     """
     if l < 1 or n < 1:
         raise InputError("comparison map needs l >= 1 and n >= 1")
     charge(250 * l * n, f"a {l + n} x {l * n} comparison map")  # 250 per entry
+    maps = (
+        SparseMatrix(l + n, 1, ({0: 1},) * (l + n)),
+        SparseMatrix(l * n, l + n, tuple([{i: 1, l + j: -1} for i in range(l) for j in range(n)])),
+    )
+    check_boundaries(maps)
+    h0, h1 = _homology(maps)
+    rank = l * n - h1.free_rank
     rows = [{i * n + j: 1 for j in range(n)} for i in range(l)]
     rows += [{i * n + j: -1 for i in range(l)} for j in range(n)]
     delta = SparseMatrix(l + n, l * n, tuple(rows))
-    rank, torsion = smith_invariants(delta.data)
-    return MvDeltaReport(
-        delta, delta.rows - rank, FgAbelianGroup(delta.cols - rank, torsion)
-    )
+    return MvDeltaReport(delta, delta.rows - rank, FgAbelianGroup(delta.cols - rank, h0.torsion))
 
 
 class OracleCheck(NamedTuple):

@@ -4,8 +4,13 @@ The library works on sparse rows; these dense forms recheck its answers:
 IntMatrix products, differences and determinants, the Smith diagonal
 with no transform, lattice membership on dense rows, a lattice modulo a
 sublattice by the dense cokernel, and the dense basis products and unit
-vector of a based ring.
+vector of a based ring.  One sparse reader is kept beside them: the
+unit-pivot Smith elimination that intmat.smith_invariants ran before it
+read the echelon of _echelon.
 """
+
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 
 from equik.abgroups import FgAbelianGroup, cokernel
 from equik.errors import InputError, LatticeContainmentError
@@ -65,6 +70,67 @@ def invariant_factors(a: IntMatrix) -> tuple:
     """The nonzero diagonal of the Smith form of a, with no transform."""
     diag = _smith(a.to_rows(), a.cols, [[]] * a.rows, [[]] * a.cols)[0]
     return tuple(e for e in diag if e)
+
+
+def heap_smith_invariants(sparse_rows):
+    """(rank, torsion chain) of the {column: entry} rows, as the library
+    read it before: unit pivots eliminated from a heap of row lengths,
+    the shortest row first and, within it, the unit entry whose column
+    is shortest; the rows left with no unit entry go to _smith as a
+    dense block."""
+    rows = [{j: e for j, e in r.items() if e} for r in sparse_rows]
+    where = defaultdict(set)  # column -> indices of the live rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
+    stuck = set()  # rows that had no unit entry when last popped
+    units = 0
+    while heap:
+        length, i = heappop(heap)
+        row = rows[i]
+        if row is None or length != len(row):
+            continue  # stale heap entry
+        p = best = None  # the unit entry whose column is shortest, then leftmost
+        for j, e in row.items():
+            if e == 1 or e == -1:
+                n = len(where[j])
+                if p is None or n < best or n == best and j < p:
+                    p, best = j, n
+        if p is None:
+            stuck.add(i)
+            continue
+        units += 1
+        rows[i] = None
+        for j in row:
+            where[j].discard(i)
+        sign = row[p]
+        for t in list(where[p]):
+            other = rows[t]
+            q = other[p] * sign  # the pivot is +-1, so this is other[p] / sign
+            for j, e in row.items():
+                v = other.get(j, 0) - q * e
+                if v:
+                    if j not in other:
+                        where[j].add(t)
+                    other[j] = v
+                else:
+                    del other[j]
+                    where[j].discard(t)
+            stuck.discard(t)
+            if other:
+                heappush(heap, (len(other), t))
+            else:
+                rows[t] = None
+    left = sorted(stuck)
+    if not left:
+        return units, ()
+    used = sorted({j for i in left for j in rows[i]})
+    block = [[rows[i].get(j, 0) for j in used] for i in left]
+    diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
+    factors = [d for d in diag if d]
+    return units + len(factors), tuple([d for d in factors if d > 1])
 
 
 def in_lattice(basis_rows, v) -> bool:

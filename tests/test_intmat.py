@@ -32,7 +32,7 @@ from equik.intmat import (
     term_product,
     xgcd,
 )
-from dense_algebra import det, in_lattice, invariant_factors, is_zero, mul
+from dense_algebra import det, heap_smith_invariants, in_lattice, invariant_factors, is_zero, mul
 
 
 @st.composite
@@ -325,6 +325,49 @@ def test_smith_invariants_frozen_examples():
     assert smith_invariants([{0: 2}, {1: 3}]) == (2, (6,))
     # one unit pivot, then the leftover [[2, 4]] has invariant factor 2
     assert smith_invariants([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: 5}]) == (2, (2,))
+
+
+@st.composite
+def sparse_row_lists(draw):
+    """(rows, width): {column: entry} rows with explicit zero entries and
+    empty rows, negative and non-unit pivots, and rows that are integer
+    combinations of two others, zeros kept; shapes square, wide or tall."""
+    m, width = draw(
+        st.sampled_from([(12, 12), (4, 30), (30, 4)]).flatmap(
+            lambda shape: st.tuples(st.integers(0, shape[0]), st.integers(0, shape[1]))
+        )
+    )
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    columns = st.just([])
+    if width:
+        columns = st.lists(st.integers(0, width - 1), max_size=width, unique=True)
+    rows = [{j: draw(pool) for j in draw(columns)} for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        combo = {j: x * a.get(j, 0) + y * b.get(j, 0) for j in sorted(a.keys() | b.keys())}
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows, width
+
+
+def chain_rows():
+    """The diagonal rows abgroups._chain sends: one torsion order per row."""
+    return st.lists(st.integers(2, 60), max_size=12).map(
+        lambda ds: ([{i: d} for i, d in enumerate(ds)], len(ds))
+    )
+
+
+@given(st.one_of(sparse_row_lists(), chain_rows()))
+@settings(max_examples=300, deadline=None)
+def test_smith_invariants_match_the_unit_pivot_heap_and_dense_snf(case):
+    rows, width = case
+    before = [dict(row) for row in rows]
+    got = smith_invariants(rows)
+    assert rows == before  # no input row changes
+    assert got == heap_smith_invariants(rows)
+    dense = IntMatrix.from_rows([[row.get(j, 0) for j in range(width)] for row in rows], cols=width)
+    factors = snf(dense).invariant_factors()
+    assert got == (len(factors), tuple(d for d in factors if d > 1))
 
 
 @given(
@@ -742,10 +785,13 @@ def test_normal_forms_match_the_dense_kernel_oracle(a):
     assert repr(got) == repr(want)
 
 
-def test_kernel_paths_read_hermite_rows(monkeypatch):
+def test_kernel_paths_read_hermite_terms(monkeypatch):
+    # kernel rows are built by the library, so they go to hermite_terms as
+    # maps: hermite_rows, the checking dense reader, is not on the path
     calls = []
-    real = intmat.hermite_rows
-    monkeypatch.setattr(intmat, "hermite_rows", lambda *args: calls.append(1) or real(*args))
+    real = intmat.hermite_terms
+    monkeypatch.setattr(intmat, "hermite_terms", lambda maps: calls.append(1) or real(maps))
+    monkeypatch.setattr(intmat, "hermite_rows", None)
     a = IntMatrix.from_rows([(1, 2, 3), (2, 4, 6), (0, 0, 0)], cols=3)
     assert kernel_basis(a).to_rows() == [[2, -1, 0], [0, 0, 1]]
     assert len(calls) == 1
@@ -755,4 +801,4 @@ def test_kernel_paths_read_hermite_rows(monkeypatch):
     assert len(calls) == 2  # the kernel rows of U and of V's transpose
     calls.clear()
     assert smith_invariants([{0: 2, 1: 4}, {0: 4, 1: 8}]) == (1, (2,))
-    assert calls == []  # no transform carried, so no kernel step
+    assert calls == []  # the echelon alone: no above-pivot reduction

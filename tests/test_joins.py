@@ -48,7 +48,7 @@ from equik.joins import (
     oracle_consistency,
     reduced_homology,
 )
-from dense_algebra import is_zero, mul
+from dense_algebra import heap_smith_invariants, is_zero, mul
 
 
 def densify(m: SparseMatrix) -> IntMatrix:
@@ -531,6 +531,18 @@ def test_mayer_vietoris_matches_dense_kernel_and_smith(l, n):
     assert rep.cokernel == FgAbelianGroup(
         dense.cols - len(factors), tuple(d for d in factors if d > 1)
     )
+
+
+def test_mayer_vietoris_matches_the_direct_smith_reading_and_the_closed_form():
+    # delta's rank and torsion come from the homology of K_(l,n); the old
+    # reading ran the unit-pivot heap on delta's own rows
+    for l, n in product(range(1, 13), repeat=2):
+        rep = mayer_vietoris_delta(l, n)
+        rank, torsion = heap_smith_invariants(rep.delta0.data)
+        assert (rep.kernel_rank, rep.cokernel) == (
+            rep.delta0.rows - rank, FgAbelianGroup(rep.delta0.cols - rank, torsion)
+        )
+        assert (rep.kernel_rank, rep.cokernel) == (1, FgAbelianGroup(l * n - l - n + 1, ()))
 
 
 def test_complex_cap():

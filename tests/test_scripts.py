@@ -70,6 +70,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     refused = "cli(rep ideal-powers z2 --max-power 1000000000)"
     kernel = "kernel_basis(6x10, rank 4)"
     power = "ideal_power(ring_from_tag(z2xz3xz5), 3)"
+    delta = "mayer_vietoris_delta(20, 20)"
+    sparse = "cokernel(100x100, density 0.1)"
     res = run_script(
         "bench_layers.py",
         "--case", kernel,
@@ -88,6 +90,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", snf,
         "--case", top,
         "--case", refused,
+        "--case", delta,
+        "--case", sparse,
         "--repeats", "3",
         "--out", str(out),
     )
@@ -95,7 +99,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
     (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
-     truncated, quotient, imaged, grouped_cli, snf_cli, top_cli, refused_cli) = runs["change"]
+     truncated, quotient, imaged, grouped_cli, snf_cli, top_cli, refused_cli, delta_rec,
+     sparse_rec) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {
             "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
@@ -157,6 +162,14 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert snf_cli["counters"]["exit_code"] == 0
     assert top_cli["counters"] == {"parse_known_args": 1, "bytes_written": 6, "exit_code": 0}
     assert refused_cli["counters"] == {"parse_known_args": 1, "bytes_written": 96, "exit_code": 2}
+    assert (delta_rec["case"], delta_rec["layer"]) == (delta, "joins")
+    # K_(20,20) coreduces to its 400 - 39 independent cycles, edges with no
+    # live face, so the Smith reader gets 361 empty rows
+    assert delta_rec["counters"] == {
+        "kernel_rank": 1, "cokernel_rank": 361, "rows_eliminated": 361, "nonzeros_eliminated": 0,
+    }
+    assert (sparse_rec["case"], sparse_rec["layer"]) == (sparse, "abgroups")
+    assert sparse_rec["counters"] == {"free_rank": 0, "torsion": 1}
 
 
 def test_bench_layers_alternates_rounds_of_two_trees(tmp_path):
