@@ -1,16 +1,18 @@
-"""Exceptions, work budget, JSON and number readers and the Record base shared by all modules.
+"""Exceptions, work budget, JSON and number readers and the record bases shared by all modules.
 
 The CLI maps InputError to exit code 2 (bad or rejected input) and
 UnsupportedError to exit code 3 (a model the tool does not provide).
 """
 
 import json
+from operator import itemgetter
 
 # A unit is about one inner-loop step, some 20 ns of CPython on a 2-vCPU VM.
 WORK_BUDGET = 200_000_000
 # Output integers (join ranks, torsion invariants) have at most 2000 bits,
 # 603 decimal digits, within Python's lowest int-to-str limit of 640.
 RANK_BITS_CAP = 2000
+_REQUIRED = object()  # a TupleRecord field with no default, until a keyword gives it
 
 
 class EquikError(Exception):
@@ -56,7 +58,7 @@ class Record:
     or lazy slot) in __slots__, and sets them in its own __init__ with
     object.__setattr__.  Equality and hashing read the fields, within one
     class, repr shows Name(field=value, ...), and assignment and deletion
-    raise AttributeError.  Records that only hold fields are NamedTuples.
+    raise AttributeError.  Records that only hold fields are TupleRecords.
     """
 
     __slots__ = ()
@@ -85,6 +87,56 @@ class Record:
     def __setstate__(self, state):  # copy and pickle: (None, {slot: value})
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+class TupleRecord(tuple):
+    """Immutable record that only holds fields: the tuple of them, by name.
+
+    A subclass sets __slots__ = (), names its fields in _fields and the
+    defaults of its trailing fields in _defaults.  Each field is a
+    property(itemgetter(i)), so no code is generated, and it keeps what
+    typing.NamedTuple gave: construction by position, keyword or default,
+    tuple equality and hashing, _replace, _asdict, repr, copy and pickle.
+    """
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *args, **kwargs):
+        fields, defaults = cls._fields, cls._defaults
+        missing = len(fields) - len(args)
+        if not kwargs:
+            if not missing:
+                return tuple.__new__(cls, args)
+            if 0 < missing <= len(defaults):
+                return tuple.__new__(cls, args + defaults[-missing:])
+        required = missing - len(defaults)  # fields left with no value and no default
+        values = [*args, *[_REQUIRED] * required, *defaults[max(-required, 0) :]]
+        for key in kwargs:
+            if key not in fields[len(args) :]:
+                raise TypeError(f"{cls.__name__}() got an unknown or repeated field {key!r}")
+            values[fields.index(key)] = kwargs[key]
+        if missing < 0 or _REQUIRED in values:
+            raise TypeError(f"{cls.__name__}() takes {fields}, the last {len(defaults)} optional")
+        return tuple.__new__(cls, values)
+
+    __repr__ = Record.__repr__  # Name(field=value, ...)
+
+    def __getnewargs__(self):  # copy and pickle rebuild by cls(*fields)
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes):
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return tuple.__new__(type(self), values)
 
 
 def charge(units: int, what: str) -> None:

@@ -537,6 +537,11 @@ def ideal_powers(ring, last=None):
     for every later one, with nothing more formed or charged.
     """
     yield IdealLattice.full(ring)
+    yield from _augmentation_powers(ring, last)
+
+
+def _augmentation_powers(ring, last):
+    """The walk of ideal_powers from I^1 on: I^1, I^2, ..."""
     power = augmentation_ideal(ring)
     rows, spent, level = power.terms, 0, 1
     gens = [_aug_generator(ring, s) for s in ring.generators]
@@ -564,7 +569,9 @@ def ideal_power(ring, n: int) -> IdealLattice:
     """
     if n < 0:
         raise InputError("ideal power needs n >= 0")
-    levels = enumerate(ideal_powers(ring, last=n))
+    if n == 0:
+        return IdealLattice.full(ring)
+    levels = enumerate(_augmentation_powers(ring, n), 1)
     return next(power for k, power in levels if k == n or not power.terms)
 
 

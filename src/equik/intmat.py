@@ -4,15 +4,13 @@ Row-vector convention throughout the package: a lattice is the span of a
 matrix's rows and maps act on the right, so the kernel of A is the set
 {x : x.A = 0}.  All arithmetic is over Python ints; nothing here (or
 anywhere downstream) touches floating point.  IntMatrix and Lattice are
-errors.Record classes; the other results are NamedTuples.
+errors.Record classes; the other results are errors.TupleRecords.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
-
-from .errors import InputError, Record, decimal, read_json
+from .errors import InputError, Record, TupleRecord, decimal, read_json
 
 
 def xgcd(a: int, b: int):
@@ -107,7 +105,7 @@ class IntMatrix(Record):
 # ---------------------------------------------------------------------------
 
 
-class HnfResult(NamedTuple):
+class HnfResult(TupleRecord):
     """H = transform . A with transform unimodular and H in row Hermite form.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
@@ -115,8 +113,7 @@ class HnfResult(NamedTuple):
     the transform is not.
     """
 
-    H: IntMatrix
-    transform: IntMatrix
+    __slots__, _fields = (), ("H", "transform")
 
     @property
     def rank(self) -> int:
@@ -181,7 +178,7 @@ def hnf(A: IntMatrix) -> HnfResult:
 # ---------------------------------------------------------------------------
 
 
-class SnfDecomposition(NamedTuple):
+class SnfDecomposition(TupleRecord):
     """U . A . V = D with U, V unimodular and D diagonal.
 
     The diagonal is nonnegative and each entry divides the next, which
@@ -192,9 +189,7 @@ class SnfDecomposition(NamedTuple):
     reduced against them.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__, _fields = (), ("U", "D", "V")
 
     def invariant_factors(self) -> tuple:
         diag = (self.D.entry(i, i) for i in range(min(self.D.rows, self.D.cols)))
@@ -302,12 +297,10 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(kernel, cols=A.rows)
 
 
-class SparseMatrix(NamedTuple):
+class SparseMatrix(TupleRecord):
     """Integer matrix kept as one {column: entry} map per row, zeros omitted."""
 
-    rows: int
-    cols: int
-    data: tuple
+    __slots__, _fields = (), ("rows", "cols", "data")
 
 
 def smith_invariants(sparse_rows):

@@ -8,16 +8,16 @@ rows.  Coreduction pairs along +-1 incidences remove cells first, and
 homology comes from the rank and torsion (intmat.smith_invariants) of
 each boundary restricted to the critical cells left.  The comparison map
 of the join step is read the same way, as the transposed boundary of a
-complete bipartite graph.  Results are NamedTuples; JoinComplex (an
-errors.Record) is checked and charged.
+complete bipartite graph.  Results are errors.TupleRecords; JoinComplex
+(an errors.Record) is checked and charged.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .abgroups import FgAbelianGroup, TRIVIAL_GROUP
-from .errors import RANK_BITS_CAP, CapExceededError, EquikError, InputError, Record, charge
+from .errors import (
+    RANK_BITS_CAP, CapExceededError, EquikError, InputError, Record, TupleRecord, charge
+)
 from .intmat import SparseMatrix, smith_invariants
 
 
@@ -59,9 +59,8 @@ def join_k_theory_formula(n: int, k: int):
     return 1, step
 
 
-class KTheoryRanks(NamedTuple):
-    k0_rank: int
-    k1_rank: int
+class KTheoryRanks(TupleRecord):
+    __slots__, _fields = (), ("k0_rank", "k1_rank")
 
 
 class JoinComplex(Record):
@@ -100,15 +99,14 @@ def build_join_complex(n: int, k: int) -> JoinComplex:
     return JoinComplex(parts=k, part_size=n)
 
 
-class ChainComplex(NamedTuple):
+class ChainComplex(TupleRecord):
     """Sparse boundaries of a complex, rows = d-faces, cols = (d-1)-faces.
 
     boundaries[d-1] is the degree-d boundary; chains are row vectors and
     the boundary acts on the right, so del(del(x)) = x . B_d . B_(d-1).
     """
 
-    face_counts: tuple
-    boundaries: tuple
+    __slots__, _fields = (), ("face_counts", "boundaries")
 
 
 def _face_masks(jc: JoinComplex) -> list:
@@ -232,21 +230,15 @@ def coreduce(maps) -> tuple:
     return tuple(out)
 
 
-class BettiTable(NamedTuple):
+class BettiTable(TupleRecord):
     """Reduced homology groups by degree, exact including torsion."""
 
-    groups: tuple
+    __slots__, _fields = (), ("groups",)
 
     def group_at(self, d: int) -> FgAbelianGroup:
         if 0 <= d < len(self.groups):
             return self.groups[d]
         return TRIVIAL_GROUP
-
-    def ranks(self) -> tuple:
-        return tuple(g.free_rank for g in self.groups)
-
-    def has_torsion(self) -> bool:
-        return any(g.torsion for g in self.groups)
 
 
 def _homology(maps) -> tuple:
@@ -255,10 +247,11 @@ def _homology(maps) -> tuple:
     zero.  coreduce removes its pairs, which keeps the homology, and
     leaves n_d critical cells in degree d.  The reduced group in degree
     d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion of
-    del_(d+1), each del restricted to the critical cells."""
+    del_(d+1), each del restricted to the critical cells; a del that
+    coreduction left with no nonzero row has rank 0 and no torsion."""
     groups, rank_up, torsion = [], 0, ()
     for m in reversed(coreduce(maps)):
-        rank, torsion_d = smith_invariants(m.data)
+        rank, torsion_d = smith_invariants(m.data) if any(m.data) else (0, ())
         groups.insert(0, FgAbelianGroup(m.rows - rank - rank_up, torsion))
         rank_up, torsion = rank, torsion_d
     return tuple(groups)
@@ -273,10 +266,8 @@ def reduced_homology(jc: JoinComplex) -> BettiTable:
     return BettiTable(_homology(maps))
 
 
-class MvDeltaReport(NamedTuple):
-    delta0: SparseMatrix
-    kernel_rank: int
-    cokernel: FgAbelianGroup
+class MvDeltaReport(TupleRecord):
+    __slots__, _fields = (), ("delta0", "kernel_rank", "cokernel")
 
 
 def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
@@ -305,17 +296,12 @@ def mayer_vietoris_delta(l: int, n: int) -> MvDeltaReport:
     return MvDeltaReport(delta, delta.rows - rank, FgAbelianGroup(delta.cols - rank, h0.torsion))
 
 
-class OracleCheck(NamedTuple):
+class OracleCheck(TupleRecord):
     """Formula ranks against the homology of the actual complex."""
 
-    set_size: int
-    copies: int
-    ranks: KTheoryRanks
-    betti: BettiTable
-    even_sum: int
-    odd_sum: int
-    torsion_free: bool
-    consistent: bool
+    __slots__, _fields = (), (
+        "set_size", "copies", "ranks", "betti", "even_sum", "odd_sum", "torsion_free", "consistent"
+    )
 
 
 def oracle_consistency(n: int, k: int) -> OracleCheck:
@@ -329,7 +315,7 @@ def oracle_consistency(n: int, k: int) -> OracleCheck:
     betti = reduced_homology(build_join_complex(n, k))
     even = sum(g.free_rank for d, g in enumerate(betti.groups) if d % 2 == 0)
     odd = sum(g.free_rank for d, g in enumerate(betti.groups) if d % 2 == 1)
-    torsion_free = not betti.has_torsion()
+    torsion_free = not any(g.torsion for g in betti.groups)
     consistent = torsion_free and k0 == 1 + even and k1 == odd
     return OracleCheck(
         n, k, KTheoryRanks(k0, k1), betti, even, odd, torsion_free, consistent

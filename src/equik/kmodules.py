@@ -19,15 +19,12 @@ read by abgroups.quotient.  Rows are checked only where they enter: the
 public constructor, subgroup_class, act and
 element_stable_nonvanishing.  In the axiom checks, e_k e_m is the cell
 t[k][m] itself, read in place.
-ModelDescriptor is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 from .abgroups import FgAbelianGroup, quotient, tor as group_tor
-from .errors import EquikError, InputError, decimal
+from .errors import EquikError, InputError, TupleRecord, decimal
 from .fusion import (
     IdealLattice,
     _associativity_witness,
@@ -216,13 +213,11 @@ def _order(text: str) -> int:
     return n
 
 
-class _LeafKind(NamedTuple):
+class _LeafKind(TupleRecord):
     """A model kind that truncates one ring: its tag fields (name, parser)
     in tag order, its ring, and the least order it instantiates at."""
 
-    fields: tuple
-    ring: Callable
-    least_order: int
+    __slots__, _fields = (), ("fields", "ring", "least_order")
 
 
 _LEAF_KINDS = {
@@ -241,7 +236,7 @@ def _leaf_kind(kind) -> _LeafKind:
     return leaf
 
 
-class ModelDescriptor(NamedTuple):
+class ModelDescriptor(TupleRecord):
     """Named K-theory model, addressable from the CLI and from reports.
 
     Kinds: 'trunc-z2' (order-2 ring modulo its l-th ideal power),
@@ -251,11 +246,8 @@ class ModelDescriptor(NamedTuple):
     Every kind but 'tensor' is a row of _LEAF_KINDS.
     """
 
-    kind: str
-    order: int = 0
-    ring: str = ""
-    left: "ModelDescriptor | None" = None
-    right: "ModelDescriptor | None" = None
+    __slots__, _fields = (), ("kind", "order", "ring", "left", "right")
+    _defaults = (0, "", None, None)
 
     @classmethod
     def parse(cls, text: str) -> "ModelDescriptor":

@@ -10,15 +10,13 @@ and parameters, walks the report's JSON tree beside the rebuild's, and
 accepts it only if the two are identical.  Each certificate kind has
 one check, called by its builder and by validate_bound alike:
 _annihilator_image, _index_dimension, _rule_upper.  Reports and
-certificates are immutable NamedTuples; a variant is made by _replace.
+certificates are immutable errors.TupleRecords, varied by _replace.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .abgroups import FgAbelianGroup
-from .errors import CapExceededError, EquikError, InputError, UnsupportedError, decimal
+from .errors import CapExceededError, EquikError, InputError, TupleRecord, UnsupportedError, decimal
 from .fusion import (
     cyclic_ring,
     ideal_power,
@@ -96,14 +94,13 @@ def upper_bound(text):
 # ---------------------------------------------------------------------------
 
 
-class Stability(NamedTuple):
+class Stability(TupleRecord):
     """Connecting-map data: multiplier and the tracked module element."""
 
-    multiplier: int
-    element: tuple
+    __slots__, _fields = (), ("multiplier", "element")
 
 
-class AnnihilatorWitness(NamedTuple):
+class AnnihilatorWitness(TupleRecord):
     """Nonzero image of an ideal power on a concrete module.
 
     scope 'full' acts by the n-th power of the whole augmentation ideal;
@@ -111,45 +108,36 @@ class AnnihilatorWitness(NamedTuple):
     A stability check reads the full I^n whatever the scope.
     """
 
-    ring: str
-    power: int
-    model: ModelDescriptor
-    scope: str
-    nonzero_group: FgAbelianGroup
-    stability: Stability | None = None
+    __slots__, _fields = (), ("ring", "power", "model", "scope", "nonzero_group", "stability")
+    _defaults = (None,)
 
 
-class JoinFactorWitness(NamedTuple):
+class JoinFactorWitness(TupleRecord):
     """A model built from a k-fold self-join caps the dimension at k - 1."""
 
-    copies: int
+    __slots__, _fields = (), ("copies",)
 
 
-class IndexWitness(NamedTuple):
+class IndexWitness(TupleRecord):
     """Commutative case: dimension equals the join index minus one."""
 
-    group: str
-    copies: int
-    ind: int
+    __slots__, _fields = (), ("group", "copies", "ind")
 
 
-class RuleApplication(NamedTuple):
+class RuleApplication(TupleRecord):
     """Combination rule applied to input bound summaries (lower, upper)."""
 
-    rule: str
-    inputs: tuple
+    __slots__, _fields = (), ("rule", "inputs")
 
 
-class DimBound(NamedTuple):
-    lower: int
-    upper: object  # int or INFINITY
-    lower_certificate: object = None
-    upper_certificate: object = None
+class DimBound(TupleRecord):
+    # upper is an int or INFINITY
+    __slots__, _fields = (), ("lower", "upper", "lower_certificate", "upper_certificate")
+    _defaults = (None, None)
 
 
-class Citation(NamedTuple):
-    tag: str
-    statement: str
+class Citation(TupleRecord):
+    __slots__, _fields = (), ("tag", "statement")
 
 
 _STATEMENTS = {
@@ -208,11 +196,8 @@ def _cite(*tags) -> tuple:
     return tuple(Citation(tag, _STATEMENTS[tag]) for tag in tags)
 
 
-class BoundReport(NamedTuple):
-    construction: str
-    parameters: dict
-    bound: DimBound
-    citations: tuple
+class BoundReport(TupleRecord):
+    __slots__, _fields = (), ("construction", "parameters", "bound", "citations")
 
     @property
     def lower(self):
@@ -223,20 +208,14 @@ class BoundReport(NamedTuple):
         return self.bound.upper
 
 
-class CollapseReport(NamedTuple):
-    construction: str
-    parameters: dict
-    factors: tuple
-    product: BoundReport
-    finding: str
-    citations: tuple
+class CollapseReport(TupleRecord):
+    __slots__, _fields = (), (
+        "construction", "parameters", "factors", "product", "finding", "citations"
+    )
 
 
-class ExistenceReport(NamedTuple):
-    construction: str
-    parameters: dict
-    note: str
-    citations: tuple
+class ExistenceReport(TupleRecord):
+    __slots__, _fields = (), ("construction", "parameters", "note", "citations")
 
     outcome = "existence-only"
 
@@ -520,10 +499,8 @@ def _index_dimension(group: str, copies: int) -> int:
     return copies - 1
 
 
-class CommutativeDimension(NamedTuple):
-    dim: int
-    ind: int
-    report: BoundReport
+class CommutativeDimension(TupleRecord):
+    __slots__, _fields = (), ("dim", "ind", "report")
 
 
 def commutative_dimension(group: str, copies: int):
@@ -577,7 +554,7 @@ def finite_af_bounds(group, n: int):
 # ---------------------------------------------------------------------------
 
 
-class Argument(NamedTuple):
+class Argument(TupleRecord):
     """One construction argument, named as in the report's parameters.
 
     type parses the argument's text (decimal, str or upper_bound) and
@@ -586,22 +563,15 @@ class Argument(NamedTuple):
     are argparse's add_argument keywords; a --name is an option.
     """
 
-    name: str
-    type: object = decimal
-    help: str | None = None
-    metavar: str | None = None
-    choices: tuple | None = None
-    default: object = None
+    __slots__, _fields = (), ("name", "type", "help", "metavar", "choices", "default")
+    _defaults = (decimal, None, None, None, None)
 
 
-class Construction(NamedTuple):
+class Construction(TupleRecord):
     """A named construction: its rokhlin subcommand, its arguments in
     command-line order, and build(**arguments) returning its report."""
 
-    command: str
-    help: str
-    arguments: tuple
-    build: object
+    __slots__, _fields = (), ("command", "help", "arguments", "build")
 
 
 def _stated_arguments(doc: dict) -> dict:

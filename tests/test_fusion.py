@@ -824,9 +824,10 @@ def test_ideal_power_builds_the_levels_up_to_n_only(monkeypatch):
     monkeypatch.setattr(IdealLattice, "__init__", counting)
     ring = cyclic_ring(5)
     lat = ideal_power(ring, 4)
-    # ideal_power reads ideal_powers: I^0, I, I^2, I^3 and I^4 become
-    # lattices, each level trusted, and nothing past I^4 is formed
-    assert built == [5, 4, 4, 4, 4]
+    # ideal_power reads the walk of ideal_powers from I^1 on: I, I^2, I^3
+    # and I^4 become lattices, each level trusted; I^0 is not built and
+    # nothing past I^4 is formed
+    assert built == [4, 4, 4, 4]
     assert lat.rows() == per_power_oracle(ring, 4)
 
 

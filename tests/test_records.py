@@ -1,22 +1,27 @@
 """Value records: every result and certificate type compares, hashes,
 shows and refuses assignment the same way.
 
-Records that only hold fields are NamedTuples; the ones whose
-constructor checks or derives fields are errors.Record classes.  Each
-case below builds one record of a class from a small int v: equal v
-gives equal fields, different v different ones.  Fields that hold dicts
-in real reports (parameters, sparse rows) get hashable stand-ins here,
-since a record hashes its fields.
+Records that only hold fields are errors.TupleRecord classes, checked
+against typing.NamedTuple twins built from their _fields and _defaults;
+the ones whose constructor checks or derives fields are errors.Record
+classes.  Each case below builds one record of a class from a small int
+v: equal v gives equal fields, different v different ones.  Fields that
+hold dicts in real reports (parameters, sparse rows) get hashable
+stand-ins here, since a record hashes its fields.
 """
 
 import copy
 import pickle
+import types
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equik import abgroups, fusion, intmat, joins, kmodules, reports
 from equik.abgroups import TRIVIAL_GROUP, FgAbelianGroup, Presentation
-from equik.errors import Record
+from equik.errors import Record, TupleRecord
 from equik.fusion import BasedRing, FusionRing, IdealLattice, RingElement, cyclic_ring, ideal_power
 from equik.intmat import HnfResult, IntMatrix, Lattice, SnfDecomposition, SparseMatrix
 from equik.joins import (
@@ -103,7 +108,7 @@ def test_every_record_class_is_listed():
         and not name.startswith("_")
         and (issubclass(cls, Record) or hasattr(cls, "_fields"))
     }
-    # Argument and Construction were NamedTuples before the other records.
+    # Argument and Construction were field-only tuples before the other records.
     assert found - {reports.Argument, reports.Construction} == set(CLASSES)
     assert len(CLASSES) == 28
     assert {cls for cls in CLASSES if issubclass(cls, Record)} == {
@@ -190,3 +195,128 @@ def test_named_tuple_records_are_tuples_of_their_fields():
     assert bound._replace(lower=0) == DimBound(0, *bound[1:])
     assert bound.lower == 1
 
+
+
+# Every field-only record class, and its typing.NamedTuple twin: the same
+# name, fields and defaults, built by the code generation TupleRecord avoids.
+FIELD_ONLY = sorted(TupleRecord.__subclasses__(), key=lambda cls: cls.__qualname__)
+
+
+def named_tuple_twin(cls):
+    def body(namespace):
+        namespace["__module__"] = __name__
+        namespace["__annotations__"] = {name: object for name in cls._fields}
+        namespace.update(zip(cls._fields[len(cls._fields) - len(cls._defaults) :], cls._defaults))
+
+    return types.new_class(cls.__name__, (typing.NamedTuple,), exec_body=body)
+
+
+TWINS = {cls: named_tuple_twin(cls) for cls in FIELD_ONLY}
+FIELD_VALUES = st.one_of(
+    st.none(), st.integers(), st.text(max_size=3), st.tuples(st.integers(), st.booleans())
+)
+
+
+def test_every_field_only_record_is_a_tuple_record():
+    modules = (intmat, abgroups, fusion, joins, kmodules, reports)
+    tuples = {
+        cls
+        for mod in modules
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == mod.__name__ and issubclass(cls, tuple)
+    }
+    assert tuples == set(FIELD_ONLY)
+    assert len(FIELD_ONLY) == 23
+    assert {cls.__module__ for cls in FIELD_ONLY} == {
+        "equik.intmat", "equik.joins", "equik.kmodules", "equik.reports"
+    }
+    for cls in FIELD_ONLY:
+        assert cls.__bases__ == (TupleRecord,) and cls.__slots__ == ()
+        assert TWINS[cls]._fields == cls._fields
+        assert tuple(TWINS[cls]._field_defaults.values()) == cls._defaults
+
+
+def outcome(build, args, kwargs):
+    """What build(*args, **kwargs) returns, or the type of what it raises."""
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_record(record, twin):
+    """record agrees with its NamedTuple twin as a value."""
+    assert type(record) in TWINS and type(twin) is TWINS[type(record)]
+    assert tuple(record) == tuple(twin) and record == twin and twin == record
+    assert hash(record) == hash(twin) == hash(tuple(twin))
+    assert repr(record) == repr(twin)
+    assert record._asdict() == twin._asdict()
+    assert [getattr(record, name) for name in record._fields] == list(twin)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_field_only_records_build_as_their_named_tuple_twins(data):
+    # positional, keyword and default construction, and the calls a
+    # function with these parameters refuses: too many values, a missing
+    # or unknown field, a field given twice
+    cls = data.draw(st.sampled_from(FIELD_ONLY))
+    fields = cls._fields
+    args = data.draw(st.lists(FIELD_VALUES, max_size=len(fields) + 1))
+    names = st.sampled_from(fields + ("unknown_field",))
+    kwargs = data.draw(st.dictionaries(names, FIELD_VALUES, max_size=len(fields)))
+    record, twin = outcome(cls, args, kwargs), outcome(TWINS[cls], args, kwargs)
+    if isinstance(twin, type):
+        assert record is twin is TypeError
+    else:
+        assert_same_record(record, twin)
+
+
+@pytest.mark.parametrize("cls", FIELD_ONLY, ids=lambda cls: cls.__name__)
+def test_field_only_records_refuse_the_calls_their_twins_refuse(cls):
+    twin, fields = TWINS[cls], cls._fields
+    required = len(fields) - len(cls._defaults)
+    full = tuple(range(len(fields)))
+    calls = [
+        (full + (0,), {}),
+        (full, {"unknown_field": 0}),
+        (full, {fields[0]: 0}),
+        (full[: required - 1], {}),
+        ((), dict(zip(fields[1:], full))),
+    ]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            twin(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    assert_same_record(cls(*full), twin(*full))
+    assert_same_record(cls(**dict(zip(fields, full))), twin(**dict(zip(fields, full))))
+    assert_same_record(cls(*full[:required]), twin(*full[:required]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_only_records_behave_as_their_named_tuple_twins(data):
+    cls = data.draw(st.sampled_from(FIELD_ONLY))
+    values = data.draw(st.lists(FIELD_VALUES, min_size=len(cls._fields), max_size=len(cls._fields)))
+    record, twin = cls(*values), TWINS[cls](*values)
+    assert_same_record(record, twin)
+    assert record == tuple(values) and len(record) == len(values)
+    assert [record[i] for i in range(len(values))] == values and [*record] == values
+    names = st.sampled_from(cls._fields + ("unknown_field",))
+    changes = data.draw(st.dictionaries(names, FIELD_VALUES, max_size=3))
+    replaced, twin_replaced = outcome(record._replace, (), changes), outcome(twin._replace, (), changes)
+    if isinstance(twin_replaced, type):
+        assert replaced is twin_replaced is ValueError
+    else:
+        assert_same_record(replaced, twin_replaced)
+    for copied, twin_copied in ((copy.copy(record), copy.copy(twin)),
+                                (copy.deepcopy(record), copy.deepcopy(twin))):
+        assert_same_record(copied, twin_copied)
+    # a twin made here has no importable name to pickle by; a NamedTuple
+    # pickles as its class and fields, and so does the record
+    unpickled = pickle.loads(pickle.dumps(record))
+    assert type(unpickled) is cls and unpickled == record
+    assert not hasattr(record, "__dict__") and not hasattr(twin, "__dict__")
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0

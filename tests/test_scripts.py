@@ -119,9 +119,9 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert power_rec["counters"] == {"products": 174, "power_rank": 29}
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; coreduction leaves 8 = 2^3 triangles with no face,
-    # one per 2-sphere of the wedge
+    # one per 2-sphere of the wedge, so no row goes to the Smith reader
     assert homology["counters"] == {
-        "rows": 63, "critical_cells": 8, "rows_eliminated": 8, "nonzeros": 144,
+        "rows": 63, "critical_cells": 8, "rows_eliminated": 0, "nonzeros": 144,
     }
     assert (boundaries["case"], boundaries["layer"]) == ("boundary_matrices(3, 3)", "joins")
     # 27 edges of 2 vertices and 27 triangles of 3
@@ -164,9 +164,9 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert refused_cli["counters"] == {"parse_known_args": 1, "bytes_written": 96, "exit_code": 2}
     assert (delta_rec["case"], delta_rec["layer"]) == (delta, "joins")
     # K_(20,20) coreduces to its 400 - 39 independent cycles, edges with no
-    # live face, so the Smith reader gets 361 empty rows
+    # live face, so the Smith reader gets none of those 361 empty rows
     assert delta_rec["counters"] == {
-        "kernel_rank": 1, "cokernel_rank": 361, "rows_eliminated": 361, "nonzeros_eliminated": 0,
+        "kernel_rank": 1, "cokernel_rank": 361, "rows_eliminated": 0, "nonzeros_eliminated": 0,
     }
     assert (sparse_rec["case"], sparse_rec["layer"]) == (sparse, "abgroups")
     assert sparse_rec["counters"] == {"free_rank": 0, "torsion": 1}

@@ -51,13 +51,20 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_dataclasses():
     # dataclasses imports inspect, dis, ast and tokenize, and writes each
     # record's methods with exec: about 14 ms of every CLI call's start-up.
-    # Records are NamedTuples or errors.Record classes instead.
+    # typing.NamedTuple and collections.namedtuple eval a __new__ per class,
+    # and typing compiles each field annotation.  Records are
+    # errors.TupleRecord or errors.Record classes instead, and no module
+    # runs exec or eval.
+    banned = {"dataclasses", "typing"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        if isinstance(node, ast.Import) and any(a.name in banned for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module in banned
+        or isinstance(node, ast.ImportFrom) and any(a.name == "namedtuple" for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "namedtuple"
+        or isinstance(node, ast.Name) and node.id in ("exec", "eval", "namedtuple")
     ]
     assert found == []
 
@@ -83,6 +90,19 @@ def test_importing_the_cli_loads_no_dataclasses_and_defers_nothing():
     # import, so no import work moves into the first request.
     assert {f"equik.{path.stem}" for path in SOURCES if path.stem != "__init__"} <= loaded
     assert {"json", "heapq", "argparse"} <= loaded
+
+
+def test_a_siteless_import_loads_no_typing_dataclasses_or_inspect():
+    # -S skips site, so no .pth file of the interpreter's install can
+    # preload a module and hide an import equik itself makes
+    src = Path(equik.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert {"equik", "equik.cli", "equik.errors"} <= loaded
+    assert {"typing", "dataclasses", "inspect"} & loaded == set()
 
 
 def test_every_private_module_level_name_is_used():
@@ -270,7 +290,7 @@ def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
         "fusion.py:IdealLattice.zero",
         "fusion.py:IdealLattice.full",
         "fusion.py:augmentation_ideal",
-        "fusion.py:ideal_powers",
+        "fusion.py:_augmentation_powers",
         "fusion.py:circle_ideal_image",
         "kmodules.py:truncated_ring_module",
         "kmodules.py:zero_module",
