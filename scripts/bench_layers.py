@@ -55,8 +55,9 @@ task), but the first:
   modules and witnesses make and the largest ring rank walked, with
   ideal_power wrapped in the warm-up call;
 - cli: cli.main in process, stdout and stderr captured, on each "$ equik"
-  example of the README, on `rokhlin product-z2 2 z3xz3 --json` and on
-  `linalg snf --json` of a seeded 8 x 8 matrix, counting the
+  example of the README, on `rokhlin product-z2 2 z3xz3 --json`, on
+  `linalg snf --json` of a seeded 8 x 8 matrix and on `linalg hnf
+  --json` of the 10 x 6 matrix of rank 4 of the intmat cases, counting the
   ArgumentParser.parse_known_args calls of one request, the bytes it
   writes and its exit code, with the method wrapped in the warm-up call.
 The work budget is lifted for every case but the cli ones, in this
@@ -121,8 +122,10 @@ REPORT_CASES = (
     ("z6_collapse_report", (1,)),
     ("circle_ah_dimension", (20,)),
 )
-# The "$ equik" examples of the README, then a grouped --json request and
-# the Smith form of a seeded 8 x 8 matrix with entries in [-9, 9].
+# The "$ equik" examples of the README, then a grouped --json request,
+# the Smith form of a seeded 8 x 8 matrix with entries in [-9, 9], and
+# the Hermite form of a tall matrix with a left kernel, the costliest
+# shape of the benchmark's hnf tasks.
 README = Path(__file__).resolve().parent.parent / "README.md"
 # The source tree of the equik this script imports.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(equik.__file__)))
@@ -134,6 +137,7 @@ CLI_REQUESTS = (
     ),
     "rokhlin product-z2 2 z3xz3 --json",
     "linalg snf seeded-8x8.json --json",
+    "linalg hnf seeded-10x6.json --json",
 )
 MATRIX_SEED = 24
 # (rows, cols, rank) of the seeded matrices of the intmat cases; a rank
@@ -457,8 +461,9 @@ def check_case(n, k):
 @functools.lru_cache(maxsize=1)
 def cli_workdir() -> tempfile.TemporaryDirectory:
     """A directory holding the files the CLI requests name: the README's
-    matrix.json, report.json as `rokhlin z2 2 --json` writes it, and the
-    seeded 8 x 8 matrix; it is removed when the interpreter exits."""
+    matrix.json, report.json as `rokhlin z2 2 --json` writes it, the
+    seeded 8 x 8 matrix and the 10 x 6 one of rank 4; it is removed
+    when the interpreter exits."""
     tmp = tempfile.TemporaryDirectory(prefix="bench_layers_")
     work = Path(tmp.name)
     readme = README.read_text(encoding="utf-8")
@@ -470,6 +475,9 @@ def cli_workdir() -> tempfile.TemporaryDirectory:
     entries = [str(rng.randint(-9, 9)) for _ in range(64)]
     (work / "seeded-8x8.json").write_text(
         json.dumps({"rows": "8", "cols": "8", "entries": entries}), encoding="utf-8"
+    )
+    (work / "seeded-10x6.json").write_text(
+        json.dumps(intmat.matrix_to_json_dict(seeded_matrix(10, 6, 4))), encoding="utf-8"
     )
     return tmp
 

@@ -109,8 +109,10 @@ class HnfResult(TupleRecord):
     """H = transform . A with transform unimodular and H in row Hermite form.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
-    zero rows sit at the bottom.  H is unique for the row lattice of A;
-    the transform is not.
+    zero rows sit at the bottom.  [H | transform] is the row Hermite form
+    of [A | I], so both are unique: the transform rows facing zero rows of
+    H are the Hermite basis of the left kernel, and the other rows are
+    reduced against them.
     """
 
     __slots__, _fields = (), ("H", "transform")
@@ -123,54 +125,31 @@ class HnfResult(TupleRecord):
 def _hermite_step(d, carry, n):
     """Row Hermite form of the n-column rows d, the rows carry following.
 
-    Every row operation acts on whole rows [d | carry], so a carried
-    transform follows the reduction without steering it.  The rows from
-    the pivot row down are zero left of the current column, so each row
-    operation starts at that column.
+    hermite_terms reads the rows [d | carry], built fresh since it reduces
+    them in place, so a carried transform follows the reduction without
+    steering it.  With no transform carried, the zero rows it drops are
+    put back at the bottom.
     """
-    h = [row + c for row, c in zip(d, carry)]
-    m, r = len(h), 0
-    for j in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if h[i][j]]
-            if not nz:
-                break
-            if len(nz) == 1:
-                if nz[0] != r:
-                    h[r], h[nz[0]] = h[nz[0]], h[r]
-                break
-            # Euclid down the column: reduce everything by the smallest entry.
-            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
-            p = h[i0]
-            for i in nz:
-                if i != i0:
-                    hi = h[i]
-                    q = hi[j] // p[j]
-                    hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
-        p = h[r]
-        if p[j] == 0:
-            continue
-        if p[j] < 0:
-            p[j:] = [-e for e in p[j:]]
-        for i in range(r):
-            hi = h[i]
-            q = hi[j] // p[j]
-            if q:
-                hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
-        r += 1
+    width = n + len(carry[0]) if carry else n
+    maps = [{j: e for j, e in enumerate(row + c) if e} for row, c in zip(d, carry)]
+    h = [list(_dense(row, width)) for row in hermite_terms(maps)]
+    h += [[0] * width for _ in range(len(d) - len(h))]
     return [row[:n] for row in h], [row[n:] for row in h]
 
 
 def hnf(A: IntMatrix) -> HnfResult:
-    """Row Hermite normal form with a tracked unimodular transform.
-
-    The reduction runs on the augmented rows [A | I]; their right-hand
-    block ends up as the transform.
-    """
-    h, t = _hermite_step(A.to_rows(), IntMatrix.identity(A.rows).to_rows(), A.cols)
-    return HnfResult(IntMatrix.from_rows(h, cols=A.cols), IntMatrix.from_rows(t, cols=A.rows))
+    """Row Hermite normal form with its canonical transform: hermite_terms
+    of the rows [A | I], which are independent, so all of them come back."""
+    m, n = A.rows, A.cols
+    maps = [{j: e for j, e in enumerate(A.row(i)) if e} for i in range(m)]
+    for i, row in enumerate(maps):
+        row[n + i] = 1
+    h, t = [], []
+    for terms in hermite_terms(maps):
+        row = _dense(terms, n + m)
+        h += row[:n]
+        t += row[n:]
+    return HnfResult(IntMatrix(m, n, h), IntMatrix(m, m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +183,11 @@ def _combine(x, a, y, b) -> list:
     return [x * p + y * q for p, q in zip(a, b)]
 
 
-def _kernel_hermite(vectors, width: int) -> list:
-    """The Hermite basis of the span of int vectors the library built
-    itself, as int tuples: hermite_rows with no entry check."""
-    maps = [{j: e for j, e in enumerate(v) if e} for v in vectors]
-    return [_dense(row, width) for row in hermite_terms(maps)]
-
-
 def _kernel_reduce(t, rank: int) -> None:
-    """Hermite-reduce the rows t[rank:] and size-reduce t[:rank] against them."""
-    kernel = t[rank:]
-    if not kernel or not kernel[0]:
-        return  # no kernel, or no transform carried
-    t[rank:] = kernel = _kernel_hermite(kernel, len(kernel[0]))  # independent rows: none drops
-    for row in kernel:
+    """Size-reduce the rows t[:rank] against the Hermite rows t[rank:]."""
+    for row in t[rank:]:
+        if not row:
+            return  # no transform carried
         p = next(j for j, e in enumerate(row) if e)
         for other in t[:rank]:
             q = other[p] // row[p]
@@ -286,15 +256,9 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Hermite-form basis of {x : x.A = 0}.
-
-    With transform.A = H in echelon form, the transform rows facing zero
-    rows of H are a kernel basis; hermite_terms makes it canonical for
-    the kernel lattice.
-    """
+    """Hermite-form basis of {x : x.A = 0}: hnf's transform rows facing zero rows of H."""
     res = hnf(A)
-    kernel = _kernel_hermite(res.transform.to_rows()[res.rank :], A.rows)
-    return IntMatrix.from_rows(kernel, cols=A.rows)
+    return IntMatrix(A.rows - res.rank, A.rows, res.transform.entries[res.rank * A.rows :])
 
 
 class SparseMatrix(TupleRecord):
@@ -333,7 +297,8 @@ def _echelon(maps) -> dict:
 
     Each row is a {column: entry} map with no zero entries (a zero would
     come back as a zero pivot), and the maps are reduced in place.  The
-    elimination is column by column, reducing by the smallest entry:
+    elimination is column by column, reducing by the smallest entry with
+    the nearest quotient, which at least halves the remainder each round:
     rows wait in a bucket under their leading column, so each row
     operation touches only the nonzeros of the row it subtracts (Dumas,
     Saunders and Villard 2001).  Every pivot is made positive, and the
@@ -350,13 +315,13 @@ def _echelon(maps) -> dict:
         j = heappop(columns)
         nz = buckets.pop(j)
         while len(nz) > 1:
-            # Euclid down the column: reduce everything by the smallest entry.
+            # Euclid down the column, by the smallest entry and the nearest quotient.
             p = min(nz, key=lambda row: abs(row[j]))
             lead, left = p[j], [p]
             for row in nz:
                 if row is p:
                     continue
-                _subtract(row, row[j] // lead, p.items())
+                _subtract(row, (2 * row[j] + lead) // (2 * lead), p.items())
                 if j in row:
                     left.append(row)
                 elif row:
@@ -416,8 +381,8 @@ def echelon_insert(basis: dict, row: dict) -> bool:
     rows basis ({pivot column: {column: entry}}); True when the lattice
     grew, that is when the row was outside it.  Only nonzeros are visited.
 
-    The step is _echelon's Euclid step: the row loses the floor
-    quotient of the pivot row, and when a remainder is left at the pivot,
+    The step is a Euclid step: the row loses the floor quotient of the
+    pivot row, and when a remainder is left at the pivot,
     the row (now the smaller) becomes the pivot row and the old pivot row
     carries on in its place."""
     grew = False

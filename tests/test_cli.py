@@ -244,6 +244,29 @@ def test_linalg_commands(tmp_path, capsys):
     assert payload["H"]["entries"] == ["2", "0", "0", "4"]
 
 
+@pytest.mark.parametrize(
+    "rows, transform",
+    [
+        ([[1, 2], [2, 4], [3, 6]], [[0, 2, -1], [1, 1, -1], [0, 3, -2]]),
+        ([[2, 4, 4], [6, 6, 12], [8, 10, 16]], [[0, -1, 1], [0, -4, 3], [1, 1, -1]]),
+    ],
+)
+def test_hnf_json_transform_is_canonical(tmp_path, capsys, rows, transform):
+    # On a matrix with a left kernel, the transform is the right block of
+    # the row Hermite form of [A | I]: its rows facing zero rows of H are
+    # the Hermite basis of the kernel, and the others are reduced
+    # against them.
+    mfile = tmp_path / "m.json"
+    m, n = len(rows), len(rows[0])
+    entries = [str(e) for row in rows for e in row]
+    mfile.write_text(json.dumps({"rows": str(m), "cols": str(n), "entries": entries}))
+    code, out, _ = run(capsys, "linalg", "hnf", str(mfile), "--json")
+    assert code == 0
+    got = json.loads(out)["transform"]
+    assert got["rows"] == got["cols"] == str(len(rows))
+    assert got["entries"] == [str(e) for row in transform for e in row]
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "linalg", "snf", "/no/such/file.json")
     assert code == 2

@@ -10,13 +10,14 @@ from math import gcd, log2
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equik.intmat as intmat
 from equik.abgroups import FgAbelianGroup, cokernel
 from equik.errors import InputError
 from equik.intmat import (
+    HnfResult,
     IntMatrix,
     Lattice,
     echelon_insert,
@@ -407,10 +408,10 @@ def sparse_matrices(draw, max_rows=12, max_cols=24):
 @given(sparse_matrices())
 @settings(max_examples=120, deadline=None)
 def test_sparse_hermite_rows_match_nonzero_rows_of_dense_hnf(a):
-    # hnf runs the dense _hermite_step with a transform carried; the
-    # sparse elimination must reach the same unique basis.
+    # The dense elimination, with a transform carried, and the sparse one
+    # must reach the same unique basis.
     rows = [a.row(i) for i in range(a.rows)]
-    res = hnf(a)
+    res = dense_hnf(a)
     want = tuple(res.H.row(i) for i in range(res.rank))
     assert hermite_rows(rows, a.cols) == want
     maps = [{j: e for j, e in enumerate(row) if e} for row in rows]
@@ -682,10 +683,10 @@ def test_echelon_insert_takes_the_euclid_step():
     assert basis == {0: {0: 2, 1: -1}, 1: {1: 1}}
 
 
-# The dense Hermite path as it was before kernel_basis and snf's kernel
-# step moved to hermite_rows, kept as the oracle for both: the elimination
-# as its own function, a second hnf for kernel_basis, and a dense
-# reduction of the kernel rows.
+# The dense Hermite path as it was before every Hermite form moved to
+# hermite_terms, kept as the oracle: the elimination as its own function,
+# the transform-carrying step of hnf and snf, a second hnf for
+# kernel_basis, and a dense reduction of the kernel rows.
 
 
 def dense_hermite_reduce(h, n: int) -> None:
@@ -743,13 +744,30 @@ def dense_kernel_reduce(t, rank: int) -> None:
                 other[:] = [a - q * b for a, b in zip(other, row)]
 
 
+def dense_hnf(a: IntMatrix) -> HnfResult:
+    h, t = dense_hermite_step(a.to_rows(), IntMatrix.identity(a.rows).to_rows(), a.cols)
+    return HnfResult(IntMatrix.from_rows(h, cols=a.cols), IntMatrix.from_rows(t, cols=a.rows))
+
+
 def two_hnf_kernel_basis(a: IntMatrix) -> IntMatrix:
-    res = hnf(a)
+    res = dense_hnf(a)
     ker_rows = [list(res.transform.row(i)) for i in range(res.rank, a.rows)]
     if not ker_rows:
         return IntMatrix.zeros(0, a.rows)
-    reduced = hnf(IntMatrix.from_rows(ker_rows, cols=a.rows))
+    reduced = dense_hnf(IntMatrix.from_rows(ker_rows, cols=a.rows))
     return IntMatrix.from_rows([reduced.H.row(i) for i in range(reduced.rank)], cols=a.rows)
+
+
+def augmented_hermite(a: IntMatrix) -> tuple:
+    """The row Hermite form of [A | I], the elimination run over all of
+    its columns, split into the A block and the I block."""
+    m, n = a.rows, a.cols
+    h = [list(a.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
+    dense_hermite_reduce(h, n + m)
+    return (
+        IntMatrix(m, n, tuple(e for row in h for e in row[:n])),
+        IntMatrix(m, m, tuple(e for row in h for e in row[n:])),
+    )
 
 
 @st.composite
@@ -774,31 +792,47 @@ def low_rank_matrices(draw, max_dim=9, max_entry=6):
         pooled_matrices(max_dim=9),
     )
 )
+@example(IntMatrix(0, 0, ()))
+@example(IntMatrix(0, 3, ()))
+@example(IntMatrix(3, 0, ()))
 @settings(max_examples=200, deadline=None)
 def test_normal_forms_match_the_dense_kernel_oracle(a):
+    # snf and kernel_basis are the dense path's, byte for byte.  [H |
+    # transform] is the row Hermite form of [A | I], which is unique, so
+    # the dense elimination over all of its columns gives hnf exactly,
+    # rank-deficient draws included; H alone is the dense path's.
     with mock.patch.multiple(
         intmat, _hermite_step=dense_hermite_step, _kernel_reduce=dense_kernel_reduce
     ):
-        want = snf(a), hnf(a), two_hnf_kernel_basis(a)
-    got = snf(a), hnf(a), kernel_basis(a)
+        want = snf(a), two_hnf_kernel_basis(a)
+    got = snf(a), kernel_basis(a)
     assert got == want
     assert repr(got) == repr(want)
+    res = hnf(a)
+    assert (res.H, res.transform) == augmented_hermite(a)
+    assert repr(res.H) == repr(dense_hnf(a).H)
 
 
 def test_kernel_paths_read_hermite_terms(monkeypatch):
-    # kernel rows are built by the library, so they go to hermite_terms as
-    # maps: hermite_rows, the checking dense reader, is not on the path
+    # Every Hermite form is read from hermite_terms, on maps the library
+    # built: hermite_rows, the checking dense reader, is not on the path.
+    # Each call is recorded by the number of rows it reads.
     calls = []
     real = intmat.hermite_terms
-    monkeypatch.setattr(intmat, "hermite_terms", lambda maps: calls.append(1) or real(maps))
+    monkeypatch.setattr(intmat, "hermite_terms", lambda maps: calls.append(len(maps)) or real(maps))
     monkeypatch.setattr(intmat, "hermite_rows", None)
     a = IntMatrix.from_rows([(1, 2, 3), (2, 4, 6), (0, 0, 0)], cols=3)
     assert kernel_basis(a).to_rows() == [[2, -1, 0], [0, 0, 1]]
-    assert len(calls) == 1
+    assert calls == [3]  # the rows of [A | I], read once: no second reduction
     calls.clear()
     dec = snf(a)
     assert dec.D.to_rows() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    assert len(calls) == 2  # the kernel rows of U and of V's transpose
+    assert calls == [3, 3]  # one row step, one column step
     calls.clear()
+    # smith_invariants reads its rows by the echelon alone, with no
+    # above-pivot reduction: with every pivot 1 nothing else runs, and
+    # otherwise only the Smith block of the rows left over is read.
+    assert smith_invariants([{0: 1, 1: 4}, {0: 2, 1: 8}, {1: -1}]) == (2, ())
+    assert calls == []
     assert smith_invariants([{0: 2, 1: 4}, {0: 4, 1: 8}]) == (1, (2,))
-    assert calls == []  # the echelon alone: no above-pivot reduction
+    assert calls == [1, 2]  # the one echelon row, then its two columns

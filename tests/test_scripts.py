@@ -66,6 +66,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     image = "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))"
     grouped = "cli(rokhlin product-z2 2 z3xz3 --json)"
     snf = "cli(linalg snf seeded-8x8.json --json)"
+    hnf = "cli(linalg hnf seeded-10x6.json --json)"
     top = "cli(validate report.json)"
     refused = "cli(rep ideal-powers z2 --max-power 1000000000)"
     kernel = "kernel_basis(6x10, rank 4)"
@@ -88,6 +89,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", image,
         "--case", grouped,
         "--case", snf,
+        "--case", hnf,
         "--case", top,
         "--case", refused,
         "--case", delta,
@@ -99,8 +101,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     runs = json.loads(out.read_text())
     assert list(runs) == ["parent", "change"]
     (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
-     truncated, quotient, imaged, grouped_cli, snf_cli, top_cli, refused_cli, delta_rec,
-     sparse_rec) = runs["change"]
+     truncated, quotient, imaged, grouped_cli, snf_cli, hnf_cli, top_cli, refused_cli,
+     delta_rec, sparse_rec) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {
             "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
@@ -160,6 +162,9 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert grouped_cli["counters"] == {"parse_known_args": 1, "bytes_written": 1816, "exit_code": 0}
     assert snf_cli["counters"]["parse_known_args"] == 1
     assert snf_cli["counters"]["exit_code"] == 0
+    # the transform is the canonical one of [A | I]'s Hermite form
+    assert (hnf_cli["case"], hnf_cli["layer"]) == (hnf, "cli")
+    assert hnf_cli["counters"] == {"parse_known_args": 1, "bytes_written": 1968, "exit_code": 0}
     assert top_cli["counters"] == {"parse_known_args": 1, "bytes_written": 6, "exit_code": 0}
     assert refused_cli["counters"] == {"parse_known_args": 1, "bytes_written": 96, "exit_code": 2}
     assert (delta_rec["case"], delta_rec["layer"]) == (delta, "joins")

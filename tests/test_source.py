@@ -174,28 +174,27 @@ def test_lattice_and_certify_requests_build_no_intmatrix(monkeypatch, tmp_path, 
     assert built == []
 
 
-def test_dense_hermite_reduce_serves_only_the_transform_paths():
-    # intmat.hermite_terms is the one transform-free Hermite routine.  The
-    # dense elimination is _hermite_step, and it runs only where a
-    # transform is carried: in hnf and _smith.  No second dense routine,
-    # under the old name _hermite_reduce or as a module attribute, is left.
-    dense = ("_hermite_reduce", "_hermite_step")
-    users = {name: set() for name in dense}
+def test_no_dense_hermite_elimination_is_left():
+    # intmat.hermite_terms is the one Hermite routine: hnf reads it on the
+    # rows [A | I], and _hermite_step, which only _smith calls, on the rows
+    # [d | carry].  No dense routine, under the names it had, is left.
+    names = ("_hermite_reduce", "_hermite_step", "_kernel_hermite", "hermite_terms")
+    users = {name: set() for name in names}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    if alias.name in dense:
+                    if alias.name in names:
                         users[alias.name].add(f"{path.name}:import")
             elif isinstance(node, ast.FunctionDef):
                 for inner in ast.walk(node):
-                    if isinstance(inner, ast.Name) and inner.id in dense:
+                    if isinstance(inner, ast.Name) and inner.id in names:
                         users[inner.id].add(f"{path.name}:{node.name}")
-    assert users == {
-        "_hermite_reduce": set(),
-        "_hermite_step": {"intmat.py:hnf", "intmat.py:_smith"},
-    }
+    assert users["_hermite_reduce"] == users["_kernel_hermite"] == set()
+    assert users["_hermite_step"] == {"intmat.py:_smith"}
+    assert {"intmat.py:hnf", "intmat.py:_hermite_step"} <= users["hermite_terms"]
     assert not hasattr(intmat, "_hermite_reduce")
+    assert not hasattr(intmat, "_kernel_hermite")
 
 
 def test_module_requests_read_no_dense_ideal_basis(monkeypatch, tmp_path, capsys):
