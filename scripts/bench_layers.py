@@ -13,8 +13,8 @@ task), but the first:
 - intmat: hnf, snf, kernel_basis and hermite_rows on seeded 8 x 8 and
   12 x 12 matrices and on 6 x 10 and 10 x 6 matrices of rank 4, so with
   both kernels nonzero, each built untimed, counting the rank (for
-  kernel_basis and hermite_rows, the rows given) and the largest entry
-  bit length of the output;
+  kernel_basis and hermite_rows, the rows given), the largest entry
+  bit length of the output and the row operations;
 - joins: reduced_homology on the join complexes of the benchmark's
   `join homology` grid plus five larger ones, counting the rows the
   boundaries hold in total, the critical cells coreduction leaves, the
@@ -30,7 +30,7 @@ task), but the first:
   the rows and nonzeros handed to joins.smith_invariants;
 - abgroups: cokernel of a seeded sparse 100 x 100 matrix (each entry
   nonzero with chance 0.1, then in [-3, 3]), built untimed, counting the
-  free rank and the torsion summands;
+  free rank, the torsion summands and the row operations;
 - fusion: cyclic_ring(24), ring_from_tag on z24 and z2xz3xz5,
   circle_truncation at orders 291 (the largest `rokhlin circle` admits),
   400 and 800, and ring_product of circle_truncation(9) and z3xz3 (the
@@ -40,9 +40,12 @@ task), but the first:
   lambda_expansion(31), counting the ring products each forms, with
   fusion._row_times wrapped in the warm-up call; lattice_quotient of
   the levels 0-2 of ideal_powers(z2xz3xz5) (built untimed), counting
-  the levels and their largest rank; ideal_power of z2xz3xz5 at 3 and of
-  circle_truncation(292) at 291, the rings built untimed, counting the
-  ring products the walk forms and the power's rank;
+  the levels and their largest rank; augmentation_ideal(cyclic_ring(200)),
+  the ring built untimed, counting the ideal's rank and the row
+  operations; ideal_power of z2xz3xz5 at 3, of cyclic_ring(64) at 4 and
+  of circle_truncation(292) at 291, the rings built untimed, counting
+  the ring products the walk forms, the power's rank and the row
+  operations;
 - kmodules: ModelDescriptor.instantiate on two tensor models, each
   module built; kunneth_pieces on the two halves of two
   more tensor models, the halves built untimed;
@@ -60,8 +63,10 @@ task), but the first:
   --json` of the 10 x 6 matrix of rank 4 of the intmat cases, counting the
   ArgumentParser.parse_known_args calls of one request, the bytes it
   writes and its exit code, with the method wrapped in the warm-up call.
-The work budget is lifted for every case but the cli ones, in this
-process only: circle_truncation(800) is over it.
+A row operation is one call of intmat._subtract, one sparse row less a
+multiple of another, counted like the ring products by wrapping the
+function in the warm-up call.  The work budget is lifted for every case
+but the cli ones, in this process only: circle_truncation(800) is over it.
 
 The run is stored under its label in the output file, beside the runs
 already there under other labels, so a parent tree and a change can
@@ -145,10 +150,12 @@ MATRIX_SEED = 24
 # rank x cols factors, so that both of its kernels are nonzero.
 MATRIX_CASES = ((8, 8, 8), (12, 12, 12), (6, 10, 4), (10, 6, 4))
 # (ring, its builder, n) of the ideal_power cases: a power of the rank-30
-# ring, and the deepest power of the largest circle truncation that
-# `rokhlin circle` walks.
+# ring, a power of Z[Z/64], whose rows all lead at column 0 at each level,
+# and the deepest power of the largest circle truncation that `rokhlin
+# circle` walks.
 POWER_CASES = (
     ("ring_from_tag(z2xz3xz5)", lambda: fusion.ring_from_tag("z2xz3xz5"), 3),
+    ("cyclic_ring(64)", lambda: fusion.cyclic_ring(64), 4),
     ("circle_truncation(292)", lambda: fusion.circle_truncation(292), 291),
 )
 MIN_REPEATS = 3
@@ -268,7 +275,7 @@ def cokernel_case(size, density):
         [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(size)]
         for _ in range(size)
     ]
-    return from_result(
+    return with_row_operations(
         lambda: abgroups.cokernel(rows, size),
         lambda g: {"free_rank": g.free_rank, "torsion": len(g.torsion)},
     )
@@ -277,6 +284,36 @@ def cokernel_case(size, density):
 def from_result(call, counters) -> tuple:
     """A case whose counters are read off the result of the call itself."""
     return call, lambda: counters(call())
+
+
+def count_calls(call, *targets) -> tuple:
+    """The result of the call, and the calls it makes of each (module,
+    function name) target, in order."""
+    counts = [0] * len(targets)
+    with contextlib.ExitStack() as patches:
+        for i, (module, name) in enumerate(targets):
+            def counting(*args, i=i, real=getattr(module, name)):
+                counts[i] += 1
+                return real(*args)
+
+            patches.enter_context(mock.patch.object(module, name, counting))
+        result = call()
+    return result, counts
+
+
+ROW_OPERATIONS = (intmat, "_subtract")
+RING_PRODUCTS = (fusion, "_row_times")
+
+
+def with_row_operations(call, counters) -> tuple:
+    """A case whose counters are read off the result of the call, with
+    the row operations it makes."""
+
+    def counted():
+        result, (operations,) = count_calls(call, ROW_OPERATIONS)
+        return {**counters(result), "row_operations": operations}
+
+    return call, counted
 
 
 def ring_counters(ring) -> dict:
@@ -290,16 +327,7 @@ def product_ring_case(left, right):
 
 def product_counters(call) -> dict:
     """Ring products one call forms: calls of fusion._row_times."""
-    calls = []
-    real = fusion._row_times
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    with mock.patch.object(fusion, "_row_times", counting):
-        call()
-    return {"products": len(calls)}
+    return {"products": count_calls(call, RING_PRODUCTS)[1][0]}
 
 
 def product_case(call):
@@ -414,18 +442,30 @@ def matrix_case(name, m, n, rank):
         count, entries = read(res)
         return {"rank": count, "max_bits": max((abs(e).bit_length() for e in entries), default=0)}
 
-    return from_result(lambda: call(a, rows), counters)
+    return with_row_operations(lambda: call(a, rows), counters)
 
 
 def power_case(build, n):
     """ideal_power of the ring build() gives, built untimed, counting the
-    ring products its walk forms and the power's rank."""
+    ring products its walk forms, the power's rank and the row operations."""
     ring = build()
 
     def call():
         return fusion.ideal_power(ring, n)
 
-    return call, lambda: {**product_counters(call), "power_rank": call().rank}
+    def counters():
+        power, (products, operations) = count_calls(call, RING_PRODUCTS, ROW_OPERATIONS)
+        return {"products": products, "power_rank": power.rank, "row_operations": operations}
+
+    return call, counters
+
+
+def augmentation_case(ring):
+    """augmentation_ideal of a ring built untimed: its rows e_k - a_k e_0
+    all lead at column 0."""
+    return with_row_operations(
+        lambda: fusion.augmentation_ideal(ring), lambda ideal: {"rank": ideal.rank}
+    )
 
 
 def homology_case(n, k):
@@ -623,6 +663,10 @@ CASES = {
     "truncated_ring_module(ring_from_tag(z3xz3), 3)": (
         "kmodules",
         lambda: truncation_case(fusion.ring_from_tag("z3xz3"), 3),
+    ),
+    "augmentation_ideal(cyclic_ring(200))": (
+        "fusion",
+        lambda: augmentation_case(fusion.cyclic_ring(200)),
     ),
     **{
         f"ideal_power({ring}, {n})": ("fusion", lambda build=build, n=n: power_case(build, n))

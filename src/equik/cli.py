@@ -56,8 +56,12 @@ from .reports import (
 )
 
 
-def _matrix_lines(mat) -> list:
-    return [" ".join(str(mat.entry(i, j)) for j in range(mat.cols)) for i in range(mat.rows)]
+def _matrix_lines(head, mat):
+    """The lines head, then one per row of mat, made only as they are
+    printed: with --json none is."""
+    yield from head
+    for i in range(mat.rows):
+        yield " ".join([str(e) for e in mat.row(i)])
 
 
 def _ring_arg(text: str):
@@ -70,7 +74,8 @@ def _ring_arg(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload dict, text lines, exit code)
+# Subcommand handlers: each returns (payload dict, text lines, exit code);
+# main reads the lines once, and only without --json
 # ---------------------------------------------------------------------------
 
 
@@ -87,7 +92,7 @@ def _cmd_linalg_snf(args):
         "invariant_factors": [str(d) for d in factors],
     }
     shown = " ".join(str(d) for d in factors) if factors else "none"
-    lines = [f"invariant factors: {shown}", "D:"] + _matrix_lines(dec.D)
+    lines = _matrix_lines([f"invariant factors: {shown}", "D:"], dec.D)
     return payload, lines, 0
 
 
@@ -101,7 +106,7 @@ def _cmd_linalg_hnf(args):
         "transform": matrix_to_json_dict(res.transform),
         "rank": str(res.rank),
     }
-    lines = [f"rank {res.rank}", "H:"] + _matrix_lines(res.H)
+    lines = _matrix_lines([f"rank {res.rank}", "H:"], res.H)
     return payload, lines, 0
 
 

@@ -29,18 +29,24 @@ def xgcd(a: int, b: int):
 
 
 class IntMatrix(Record):
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major.
+
+    The constructor checks the shape and that every entry is an int;
+    _trusted=True skips that, for the matrices hnf, snf and kernel_basis
+    derive from a checked one.
+    """
 
     __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries):
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
+    def __init__(self, rows: int, cols: int, entries, *, _trusted=False):
         ent = tuple(entries)
-        if len(ent) != rows * cols:
-            raise InputError(f"expected {rows * cols} entries, got {len(ent)}")
-        if not all(type(e) is int for e in ent):
-            raise InputError("matrix entries must be ints")
+        if not _trusted:
+            if rows < 0 or cols < 0:
+                raise InputError("matrix dimensions must be nonnegative")
+            if len(ent) != rows * cols:
+                raise InputError(f"expected {rows * cols} entries, got {len(ent)}")
+            if not all(type(e) is int for e in ent):
+                raise InputError("matrix entries must be ints")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
@@ -149,7 +155,7 @@ def hnf(A: IntMatrix) -> HnfResult:
         row = _dense(terms, n + m)
         h += row[:n]
         t += row[n:]
-    return HnfResult(IntMatrix(m, n, h), IntMatrix(m, m, t))
+    return HnfResult(IntMatrix(m, n, h, _trusted=True), IntMatrix(m, m, t, _trusted=True))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +249,13 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     diag, u, vt = _smith(
         A.to_rows(), n, IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
     )
+    d = [0] * (m * n)
+    for i, e in enumerate(diag):
+        d[i * n + i] = e
     return SnfDecomposition(
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.diagonal(diag, m, n),
-        IntMatrix.from_rows(vt, cols=n).transpose(),
+        IntMatrix(m, m, [e for row in u for e in row], _trusted=True),
+        IntMatrix(m, n, d, _trusted=True),
+        IntMatrix(n, n, [e for column in zip(*vt) for e in column], _trusted=True),
     )
 
 
@@ -258,7 +267,8 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Hermite-form basis of {x : x.A = 0}: hnf's transform rows facing zero rows of H."""
     res = hnf(A)
-    return IntMatrix(A.rows - res.rank, A.rows, res.transform.entries[res.rank * A.rows :])
+    entries = res.transform.entries[res.rank * A.rows :]
+    return IntMatrix(A.rows - res.rank, A.rows, entries, _trusted=True)
 
 
 class SparseMatrix(TupleRecord):
@@ -303,6 +313,16 @@ def _echelon(maps) -> dict:
     operation touches only the nonzeros of the row it subtracts (Dumas,
     Saunders and Villard 2001).  Every pivot is made positive, and the
     rows come back in increasing pivot column.
+
+    A tie for the smallest entry goes to the row with the fewest
+    nonzeros (Markowitz 1957), then to the row that reached the bucket
+    last.  The rows e_k - a_k e_0, k = 1..r-1, all lead at column 0 and
+    arrive in increasing k, and so, nearly, do a walk level's products.
+    With the first of them as the pivot, every other row is left leading
+    at the pivot's next column, and so on bucket after bucket, r(r-1)/2
+    row operations in all; with the last, each is left leading at a
+    column of its own, r - 2.  Only a tie looks past the entry, so rows
+    whose smallest entry is unique pay nothing for the rule.
     """
     buckets = {}  # leading column -> the rows waiting there
     for row in maps:
@@ -316,7 +336,12 @@ def _echelon(maps) -> dict:
         nz = buckets.pop(j)
         while len(nz) > 1:
             # Euclid down the column, by the smallest entry and the nearest quotient.
-            p = min(nz, key=lambda row: abs(row[j]))
+            size = [abs(row[j]) for row in nz]
+            least = min(size)
+            if size.count(least) == 1:
+                p = nz[size.index(least)]
+            else:  # a tie: the fewest nonzeros, then the latest row
+                p = min([row for row in reversed(nz) if abs(row[j]) == least], key=len)
             lead, left = p[j], [p]
             for row in nz:
                 if row is p:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import equik.fusion as fusion
 import equik.intmat as intmat
 from equik.abgroups import FgAbelianGroup, cokernel
 from equik.errors import InputError
@@ -836,3 +837,90 @@ def test_kernel_paths_read_hermite_terms(monkeypatch):
     assert calls == []
     assert smith_invariants([{0: 2, 1: 4}, {0: 4, 1: 8}]) == (1, (2,))
     assert calls == [1, 2]  # the one echelon row, then its two columns
+
+
+# The pivot order of _echelon: its outputs are canonical, so no order of
+# the rows may move them, and rows that chain under a tie-break by first
+# arrival must take a linear number of row operations.
+
+
+def augmentation_rows(n) -> list:
+    """The rows e_k - e_0, k = 1..n-1, that augmentation_ideal(cyclic_ring(n))
+    hands to hermite_terms: all of them lead at column 0 with -1."""
+    return [{0: -1, k: 1} for k in range(1, n)]
+
+
+def walk_products(n) -> list:
+    """The products b g_s that the first level of the walk of
+    cyclic_ring(n) reduces: each row of I times each generator."""
+    ring = fusion.cyclic_ring(n)
+    gens = [fusion._aug_generator(ring, s) for s in ring.generators]
+    rows = fusion.augmentation_ideal(ring).terms
+    return [fusion._row_times(ring.table, b, g) for b in rows for g in gens]
+
+
+@st.composite
+def chain_shaped_rows(draw):
+    """(rows, width): many rows with +-1 (now and then +-2) at one leading
+    column, each running on with one to three entries at later columns."""
+    width = draw(st.integers(2, 16))
+    lead = draw(st.integers(0, width - 2))
+    later = st.lists(st.integers(lead + 1, width - 1), min_size=1, max_size=3, unique=True)
+    rows = []
+    for _ in range(draw(st.integers(2, 14))):
+        row = {lead: draw(st.sampled_from((1, -1, 1, -1, 2, -2)))}
+        row.update({k: draw(st.integers(-3, 3).filter(bool)) for k in draw(later)})
+        rows.append(row)
+    return rows, width
+
+
+@st.composite
+def permuted_rows(draw):
+    """(rows, width, orders): sparse rows, drawn at large or chain-shaped,
+    with their zero entries dropped, and one to three orders of them."""
+    rows, width = draw(st.one_of(sparse_row_lists(), chain_shaped_rows()))
+    rows = [{j: e for j, e in row.items() if e} for row in rows]
+    orders = draw(st.lists(st.permutations(range(len(rows))), min_size=1, max_size=3))
+    return rows, width, orders
+
+
+def with_orders(rows, width) -> tuple:
+    return rows, width, [list(range(len(rows))), list(range(len(rows)))[::-1]]
+
+
+@given(permuted_rows())
+@example(with_orders(augmentation_rows(24), 24))
+@example(with_orders(walk_products(24), 24))
+@settings(max_examples=200, deadline=None)
+def test_echelon_outputs_do_not_depend_on_the_row_order(case):
+    rows, width, orders = case
+    dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+    h = [list(row) for row in dense]
+    dense_hermite_reduce(h, width)
+    want_terms = Lattice.from_rows([row for row in h if any(row)], width).terms
+    with mock.patch.object(intmat, "_hermite_step", dense_hermite_step):
+        factors = invariant_factors(IntMatrix.from_rows(dense, cols=width))
+    want_smith = len(factors), tuple(d for d in factors if d > 1)
+    for order in [range(len(rows)), *orders]:
+        permuted = [rows[i] for i in order]
+        assert hermite_terms([dict(row) for row in permuted]) == want_terms
+        assert smith_invariants(permuted) == want_smith
+
+
+def count_row_operations(call) -> int:
+    calls = []
+    real = intmat._subtract
+    with mock.patch.object(intmat, "_subtract", lambda *args: calls.append(1) or real(*args)):
+        call()
+    return len(calls)
+
+
+def test_rows_led_in_one_column_do_not_chain():
+    # e_k - e_0 for k < 200: the first row as the pivot leaves the others
+    # leading at column 1, then 2, ..., 19,899 row operations; the last
+    # leaves each at a column of its own, 198.
+    ring = fusion.cyclic_ring(200)
+    assert count_row_operations(lambda: fusion.augmentation_ideal(ring)) <= 2 * 200
+    # a walk level's products lead at column 0 as well (e_63 e_1 = e_0)
+    products = walk_products(64)
+    assert count_row_operations(lambda: hermite_terms(products)) <= 2 * 64

@@ -73,6 +73,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     power = "ideal_power(ring_from_tag(z2xz3xz5), 3)"
     delta = "mayer_vietoris_delta(20, 20)"
     sparse = "cokernel(100x100, density 0.1)"
+    augmentation = "augmentation_ideal(cyclic_ring(200))"
     res = run_script(
         "bench_layers.py",
         "--case", kernel,
@@ -94,6 +95,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", refused,
         "--case", delta,
         "--case", sparse,
+        "--case", augmentation,
         "--repeats", "3",
         "--out", str(out),
     )
@@ -102,7 +104,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert list(runs) == ["parent", "change"]
     (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
      truncated, quotient, imaged, grouped_cli, snf_cli, hnf_cli, top_cli, refused_cli,
-     delta_rec, sparse_rec) = runs["change"]
+     delta_rec, sparse_rec, augmentation_rec) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {
             "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
@@ -114,11 +116,11 @@ def test_bench_layers_writes_its_schema(tmp_path):
         assert type(rec["repeats"]) is int and rec["repeats"] >= 3
     assert (kernel_rec["case"], kernel_rec["layer"]) == (kernel, "intmat")
     # a 6 x 10 matrix of rank 4 has a rank-2 kernel
-    assert kernel_rec["counters"] == {"rank": 2, "max_bits": 7}
+    assert kernel_rec["counters"] == {"rank": 2, "max_bits": 7, "row_operations": 34}
     assert (power_rec["case"], power_rec["layer"]) == (power, "fusion")
     # I and I^2 of the rank-30 ring have rank 29, and each forms 29 * |S|
     # products with the |S| = 3 generators
-    assert power_rec["counters"] == {"products": 174, "power_rank": 29}
+    assert power_rec["counters"] == {"products": 174, "power_rank": 29, "row_operations": 975}
     assert (homology["case"], homology["layer"]) == ("reduced_homology(3, 3)", "joins")
     # 9 + 27 + 27 faces; coreduction leaves 8 = 2^3 triangles with no face,
     # one per 2-sphere of the wedge, so no row goes to the Smith reader
@@ -174,7 +176,11 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "kernel_rank": 1, "cokernel_rank": 361, "rows_eliminated": 0, "nonzeros_eliminated": 0,
     }
     assert (sparse_rec["case"], sparse_rec["layer"]) == (sparse, "abgroups")
-    assert sparse_rec["counters"] == {"free_rank": 0, "torsion": 1}
+    assert sparse_rec["counters"] == {"free_rank": 0, "torsion": 1, "row_operations": 17115}
+    assert (augmentation_rec["case"], augmentation_rec["layer"]) == (augmentation, "fusion")
+    # e_k - e_0 for k = 1..199 all lead at column 0: the last row clears
+    # the other 198, and each is left leading at a column of its own
+    assert augmentation_rec["counters"] == {"rank": 199, "row_operations": 198}
 
 
 def test_bench_layers_alternates_rounds_of_two_trees(tmp_path):

@@ -274,9 +274,9 @@ def test_module_rows_are_checked_only_where_they_enter():
 
 
 def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
-    # BasedRing, IdealLattice and RingModule skip their checks only when
-    # passed _trusted=True, by a builder whose formula makes the value
-    # valid; the public constructors and the readers check everything.
+    # BasedRing, IdealLattice, RingModule and IntMatrix skip their checks
+    # only when passed _trusted=True, by a builder whose formula makes the
+    # value valid; the public constructors and the readers check everything.
     trusted = {
         f
         for f, calls in function_calls().items()
@@ -296,4 +296,7 @@ def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
         "kmodules.py:module_direct_sum",
         "kmodules.py:kunneth_pieces",
         "kmodules.py:factor_ideal_power",
+        "intmat.py:hnf",
+        "intmat.py:snf",
+        "intmat.py:kernel_basis",
     }

@@ -1,10 +1,11 @@
 """The builders that skip the constructor checks, against the public constructors.
 
 cyclic_ring, circle_truncation and ring_product, the ideal lattices of
-fusion and kmodules, and the module builders pass _trusted=True, since
-the formula they build by makes the value valid.  The oracle is the
-public constructor itself: given the same fields it must accept them and
-return an equal value, the ring's generators included.
+fusion and kmodules, the module builders, and the matrices hnf, snf and
+kernel_basis return pass _trusted=True, since the formula they build by
+makes the value valid.  The oracle is the public constructor itself:
+given the same fields it must accept them and return an equal value, the
+ring's generators included.
 """
 
 import importlib.util
@@ -27,6 +28,7 @@ from equik.fusion import (
     ideal_powers,
     ring_product,
 )
+from equik.intmat import IntMatrix, hnf, kernel_basis, snf
 from equik.kmodules import (
     RingModule,
     factor_ideal_power,
@@ -35,6 +37,7 @@ from equik.kmodules import (
     truncated_ring_module,
     zero_module,
 )
+from test_intmat import pooled_matrices
 from test_kmodules import TENSOR_FACTORS, model_module, oracle_modules
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,11 +67,25 @@ def public_module(mod):
     return again
 
 
+def public_matrix(mat):
+    again = IntMatrix(mat.rows, mat.cols, mat.entries)
+    assert again == mat
+    return again
+
+
 BUILDERS = (cyclic_ring, circle_truncation)
 rings = st.builds(lambda build, n: build(n), st.sampled_from(BUILDERS), st.integers(1, 12))
 small_rings = st.builds(lambda build, n: build(n), st.sampled_from(BUILDERS), st.integers(1, 6))
 # one ring, or the product of two, each factor of rank at most 6
 small_or_product = st.one_of(small_rings, st.builds(ring_product, small_rings, small_rings))
+
+
+@given(pooled_matrices())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matrices_pass_the_public_check(a):
+    res = hnf(a)
+    for mat in (res.H, res.transform, *snf(a), kernel_basis(a)):
+        public_matrix(mat)
 
 
 @given(rings)
