@@ -29,8 +29,10 @@ task), but the first:
   (300, 300), counting the kernel rank, the cokernel's free rank, and
   the rows and nonzeros handed to joins.smith_invariants;
 - abgroups: cokernel of a seeded sparse 100 x 100 matrix (each entry
-  nonzero with chance 0.1, then in [-3, 3]), built untimed, counting the
-  free rank, the torsion summands and the row operations;
+  nonzero with chance 0.1, then in [-3, 3]), built untimed, and tensor
+  of Z^2000 and Z_2, whose 2000 torsion summands go through _chain's
+  Smith reduction, each counting the free rank, the torsion summands and
+  the row operations;
 - fusion: cyclic_ring(24), ring_from_tag on z24 and z2xz3xz5,
   circle_truncation at orders 291 (the largest `rokhlin circle` admits),
   400 and 800, and ring_product of circle_truncation(9) and z3xz3 (the
@@ -275,10 +277,17 @@ def cokernel_case(size, density):
         [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0 for _ in range(size)]
         for _ in range(size)
     ]
-    return with_row_operations(
-        lambda: abgroups.cokernel(rows, size),
-        lambda g: {"free_rank": g.free_rank, "torsion": len(g.torsion)},
-    )
+    return with_row_operations(lambda: abgroups.cokernel(rows, size), group_counters)
+
+
+def tensor_case(free_rank):
+    """abgroups.tensor of Z^free_rank and Z_2, the groups built untimed."""
+    a, b = abgroups.FgAbelianGroup(free_rank, ()), abgroups.FgAbelianGroup(0, (2,))
+    return with_row_operations(lambda: abgroups.tensor(a, b), group_counters)
+
+
+def group_counters(g) -> dict:
+    return {"free_rank": g.free_rank, "torsion": len(g.torsion)}
 
 
 def from_result(call, counters) -> tuple:
@@ -611,6 +620,7 @@ CASES = {
         for l, n in DELTA_CASES
     },
     "cokernel(100x100, density 0.1)": ("abgroups", lambda: cokernel_case(100, 0.1)),
+    "tensor(FgAbelianGroup(2000, ()), Z_2)": ("abgroups", lambda: tensor_case(2000)),
     **{
         f"ring_from_tag({tag})": (
             "fusion",

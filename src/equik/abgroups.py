@@ -122,7 +122,7 @@ def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     Z_d x Z_e collapses to Z_gcd(d, e).
     """
     count = len(b.torsion) * a.free_rank + len(a.torsion) * (b.free_rank + len(b.torsion))
-    charge(16 * count**2, f"{count} torsion summands")  # _chain reduces count^2 cells
+    charge(16 * count**2, f"{count} torsion summands")  # _chain compares count^2 pairs
     tors = []
     tors.extend(e for e in b.torsion for _ in range(a.free_rank))
     tors.extend(d for d in a.torsion for _ in range(b.free_rank))

@@ -9,6 +9,7 @@ errors.Record classes; the other results are errors.TupleRecords.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from .errors import InputError, Record, TupleRecord, decimal, read_json
 
@@ -32,8 +33,8 @@ class IntMatrix(Record):
     """Immutable integer matrix, entries stored row-major.
 
     The constructor checks the shape and that every entry is an int;
-    _trusted=True skips that, for the matrices hnf, snf and kernel_basis
-    derive from a checked one.
+    _trusted=True skips that, for the matrices _matrix builds, which hnf
+    and snf derive from a checked one.
     """
 
     __slots__ = _fields = ("rows", "cols", "entries")
@@ -129,33 +130,44 @@ class HnfResult(TupleRecord):
 
 
 def _hermite_step(d, carry, n):
-    """Row Hermite form of the n-column rows d, the rows carry following.
+    """Row Hermite form of the sparse rows d, the rows carry following.
 
-    hermite_terms reads the rows [d | carry], built fresh since it reduces
-    them in place, so a carried transform follows the reduction without
-    steering it.  With no transform carried, the zero rows it drops are
-    put back at the bottom.
+    d holds maps on the columns [0, n) and carry maps at the columns n..:
+    hermite_terms reads the rows {**d_i, **carry_i}, split back at n, so a
+    carried transform follows the reduction without steering it.  Empty
+    carry rows carry nothing, and the zero rows hermite_terms then drops
+    come back at the bottom as empty maps.
     """
-    width = n + len(carry[0]) if carry else n
-    maps = [{j: e for j, e in enumerate(row + c) if e} for row, c in zip(d, carry)]
-    h = [list(_dense(row, width)) for row in hermite_terms(maps)]
-    h += [[0] * width for _ in range(len(d) - len(h))]
-    return [row[:n] for row in h], [row[n:] for row in h]
+    h, t = [], []
+    for terms in hermite_terms([{**row, **c} for row, c in zip(d, carry)]):
+        k = bisect_left(terms, (n,))  # the first term at a carried column
+        h.append(dict(terms[:k]))
+        t.append(dict(terms[k:]))
+    pad = len(d) - len(h)
+    return h + [{} for _ in range(pad)], t + [{} for _ in range(pad)]
+
+
+def _row_maps(A: IntMatrix) -> list:
+    return [{j: e for j, e in enumerate(A.row(i)) if e} for i in range(A.rows)]
+
+
+def _matrix(maps, cols: int, offset: int = 0) -> IntMatrix:
+    """The matrix of the sparse rows maps, read from the column offset on;
+    hnf and snf derive the rows from a checked matrix, so it skips checks."""
+    entries = [0] * (len(maps) * cols)
+    for i, row in enumerate(maps):
+        base = i * cols - offset
+        for j, e in row.items():
+            entries[base + j] = e
+    return IntMatrix(len(maps), cols, entries, _trusted=True)
 
 
 def hnf(A: IntMatrix) -> HnfResult:
-    """Row Hermite normal form with its canonical transform: hermite_terms
-    of the rows [A | I], which are independent, so all of them come back."""
+    """Row Hermite normal form with its canonical transform: _hermite_step,
+    snf's row step, on the rows [A | I], which all come back."""
     m, n = A.rows, A.cols
-    maps = [{j: e for j, e in enumerate(A.row(i)) if e} for i in range(m)]
-    for i, row in enumerate(maps):
-        row[n + i] = 1
-    h, t = [], []
-    for terms in hermite_terms(maps):
-        row = _dense(terms, n + m)
-        h += row[:n]
-        t += row[n:]
-    return HnfResult(IntMatrix(m, n, h, _trusted=True), IntMatrix(m, m, t, _trusted=True))
+    h, t = _hermite_step(_row_maps(A), [{n + i: 1} for i in range(m)], n)
+    return HnfResult(_matrix(h, n), _matrix(t, m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +180,11 @@ class SnfDecomposition(TupleRecord):
 
     The diagonal is nonnegative and each entry divides the next, which
     makes D unique; U and V are deterministic for this implementation but
-    not canonical.  Their entries stay small: the rows of U (columns of
+    not canonical.  What is guaranteed of them: the rows of U (columns of
     V) that face zero rows (columns) of D span the left (right) kernel of
-    A and are kept in Hermite form, and every other row (column) is
-    reduced against them.
+    A and are in Hermite form, and every other row (column) is reduced
+    against them.  No bound on the size of their entries is proven yet
+    (ROADMAP item 12).
     """
 
     __slots__, _fields = (), ("U", "D", "V")
@@ -181,48 +194,47 @@ class SnfDecomposition(TupleRecord):
         return tuple(d for d in diag if d)
 
 
-def _is_diagonal(d) -> bool:
-    return all(e == 0 for i, row in enumerate(d) for j, e in enumerate(row) if i != j)
+def _transpose(rows, width: int, offset: int = 0) -> list:
+    """The width column maps of the sparse rows, whose columns start at offset."""
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            cols[j - offset][i] = e
+    return cols
 
 
-def _combine(x, a, y, b) -> list:
-    return [x * p + y * q for p, q in zip(a, b)]
-
-
-def _kernel_reduce(t, rank: int) -> None:
-    """Size-reduce the rows t[:rank] against the Hermite rows t[rank:]."""
-    for row in t[rank:]:
-        if not row:
-            return  # no transform carried
-        p = next(j for j, e in enumerate(row) if e)
-        for other in t[:rank]:
-            q = other[p] // row[p]
-            if q:
-                other[:] = [a - q * b for a, b in zip(other, row)]
+def _combine(x, a, y, b) -> dict:
+    """x a + y b for the sparse rows a and b, zeros dropped."""
+    sums = ((k, x * a.get(k, 0) + y * b.get(k, 0)) for k in a.keys() | b.keys())
+    return {k: e for k, e in sums if e}
 
 
 def _smith(d, n: int, u, vt):
-    """Smith diagonal of the n-column rows d; returns (diagonal, u, vt).
+    """Smith diagonal of the m sparse rows d, zeros left out; returns
+    (diagonal, u, vt).
 
-    Row Hermite steps carrying u alternate with column Hermite steps
-    carrying vt (the transpose of V) until d is diagonal, which keeps
-    every entry of d reduced (Kannan and Bachem 1979).  Each step turns
-    the leading entry into a divisor of itself, and once it stops
-    changing its row and column are clear, so the loop ends.  A 2x2 step
+    d holds maps on the columns [0, n), u the rows of U at the columns n..
+    of the same rows, and vt the columns of V at the columns m.. of d's
+    columns; empty transform rows carry nothing.  Row steps carrying u
+    alternate with column steps on d's transpose carrying vt until d is
+    diagonal, which keeps every entry of d reduced (Kannan and Bachem
+    1979): each step turns the leading entry into a divisor of itself,
+    and once it stops changing its row and column are clear.  A 2x2 step
     then turns diag(a, b) into diag(g, ab/g) until each entry divides the
-    next.  Transform rows may be empty lists, and then nothing is carried.
+    next, and the rows of u (vt) facing zero rows of d, which a step left
+    in Hermite form, size-reduce the others.
     """
     m = len(d)
     while True:
         d, u = _hermite_step(d, u, n)
-        if _is_diagonal(d):
+        if all(row.keys() <= {i} for i, row in enumerate(d)):
             break
-        dt, vt = _hermite_step([list(col) for col in zip(*d)], vt, m)
-        d = [list(row) for row in zip(*dt)]
-        if _is_diagonal(d):
+        dt, vt = _hermite_step(_transpose(d, n), vt, m)
+        d = _transpose(dt, m)
+        if all(row.keys() <= {i} for i, row in enumerate(d)):
             break
-    diag = [d[i][i] for i in range(min(m, n))]
-    rank = sum(1 for e in diag if e)  # Hermite steps leave the nonzeros first
+    diag = [row[i] for i, row in enumerate(d) if row]  # Hermite steps leave the nonzeros first
+    rank = len(diag)
     for i in range(rank):
         for j in range(i + 1, rank):
             a, b = diag[i], diag[j]
@@ -233,30 +245,23 @@ def _smith(d, n: int, u, vt):
                 ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
                 u[i], u[j] = _combine(x, ui, y, uj), _combine(-b1, ui, a1, uj)
                 vt[i], vt[j] = _combine(1, vi, 1, vj), _combine(-y * b1, vi, x * a1, vj)
-    _kernel_reduce(u, rank)
-    _kernel_reduce(vt, rank)
+    for t in (u, vt):
+        kernel = {min(row): row for row in t[rank:] if row}
+        for row in t[:rank]:
+            _reduce_at(row, -1, kernel)
     return diag, u, vt
 
 
 def snf(A: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with small unimodular transforms (see _smith).
-
-    The kernel rows of U and kernel columns of V, which U.A.V = D leaves
-    free, are Hermite-reduced and the other rows and columns reduced
-    against them.
-    """
+    """Smith normal form with reduced unimodular transforms (see _smith):
+    the rows of A go through _smith with the identity carried twice, as
+    U at the columns n.. of the rows and as V at the columns m.. of the
+    columns."""
     m, n = A.rows, A.cols
-    diag, u, vt = _smith(
-        A.to_rows(), n, IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
-    )
-    d = [0] * (m * n)
-    for i, e in enumerate(diag):
-        d[i * n + i] = e
-    return SnfDecomposition(
-        IntMatrix(m, m, [e for row in u for e in row], _trusted=True),
-        IntMatrix(m, n, d, _trusted=True),
-        IntMatrix(n, n, [e for column in zip(*vt) for e in column], _trusted=True),
-    )
+    u, vt = [{n + i: 1} for i in range(m)], [{m + j: 1} for j in range(n)]
+    diag, u, vt = _smith(_row_maps(A), n, u, vt)
+    V = _matrix(_transpose(vt, n, m), n)
+    return SnfDecomposition(_matrix(u, m, n), IntMatrix.diagonal(diag, m, n), V)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +272,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Hermite-form basis of {x : x.A = 0}: hnf's transform rows facing zero rows of H."""
     res = hnf(A)
-    entries = res.transform.entries[res.rank * A.rows :]
-    return IntMatrix(A.rows - res.rank, A.rows, entries, _trusted=True)
+    return IntMatrix(A.rows - res.rank, A.rows, res.transform.entries[res.rank * A.rows :])
 
 
 class SparseMatrix(TupleRecord):
@@ -284,8 +288,8 @@ def smith_invariants(sparse_rows):
     form by _echelon; the rank is the number of pivots.  The rows with
     pivot 1, with the unit vectors off their pivot columns, are a basis
     of Z^width, so the torsion is that of the other echelon rows once
-    cleared at the unit pivot columns: their dense block on the columns
-    left goes through _smith, with no transform carried.
+    cleared at the unit pivot columns: those go through _smith, with no
+    transform carried, the columns they use renumbered from 0.
     """
     basis = _echelon(
         {j: e for j, e in r.items() if e} if 0 in r.values() else dict(r) for r in sparse_rows if r
@@ -296,9 +300,9 @@ def smith_invariants(sparse_rows):
         return len(basis), ()
     for row in left:
         _reduce_at(row, min(row), units)  # a unit pivot row clears its column
-    used = sorted({j for row in left for j in row})
-    block = [[row.get(j, 0) for j in used] for row in left]
-    diag = _smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
+    used = {j: k for k, j in enumerate(sorted({j for row in left for j in row}))}
+    rows = [{used[j]: e for j, e in row.items()} for row in left]
+    diag = _smith(rows, len(used), [{}] * len(rows), [{}] * len(used))[0]
     return len(basis), tuple([d for d in diag if d > 1])
 
 

@@ -260,21 +260,16 @@ class ModelDescriptor(TupleRecord):
                 elif ch == ")":
                     depth -= 1
                 elif ch == "," and depth == 0:
-                    return cls(
-                        "tensor",
-                        left=cls.parse(inner[:pos]),
-                        right=cls.parse(inner[pos + 1 :]),
-                    )
+                    return cls("tensor", 0, "", cls.parse(inner[:pos]), cls.parse(inner[pos + 1 :]))
             raise InputError(f"tensor descriptor {text!r} needs two halves")
         kind, *values = text.split(":")
         leaf = _LEAF_KINDS.get(kind)
         if leaf is not None and len(values) == len(leaf.fields):
             try:
-                return cls(
-                    kind, **{name: typ(v) for (name, typ), v in zip(leaf.fields, values)}
-                )
+                read = {name: typ(v) for (name, typ), v in zip(leaf.fields, values)}
             except ValueError:
                 raise InputError(f"bad order in model descriptor {text!r}") from None
+            return cls(kind, read["order"], read.get("ring", ""))
         raise InputError(
             f"cannot parse model descriptor {text!r}; expected trunc-z2:l, "
             "circle:n, trunc:<ring>:n, or tensor(a,b)"
@@ -315,19 +310,19 @@ class ModelDescriptor(TupleRecord):
 
 
 def trunc_z2_model(l: int) -> ModelDescriptor:
-    return ModelDescriptor("trunc-z2", order=l)
+    return ModelDescriptor("trunc-z2", l)
 
 
 def circle_model(n: int) -> ModelDescriptor:
-    return ModelDescriptor("circle", order=n)
+    return ModelDescriptor("circle", n)
 
 
 def trunc_model(ring_tag: str, n: int) -> ModelDescriptor:
-    return ModelDescriptor("trunc", order=n, ring=ring_tag)
+    return ModelDescriptor("trunc", n, ring_tag)
 
 
 def tensor_model(left: ModelDescriptor, right: ModelDescriptor) -> ModelDescriptor:
-    return ModelDescriptor("tensor", left=left, right=right)
+    return ModelDescriptor("tensor", 0, "", left, right)
 
 
 # ---------------------------------------------------------------------------

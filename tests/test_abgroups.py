@@ -9,6 +9,8 @@ The sparse cokernel is checked against the dense Smith diagonal, and
 quotient against solving each row and reading the dense cokernel.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,20 @@ def test_tensor_frozen_examples():
     z = FgAbelianGroup(1, ())
     assert tensor(z, z4) == z4
     assert tor(z, z4) == TRIVIAL_GROUP
+
+
+def test_torsion_chain_memory_is_linear_in_the_summands():
+    # Z^500 x Z_2 is Z_2^500: _chain hands smith_invariants 500 rows
+    # {i: 2}, whose Smith state stays 500 one-entry maps.  A dense
+    # 500 x 500 block of them peaked at 6.35 MB; the sparse rows, 0.58 MB.
+    tracemalloc.start()
+    try:
+        got = tensor(FgAbelianGroup(500, ()), FgAbelianGroup(0, (2,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == FgAbelianGroup(0, (2,) * 500)
+    assert peak < 2 * 2**20
 
 
 def test_direct_sum_renormalizes_chain():

@@ -34,7 +34,17 @@ from equik.intmat import (
     term_product,
     xgcd,
 )
-from dense_algebra import det, heap_smith_invariants, in_lattice, invariant_factors, is_zero, mul
+from dense_algebra import (
+    dense_hermite_reduce,
+    dense_hermite_step,
+    dense_snf,
+    det,
+    heap_smith_invariants,
+    in_lattice,
+    invariant_factors,
+    is_zero,
+    mul,
+)
 
 
 @st.composite
@@ -685,64 +695,10 @@ def test_echelon_insert_takes_the_euclid_step():
 
 
 # The dense Hermite path as it was before every Hermite form moved to
-# hermite_terms, kept as the oracle: the elimination as its own function,
-# the transform-carrying step of hnf and snf, a second hnf for
-# kernel_basis, and a dense reduction of the kernel rows.
-
-
-def dense_hermite_reduce(h, n: int) -> None:
-    """Bring the first n columns of the rows h to row Hermite form, in
-    place, every row operation acting on whole rows."""
-    m, r = len(h), 0
-    for j in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if h[i][j]]
-            if not nz:
-                break
-            if len(nz) == 1:
-                if nz[0] != r:
-                    h[r], h[nz[0]] = h[nz[0]], h[r]
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
-            p = h[i0]
-            for i in nz:
-                if i != i0:
-                    hi = h[i]
-                    q = hi[j] // p[j]
-                    hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
-        p = h[r]
-        if p[j] == 0:
-            continue
-        if p[j] < 0:
-            p[j:] = [-e for e in p[j:]]
-        for i in range(r):
-            hi = h[i]
-            q = hi[j] // p[j]
-            if q:
-                hi[j:] = [a - q * b for a, b in zip(hi[j:], p[j:])]
-        r += 1
-
-
-def dense_hermite_step(d, carry, n):
-    h = [row + c for row, c in zip(d, carry)]
-    dense_hermite_reduce(h, n)
-    return [row[:n] for row in h], [row[n:] for row in h]
-
-
-def dense_kernel_reduce(t, rank: int) -> None:
-    kernel = t[rank:]
-    if not kernel or not kernel[0]:
-        return
-    dense_hermite_reduce(kernel, len(kernel[0]))
-    t[rank:] = kernel
-    for row in kernel:
-        p = next(j for j, e in enumerate(row) if e)
-        for other in t[:rank]:
-            q = other[p] // row[p]
-            if q:
-                other[:] = [a - q * b for a, b in zip(other, row)]
+# hermite_terms, kept as the oracle: dense_algebra holds the elimination,
+# the transform-carrying step and Smith loop of hnf and snf, and the
+# dense reduction of the kernel rows; here are a second hnf for
+# kernel_basis and the Hermite form of [A | I].
 
 
 def dense_hnf(a: IntMatrix) -> HnfResult:
@@ -802,10 +758,7 @@ def test_normal_forms_match_the_dense_kernel_oracle(a):
     # transform] is the row Hermite form of [A | I], which is unique, so
     # the dense elimination over all of its columns gives hnf exactly,
     # rank-deficient draws included; H alone is the dense path's.
-    with mock.patch.multiple(
-        intmat, _hermite_step=dense_hermite_step, _kernel_reduce=dense_kernel_reduce
-    ):
-        want = snf(a), two_hnf_kernel_basis(a)
+    want = dense_snf(a), two_hnf_kernel_basis(a)
     got = snf(a), kernel_basis(a)
     assert got == want
     assert repr(got) == repr(want)
@@ -898,8 +851,7 @@ def test_echelon_outputs_do_not_depend_on_the_row_order(case):
     h = [list(row) for row in dense]
     dense_hermite_reduce(h, width)
     want_terms = Lattice.from_rows([row for row in h if any(row)], width).terms
-    with mock.patch.object(intmat, "_hermite_step", dense_hermite_step):
-        factors = invariant_factors(IntMatrix.from_rows(dense, cols=width))
+    factors = invariant_factors(IntMatrix.from_rows(dense, cols=width))
     want_smith = len(factors), tuple(d for d in factors if d > 1)
     for order in [range(len(rows)), *orders]:
         permuted = [rows[i] for i in order]

@@ -464,6 +464,27 @@ def test_model_descriptor_parse_render_roundtrip():
         "tensor(trunc-z2:2,trunc:z3:1)",
         "tensor(tensor(trunc-z2:1,trunc:z3:1),circle:2)",
     ]
+    # parse and the factories build by position; the same descriptors
+    # built by keyword must equal them, repr included
+    by_keyword = [
+        ModelDescriptor("trunc-z2", order=3),
+        ModelDescriptor("circle", order=4),
+        ModelDescriptor("trunc", order=2, ring="z5"),
+        ModelDescriptor(
+            "tensor",
+            left=ModelDescriptor("trunc-z2", order=2),
+            right=ModelDescriptor("trunc", ring="z3", order=1),
+        ),
+    ]
+    by_factory = [
+        trunc_z2_model(3),
+        circle_model(4),
+        trunc_model("z5", 2),
+        tensor_model(trunc_z2_model(2), trunc_model("z3", 1)),
+    ]
+    for text, keyword, factory in zip(texts, by_keyword, by_factory):
+        assert ModelDescriptor.parse(text) == keyword == factory
+        assert repr(ModelDescriptor.parse(text)) == repr(keyword) == repr(factory)
     for text in texts:
         model = ModelDescriptor.parse(text)
         assert model.render() == text

@@ -175,9 +175,12 @@ def test_lattice_and_certify_requests_build_no_intmatrix(monkeypatch, tmp_path, 
 
 
 def test_no_dense_hermite_elimination_is_left():
-    # intmat.hermite_terms is the one Hermite routine: hnf reads it on the
-    # rows [A | I], and _hermite_step, which only _smith calls, on the rows
-    # [d | carry].  No dense routine, under the names it had, is left.
+    # intmat.hermite_terms is the one Hermite routine, and _hermite_step
+    # its one row step, which reads it on the sparse rows {**d_i,
+    # **carry_i}: hnf is that step on the rows of A with the identity
+    # carried, and _smith alternates it on d and on d's transpose.  No
+    # dense routine, under the names it had, is left, and the Smith and
+    # Hermite paths build no dense rows: no _dense, to_rows or zip(*rows).
     names = ("_hermite_reduce", "_hermite_step", "_kernel_hermite", "hermite_terms")
     users = {name: set() for name in names}
     for path in SOURCES:
@@ -191,10 +194,17 @@ def test_no_dense_hermite_elimination_is_left():
                     if isinstance(inner, ast.Name) and inner.id in names:
                         users[inner.id].add(f"{path.name}:{node.name}")
     assert users["_hermite_reduce"] == users["_kernel_hermite"] == set()
-    assert users["_hermite_step"] == {"intmat.py:_smith"}
-    assert {"intmat.py:hnf", "intmat.py:_hermite_step"} <= users["hermite_terms"]
-    assert not hasattr(intmat, "_hermite_reduce")
-    assert not hasattr(intmat, "_kernel_hermite")
+    assert users["_hermite_step"] == {"intmat.py:_smith", "intmat.py:hnf"}
+    assert "intmat.py:_hermite_step" in users["hermite_terms"]
+    assert not {"intmat.py:hnf", "intmat.py:snf", "intmat.py:_smith"} & users["hermite_terms"]
+    for name in ("_hermite_reduce", "_kernel_hermite", "_is_diagonal", "_kernel_reduce"):
+        assert not hasattr(intmat, name), name
+    calls = function_calls()
+    for f in ("_hermite_step", "hnf", "_smith", "snf", "smith_invariants"):
+        for call in calls[f"intmat.py:{f}"]:
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            assert name not in ("_dense", "to_rows"), (f, name)
+            assert not (name == "zip" and any(isinstance(a, ast.Starred) for a in call.args)), f
 
 
 def test_module_requests_read_no_dense_ideal_basis(monkeypatch, tmp_path, capsys):
@@ -296,7 +306,5 @@ def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
         "kmodules.py:module_direct_sum",
         "kmodules.py:kunneth_pieces",
         "kmodules.py:factor_ideal_power",
-        "intmat.py:hnf",
-        "intmat.py:snf",
-        "intmat.py:kernel_basis",
+        "intmat.py:_matrix",
     }

@@ -1,9 +1,9 @@
 """The builders that skip the constructor checks, against the public constructors.
 
 cyclic_ring, circle_truncation and ring_product, the ideal lattices of
-fusion and kmodules, the module builders, and the matrices hnf, snf and
-kernel_basis return pass _trusted=True, since the formula they build by
-makes the value valid.  The oracle is the public constructor itself:
+fusion and kmodules, the module builders, and intmat._matrix, which
+builds the matrices hnf and snf return, pass _trusted=True, since the
+formula they build by makes the value valid.  The oracle is the public constructor itself:
 given the same fields it must accept them and return an equal value, the
 ring's generators included.
 """
