@@ -35,9 +35,9 @@ task), but the first:
   the row operations;
 - fusion: cyclic_ring(24), ring_from_tag on z24 and z2xz3xz5,
   circle_truncation at orders 291 (the largest `rokhlin circle` admits),
-  400 and 800, and ring_product of circle_truncation(9) and z3xz3 (the
-  factors built untimed), each a ring built with its generators found,
-  counting the rank and the generators; regular_class_check on the
+  400 and 800, and ring_product of circle_truncation(9) and z3xz3 and
+  of z2 and z3xz3 (the factors built untimed), each a ring built with
+  its generators, counting the rank and the generators; regular_class_check on the
   rings of the benchmark's `rep regular` (built untimed), and
   lambda_expansion(31), counting the ring products each forms, with
   fusion._row_times wrapped in the warm-up call; lattice_quotient of
@@ -52,10 +52,12 @@ task), but the first:
   module built; kunneth_pieces on the two halves of two
   more tensor models, the halves built untimed;
   truncated_ring_module on circle_truncation(292) and on z3xz3 at
-  order 3, the rings built untimed; and ideal_image of I^3 on
-  tensor(circle:9,trunc:z3xz3:3), both built untimed; each counting
-  the ring's rank and generators and the module's generators, and the
-  image the ideal's rank;
+  order 3, the rings built untimed; ideal_image of I^3 on
+  tensor(circle:9,trunc:z3xz3:3), both built untimed; and
+  max_nonvanishing_power on that module, built untimed; each counting
+  the ring's rank and generators and the module's generators, the
+  image the ideal's rank and the last two the module products they
+  form (calls of kmodules._row_times) and the power found;
 - reports: four report builders, counting the ideal-power walks their
   modules and witnesses make and the largest ring rank walked, with
   ideal_power wrapped in the warm-up call;
@@ -369,14 +371,37 @@ def quotient_case(tag, last):
     )
 
 
+IMAGE_PRODUCTS = (kmodules, "_row_times")
+
+
 def image_case(text, n):
     """ideal_image of I^n on the module the descriptor names, both built untimed."""
     mod = kmodules.ModelDescriptor.parse(text).instantiate()
     lattice = fusion.ideal_power(mod.ring, n)
-    return from_result(
-        lambda: kmodules.ideal_image(lattice, mod),
-        lambda _: {**module_counters(mod), "ideal_rank": lattice.rank},
-    )
+
+    def call():
+        return kmodules.ideal_image(lattice, mod)
+
+    def counters():
+        products = count_calls(call, IMAGE_PRODUCTS)[1][0]
+        return {**module_counters(mod), "ideal_rank": lattice.rank, "image_products": products}
+
+    return call, counters
+
+
+def nonvanishing_case(text):
+    """max_nonvanishing_power on the module the descriptor names, built
+    untimed: its ideal-power walk and an image at each level."""
+    mod = kmodules.ModelDescriptor.parse(text).instantiate()
+
+    def call():
+        return kmodules.max_nonvanishing_power(mod)
+
+    def counters():
+        power, (products,) = count_calls(call, IMAGE_PRODUCTS)
+        return {**module_counters(mod), "power": power, "image_products": products}
+
+    return call, counters
 
 
 def truncation_case(ring, n):
@@ -643,6 +668,10 @@ CASES = {
         "fusion",
         lambda: product_ring_case(fusion.circle_truncation(9), fusion.ring_from_tag("z3xz3")),
     ),
+    "ring_product(ring_from_tag(z2), ring_from_tag(z3xz3))": (
+        "fusion",
+        lambda: product_ring_case(fusion.ring_from_tag("z2"), fusion.ring_from_tag("z3xz3")),
+    ),
     **{
         f"regular_class_check({tag})": (
             "fusion",
@@ -689,6 +718,10 @@ CASES = {
     "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))": (
         "kmodules",
         lambda: image_case("tensor(circle:9,trunc:z3xz3:3)", 3),
+    ),
+    "max_nonvanishing_power(tensor(circle:9,trunc:z3xz3:3))": (
+        "kmodules",
+        lambda: nonvanishing_case("tensor(circle:9,trunc:z3xz3:3)"),
     ),
     **{
         f"{builder}({', '.join(map(str, args))})": (

@@ -17,12 +17,13 @@ every product on term rows, ``multiply``, ``mul_vec(a, b)`` and the
 products of kmodules, whose module tables share the ring's cell format,
 included; ring_product's table and the Kunneth module's are both _kron.
 A ring given to BasedRing or read from a fusion table is checked in
-full.  The three builders pass _trusted=True and skip the check, since
-their formulas make based rings; every ring still finds its generators
-and charges Light's test, so the budget refuses the same rings.  The
-check works on the sparse table: one pass per cell checks its shape
-and sums its dimension, the generator search inserts sparse products
-into an echelon basis (intmat.echelon_insert), and Light's test, which
+full.  The three builders pass the generators their formulas give as
+_trusted and skip the check and the generator search, since their
+formulas make based rings; every ring still charges Light's test on its
+generators, so the budget refuses the same rings.  The check works on
+the sparse table: one pass per cell checks its shape and sums its
+dimension, the generator search inserts sparse products into an
+echelon basis (intmat.echelon_insert), and Light's test, which
 checks a module's table modulo its relations too, reads a cell in place
 where a product is a single basis element.
 
@@ -80,8 +81,9 @@ class BasedRing(Record):
     shape, nonnegative constants, the unit law at index 0,
     commutativity, that aug is a ring map, and associativity by Light's
     test on the basis generators it finds (kept as ``generators``, which
-    equality, hashing and repr leave out); _trusted=True skips all but
-    the search and its charge.  A fusion ring must also have
+    equality, hashing and repr leave out).  A builder passes the
+    generators its formula gives as _trusted, which skips the checks and
+    the search but not the charge.  A fusion ring must also have
     positive dimensions, which the circle truncation fails; is_fusion is
     set by the constructor that built the ring, never derived from aug.
     """
@@ -89,12 +91,14 @@ class BasedRing(Record):
     _fields = ("labels", "aug", "table", "is_fusion")
     __slots__ = _fields + ("generators",)
 
-    def __init__(self, labels: tuple, aug: tuple, table: tuple, is_fusion: bool, *, _trusted=False):
-        if not _trusted:
+    def __init__(self, labels: tuple, aug: tuple, table: tuple, is_fusion: bool, *, _trusted=None):
+        gens = _trusted
+        if gens is None:
             _check_table(labels, aug, table, is_fusion)
-        r, gens = len(labels), _basis_generators(table)
+            gens = _basis_generators(table)
+        r = len(labels)
         charge(r**3 * len(gens), f"a rank-{r} ring")  # Light's test: r^2 |S| r-wide sums
-        if not _trusted and _associativity_witness(table, gens):
+        if _trusted is None and _associativity_witness(table, gens):
             raise FusionRingError("associativity", _associativity_witness(table, range(r)))
         for name, value in zip(self.__slots__, (labels, aug, table, is_fusion, gens)):
             object.__setattr__(self, name, value)
@@ -277,7 +281,8 @@ def cyclic_ring(n: int) -> BasedRing:
     charge(n**3, f"a rank-{n} ring")
     labels = tuple(["1" if k == 0 else ("chi" if k == 1 else f"chi^{k}") for k in range(n)])
     table = tuple([tuple([(((i + j) % n, 1),) for j in range(n)]) for i in range(n)])
-    return BasedRing(labels, (1,) * n, table, True, _trusted=True)  # Z[Z/n], a fusion ring
+    gens = (1,) if n > 1 else ()  # chi^k = chi * ... * chi
+    return BasedRing(labels, (1,) * n, table, True, _trusted=gens)  # Z[Z/n], a fusion ring
 
 
 def circle_truncation(n: int) -> BasedRing:
@@ -295,7 +300,8 @@ def circle_truncation(n: int) -> BasedRing:
     table = tuple(
         [tuple([((i + j, 1),) if i + j < n else () for j in range(n)]) for i in range(n)]
     )
-    return BasedRing(labels, aug, table, False, _trusted=True)  # Z[lam]/(lam^n), a based ring
+    gens = (1,) if n > 1 else ()  # lam^k = lam * ... * lam
+    return BasedRing(labels, aug, table, False, _trusted=gens)  # Z[lam]/(lam^n), a based ring
 
 
 def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
@@ -310,7 +316,9 @@ def ring_product(r1: BasedRing, r2: BasedRing) -> BasedRing:
     labels = tuple([f"({a},{b})" for a in r1.labels for b in r2.labels])
     aug = tuple([x * y for x in r1.aug for y in r2.aug])
     table = _kron(r1.table, r2.table)  # a product of two based rings is one
-    return BasedRing(labels, aug, table, r1.is_fusion and r2.is_fusion, _trusted=True)
+    # the search's choice: the 1 x s2 span 1 x R2, then the s1 x 1 the rest
+    gens = r2.generators + tuple([s * r2.rank for s in r1.generators])
+    return BasedRing(labels, aug, table, r1.is_fusion and r2.is_fusion, _trusted=gens)
 
 
 def _kron(t1, t2) -> tuple:

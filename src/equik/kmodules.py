@@ -8,9 +8,16 @@ every product on it.  RingModule(...) checks the module axioms (unit,
 commutation, compatibility with the structure constants, invariance of
 the relation lattice); truncated_ring_module, zero_module,
 module_direct_sum and kunneth_pieces build modules by construction and
-pass _trusted=True to skip the check, so anything that exists is a
-genuine module presentation.  The axioms are checked on the ring's
-generators; every index runs only on failure, to name the axiom.
+skip the check, so anything that exists is a genuine module
+presentation.  The axioms are checked on the ring's generators; every
+index runs only on failure, to name the axiom.
+
+Each module keeps term rows that generate it over the ring, as
+``spanning``: the builders pass the ones their formulas give as
+_trusted (e_0 for R/I^n, both sets for a direct sum, the products
+x (x) y for a tensor piece, none for the zero module), and the public
+constructor keeps every unit vector.  ideal_image acts on those alone:
+J M is the span of b x, b a row of J, x in spanning, since J R = J.
 
 Rows stay sparse from the ideal power to the module image, as maps or
 term rows (intmat.Lattice.terms); only act's result and
@@ -62,19 +69,24 @@ class RingModule:
     dropped.  Only the relations' lattice is kept, as Hermite term rows.
     table[a][i], one row per generator and one cell per ring basis
     element, is row a of the action matrix of e_i as a term row; the
-    axioms are checked on the ring's generators (all on failure), and
-    _trusted=True skips them and the input checks.
+    axioms are checked on the ring's generators (all on failure).
+    spanning holds term rows that generate the module over the ring:
+    every unit vector, or the rows a builder passes as _trusted, which
+    skips the axioms and the input checks.
     """
 
-    def __init__(self, ring, generators: int, relations, table, *, _trusted=False):
-        if not _trusted:
+    def __init__(self, ring, generators: int, relations, table, *, _trusted=None):
+        spanning = _trusted
+        if spanning is None:
             if generators < 0:
                 raise InputError("generator count must be nonnegative")
             relations = _checked_rows(relations, generators, "relations")
             table = _checked_table(table, generators, ring.rank)
+            spanning = _unit_terms(range(generators))
         self.ring, self.generators, self.table = ring, generators, table
+        self.spanning = spanning
         self.lattice = Lattice(hermite_terms(relations), generators)
-        if not _trusted:
+        if _trusted is None:
             self._validate()
 
     def _validate(self):
@@ -177,14 +189,15 @@ def _axioms_hold_on_generators(ring, lattice, t) -> bool:
 def truncated_ring_module(ring, n: int) -> RingModule:
     """The ring modulo its n-th augmentation-ideal power, as a module.
 
-    Basis element i acts by right multiplication: the table is the ring's.
+    Basis element i acts by right multiplication: the table is the ring's,
+    and the unit e_0 generates it.
     """
     relations = [dict(row) for row in ideal_power(ring, n).terms]
-    return RingModule(ring, ring.rank, relations, ring.table, _trusted=True)  # R/I^n
+    return RingModule(ring, ring.rank, relations, ring.table, _trusted=_unit_terms((0,)))  # R/I^n
 
 
 def zero_module(ring) -> RingModule:
-    return RingModule(ring, 0, (), (), _trusted=True)  # the zero module
+    return RingModule(ring, 0, (), (), _trusted=())  # the zero module
 
 
 def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
@@ -196,7 +209,8 @@ def module_direct_sum(a: RingModule, b: RingModule) -> RingModule:
     shifted = tuple(
         [tuple([tuple([(off + k, n) for k, n in cell]) for cell in row]) for row in b.table]
     )  # the direct sum of two modules over one ring is a module
-    return RingModule(a.ring, off + b.generators, relations, a.table + shifted, _trusted=True)
+    spanning = a.spanning + tuple([tuple([(off + j, e) for j, e in y]) for y in b.spanning])
+    return RingModule(a.ring, off + b.generators, relations, a.table + shifted, _trusted=spanning)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +345,9 @@ def tensor_model(left: ModelDescriptor, right: ModelDescriptor) -> ModelDescript
 
 
 def ideal_image(lattice: IdealLattice, module: RingModule) -> FgAbelianGroup:
-    """Class of the subgroup of the module generated by the ideal's action."""
-    return _ideal_times(lattice, module, _unit_terms(range(module.generators)))
+    """Class of the subgroup of the module generated by the ideal's action,
+    J M, the span of x b for x in module.spanning and b in J's rows."""
+    return _ideal_times(lattice, module, module.spanning)
 
 
 def _ideal_times(lattice: IdealLattice, module: RingModule, xs) -> FgAbelianGroup:
@@ -375,7 +390,14 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
         {c * h + d: e for d, e in s} for c in range(mg.generators) for s in mh.lattice.terms
     ]
     table = _kron(mg.table, mh.table)  # the tensor of two modules is a module
-    module = RingModule(ring, mg.generators * h, relations, table, _trusted=True)
+    spanning = tuple(
+        [
+            tuple([(c * h + d, e * f) for c, e in x for d, f in y])
+            for x in mg.spanning
+            for y in mh.spanning
+        ]
+    )  # the x (x) y span it over the product ring
+    module = RingModule(ring, mg.generators * h, relations, table, _trusted=spanning)
     torsion = group_tor(mg.underlying_group(), mh.underlying_group())
     return module, torsion
 

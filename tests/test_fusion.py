@@ -1404,6 +1404,41 @@ def test_sparse_generator_search_matches_dense_oracle_on_perturbed_tables(table)
     assert fusion._basis_generators(table) == dense_basis_generators(table)
 
 
+# Factors of the nested products below: the built-in rings at small
+# orders, and rings the public constructor and the fusion-table reader
+# built, whose generators the search found.
+GENERATOR_LEAVES = st.one_of(
+    st.builds(cyclic_ring, st.integers(1, 4)),
+    st.builds(circle_truncation, st.integers(1, 4)),
+    st.sampled_from((s3_ring(), regular_class_ring(), divided_square_ring())),
+)
+
+
+@given(
+    st.recursive(
+        GENERATOR_LEAVES, lambda inner: st.builds(ring_product, inner, inner), max_leaves=3
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_stated_generators_match_the_search_on_nested_products(ring):
+    # cyclic_ring, circle_truncation and ring_product state their
+    # generators instead of searching; the search on their tables is the
+    # oracle, since the ideal-power walk forms its products with them
+    assert ring.generators == fusion._basis_generators(ring.table)
+
+
+@given(GENERATOR_LEAVES, GENERATOR_LEAVES, GENERATOR_LEAVES)
+@settings(max_examples=60, deadline=None)
+def test_stated_generators_match_the_search_in_both_orders(a, b, c):
+    for ring in (
+        ring_product(a, b),
+        ring_product(b, a),
+        ring_product(ring_product(a, b), c),
+        ring_product(a, ring_product(b, c)),
+    ):
+        assert ring.generators == fusion._basis_generators(ring.table), ring.labels
+
+
 IDEAL_RINGS = {
     "divided square": divided_square_ring,
     "z4": lambda: cyclic_ring(4),

@@ -13,6 +13,7 @@ tables.  The graded Kunneth pieces, which nothing in the package builds,
 live here too.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -36,8 +37,9 @@ from equik.fusion import (
     ring_from_tag,
     ring_product,
 )
-from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve
+from equik.intmat import IntMatrix, Lattice, hermite_rows, hermite_solve, hermite_terms
 from equik.kmodules import (
+    POWER_CAP,
     ModelDescriptor,
     ModuleInvariantError,
     RingModule,
@@ -1020,6 +1022,70 @@ def test_ideal_image_matches_dense_oracle(data):
     _, mod = data.draw(st.sampled_from(image_modules()), label="module")
     lattice = ideal_power(mod.ring, data.draw(st.integers(0, 4), label="n"))
     assert ideal_image(lattice, mod) == dense_ideal_image(lattice, mod)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in image_modules()])
+def test_ideal_image_matches_dense_oracle_at_every_level(name):
+    # ideal_image acts on the module's spanning rows alone, the oracle on
+    # every unit vector: at every level the walk of max_nonvanishing_power
+    # reads, past the first zero power too
+    mod = dict(image_modules())[name]
+    levels = ideal_powers(mod.ring, last=POWER_CAP)
+    for lattice in itertools.islice(levels, POWER_CAP + 1):
+        assert ideal_image(lattice, mod) == dense_ideal_image(lattice, mod)
+
+
+def spans_the_module(mod) -> bool:
+    """Whether the products x e_i, x in mod.spanning and e_i a basis
+    element of the ring, with the relations, span all of Z^g."""
+    products = [
+        fusion._row_times(mod.table, x, ((i, 1),))
+        for x in mod.spanning
+        for i in range(mod.ring.rank)
+    ]
+    rows = hermite_terms(products + [dict(row) for row in mod.lattice.terms])
+    return rows == tuple([((a, 1),) for a in range(mod.generators)])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in image_modules()])
+def test_builders_state_rows_that_span_the_module(name):
+    mod = dict(image_modules())[name]
+    assert spans_the_module(mod)
+    # never more rows than the unit vectors the oracle acts on
+    assert len(mod.spanning) <= mod.generators
+
+
+# Pairs of TENSOR_FACTORS over one ring, so their Kronecker pieces have
+# one ring too and can be summed.
+SAME_RING = {"trunc-z2:1": "trunc-z2:3", "trunc:z3:1": "trunc:z3:2", "circle:2": "circle:2"}
+
+
+@given(
+    st.sampled_from(sorted(SAME_RING)),
+    st.sampled_from(sorted(SAME_RING)),
+    st.sampled_from(TENSOR_FACTORS),
+)
+@settings(max_examples=20, deadline=None)
+def test_sums_and_tensors_of_built_modules_match_dense_oracle_at_every_level(a, b, c):
+    # a direct sum of two Kronecker pieces, and its tensor with a third
+    # model: the spanning rows are shifted, then paired
+    first = kunneth_pieces(model_module(a), model_module(b))[0]
+    second = kunneth_pieces(model_module(SAME_RING[a]), model_module(SAME_RING[b]))[0]
+    summed = module_direct_sum(first, second)
+    for mod in (summed, kunneth_pieces(summed, model_module(c))[0]):
+        assert spans_the_module(mod)
+        levels = ideal_powers(mod.ring, last=POWER_CAP)
+        for lattice in itertools.islice(levels, POWER_CAP + 1):
+            assert ideal_image(lattice, mod) == dense_ideal_image(lattice, mod)
+
+
+def test_public_modules_keep_every_unit_vector():
+    # the public constructor knows no smaller generating set
+    for _, mod in image_modules():
+        relations = [dict(row) for row in mod.lattice.terms]
+        again = RingModule(mod.ring, mod.generators, relations, mod.table)
+        assert again.spanning == tuple([((a, 1),) for a in range(mod.generators)])
+        assert spans_the_module(again)
 
 
 @given(data=st.data())

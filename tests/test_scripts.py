@@ -64,6 +64,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     truncation = "truncated_ring_module(circle_truncation(292), 292)"
     quotients = "lattice_quotient(ideal_powers(z2xz3xz5), 0-2)"
     image = "ideal_image(ideal_power(R, 3), tensor(circle:9,trunc:z3xz3:3))"
+    nonvanishing = "max_nonvanishing_power(tensor(circle:9,trunc:z3xz3:3))"
+    product = "ring_product(ring_from_tag(z2), ring_from_tag(z3xz3))"
     grouped = "cli(rokhlin product-z2 2 z3xz3 --json)"
     snf = "cli(linalg snf seeded-8x8.json --json)"
     hnf = "cli(linalg hnf seeded-10x6.json --json)"
@@ -96,6 +98,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", delta,
         "--case", sparse,
         "--case", augmentation,
+        "--case", nonvanishing,
+        "--case", product,
         "--repeats", "3",
         "--out", str(out),
     )
@@ -104,7 +108,7 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert list(runs) == ["parent", "change"]
     (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
      truncated, quotient, imaged, grouped_cli, snf_cli, hnf_cli, top_cli, refused_cli,
-     delta_rec, sparse_rec, augmentation_rec) = runs["change"]
+     delta_rec, sparse_rec, augmentation_rec, nonvanishing_rec, product_rec) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {
             "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
@@ -155,9 +159,22 @@ def test_bench_layers_writes_its_schema(tmp_path):
     # I^0, I^1 and I^2 of the rank-30 ring
     assert quotient["counters"] == {"levels": 3, "max_level_rank": 30}
     assert (imaged["case"], imaged["layer"]) == (image, "kmodules")
+    # the tensor of two cyclic modules is generated by 1 x 1, so each of
+    # the 78 rows of I^3 forms one product, not one per module generator
     assert imaged["counters"] == {
-        "rank": 81, "generators": 3, "module_generators": 81, "ideal_rank": 78
+        "rank": 81, "generators": 3, "module_generators": 81, "ideal_rank": 78,
+        "image_products": 78,
     }
+    assert (nonvanishing_rec["case"], nonvanishing_rec["layer"]) == (nonvanishing, "kmodules")
+    # I^0 to I^11 of the rank-81 ring, of ranks 81, 80, ..., 72, 72, 72,
+    # one product per row; I^11 is the first power that acts trivially
+    assert nonvanishing_rec["counters"] == {
+        "rank": 81, "generators": 3, "module_generators": 81, "power": 10, "image_products": 909,
+    }
+    assert (product_rec["case"], product_rec["layer"]) == (product, "fusion")
+    # z2 x z3xz3 is generated by the indices of 1 x (1, chi), 1 x (chi, 1)
+    # and chi x (1, 1)
+    assert product_rec["counters"] == {"rank": 18, "generators": 3}
     # one parser reads each request; the refused one is a README example
     # whose error goes to stderr
     assert (grouped_cli["case"], grouped_cli["layer"]) == (grouped, "cli")

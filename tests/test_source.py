@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import equik
+import equik.fusion as fusion
 import equik.intmat as intmat
 from equik.cli import main
 from equik.fusion import IdealLattice
@@ -285,7 +286,7 @@ def test_module_rows_are_checked_only_where_they_enter():
 
 def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
     # BasedRing, IdealLattice, RingModule and IntMatrix skip their checks
-    # only when passed _trusted=True, by a builder whose formula makes the
+    # only when passed _trusted, by a builder whose formula makes the
     # value valid; the public constructors and the readers check everything.
     trusted = {
         f
@@ -308,3 +309,32 @@ def test_only_values_derived_by_a_formula_skip_the_constructor_checks():
         "kmodules.py:factor_ideal_power",
         "intmat.py:_matrix",
     }
+
+
+def test_library_rings_state_their_generators(monkeypatch):
+    # Only the public BasedRing constructor, which the fusion-table reader
+    # calls, searches for generators: cyclic_ring, circle_truncation and
+    # ring_product pass the ones their formulas give.
+    calls = called_names()
+    assert {f for f, names in calls.items() if "_basis_generators" in names} == {
+        "fusion.py:BasedRing.__init__"
+    }
+
+    def refuse(table):
+        raise AssertionError("generator search on a built-in ring")
+
+    monkeypatch.setattr(fusion, "_basis_generators", refuse)
+    for n in (1, 2, 5):
+        ring = fusion.ring_product(fusion.cyclic_ring(n), fusion.circle_truncation(n))
+        fusion.ring_product(ring, fusion.ring_from_tag("z2xz3"))
+    assert main(["model", "tensor(circle:3,trunc:z3xz3:2)"]) == 0
+
+
+def test_ideal_images_act_on_the_stated_module_generators():
+    # ideal_image reads module.spanning; no image path acts on every unit
+    # vector of the module's generators any more
+    for f in ("ideal_image", "_ideal_times", "max_nonvanishing_power"):
+        names = called_names()[f"kmodules.py:{f}"]
+        assert "_unit_terms" not in names, f
+    source = (Path(equik.__file__).parent / "kmodules.py").read_text(encoding="utf-8")
+    assert "_unit_terms(range(module.generators))" not in source
