@@ -16,17 +16,17 @@ task), but the first:
   kernel_basis and hermite_rows, the rows given), the largest entry
   bit length of the output and the row operations;
 - joins: reduced_homology on the join complexes of the benchmark's
-  `join homology` grid plus five larger ones, counting the rows the
-  boundaries hold in total, the critical cells coreduction leaves, the
-  rows of those handed to the sparse elimination, and the boundary
-  nonzeros, augmentation included; the counters are read from the maps
-  handed to check_boundaries, coreduce and the Smith reader joins calls,
-  wrapped in the warm-up call.  On the grid and the
+  `join homology` grid, five larger ones and the 2-simplex, counting the
+  rows the boundaries hold in total, the critical cells coreduction
+  leaves, the rows of those handed to the sparse elimination, and the
+  boundary nonzeros, augmentation included; the counters are read from
+  the maps handed to check_boundaries, coreduce and the Smith reader
+  joins calls, wrapped in the warm-up call.  On the grid and the
   first three larger joins, boundary_matrices, counting the boundary rows
   and nonzeros, and check_boundaries on the boundaries and the
   augmentation, counting the rows checked and the multiply-adds their
-  products take; mayer_vietoris_delta at (20, 20), (1, 2000) and
-  (300, 300), counting the kernel rank, the cokernel's free rank, and
+  products take; mayer_vietoris_delta at (20, 20), (1, 2000), (300, 300)
+  and (1, 1), counting the kernel rank, the cokernel's free rank, and
   the rows and nonzeros handed to joins.smith_invariants;
 - abgroups: cokernel of a seeded sparse 100 x 100 matrix (each entry
   nonzero with chance 0.1, then in [-3, 3]), built untimed, and tensor
@@ -118,11 +118,13 @@ JOIN_CASES = (
     (2, 7), (3, 5), (9, 5),
 )
 # (l, n) of the mayer_vietoris_delta cases, whose homology is read on the
-# complete bipartite graph K_(l,n): two squares and the star K_(1,2000).
-DELTA_CASES = ((20, 20), (1, 2000), (300, 300))
+# complete bipartite graph K_(l,n): two squares, the star K_(1,2000), and
+# the one edge K_(1,1), whose cost is all fixed cost.
+DELTA_CASES = ((20, 20), (1, 2000), (300, 300), (1, 1))
 # Joins timed by reduced_homology alone: the 7-fold join of 4 points and
-# the 9-fold join of 3, both within the work budget.
-HOMOLOGY_CASES = JOIN_CASES + ((4, 7), (3, 9))
+# the 9-fold join of 3, both within the work budget, and the 2-simplex
+# (`join homology 1 3`), whose cost is all fixed cost.
+HOMOLOGY_CASES = JOIN_CASES + ((4, 7), (3, 9), (1, 3))
 # (builder, arguments): reports built from the product, circle-product,
 # collapse and circle constructions.
 REPORT_CASES = (

@@ -147,22 +147,70 @@ def boundary_matrices(jc: JoinComplex) -> ChainComplex:
 
 
 def check_boundaries(maps) -> None:
-    """Raise EquikError unless maps[d] followed by maps[d-1] is zero.
+    """Raise EquikError unless maps[d] followed by maps[d-1] is zero,
+    naming the first failing map d, then its first failing row i.
 
     Each map is a sparse boundary whose rows are the faces of one degree
-    and whose columns are the faces one degree lower.
+    and whose columns are the faces one degree lower.  Every row of every
+    map is checked, for any integer entries.  Each lower row whose entries
+    are all +-1 is split once into the columns of its +1 entries and the
+    columns of its -1 entries.  Row i of maps[d] concatenates those lists
+    by the sign of each of its entries, into one list of the products +1
+    and one of the products -1.  So a product of two units costs one list
+    item, copied in C, and its share of a sort: the row is zero when the
+    two lists are equal, or equal once sorted.  Any other product, one
+    with an entry of another magnitude (zero included) or with a lower
+    row that holds one, is a single exact multiply-add into a
+    {column: sum} map, however large the entry: no column is repeated.
+    A row with such a product is zero when that map is, once the row's
+    unit products are counted into it.
     """
     for d in range(1, len(maps)):
-        lower = maps[d - 1].data
+        # units[a]: lower row a's +1 columns, its -1 columns, and the terms summed exactly
+        lower, units = maps[d - 1].data, []
+        for row in lower:
+            plus, minus = [], []
+            for j, e in row.items():
+                if e == 1:
+                    plus.append(j)
+                elif e == -1:
+                    minus.append(j)
+                else:
+                    units.append(((), (), row.items()))  # all of the row's products
+                    break
+            else:
+                units.append((plus, minus, ()))
+        folded = {}  # empty at the start of each row: a row that used it clears it
         for i, row in enumerate(maps[d].data):
-            total = {}
+            plus, minus = [], []
             for a, c in row.items():
-                for j, e in lower[a].items():
-                    total[j] = total.get(j, 0) + c * e
-            if any(total.values()):
-                raise EquikError(
-                    f"boundary of a boundary is not zero: row {i} of map {d}"
-                )
+                if c == 1:
+                    p, m, rest = units[a]
+                elif c == -1:
+                    m, p, rest = units[a]
+                else:
+                    p, m, rest = (), (), lower[a].items()
+                plus += p
+                minus += m
+                if rest:
+                    for j, e in rest:
+                        folded[j] = folded.get(j, 0) + c * e
+            if not folded:
+                if plus == minus:
+                    continue
+                plus.sort()
+                minus.sort()
+                if plus == minus:
+                    continue
+            else:
+                for j in plus:
+                    folded[j] = folded.get(j, 0) + 1
+                for j in minus:
+                    folded[j] = folded.get(j, 0) - 1
+                if not any(folded.values()):
+                    folded.clear()
+                    continue
+            raise EquikError(f"boundary of a boundary is not zero: row {i} of map {d}")
 
 
 def coreduce(maps) -> tuple:
@@ -197,8 +245,12 @@ def coreduce(maps) -> tuple:
         cofaces.append(index)
     cofaces.append([()] * maps[-1].rows)  # the top cells face nothing
     # live[t][i]: the live faces of cell i of degree t - 1; negative once it is removed
-    live = [[0] * maps[0].cols] + [[len(row) for row in m.data] for m in maps] + [[]]
-    queue = [(t, i) for t, counts in enumerate(live) for i, c in enumerate(counts) if c == 1]
+    live = [[0] * maps[0].cols] + [list(map(len, m.data)) for m in maps] + [[]]
+    # a degree with no cell of one live face (every degree above the vertices of
+    # a join) seeds nothing, and `1 in counts` passes over it in C
+    queue = [
+        (t, i) for t, counts in enumerate(live) if 1 in counts for i, c in enumerate(counts) if c == 1
+    ]
     for t, i in queue:  # grows while it is read: first in, first out
         counts = live[t]
         if counts[i] != 1:
@@ -222,7 +274,8 @@ def coreduce(maps) -> tuple:
     kept = [[i for i, c in enumerate(counts) if c >= 0] for counts in live[:-1]]
     out = []
     for t in range(1, len(kept)):
-        new = {j: n for n, j in enumerate(kept[t - 1])}
+        # no renumbering below a degree with no cell left, whose rows are all {}
+        new = {j: n for n, j in enumerate(kept[t - 1])} if kept[t - 1] else {}
         out.append(SparseMatrix(len(kept[t]), len(new), tuple(
             {new[j]: e for j, e in faces[t][i].items() if j in new} if live[t][i] else {}
             for i in kept[t]
@@ -248,11 +301,13 @@ def _homology(maps) -> tuple:
     leaves n_d critical cells in degree d.  The reduced group in degree
     d is Z^(n_d - rank del_d - rank del_(d+1)) plus the torsion of
     del_(d+1), each del restricted to the critical cells; a del that
-    coreduction left with no nonzero row has rank 0 and no torsion."""
+    coreduction left with no nonzero row has rank 0 and no torsion.  A
+    zero group is the shared TRIVIAL_GROUP, built and checked once."""
     groups, rank_up, torsion = [], 0, ()
     for m in reversed(coreduce(maps)):
         rank, torsion_d = smith_invariants(m.data) if any(m.data) else (0, ())
-        groups.insert(0, FgAbelianGroup(m.rows - rank - rank_up, torsion))
+        free = m.rows - rank - rank_up
+        groups.insert(0, FgAbelianGroup(free, torsion) if free or torsion else TRIVIAL_GROUP)
         rank_up, torsion = rank, torsion_d
     return tuple(groups)
 

@@ -389,7 +389,10 @@ def kunneth_pieces(mg: RingModule, mh: RingModule):
     relations += [
         {c * h + d: e for d, e in s} for c in range(mg.generators) for s in mh.lattice.terms
     ]
-    table = _kron(mg.table, mh.table)  # the tensor of two modules is a module
+    if mg.table is mg.ring.table and mh.table is mh.ring.table:
+        table = ring.table  # R/I x R/J: ring_product formed this very Kronecker table
+    else:
+        table = _kron(mg.table, mh.table)  # the tensor of two modules is a module
     spanning = tuple(
         [
             tuple([(c * h + d, e * f) for c, e in x for d, f in y])

@@ -5,16 +5,17 @@ IntMatrix products, differences and determinants, the Hermite and Smith
 forms by the dense elimination the library ran before its Smith state
 became sparse rows, lattice membership on dense rows, a lattice modulo a
 sublattice by the dense cokernel, and the dense basis products and unit
-vector of a based ring.  One sparse reader is kept beside them: the
+vector of a based ring.  Two sparse readers are kept beside them: the
 unit-pivot Smith elimination that intmat.smith_invariants ran before it
-read the echelon of _echelon.
+read the echelon of _echelon, and the boundary check that
+joins.check_boundaries ran before it compared sorted column lists.
 """
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
 from equik.abgroups import FgAbelianGroup, cokernel
-from equik.errors import InputError, LatticeContainmentError
+from equik.errors import EquikError, InputError, LatticeContainmentError
 from equik.intmat import IntMatrix, Lattice, SnfDecomposition, xgcd
 
 
@@ -245,6 +246,23 @@ def heap_smith_invariants(sparse_rows):
     diag = dense_smith(block, len(used), [[]] * len(left), [[]] * len(used))[0]
     factors = [d for d in diag if d]
     return units + len(factors), tuple([d for d in factors if d > 1])
+
+
+def summing_check_boundaries(maps) -> None:
+    """joins.check_boundaries as it was: each row of maps[d] times maps[d-1]
+    summed in a {column: total} map, raising EquikError for the first
+    row, of the first map, with a nonzero total."""
+    for d in range(1, len(maps)):
+        lower = maps[d - 1].data
+        for i, row in enumerate(maps[d].data):
+            total = {}
+            for a, c in row.items():
+                for j, e in lower[a].items():
+                    total[j] = total.get(j, 0) + c * e
+            if any(total.values()):
+                raise EquikError(
+                    f"boundary of a boundary is not zero: row {i} of map {d}"
+                )
 
 
 def in_lattice(basis_rows, v) -> bool:

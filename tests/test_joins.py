@@ -11,10 +11,13 @@ per-map route, smith_invariants on each whole boundary with no cell
 coreduced, is kept here as a second oracle for the coreduction.  The
 boundaries built from face masks are checked entry for entry against
 the tuple route: itertools face lists, sorted vertex tuples, and each
-sub-face found by slicing one vertex out.
+sub-face found by slicing one vertex out.  check_boundaries must raise
+exactly when the dict-summing check of dense_algebra does, with the same
+message, on corrupted complexes and on integer maps.
 """
 
 import time
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
@@ -48,7 +51,7 @@ from equik.joins import (
     oracle_consistency,
     reduced_homology,
 )
-from dense_algebra import heap_smith_invariants, is_zero, mul
+from dense_algebra import heap_smith_invariants, is_zero, mul, summing_check_boundaries
 
 
 def densify(m: SparseMatrix) -> IntMatrix:
@@ -323,6 +326,71 @@ def test_homology_matches_per_map_and_dense_oracles(facets):
     with mock.patch.object(joins, "boundary_matrices", lambda jc: chain):
         groups = reduced_homology(build_join_complex(1, 1)).groups
     assert groups == per_map_homology(with_augmentation(chain)) == dense
+
+
+def check_outcome(check, maps):
+    """The message of the EquikError the check raises on maps, or None."""
+    try:
+        check(maps)
+    except EquikError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """A drawn complex's boundaries, the augmentation first, with one entry
+    of one row set to a drawn value in -3..3, zero included."""
+    maps = with_augmentation(simplicial_chain(draw(facet_lists)))
+    d = draw(st.integers(0, len(maps) - 1), label="map")
+    m = maps[d]
+    i = draw(st.integers(0, m.rows - 1), label="row")
+    row = {**m.data[i], draw(st.integers(0, m.cols - 1), label="column"): draw(st.integers(-3, 3))}
+    bad = SparseMatrix(m.rows, m.cols, m.data[:i] + (row,) + m.data[i + 1 :])
+    return maps[:d] + (bad,) + maps[d + 1 :]
+
+
+@st.composite
+def integer_maps(draw):
+    """One to four composable maps of at most five rows and columns, each
+    row a {column: entry} map with entries in -3..3, zero included."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=2, max_size=5))
+    maps = []
+    for cols, rows in zip(sizes, sizes[1:]):
+        columns = st.integers(0, cols - 1) if cols else st.nothing()
+        data = draw(st.lists(st.dictionaries(columns, st.integers(-3, 3)), min_size=rows, max_size=rows))
+        maps.append(SparseMatrix(rows, cols, tuple(data)))
+    return tuple(maps)
+
+
+@given(corrupted_complexes())
+@settings(max_examples=60, deadline=None)
+def test_boundary_check_raises_as_the_summing_oracle_on_corrupted_complexes(maps):
+    assert check_outcome(check_boundaries, maps) == check_outcome(summing_check_boundaries, maps)
+
+
+def cancelling(e: int) -> tuple:
+    """Two vertices and one edge whose boundary is e v0 - e v1: each
+    product with the augmentation has magnitude |e|, and they cancel."""
+    return (SparseMatrix(2, 1, ({0: 1}, {0: 1})), SparseMatrix(1, 2, ({0: e, 1: -e},)))
+
+
+@given(integer_maps())
+@example(cancelling(10**30))
+@example(cancelling(10**6))
+@example((SparseMatrix(1, 1, ({0: -(10**30)},)), SparseMatrix(1, 1, ({0: 1},))))
+@settings(max_examples=100, deadline=None)
+def test_boundary_check_raises_as_the_summing_oracle_on_integer_maps(maps):
+    tracemalloc.start()
+    try:
+        outcome = check_outcome(check_boundaries, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == check_outcome(summing_check_boundaries, maps)
+    # a product of magnitude 10^6 or 10^30 is one sum, not a column repeated
+    # that often: the check's memory is that of maps of five rows
+    assert peak < 64 * 1024
 
 
 def test_projective_plane_top_boundary_has_torsion_two():

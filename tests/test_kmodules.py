@@ -333,6 +333,30 @@ def test_kunneth_torsion_piece_nonzero():
     assert torsion == FgAbelianGroup(0, (2,))
 
 
+@pytest.mark.parametrize(
+    "text", ["tensor(circle:9,trunc:z3xz3:3)", "tensor(tensor(circle:3,trunc:z2:1),trunc:z3:2)"]
+)
+def test_tensor_of_truncations_shares_its_rings_table(text):
+    # R/I x R/J acts by the product ring's own table, which ring_product
+    # formed: the module takes that table instead of a second Kronecker one
+    model = ModelDescriptor.parse(text)
+    mod = model.instantiate()
+    assert mod.table is mod.ring.table
+    assert mod.table == fusion._kron(model.left.instantiate().table, model.right.instantiate().table)
+
+
+def test_tensor_of_a_public_module_forms_its_own_table():
+    # a table given through the public constructor is checked and kept,
+    # not the ring's object, so kunneth_pieces forms the Kronecker product
+    ring = cyclic_ring(2)
+    mg = RingModule(ring, 2, [], tuple([tuple(row) for row in ring.table]))
+    mh = truncated_ring_module(cyclic_ring(3), 2)
+    mod, _ = kunneth_pieces(mg, mh)
+    assert mg.table is not ring.table
+    assert mod.table is not mod.ring.table
+    assert mod.table == fusion._kron(mg.table, mh.table) == mod.ring.table
+
+
 def test_module_direct_sum_groups_add():
     a = truncated_ring_module(cyclic_ring(2), 2)
     b = truncated_ring_module(cyclic_ring(2), 1)

@@ -100,6 +100,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
         "--case", augmentation,
         "--case", nonvanishing,
         "--case", product,
+        "--case", "reduced_homology(1, 3)",
+        "--case", "mayer_vietoris_delta(1, 1)",
         "--repeats", "3",
         "--out", str(out),
     )
@@ -108,7 +110,8 @@ def test_bench_layers_writes_its_schema(tmp_path):
     assert list(runs) == ["parent", "change"]
     (kernel_rec, power_rec, homology, boundaries, check, instantiate, built, regular, tensor,
      truncated, quotient, imaged, grouped_cli, snf_cli, hnf_cli, top_cli, refused_cli,
-     delta_rec, sparse_rec, augmentation_rec, nonvanishing_rec, product_rec) = runs["change"]
+     delta_rec, sparse_rec, augmentation_rec, nonvanishing_rec, product_rec, simplex,
+     edge) = runs["change"]
     for rec in runs["change"]:
         assert set(rec) == {
             "case", "layer", "ns_median", "ns_q1", "ns_q3", "ns_median_scaled", "repeats",
@@ -198,6 +201,16 @@ def test_bench_layers_writes_its_schema(tmp_path):
     # e_k - e_0 for k = 1..199 all lead at column 0: the last row clears
     # the other 198, and each is left leading at a column of its own
     assert augmentation_rec["counters"] == {"rank": 199, "row_operations": 198}
+    # the small-complex targets: the 2-simplex, 3 + 3 + 1 cells and 3 + 6 + 3
+    # nonzeros, and the one edge K_(1,1), both coreduced to nothing
+    assert (simplex["case"], simplex["layer"]) == ("reduced_homology(1, 3)", "joins")
+    assert simplex["counters"] == {
+        "rows": 7, "critical_cells": 0, "rows_eliminated": 0, "nonzeros": 12,
+    }
+    assert (edge["case"], edge["layer"]) == ("mayer_vietoris_delta(1, 1)", "joins")
+    assert edge["counters"] == {
+        "kernel_rank": 1, "cokernel_rank": 0, "rows_eliminated": 0, "nonzeros_eliminated": 0,
+    }
 
 
 def test_bench_layers_alternates_rounds_of_two_trees(tmp_path):
