@@ -5,8 +5,10 @@ switches to a machine format where all integers are decimal strings and
 an absent upper bound is the string "infinity", written exactly as
 json.dumps(payload, indent=2) writes it.  --meta writes one JSON line of
 timing to stderr, so the stdout payload stays byte-identical.  A request
-is read by the parser of the subcommand its first words name; argparse's
-nested parse of the whole tree reads the rest, to print help or an error.
+whose first words name a subcommand, followed by one word per positional
+and exact option words, is read straight from that subcommand parser's
+actions, with no parse; argparse's nested parse of the whole tree reads
+any other argv, to print help, a usage error or an unusual form.
 
 Exit codes: 0 success, 2 bad input, 3 unsupported request.  validate
 exits 1 when the file is well formed but differs from the rebuild of its
@@ -234,8 +236,11 @@ def _cmd_rokhlin(construction, args):
 
 
 def _cmd_model(args):
-    model = ModelDescriptor.parse(args.descriptor)
-    module = model.instantiate()
+    try:  # parse and instantiate take one frame per tensor( level
+        model = ModelDescriptor.parse(args.descriptor)
+        module = model.instantiate()
+    except RecursionError:
+        raise InputError("model descriptor nests too deeply") from None
     group = module.underlying_group()
     power = max_nonvanishing_power(module)
     payload = {
@@ -340,8 +345,52 @@ def _parser(builder) -> argparse.ArgumentParser:
     return builder()
 
 
+def _leaf_values(leaf, words):
+    """The values leaf.parse_args(words) sets, read from leaf's actions as
+    argparse reads them, when each word is a positional's, an exact
+    store_true option or an exact store option and its value, and only
+    option strings start with -.  Any other shape, and a word a type or
+    choice refuses, is None."""
+    values, seen = {}, set()
+    for a in leaf._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            values.setdefault(a.dest, a.default)
+    for dest, value in leaf._defaults.items():
+        values.setdefault(dest, value)
+    positionals = iter([a for a in leaf._actions if not a.option_strings])
+    words = iter(words)
+    try:
+        for word in words:
+            a = leaf._option_string_actions.get(word) if word[:1] == "-" else next(positionals, None)
+            if type(a) is argparse._StoreTrueAction:
+                values[a.dest] = a.const
+            elif type(a) is argparse._StoreAction and a.nargs is None:
+                if a.option_strings:
+                    word = next(words, "-")
+                if word[:1] == "-":
+                    return None  # an option with no value, or a value starting with -
+                values[a.dest] = a.type(word)
+                if a.choices is not None and values[a.dest] not in a.choices:
+                    return None
+            else:  # help, --, an = form, an abbreviation, a leading - or a word too many
+                return None
+            seen.add(a)
+        for a in leaf._actions:
+            if a in seen:
+                continue
+            if a.required:
+                return None  # a positional with no word
+            if isinstance(a.default, str) and values.get(a.dest) is a.default:
+                values[a.dest] = a.type(a.default)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None  # the nested parse prints the type's refusal
+    return values
+
+
 def _namespace(argv):
-    """argv read by the parser of the subcommand its first words name."""
+    """argv read straight from the actions of the subcommand parser its
+    first words name; argparse's nested parse of the whole tree reads any
+    other argv, to print help, a usage error or an unusual form."""
     parser = leaf = _parser(build_parser)
     named = {}  # command and <group>_op, as the nested parse sets them
     while sub := next((a for a in leaf._actions if type(a) is argparse._SubParsersAction), None):
@@ -349,9 +398,9 @@ def _namespace(argv):
         if word not in sub.choices:
             return parser.parse_args(argv)  # help or a usage error
         named[sub.dest], leaf = word, sub.choices[word]
-    args, rest = leaf.parse_known_args(argv[len(named):])
-    # words left over get the nested parse's usage error; leaf values win, as nested
-    return parser.parse_args(argv) if rest else argparse.Namespace(**{**named, **vars(args)})
+    values = _leaf_values(leaf, argv[len(named):])
+    # leaf values win, as in the nested parse
+    return parser.parse_args(argv) if values is None else argparse.Namespace(**{**named, **values})
 
 
 def _json_text(value, indent="\n"):

@@ -267,14 +267,12 @@ class ModelDescriptor(TupleRecord):
     def parse(cls, text: str) -> "ModelDescriptor":
         if text.startswith("tensor(") and text.endswith(")"):
             inner = text[len("tensor(") : -1]
-            depth = 0
-            for pos, ch in enumerate(inner):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
+            depth = start = 0  # depth: the ( less the ) before inner[start]
+            while (pos := inner.find(",", start)) >= 0:
+                depth += inner.count("(", start, pos) - inner.count(")", start, pos)
+                if depth == 0:
                     return cls("tensor", 0, "", cls.parse(inner[:pos]), cls.parse(inner[pos + 1 :]))
+                start = pos + 1
             raise InputError(f"tensor descriptor {text!r} needs two halves")
         kind, *values = text.split(":")
         leaf = _LEAF_KINDS.get(kind)

@@ -1,10 +1,11 @@
 """The CLI's nested argparse route, kept as the oracle of cli.main.
 
 oracle_main(argv) reads argv with build_parser().parse_args, as main did
-before it read a subcommand with that subcommand's parser alone, and
-prints --json output with json.dumps(payload, indent=2).  CORPUS is a
-fixed set of requests: every COMMANDS row with valid arguments, help at
-each level, and argv that argparse refuses or reads in unusual ways.
+before it read a subcommand's words straight from that subcommand
+parser's actions, and prints --json output with json.dumps(payload,
+indent=2).  CORPUS is a fixed set of 98 requests: every COMMANDS row with
+valid arguments, help at each level, flags between and around
+positionals, and argv that argparse refuses or reads in unusual ways.
 
 Run as a script, with the package on the path, it compares the two
 routes on the corpus and exits 1 on any difference; it needs neither
@@ -56,6 +57,12 @@ CORPUS = (
     *([*words.split(), *args, "--json"] for words, args in VALID.items()),
     ["rokhlin", "z2", "2", "--meta"],
     ["--json", "model", "trunc-z2:3", "--meta"],
+    # flags before and between positionals, repeated, and together
+    ["rokhlin", "product-z2", "--json", "2", "z3xz3"],
+    ["rep", "ideal-powers", "--max-power", "2", "z3"],
+    ["rokhlin", "z2", "2", "--json", "--json"],
+    ["rep", "ideal-powers", "z3", "--max-power", "2", "--max-power", "3"],
+    ["rokhlin", "z2", "2", "--meta", "--json"],
     # help at the top, group and subcommand levels
     *([*words, flag] for words in ([], ["rokhlin"], ["rep", "lambda"], ["validate"])
       for flag in ("-h", "--help")),
@@ -71,6 +78,9 @@ CORPUS = (
     ["model"],
     ["rokhlin", "z2", "x"],
     ["rep", "ideal-powers", "z3", "--max-power"],
+    ["rep", "ideal-powers", "z3", "--max-power", "--json"],
+    ["rokhlin", "z2", ""],
+    ["group", "tensor", "-Z_4", "Z_6"],
     ["rep", "ideal-powers", "z3", "--max-power", "x"],
     ["rokhlin", "tensor-rule", "bogus", "1", "3", "2", "5"],
     ["rokhlin", "tensor-rule", "sum", "1", "3", "2", "+5"],

@@ -110,6 +110,16 @@ def test_model_inspection(capsys):
     assert "max nonvanishing ideal power: 2" in out
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_model_nested_past_the_recursion_limit_exits_2(side, capsys):
+    # 1000 tensor( levels: the budget would refuse the ring after about 9,
+    # but parse and instantiate take a frame per level first
+    text = "trunc-z2:1"
+    for _ in range(1000):
+        text = f"tensor({text},trunc-z2:1)" if side == "left" else f"tensor(trunc-z2:1,{text})"
+    assert run(capsys, "model", text) == (2, "", "error: model descriptor nests too deeply\n")
+
+
 def test_model_with_huge_power_on_zero_ideal(capsys):
     code, out, _ = run(capsys, "model", "trunc:z1:1000000000000")
     assert code == 0
@@ -951,8 +961,9 @@ def test_readme_transcript(command, expected, tmp_path, monkeypatch, capsys):
         assert (code, out, err) == (0, "\n".join(expected) + "\n", "")
 
 
-# main reads a request with its subcommand's parser alone; cli_oracle's
-# nested parse of the whole tree, with json.dumps output, is the oracle.
+# main reads a well-formed request straight from its subcommand parser's
+# actions; cli_oracle's nested parse of the whole tree, with json.dumps
+# output, is the oracle.
 
 
 @pytest.fixture
@@ -974,16 +985,23 @@ def test_dispatch_matches_the_nested_parse_on_the_corpus(columns):
         assert cli_oracle.differences(cli_oracle.CORPUS) == []
 
 
+_INSERTED = st.one_of(
+    st.sampled_from([["--json"], ["--meta"], ["--max-power", "2"]]),
+    st.sampled_from(cli_oracle.TOKENS).map(lambda word: [word]),
+)
+
+
 @st.composite
 def edited_argv(draw):
-    """A corpus argv with a few corpus words inserted or deleted."""
+    """A corpus argv with a few corpus words deleted, or corpus words,
+    --json, --meta or --max-power 2 inserted, at any position."""
     argv = list(draw(st.sampled_from(cli_oracle.CORPUS)))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(argv)))
         if argv and at < len(argv) and draw(st.booleans()):
             del argv[at]
         else:
-            argv.insert(at, draw(st.sampled_from(cli_oracle.TOKENS)))
+            argv[at:at] = draw(_INSERTED)
     return argv
 
 
@@ -1003,11 +1021,14 @@ def test_dispatch_reads_each_request_with_one_parser(monkeypatch, capsys):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    # a well-formed request is read from its subcommand parser's actions,
+    # with no parse
     for argv, progs in (
-        (["rokhlin", "product-z2", "2", "z3", "--json"], ["equik rokhlin product-z2"]),
-        (["model", "trunc-z2:3"], ["equik model"]),
+        (["rokhlin", "product-z2", "2", "z3", "--json"], []),
+        (["model", "trunc-z2:3"], []),
+        (["rep", "ideal-powers", "--max-power", "2", "z3", "--meta"], []),
         # leftover words: the nested parse prints the usage error
-        (["rokhlin", "z2", "2", "3"], ["equik rokhlin z2", "equik", "equik rokhlin", "equik rokhlin z2"]),
+        (["rokhlin", "z2", "2", "3"], ["equik", "equik rokhlin", "equik rokhlin z2"]),
     ):
         calls.clear()
         _request(capsys, argv)
